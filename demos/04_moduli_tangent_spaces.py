@@ -22,9 +22,8 @@ def main():
     print("== one-holed torus, boundary angle 2.2 ==")
     for seed in range(4):
         p = moduli.sample_point(1, 1, [2.2], seed=seed)
-        ts = moduli.tangent_space(p)
         out = moduli.moduli_acs(p)
-        res = out["compatibility_residuals"]
+        ts, res = out["tangent"], out["compatibility_residuals"]
         angle = localsys.quat_angle(p.phi_images["c1"])
         print(f"seed {seed}: boundary class {angle:.6f}, "
               f"dim = {ts['dim_H1_par']}, pairing rank = {ts['omega_rank']}, "

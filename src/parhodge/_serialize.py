@@ -1,16 +1,22 @@
 """Deterministic report serialization.
 
 Floats are written with 17 significant digits so reports round-trip exactly
-and identical runs produce byte-identical files.  The text format mirrors
-the JSON field order as flattened `path: value` lines for greppability.
+and identical runs produce byte-identical files; non-finite floats are
+`null` and `json` escapes strings, so the output is strict JSON.  The text
+format mirrors the JSON field order as flattened `path: value` lines.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
 
 def _fmt(x):
+    if isinstance(x, str):
+        return json.dumps(x)
     if x is None:
         return "null"
     if isinstance(x, (bool, np.bool_)):
@@ -19,9 +25,7 @@ def _fmt(x):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         v = float(x)
-        if v != v:
-            return "NaN"
-        return format(v, ".17g")
+        return format(v, ".17g") if math.isfinite(v) else "null"
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
@@ -31,7 +35,8 @@ def dumps(obj, indent=0):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{key}": {dumps(val, indent + 1)}' for key, val in obj.items()
+            f"{pad}  {json.dumps(str(key))}: {dumps(val, indent + 1)}"
+            for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -39,12 +44,9 @@ def dumps(obj, indent=0):
             return "[]"
         scalar = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if scalar:
-            return "[" + ", ".join(_fmt(v) if not isinstance(v, str) else f'"{v}"'
-                                   for v in obj) + "]"
+            return "[" + ", ".join(_fmt(v) for v in obj) + "]"
         items = [f"{pad}  {dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return f'"{obj}"'
     return _fmt(obj)
 
 

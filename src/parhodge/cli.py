@@ -131,7 +131,7 @@ def cmd_moduli(args):
                                        phi_images=images, seed=args.seed)
         else:
             point = moduli.sample_point(g, kk, angles, args.seed)
-    ts = moduli.tangent_space(point, tol)
+    acs = moduli.moduli_acs(point, tol=tol)  # raises SingularPoint if reducible
     payload = {
         "point": {
             "g": point.g, "k": point.k, "seed": point.seed,
@@ -140,9 +140,8 @@ def cmd_moduli(args):
             "phi_images": {n: [float(x) for x in q]
                            for n, q in sorted(point.phi_images.items())},
         },
-        "tangent": ts,
+        "tangent": acs["tangent"],
     }
-    acs = moduli.moduli_acs(point, tol=tol)  # raises SingularPoint if reducible
     payload["goldman_omega"] = [[float(x) for x in row]
                                 for row in np.atleast_2d(acs["goldman_omega"])] \
         if acs["goldman_omega"].size else []

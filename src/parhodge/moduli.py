@@ -269,7 +269,7 @@ def tangent_space(point, tol=DEFAULT_TOL):
 def moduli_acs(point, metric=None, tol=DEFAULT_TOL):
     """Goldman-convention pair at a nonsingular point: the negated
     symplectic form and the negated complex structure, plus the
-    compatibility residuals of the pair."""
+    compatibility residuals of the pair and the `tangent_space` data."""
     k, h, loops, f = build_system(point)
     ts = tangent_space(point, tol)
     if ts["reducible_flag"]:
@@ -296,4 +296,5 @@ def moduli_acs(point, metric=None, tol=DEFAULT_TOL):
         "acs": acs,
         "compatibility_residuals": residuals,
         "parastar_report": rep,
+        "tangent": ts,
     }

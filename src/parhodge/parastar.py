@@ -10,10 +10,10 @@ parabolic classes before the construction runs, and the report carries
 machine-checkable residuals for all three compatibility statements
 (square = -Id, symplectic invariance, positive taming).
 
-The Galerkin-star route survives only as a convergence diagnostic:
-`ambient_route_diagnostic` checks that the projection between the two
-harmonic flavors reproduces the same parabolic subspace and reports the
-projector-intertwining residual of the approximate star.
+The Galerkin star plays no part in the construction and reports carry
+none of its numbers; they come from `parhodge verify --refine` and from
+`ambient_route_diagnostic`, which also checks that the projection between
+the two harmonic flavors reproduces the same parabolic subspace.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ParabolicStarReport:
 
         res = {}
         for key in ("jpar_sq", "omega_invariance", "taming_min_eigenvalue",
-                    "condition_sigma_min", "p38_residual"):
+                    "condition_sigma_min"):
             v = self.residuals.get(key)
             res[key] = None if v is None else float(v)
         for key in sorted(self.residuals):
@@ -106,7 +106,6 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
     `with_component_split` defaults to splitting only when the complex is
     disconnected.
     """
-    mc = hodge.metric_complex(k, h, f, tol)
     rp = twisted.restriction_and_parabolic(k, f, tol)
     class_reps = rp["parabolic_basis"].reps
     dim_par = rp["parabolic_basis"].dim
@@ -114,13 +113,11 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
     residuals = {"parabolic_exactness": float(rp["exactness_check"])}
     if dim_par == 0:
         empty = np.zeros((0, 0))
-        gal = hodge.galerkin_diagnostics(mc)
         residuals.update({
             "jpar_sq": 0.0,
             "omega_invariance": 0.0,
             "taming_min_eigenvalue": None,
             "condition_sigma_min": None,
-            "p38_residual": gal["p38_residual"],
             "omega_rep_independence": 0.0,
         })
         return ParabolicStarReport(
@@ -133,6 +130,7 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
             if _want_split(k, with_component_split) else None,
         )
 
+    mc = hodge.metric_complex(k, h, f, tol)
     u_basis = hodge.harmonic_representative(mc, class_reps)
     m_u = u_basis.T @ mc.m1 @ u_basis
     m_u = 0.5 * (m_u + m_u.T)
@@ -150,13 +148,11 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
         )
 
     res = compat.compatible_complex_structure(m_u, omega_u, tol)
-    gal = hodge.galerkin_diagnostics(mc)
     residuals.update({
         "jpar_sq": res.residuals["jsq"],
         "omega_invariance": res.residuals["omega_invariance"],
         "taming_min_eigenvalue": res.residuals["taming_min_eigenvalue"],
         "condition_sigma_min": rel_sigma,
-        "p38_residual": gal["p38_residual"],
         "metric_isometry": res.residuals["isometry"],
     })
     return ParabolicStarReport(

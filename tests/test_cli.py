@@ -3,28 +3,51 @@ import json
 import numpy as np
 import pytest
 
-from parhodge import cli, localsys, surface
+from parhodge import _serialize, cli, localsys, surface
 
 
 def run(args):
     return cli.main(args)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def load_strict(text):
+    """Parse as strict JSON: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_dumps_is_strict_json():
+    obj = {'a"b': [float("inf"), 'x"y'], "n": float("nan")}
+    assert load_strict(_serialize.dumps(obj)) == {'a"b': [None, 'x"y'], "n": None}
+
+
 def test_star_torus_example(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["star", "--example", "torus", "--m", "8", "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = load_strict(out.read_text())
     assert report["dim_H1_par"] == 2
     assert report["residuals"]["jpar_sq"] < 1e-9
     assert len(report["J_par"]) == 2
+
+
+def test_star_boundary_surface_example(tmp_path):
+    out = tmp_path / "report.json"
+    code = run(["star", "--example", "genus11", "--m", "3", "--out", str(out)])
+    assert code == 0
+    report = load_strict(out.read_text())
+    assert report["dim_H1_rel"] == report["dim_H1_par"] == 2
+    assert report["residuals"]["taming_min_eigenvalue"] > 0
 
 
 def test_star_annulus_zero_dim(tmp_path):
     out = tmp_path / "r.json"
     code = run(["star", "--example", "annulus", "--m", "6", "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = load_strict(out.read_text())
     assert report["dim_H1_par"] == 0
     assert report["J_par"] == []
     assert report["residuals"]["taming_min_eigenvalue"] is None
@@ -65,7 +88,7 @@ def test_star_mesh_and_system_files(tmp_path):
     code = run(["star", "--mesh", str(mesh_file), "--system", str(system_file),
                 "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = load_strict(out.read_text())
     assert report["inputs"]["fiber_dim"] == 2
 
 
@@ -116,7 +139,7 @@ def test_moduli_sample_and_determinism(tmp_path):
     code = run(["moduli", "--sample", "1", "1", "--angles", "3.0",
                 "--seed", "7", "--out", str(out1)])
     assert code == 0
-    report = json.loads(out1.read_text())
+    report = load_strict(out1.read_text())
     assert report["tangent"]["dim_H1_par"] == 2
     code = run(["moduli", "--sample", "1", "1", "--angles", "3.0",
                 "--seed", "7", "--out", str(out2)])
@@ -137,7 +160,7 @@ def test_moduli_point_file(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["moduli", "--point", str(pfile), "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = load_strict(out.read_text())
     assert report["tangent"]["dim_H1_par"] == 0
 
 
@@ -145,9 +168,17 @@ def test_verify_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     code = run(["verify", "--out", str(out), "--seed", "3"])
     assert code == 0
-    sweep = json.loads(out.read_text())["sweep"]
+    sweep = load_strict(out.read_text())["sweep"]
     assert "torus/trivial_R" in sweep and "genus11/random_SO3" in sweep
     assert all(case["ok"] for case in sweep.values())
+
+
+def test_verify_example_case(tmp_path):
+    out = tmp_path / "case.json"
+    code = run(["verify", "--example", "genus11", "--m", "3", "--out", str(out)])
+    assert code == 0
+    case = load_strict(out.read_text())["case"]
+    assert case["ok"] and case["dim_H1_par"] == 2
 
 
 def test_verify_refinement_table(tmp_path):
@@ -155,7 +186,7 @@ def test_verify_refinement_table(tmp_path):
     code = run(["verify", "--example", "torus", "--refine", "4,8",
                 "--out", str(out)])
     assert code == 0
-    rows = json.loads(out.read_text())["refinement"]
+    rows = load_strict(out.read_text())["refinement"]
     assert [r["m"] for r in rows] == [4, 8]
     for r in rows:
         assert r["skew_residual"] < 1e-9

@@ -193,8 +193,30 @@ def test_report_serialization_fields():
                   "component_split"):
         assert field in d
     for res in ("jpar_sq", "omega_invariance", "taming_min_eigenvalue",
-                "condition_sigma_min", "p38_residual"):
+                "condition_sigma_min"):
         assert res in d["residuals"]
+
+
+def test_star_runs_no_galerkin_diagnostics(monkeypatch):
+    # the construction never needs the Galerkin star; a report that called
+    # the diagnostics would raise here
+    def forbidden(mc):
+        raise AssertionError("parabolic_star ran the Galerkin diagnostics")
+
+    monkeypatch.setattr(hodge, "galerkin_diagnostics", forbidden)
+    rng = np.random.default_rng(49)
+    k_t, h_t, _ = surface.torus(4)
+    k_g, h_g, loops = surface.genus_k(1, 1, 1)
+    k_a, h_a, _ = surface.annulus(6, 2)
+    cases = [
+        (k_t, h_t, localsys.trivial_system(k_t, 1), 2),
+        (k_g, h_g, localsys.random_flat_system(k_g, loops, 3, rng), 2),
+        (k_a, h_a, localsys.trivial_system(k_a, 1), 0),
+    ]
+    for k, h, f, dim in cases:
+        rep = parastar.parabolic_star(k, h, f)
+        assert rep.dim_h1_par == dim and rep.theorem_residuals_ok()
+        assert "p38_residual" not in rep.to_dict()["residuals"]
 
 
 def test_gauge_naturality_full_pipeline():
