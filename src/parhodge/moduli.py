@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import localsys, parastar, surface, twisted
+from . import localsys, numlin, parastar, surface, twisted
 from .errors import InvalidAngles, InvalidParameter, SamplingFailed, SingularPoint
 from .localsys import (
     quat_angle,
@@ -255,7 +255,6 @@ def tangent_space(point, tol=DEFAULT_TOL):
     reps = rp["parabolic_basis"].reps
     omega = twisted.parabolic_pairing(k, f, reps, tol) if reps.size else np.zeros((0, 0))
     h0 = twisted.cohomology(k, f, 0, "absolute", tol)
-    from . import numlin
     return {
         "dim_H1_par": rp["parabolic_basis"].dim,
         "dim_H1": rp["h1"].dim,
@@ -269,10 +268,10 @@ def tangent_space(point, tol=DEFAULT_TOL):
 def moduli_acs(point, metric=None, tol=DEFAULT_TOL):
     """Goldman-convention pair at a nonsingular point: the negated
     symplectic form and the negated complex structure, plus the
-    compatibility residuals of the pair and the `tangent_space` data."""
+    compatibility residuals of the pair and the `tangent_space` data, read
+    off the one star report."""
     k, h, loops, f = build_system(point)
-    ts = tangent_space(point, tol)
-    if ts["reducible_flag"]:
+    if twisted.cohomology(k, f, 0, "absolute", tol).dim:
         raise SingularPoint(
             "representation has invariant vectors (H^0 != 0); the point may "
             "be singular and carries no canonical almost complex structure"
@@ -290,11 +289,19 @@ def moduli_acs(point, metric=None, tol=DEFAULT_TOL):
         taming = 0.5 * (goldman @ acs + (goldman @ acs).T)
         w = np.linalg.eigvalsh(taming)
         residuals["taming_min_eigenvalue"] = float(w[0])
+    tangent = {
+        "dim_H1_par": dim,
+        "dim_H1": rep.dim_h1,
+        "expected_dim": 3 * (2 * point.g - 2) + 2 * point.k,
+        "omega_rank": numlin.rank(rep.omega_u, tol, scale=1.0),
+        "reducible_flag": False,
+        "exactness_check": bool(rep.residuals["parabolic_exactness"]),
+    }
     return {
         "dim_H1_par": dim,
         "goldman_omega": goldman,
         "acs": acs,
         "compatibility_residuals": residuals,
         "parastar_report": rep,
-        "tangent": ts,
+        "tangent": tangent,
     }

@@ -191,11 +191,13 @@ def orthonormalize(basis, m=None, tol=DEFAULT_TOL, scale=None):
     if b.shape[1] == 0:
         return b.copy()
     if m is None:
+        # thin QR, then the SVD of the small R factor: rank-revealing even
+        # when a dependent column comes first
         q, r = np.linalg.qr(b)
-        d = np.abs(np.diag(r))
-        ref = max(d.max(initial=0.0), scale or 0.0, 1e-300)
-        keep = d > tol.rank_tol * ref
-        return _fix_column_signs(q[:, keep])
+        u, s, _ = _svd(r)
+        ref = max(s[0] if s.size else 0.0, scale or 0.0, 1e-300)
+        keep = s > tol.rank_tol * ref
+        return _fix_column_signs(q @ u[:, keep])
     gram = b.T @ as_matrix(m, "M") @ b
     w, v = sym_eig(0.5 * (gram + gram.T), tol)
     ref = max(w[0] if w.size else 0.0, (scale or 0.0) ** 2)

@@ -154,3 +154,16 @@ def test_empty_shapes_flow_through():
     assert numlin.nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
     x = numlin.lsq_solve(np.zeros((3, 0)), np.eye(3), np.zeros(3))
     assert x.shape == (0,)
+
+
+def test_orthonormalize_drops_a_leading_negligible_column():
+    # a negligible first column must not steer the kept directions out of
+    # the span of the others (plain QR would keep a_2 - (q_1 . a_2) q_1)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((30, 2))
+    b = np.column_stack([1e-17 * rng.standard_normal(30), a])
+    q = numlin.orthonormalize(b, scale=1.0)
+    assert q.shape[1] == 2
+    assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+    proj = a @ np.linalg.lstsq(a, q, rcond=None)[0]
+    assert np.abs(proj - q).max() < 1e-12

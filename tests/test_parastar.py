@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from parhodge import compat, hodge, localsys, parastar, surface, twisted
+from parhodge import compat, hodge, localsys, numlin, parastar, surface, twisted
 from parhodge.errors import ConditionFailed
 
 from conftest import torus_grid_cochain, union_with_metric_and_system
@@ -293,3 +298,41 @@ def test_holed_torus_intersection_number_and_convergence():
         errors.append(np.abs(res.j - np.array([[0.0, -1.0], [1.0, 0.0]])).max())
     assert errors[0] < 0.05
     assert errors[1] < errors[0]
+
+
+def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
+    rng = np.random.default_rng(64)
+    k, h, loops = surface.torus(12)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    svd_shapes, builds = [], []
+    svd, cob = numlin._svd, twisted.coboundaries
+
+    def counting_svd(a, *args, **kwargs):
+        svd_shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def counting_coboundaries(*args):
+        builds.append(1)
+        return cob(*args)
+
+    monkeypatch.setattr(numlin, "_svd", counting_svd)
+    monkeypatch.setattr(twisted, "coboundaries", counting_coboundaries)
+    rep = parastar.parabolic_star(k, h, f)
+    assert rep.theorem_residuals_ok()
+    assert svd_shapes and max(min(s) for s in svd_shapes) <= 100, svd_shapes
+    assert len(builds) <= 3
+
+
+def test_star_command_imports_no_scipy():
+    code = ("import contextlib, io, sys\n"
+            "from parhodge import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['star', '--example', 'genus11', '--m', '3',"
+            " '--fiber', '3'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(parastar.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.split() == ["0", "[]"], out.stdout + out.stderr

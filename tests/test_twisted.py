@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from parhodge import hodge, localsys, numlin, surface, twisted
+from parhodge import cli, hodge, localsys, numlin, parastar, surface, twisted
 from parhodge.errors import NotClosed
 
-from conftest import torus_grid_cochain
+from conftest import torus_grid_cochain, union_with_metric_and_system
 
 
 def test_d0_rank_on_disk():
@@ -224,3 +224,74 @@ def test_parabolic_pairing_agrees_with_right_lift():
     d0, _, _, _ = twisted.coboundaries(k, f)
     shifted = reps + d0 @ rng.standard_normal((d0.shape[1], reps.shape[1]))
     assert np.abs(twisted.parabolic_pairing(k, f, shifted) - left).max() < 1e-9
+
+
+def _dense_cohomology(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
+    """Dense SVD oracle: ker d_degree intersected with ker d_{degree-1}^T."""
+    d0, d1, d0_rel, d1_rel = twisted.coboundaries(k, f)
+    ds = (d0_rel, d1_rel) if flavor == "relative" else (d0, d1)
+    kernel = numlin.nullspace_basis(ds[degree], tol)
+    if degree == 1:
+        kernel = kernel @ numlin.nullspace_basis(ds[0].T @ kernel, tol)
+    mask = twisted.cochain_space(k, f, degree, flavor).dof_mask
+    reps = np.zeros((mask.size, kernel.shape[1]))
+    reps[mask] = kernel
+    return twisted.CohomologyBasis(degree=degree, flavor=flavor, reps=reps,
+                                   dim=reps.shape[1])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(62)
+    for name in ("torus", "annulus", "disk", "genus11", "pants", "sphere"):
+        for m in (3, 6):
+            k, h, loops = cli._EXAMPLES[name](m)
+            yield f"{name}{m}/R", k, localsys.trivial_system(k, 1)
+            yield f"{name}{m}/R3", k, localsys.trivial_system(k, 3)
+            yield f"{name}{m}/SO3", k, localsys.random_flat_system(k, loops, 3, rng)
+    k1, h1, l1 = surface.torus(4)
+    k2, h2, l2 = surface.genus_k(1, 1, 1)
+    ku, _, fu = union_with_metric_and_system(
+        k1, h1, localsys.random_flat_system(k1, l1, 3, rng),
+        k2, h2, localsys.random_flat_system(k2, l2, 3, rng))
+    yield "union", ku, fu
+
+
+def test_tree_cotree_matches_dense_oracle():
+    for label, k, f in _oracle_cases():
+        d0, d1, d0_rel, _ = twisted.coboundaries(k, f)
+        for flavor in ("absolute", "relative"):
+            mask = [twisted.cochain_space(k, f, p, flavor).dof_mask for p in (0, 1)]
+            for degree in (0, 1):
+                case = (label, flavor, degree)
+                got = twisted.cohomology(k, f, degree, flavor)
+                want = _dense_cohomology(k, f, degree, flavor)
+                assert got.dim == want.dim, case
+                both = np.hstack([got.reps, want.reps])
+                assert numlin.rank(both, scale=1.0) == got.dim, case
+                reps = got.reps
+                gram = reps.T @ reps - np.eye(got.dim)
+                assert np.abs(gram).max(initial=0) < 1e-9, case
+                assert np.abs(reps[~mask[degree]]).max(initial=0) == 0.0, case
+                closed = (d0 if degree == 0 else d1) @ reps
+                assert np.abs(closed).max(initial=0) < 1e-9, case
+                if degree == 1:
+                    exact = d0_rel.T @ reps[mask[1]] if flavor == "relative" \
+                        else d0.T @ reps
+                    assert np.abs(exact).max(initial=0) < 1e-9, case
+
+
+def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
+    rng = np.random.default_rng(63)
+    cases = [surface.torus(4), surface.genus_k(1, 1, 1), surface.genus_k(0, 4, 1)]
+    systems = [(k, h, localsys.random_flat_system(k, loops, 3, rng))
+               for k, h, loops in cases]
+    reports = [parastar.parabolic_star(*c) for c in systems]
+    monkeypatch.setattr(twisted, "cohomology", _dense_cohomology)
+    for (k, h, f), rep in zip(systems, reports):
+        dense = parastar.parabolic_star(k, h, f)
+        assert dense.dim_h1_par == rep.dim_h1_par > 0
+        u, v = rep.u_basis, dense.u_basis
+        assert numlin.rank(np.hstack([u, v]), scale=1.0) == rep.dim_h1_par
+        op = u @ rep.j_par @ np.linalg.pinv(u)
+        op_dense = v @ dense.j_par @ np.linalg.pinv(v)
+        assert np.abs(op - op_dense).max() < 1e-9
