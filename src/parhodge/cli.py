@@ -191,18 +191,17 @@ def _verify_case(k, h, f, tol, rng):
         rep["refinement_report"]["H_N_in_CcC_residual"],
         rep["refinement_report"]["H_D_in_CcC_residual"],
     )
-    rp = twisted.restriction_and_parabolic(k, f, tol)
-    out["dim_H1_par"] = rp["parabolic_basis"].dim
-    out["parabolic_even"] = rp["parabolic_basis"].dim % 2 == 0
-    out["exactness_ok"] = rp["exactness_check"]
+    star = parastar.parabolic_star(k, h, f, tol)
+    out["dim_H1_par"] = star.dim_h1_par
+    out["parabolic_even"] = star.dim_h1_par % 2 == 0
+    out["exactness_ok"] = bool(star.residuals["parabolic_exactness"])
     gauges = [localsys.random_rotation(rng, n) for _ in range(k.vertex_count)]
     gauged = localsys.gauge_transform(k, f, gauges)
     rp2 = twisted.restriction_and_parabolic(k, gauged, tol)
     out["gauge_dims_ok"] = (
-        rp2["parabolic_basis"].dim == rp["parabolic_basis"].dim
+        rp2["parabolic_basis"].dim == star.dim_h1_par
         and twisted.euler_characteristic_dims(k, gauged, tol) == dims
     )
-    star = parastar.parabolic_star(k, h, f, tol)
     out["theorem_ok"] = star.theorem_residuals_ok(tol)
     out["ok"] = bool(
         out["euler_ok"] and out["dim_sum_ok"] and out["parabolic_even"]

@@ -1,10 +1,14 @@
 """Discrete metric structures on twisted cochains.
 
-`MetricComplex` assembles the twisted Whitney mass matrices: per triangle,
-cochain values are transported into the fiber at the triangle's lowest
-vertex, where the scalar barycentric integrals pair them.  Orthogonal
-transports preserve the fiber inner product, so for a trivial system the
-matrices reduce to the scalar ones tensored with the fiber identity.
+`metric_complex` is the one assembly of the Whitney matrices M0, M1, M2 and
+the wedge matrix W1; the scalar case is the trivial system in fiber
+dimension 1.  Per triangle, cochain values are transported into the fiber
+at the triangle's lowest vertex, where the barycentric integrals pair them.
+All triangles are assembled at once from the triangle-edge table
+`SurfaceComplex.tri_edges`, the edge lengths and the transports, and every
+entry is summed over triangles in stored order.  Orthogonal transports
+preserve the fiber inner product, so for a trivial system the matrices
+reduce to the scalar ones tensored with the fiber identity.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -59,48 +63,83 @@ class MetricComplex:
         return self._cache["masks"]
 
 
-def _triangle_fiber_transports(k, f, t):
-    """Pullbacks of the three vertex fibers into the fiber at min(t)."""
-    w = min(t)
-    out = {}
-    for v in t:
-        out[v] = np.eye(f.fiber_dim) if v == w else f.transports[k.edge_id(w, v)]
-    return out
+# the table edges w0w1, w0w2, w1w2 of a triangle as (low, high) positions
+# in its sorted vertex order w0 < w1 < w2
+_EDGE_LO = np.array([0, 0, 1])
+_EDGE_HI = np.array([1, 2, 2])
+# dlambda_i ^ dlambda_j in units of the area form, for a triangle whose
+# sorted vertex order is positively oriented
+_WEDGE_E = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=float)
+
+
+def _lambda_products(area):
+    """Integrals of lambda_i lambda_j over triangles of the given areas."""
+    return np.asarray(area)[..., None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _whitney_pairs(ll, y):
+    """Pairings of the Whitney forms w_ab = l_a dl_b - l_b dl_a of the three
+    table edges (last two axes), from the integrals ll[i, j] of
+    lambda_i lambda_j and the pairings y[i, j] of dlambda_i with dlambda_j."""
+    lo, hi = _EDGE_LO[:, None], _EDGE_HI[:, None]
+    return (
+        y[..., hi, _EDGE_HI] * ll[..., lo, _EDGE_LO]
+        - y[..., hi, _EDGE_LO] * ll[..., lo, _EDGE_HI]
+        - y[..., lo, _EDGE_HI] * ll[..., hi, _EDGE_LO]
+        + y[..., lo, _EDGE_LO] * ll[..., hi, _EDGE_HI]
+    )
+
+
+# integral of w_e ^ w_f over a triangle with _WEDGE_E's orientation;
+# metric-free, so taken on the reference triangle (area 1/2)
+_WEDGE = _whitney_pairs(_lambda_products(0.5), _WEDGE_E)
 
 
 def metric_complex(k, h, f, tol=DEFAULT_TOL):
     """Assemble the twisted mass and wedge matrices for (complex, metric,
-    system)."""
+    system), all triangles at once."""
     n = f.fiber_dim
     nv, ne, nt = k.n_vertices, k.n_edges, k.n_triangles
+    te = k.tri_edges
+    tris = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
+    verts = np.sort(tris, axis=1)
+    # side[:, i] is opposite w_i; Heron takes the sides in the triangle's
+    # stored order, which fixes the rounding of the area
+    side = h.lengths[te[:, ::-1]]
+    stored = np.take_along_axis(side, tris.argsort(axis=1).argsort(axis=1), axis=1)
+    area = surface._heron(stored[:, 0], stored[:, 1], stored[:, 2])
+    # gradient pairings: |dl_i|^2 = l_i^2 / (4 A^2) and, with k the third
+    # vertex, <dl_i, dl_j> = -(l_i^2 + l_j^2 - l_k^2) / (8 A^2); float_power
+    # squares through libm pow, which side * side can miss in the last bit
+    sq = np.float_power(side, 2)
+    third = sq[:, (3 - np.add.outer(np.arange(3), np.arange(3))) % 3]
+    a2 = (area * area)[:, None, None]
+    g = np.where(np.eye(3, dtype=bool), sq[:, :, None] / (4.0 * a2),
+                 -(sq[:, :, None] + sq[:, None, :] - third) / (8.0 * a2))
+    ll = _lambda_products(area)
+    # pullbacks rho_i of the vertex fibers into the fiber at w0, and the
+    # products rho_i^T rho_j; an edge cochain's value lives at its low vertex
+    rho = np.empty((nt, 3, n, n))
+    rho[:, 0] = np.eye(n)
+    rho[:, 1:] = f.transports[te[:, :2]]
+    pair = rho.transpose(0, 1, 3, 2)[:, :, None] @ rho[:, None]
+    pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
+
+    # np.add.at adds in index order, so each entry sums its triangles in
+    # stored order
+    rows, cols = te[:, :, None], te[:, None, :]
     m0 = np.zeros((n * nv, n * nv))
+    np.add.at(twisted._blocks(m0, n), (verts[:, :, None], verts[:, None, :]),
+              ll[..., None, None] * pair)
     m1 = np.zeros((n * ne, n * ne))
-    m2 = np.zeros((n * nt, n * nt))
+    np.add.at(twisted._blocks(m1, n), (rows, cols),
+              _whitney_pairs(ll, g)[..., None, None] * pair_e)
     w1 = np.zeros((n * ne, n * ne))
-    for ti, t in enumerate(k.triangles):
-        g, area = surface._grad_inner(k, h, ti)
-        m2[n * ti:n * ti + n, n * ti:n * ti + n] = np.eye(n) / area
-        rho_v = _triangle_fiber_transports(k, f, t)
-        for i in range(3):
-            for j in range(3):
-                block = (area * (2.0 if i == j else 1.0) / 12.0) * (
-                    rho_v[t[i]].T @ rho_v[t[j]]
-                )
-                m0[n * t[i]:n * t[i] + n, n * t[j]:n * t[j] + n] += block
-        locals_ = surface._local_edge_positions(t)
-        for (pa, pb), key_e in locals_:
-            e = k.edge_index[key_e]
-            rho_e = rho_v[key_e[0]]  # value of the edge cochain lives at min(e)
-            for (pc, pd), key_f in locals_:
-                fi = k.edge_index[key_f]
-                rho_f = rho_v[key_f[0]]
-                pair = rho_e.T @ rho_f
-                m1[n * e:n * e + n, n * fi:n * fi + n] += (
-                    surface.local_mass1(g, area, pa, pb, pc, pd) * pair
-                )
-                w1[n * e:n * e + n, n * fi:n * fi + n] += (
-                    surface.local_wedge(pa, pb, pc, pd) * pair
-                )
+    np.add.at(twisted._blocks(w1, n), (rows, cols),
+              (k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * pair_e)
+    m2 = np.zeros((n * nt, n * nt))
+    twisted._blocks(m2, n)[np.arange(nt), np.arange(nt)] = \
+        np.eye(n) / area[:, None, None]
     m0 = 0.5 * (m0 + m0.T)
     m1 = 0.5 * (m1 + m1.T)
     w1 = 0.5 * (w1 - w1.T)

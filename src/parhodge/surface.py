@@ -1,11 +1,14 @@
-"""Oriented triangulated compact surfaces with boundary.
+"""Oriented triangulated compact surfaces with boundary: combinatorics,
+piecewise flat metrics and the builtin meshes.
 
 A `SurfaceComplex` stores orientation-bearing triangles over integer vertex
-ids and derives everything else: canonical edges (low id -> high id),
-triangle/edge incidence signs, boundary cycles, connected components, and
-the parity relating each stored triangle orientation to its sorted vertex
-order (the fundamental 2-cycle is the sum of all triangles with sign +1 in
-stored order).
+ids and derives everything else: canonical edges (low id -> high id), the
+triangle-edge table `tri_edges` (per triangle with sorted vertices
+w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), boundary cycles, connected
+components, and the parity `sorted_sign` relating each stored triangle
+orientation to its sorted vertex order (the fundamental 2-cycle is the sum
+of all triangles with sign +1 in stored order).  The Whitney matrices are
+assembled from this table in `hodge`.
 
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
 sphere, one-holed torus and the round sphere) together with
@@ -42,8 +45,7 @@ class SurfaceComplex:
     triangles: list
     edges: list = field(default_factory=list)
     edge_index: dict = field(default_factory=dict)
-    tri_edges: list = field(default_factory=list)
-    incidence: np.ndarray | None = None
+    tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
     sorted_sign: np.ndarray | None = None
     boundary_edge_indices: list = field(default_factory=list)
     boundary_vertices: list = field(default_factory=list)
@@ -148,18 +150,9 @@ def build(vertex_count, triangles):
                 f"edge {k.edges[ei]} is traversed twice in the same direction"
             )
 
-    k.tri_edges = []
-    inc = np.zeros((len(tris), len(order)), dtype=int)
-    for ti, (a, b, c) in enumerate(tris):
-        entry = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            ei = k.edge_index[(u, v) if u < v else (v, u)]
-            s = 1 if u < v else -1
-            entry.append((ei, s))
-            inc[ti, ei] = s
-        k.tri_edges.append(entry)
-    k.incidence = inc
-
+    k.tri_edges = np.array(
+        [(k.edge_index[(w0, w1)], k.edge_index[(w0, w2)], k.edge_index[(w1, w2)])
+         for w0, w1, w2 in map(sorted, tris)], dtype=int).reshape(-1, 3)
     k.sorted_sign = np.array([_parity(t) for t in tris], dtype=int)
 
     k.boundary_edge_indices = sorted(
@@ -270,9 +263,10 @@ def metric_from_positions(k, positions, tol=DEFAULT_TOL):
 
 
 def _heron(a, b, c):
+    """Area from the side lengths; elementwise on arrays."""
     s = 0.5 * (a + b + c)
     val = s * (s - a) * (s - b) * (s - c)
-    return float(np.sqrt(max(val, 0.0)))
+    return np.sqrt(np.maximum(val, 0.0))
 
 
 def triangle_area(k, h, ti):
@@ -285,118 +279,8 @@ def triangle_area(k, h, ti):
 
 
 # ---------------------------------------------------------------------------
-# Whitney matrices
-# ---------------------------------------------------------------------------
-
-# dlambda_i ^ dlambda_j in units of the (positively oriented) area form,
-# for positions i, j in the stored triangle order
-_WEDGE_E = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=float)
-# integral of lambda_i lambda_j over the reference triangle (area 1/2)
-_LL_REF = (np.ones((3, 3)) + np.eye(3)) / 24.0
-
-
-def _grad_inner(k, h, ti):
-    """Pairwise inner products of barycentric gradients and the area of
-    triangle `ti`, from edge lengths alone."""
-    t = k.triangles[ti]
-    # l[p] = length of the side opposite position p
-    l = np.array([
-        h.lengths[k.edge_id(t[1], t[2])],
-        h.lengths[k.edge_id(t[0], t[2])],
-        h.lengths[k.edge_id(t[0], t[1])],
-    ])
-    area = _heron(l[0], l[1], l[2])
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                g[i, i] = l[i] ** 2 / (4.0 * area * area)
-            else:
-                kk = 3 - i - j
-                g[i, j] = -(l[i] ** 2 + l[j] ** 2 - l[kk] ** 2) / (8.0 * area * area)
-    return g, area
-
-
-def _local_edge_positions(t):
-    """Canonical edges of a stored triangle as position pairs (pu, pv) with
-    id(pu) < id(pv), listed with their global key."""
-    out = []
-    for pu in range(3):
-        for pv in range(pu + 1, 3):
-            u, v = t[pu], t[pv]
-            if u < v:
-                out.append(((pu, pv), (u, v)))
-            else:
-                out.append(((pv, pu), (v, u)))
-    return out
-
-
-def local_wedge(a, b, c, d):
-    """Integral of w_(a,b) ^ w_(c,d) over a positively oriented triangle,
-    arguments being vertex positions in the stored order.  Metric-free."""
-    return (
-        _LL_REF[a, c] * _WEDGE_E[b, d]
-        - _LL_REF[a, d] * _WEDGE_E[b, c]
-        - _LL_REF[b, c] * _WEDGE_E[a, d]
-        + _LL_REF[b, d] * _WEDGE_E[a, c]
-    )
-
-
-def local_mass1(g, area, a, b, c, d):
-    """Integral of <w_(a,b), w_(c,d)> over a triangle with gradient inner
-    products `g` and area `area` (positions in stored order)."""
-    ll = area * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return (
-        g[b, d] * ll[a, c]
-        - g[b, c] * ll[a, d]
-        - g[a, d] * ll[b, c]
-        + g[a, c] * ll[b, d]
-    )
-
-
-def whitney_scalar_matrices(k, h):
-    """Vertex/edge/triangle mass matrices and the edge wedge-product matrix.
-
-    M0, M1, M2 are SPD for any valid metric; W1[e, f] integrates w_e ^ w_f
-    over the fundamental cycle and never consults the metric.
-    """
-    nv, ne, nt = k.n_vertices, k.n_edges, k.n_triangles
-    m0 = np.zeros((nv, nv))
-    m1 = np.zeros((ne, ne))
-    m2 = np.zeros((nt, nt))
-    w1 = np.zeros((ne, ne))
-    for ti, t in enumerate(k.triangles):
-        g, area = _grad_inner(k, h, ti)
-        m2[ti, ti] = 1.0 / area
-        for i in range(3):
-            for j in range(3):
-                m0[t[i], t[j]] += area * (2.0 if i == j else 1.0) / 12.0
-        locals_ = _local_edge_positions(t)
-        for (pa, pb), key_e in locals_:
-            e = k.edge_index[key_e]
-            for (pc, pd), key_f in locals_:
-                f = k.edge_index[key_f]
-                m1[e, f] += local_mass1(g, area, pa, pb, pc, pd)
-                w1[e, f] += local_wedge(pa, pb, pc, pd)
-    return m0, m1, m2, w1
-
-
-# ---------------------------------------------------------------------------
 # Builtin generators
 # ---------------------------------------------------------------------------
-
-def generate(kind, *args, **kwargs):
-    """Dispatch to a builtin generator; returns (complex, metric, loops)."""
-    table = {
-        "torus": torus,
-        "annulus": annulus,
-        "disk": disk,
-        "genus_k": genus_k,
-    }
-    if kind not in table:
-        raise InvalidParameter(f"unknown surface kind {kind!r}")
-    return table[kind](*args, **kwargs)
-
 
 def _word(*letters):
     """Normalize a word given as (name, exponent) pairs, dropping zeros."""

@@ -115,6 +115,11 @@ def _expand(mask, n):
     return np.repeat(mask, n)
 
 
+def _blocks(a, n):
+    """Writable (rows, cols, n, n) view of the n x n blocks of a matrix."""
+    return a.reshape(a.shape[0] // n, n, a.shape[1] // n, n).transpose(0, 2, 1, 3)
+
+
 def coboundaries(k, f):
     """Twisted coboundary matrices (d0, d1) and their relative compressions.
 
@@ -124,18 +129,18 @@ def coboundaries(k, f):
     d1 @ d0 vanishes exactly when the system is flat.
     """
     n = f.fiber_dim
-    eye = np.eye(n)
-    d0 = np.zeros((n * k.n_edges, n * k.vertex_count))
-    for ei, (u, v) in enumerate(k.edges):
-        d0[n * ei:n * ei + n, n * v:n * v + n] = f.transports[ei]
-        d0[n * ei:n * ei + n, n * u:n * u + n] = -eye
-    d1 = np.zeros((n * k.n_triangles, n * k.n_edges))
-    for ti, t in enumerate(k.triangles):
-        w0, w1, w2 = sorted(t)
-        e01, e02, e12 = k.edge_id(w0, w1), k.edge_id(w0, w2), k.edge_id(w1, w2)
-        d1[n * ti:n * ti + n, n * e12:n * e12 + n] = f.transports[e01]
-        d1[n * ti:n * ti + n, n * e02:n * e02 + n] = -eye
-        d1[n * ti:n * ti + n, n * e01:n * e01 + n] = eye
+    ne, nt = k.n_edges, k.n_triangles
+    u, v = np.array(k.edges, dtype=int).reshape(-1, 2).T
+    e01, e02, e12 = k.tri_edges.T
+    d0 = np.zeros((n * ne, n * k.vertex_count))
+    d0_blocks = _blocks(d0, n)
+    d0_blocks[np.arange(ne), v] = f.transports
+    d0_blocks[np.arange(ne), u] = -np.eye(n)
+    d1 = np.zeros((n * nt, n * ne))
+    d1_blocks = _blocks(d1, n)
+    d1_blocks[np.arange(nt), e12] = f.transports[e01]
+    d1_blocks[np.arange(nt), e02] = -np.eye(n)
+    d1_blocks[np.arange(nt), e01] = np.eye(n)
     ve = _expand(interior_vertex_mask(k), n)
     ee = _expand(interior_edge_mask(k), n)
     d0_rel = d0[np.ix_(ee, ve)]
@@ -256,12 +261,9 @@ def _cocycles_off_tree(k, f, active, in_tree, tol):
     ker C.
     """
     n = f.fiber_dim
-    tris = []
+    tris = k.tri_edges.tolist()
     edge_tris = [[] for _ in range(k.n_edges)]
-    for ti, t in enumerate(k.triangles):
-        w0, w1, w2 = sorted(t)
-        es = (k.edge_id(w0, w1), k.edge_id(w0, w2), k.edge_id(w1, w2))
-        tris.append(es)
+    for ti, es in enumerate(tris):
         for e in es:
             edge_tris[e].append(ti)
     dual = active & ~in_tree
@@ -447,9 +449,7 @@ def cup_omega(k, f, u_basis, tol=DEFAULT_TOL, check_closed=True):
 def _cup_raw(k, f, u_basis, v_basis):
     n = f.fiber_dim
     raw = np.zeros((u_basis.shape[1], v_basis.shape[1]))
-    for ti, t in enumerate(k.triangles):
-        w0, w1, w2 = sorted(t)
-        e01, e12 = k.edge_id(w0, w1), k.edge_id(w1, w2)
+    for ti, (e01, _, e12) in enumerate(k.tri_edges.tolist()):
         p = f.transports[e01]
         ub = u_basis[n * e01:n * e01 + n]
         vb = v_basis[n * e12:n * e12 + n]

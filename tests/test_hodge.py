@@ -17,10 +17,72 @@ def build(gen, args, n=1, seed=30, trivial=True):
 def test_twisted_matrices_reduce_to_scalar_for_trivial_system():
     k, h, f, _ = build(surface.annulus, (5, 2), n=3)
     mc = hodge.metric_complex(k, h, f)
-    m0, m1, m2, w1 = surface.whitney_scalar_matrices(k, h)
-    assert np.abs(mc.m1 - np.kron(m1, np.eye(3))).max() < 1e-12
-    assert np.abs(mc.m0 - np.kron(m0, np.eye(3))).max() < 1e-12
-    assert np.abs(mc.w1_twisted - np.kron(w1, np.eye(3))).max() < 1e-12
+    sc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
+    for name in ("m0", "m1", "m2", "w1_twisted"):
+        scalar = np.kron(getattr(sc, name), np.eye(3))
+        assert np.abs(getattr(mc, name) - scalar).max() < 1e-12, name
+
+
+def _reference_assembly(k, h, f):
+    """Per-triangle loop over stored vertex positions in scalar arithmetic;
+    the batched assembly must reproduce it bit for bit."""
+    n = f.fiber_dim
+    ll_ref = (np.ones((3, 3)) + np.eye(3)) / 24.0
+    wedge_e = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=float)
+
+    def whitney(x, y, a, b, c, d):
+        return y[b, d] * x[a, c] - y[b, c] * x[a, d] - y[a, d] * x[b, c] \
+            + y[a, c] * x[b, d]
+
+    def blk(i, j):
+        return np.s_[n * i:n * i + n, n * j:n * j + n]
+
+    m0 = np.zeros((n * k.n_vertices, n * k.n_vertices))
+    m1 = np.zeros((n * k.n_edges, n * k.n_edges))
+    m2 = np.zeros((n * k.n_triangles, n * k.n_triangles))
+    w1 = np.zeros_like(m1)
+    for ti, t in enumerate(k.triangles):
+        side = np.array([h.lengths[k.edge_id(t[1], t[2])],
+                         h.lengths[k.edge_id(t[0], t[2])],
+                         h.lengths[k.edge_id(t[0], t[1])]])
+        s = 0.5 * (side[0] + side[1] + side[2])
+        area = float(np.sqrt(max(
+            s * (s - side[0]) * (s - side[1]) * (s - side[2]), 0.0)))
+        g = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                g[i, j] = side[i] ** 2 / (4.0 * area * area) if i == j else \
+                    -(side[i] ** 2 + side[j] ** 2 - side[3 - i - j] ** 2) \
+                    / (8.0 * area * area)
+        ll = area * (np.ones((3, 3)) + np.eye(3)) / 12.0
+        w = min(t)
+        rho = {v: np.eye(n) if v == w else f.transports[k.edge_id(w, v)] for v in t}
+        m2[blk(ti, ti)] = np.eye(n) / area
+        for i in range(3):
+            for j in range(3):
+                m0[blk(t[i], t[j])] += ll[i, j] * (rho[t[i]].T @ rho[t[j]])
+        edges = [(p, q) if t[p] < t[q] else (q, p) for p, q in ((0, 1), (0, 2), (1, 2))]
+        for a, b in edges:
+            for c, d in edges:
+                pair = rho[t[a]].T @ rho[t[c]]
+                e, e2 = k.edge_id(t[a], t[b]), k.edge_id(t[c], t[d])
+                m1[blk(e, e2)] += whitney(ll, g, a, b, c, d) * pair
+                w1[blk(e, e2)] += whitney(ll_ref, wedge_e, a, b, c, d) * pair
+    return 0.5 * (m0 + m0.T), 0.5 * (m1 + m1.T), m2, 0.5 * (w1 - w1.T)
+
+
+@pytest.mark.parametrize("gen,args,n,trivial", [
+    (surface.genus_k, (1, 1, 2), 3, False),
+    (surface.genus_k, (0, 3, 1), 1, True),
+    (surface.sphere, (2,), 3, True),
+])
+def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
+    k, h, f, _ = build(gen, args, n=n, trivial=trivial, seed=40)
+    h = surface.perturbed_metric(k, h, np.random.default_rng(41), amplitude=0.2)
+    mc = hodge.metric_complex(k, h, f)
+    ref = _reference_assembly(k, h, f)
+    for name, r in zip(("m0", "m1", "m2", "w1_twisted"), ref):
+        assert np.array_equal(getattr(mc, name), r), name
 
 
 def test_mass_matrices_spd_and_wedge_skew_twisted():
@@ -222,9 +284,15 @@ def test_gauge_invariance_of_metric_complex():
     mc2 = hodge.metric_complex(k, h, f2)
     a, b = hodge.harmonic_spaces(mc1), hodge.harmonic_spaces(mc2)
     assert (a.dim_n, a.dim_d) == (b.dim_n, b.dim_d)
-    # M1 is conjugated by the block-orthogonal gauge on edge values
+    # M1 and W1 are conjugated by the block-orthogonal gauge on edge values
+    # (which live at the low vertex), M0 by the gauge on vertex values
     n = 3
     blocks = np.zeros_like(mc1.m1)
     for ei, (u, v) in enumerate(k.edges):
         blocks[n * ei:n * ei + n, n * ei:n * ei + n] = gauges[u]
     assert np.abs(blocks @ mc1.m1 @ blocks.T - mc2.m1).max() < 1e-9
+    assert np.abs(blocks @ mc1.w1_twisted @ blocks.T - mc2.w1_twisted).max() < 1e-9
+    vblocks = np.zeros_like(mc1.m0)
+    for v in range(k.vertex_count):
+        vblocks[n * v:n * v + n, n * v:n * v + n] = gauges[v]
+    assert np.abs(vblocks @ mc1.m0 @ vblocks.T - mc2.m0).max() < 1e-9

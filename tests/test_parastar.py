@@ -323,6 +323,23 @@ def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
     assert len(builds) <= 3
 
 
+def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
+    rng = np.random.default_rng(65)
+    k, h, loops = surface.torus(12)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    lookups = []
+    edge_id = surface.SurfaceComplex.edge_id
+
+    def counting_edge_id(self, u, v):
+        lookups.append((u, v))
+        return edge_id(self, u, v)
+
+    monkeypatch.setattr(surface.SurfaceComplex, "edge_id", counting_edge_id)
+    hodge.metric_complex(k, h, f)
+    twisted.coboundaries(k, f)
+    assert not lookups
+
+
 def test_star_command_imports_no_scipy():
     code = ("import contextlib, io, sys\n"
             "from parhodge import cli\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parhodge import surface
+from parhodge import cli, hodge, localsys, surface
 from parhodge.errors import (
     DegenerateMetric,
     InconsistentOrientation,
@@ -39,11 +39,26 @@ def test_build_warns_disconnected():
         surface.build(6, [(0, 1, 2), (3, 4, 5)])
 
 
-def test_incidence_signs_cancel_on_interior_edges():
-    k = surface.build(4, [(0, 1, 2), (0, 2, 3)])
-    interior = [ei for ei in range(k.n_edges) if ei not in k.boundary_edge_indices]
-    assert len(interior) == 1
-    assert k.incidence[:, interior[0]].sum() == 0
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+def test_tri_edges_table(name):
+    k, _, _ = cli._EXAMPLES[name](6)
+    assert k.tri_edges.shape == (k.n_triangles, 3)
+    # sign of each table edge in the boundary of the sorted triangle
+    # w0w1 - w0w2 + w1w2; sorted_sign turns it into the stored direction
+    sorted_dir = np.array([1, -1, 1])
+    net = np.zeros(k.n_edges, dtype=int)
+    for t, row, sign in zip(k.triangles, k.tri_edges, k.sorted_sign):
+        w0, w1, w2 = sorted(t)
+        assert row.tolist() == [k.edge_id(w0, w1), k.edge_id(w0, w2), k.edge_id(w1, w2)]
+        stored = {k.edge_id(u, v): 1 if u < v else -1
+                  for u, v in zip(t, t[1:] + t[:1])}
+        assert [stored[e] for e in row] == (sign * sorted_dir).tolist()
+        net[row] += sign * sorted_dir
+    count = np.bincount(k.tri_edges.ravel(), minlength=k.n_edges)
+    interior = np.ones(k.n_edges, dtype=bool)
+    interior[k.boundary_edge_indices] = False
+    assert (count[interior] == 2).all() and (count[~interior] == 1).all()
+    assert (net[interior] == 0).all()
 
 
 def test_torus_counts():
@@ -92,13 +107,6 @@ def test_genus_k_unsupported():
         surface.genus_k(1, 2, 1)
 
 
-def test_generate_dispatch():
-    k, _, _ = surface.generate("torus", 4)
-    assert k.n_triangles == 32
-    with pytest.raises(InvalidParameter):
-        surface.generate("klein_bottle", 4)
-
-
 def test_metric_validation():
     k = surface.build(3, [(0, 1, 2)])
     with pytest.raises(DegenerateMetric):
@@ -123,6 +131,12 @@ def _reference_quadrature(f, order=40):
     return total
 
 
+def _whitney(k, h):
+    """Scalar Whitney matrices: the assembly on the trivial line system."""
+    mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
+    return mc.m0, mc.m1, mc.m2, mc.w1_twisted
+
+
 def test_single_triangle_wedge_is_one_sixth():
     # quadrature oracle on the reference triangle: lambda = (1-x-y, x, y),
     # w_ab = la dlb - lb dla, integrand of w01 ^ w12 reduces to lambda_1
@@ -130,7 +144,7 @@ def test_single_triangle_wedge_is_one_sixth():
     assert val == pytest.approx(1.0 / 6.0, abs=1e-4)
     k = surface.build(3, [(0, 1, 2)])
     h = surface.metric_from_lengths(k, np.ones(3))
-    _, _, _, w1 = surface.whitney_scalar_matrices(k, h)
+    _, _, _, w1 = _whitney(k, h)
     e01, e12, e02 = k.edge_id(0, 1), k.edge_id(1, 2), k.edge_id(0, 2)
     assert w1[e01, e12] == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert w1[e12, e01] == pytest.approx(-1.0 / 6.0, abs=1e-12)
@@ -139,9 +153,9 @@ def test_single_triangle_wedge_is_one_sixth():
 
 def test_w1_metric_free_and_skew():
     k, h, _ = surface.torus(4)
-    _, _, _, w1 = surface.whitney_scalar_matrices(k, h)
+    _, _, _, w1 = _whitney(k, h)
     h2 = surface.metric_from_lengths(k, 2.0 * h.lengths)
-    _, _, _, w1b = surface.whitney_scalar_matrices(k, h2)
+    _, _, _, w1b = _whitney(k, h2)
     assert np.array_equal(w1, w1b)
     assert np.abs(w1 + w1.T).max() == 0.0
 
@@ -152,7 +166,7 @@ def test_m0_row_sums_unit_right_triangle():
         k, [1.0, np.sqrt(2.0), 1.0])  # edges (0,1), (0,2)? lexicographic
     # edges sorted: (0,1), (0,2), (1,2); right angle chosen so area = 1/2
     h = surface.metric_from_lengths(k, np.array([1.0, 1.0, np.sqrt(2.0)]))
-    m0, m1, m2, _ = surface.whitney_scalar_matrices(k, h)
+    m0, m1, m2, _ = _whitney(k, h)
     area = 0.5
     assert np.allclose(m0.sum(axis=1), area / 3)
     assert m2[0, 0] == pytest.approx(1 / area)
@@ -164,7 +178,7 @@ def test_m1_quadrature_oracle_unit_right_triangle():
     # vertices at (0,0), (1,0), (0,1): w_01 = (1-y, x)... computed directly
     k = surface.build(3, [(0, 1, 2)])
     h = surface.metric_from_lengths(k, np.array([1.0, 1.0, np.sqrt(2.0)]))
-    _, m1, _, _ = surface.whitney_scalar_matrices(k, h)
+    _, m1, _, _ = _whitney(k, h)
 
     def lam(x, y):
         return np.array([1 - x - y, x, y])
@@ -187,7 +201,7 @@ def test_m1_spd_on_random_valid_metrics():
     k, h, _ = surface.annulus(5, 2)
     for _ in range(3):
         hp = surface.perturbed_metric(k, h, rng, amplitude=0.2)
-        _, m1, _, _ = surface.whitney_scalar_matrices(k, hp)
+        _, m1, _, _ = _whitney(k, hp)
         assert np.linalg.eigvalsh(m1)[0] > 0
 
 
