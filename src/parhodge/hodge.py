@@ -10,12 +10,19 @@ entry is summed over triangles in stored order.  Orthogonal transports
 preserve the fiber inner product, so for a trivial system the matrices
 reduce to the scalar ones tensored with the fiber identity.
 
+`MetricComplex` is a plain record of those matrices and keeps nothing
+between calls; the functions below build the coboundaries they need with
+`twisted.coboundaries`.
+
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
 interior support.  The harmonic spaces therefore represent absolute and
-relative cohomology exactly; the three-way orthogonal splitting of
-one-cochains and its middle refinements are verified empirically per mesh
-and reported rather than assumed.
+relative cohomology exactly.  The middle space CcC of the three-way
+M1-orthogonal splitting of one-cochains is the closed and co-closed
+cochains: closed, and M1-orthogonal to the coboundaries of interior
+vertices.  Both harmonic flavors lie in it; the splitting and its middle
+refinements are verified empirically per mesh and reported rather than
+assumed.
 
 The Galerkin star J_h (weak form of the metric star on Whitney one-forms)
 is a diagnostic only: it is M1-skew but squares to -I only in the mesh
@@ -24,7 +31,7 @@ limit, and nothing downstream depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +49,6 @@ class MetricComplex:
     m2: np.ndarray
     w1_twisted: np.ndarray
     tol: object = DEFAULT_TOL
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def fiber_dim(self):
-        return self.f.fiber_dim
-
-    def coboundaries(self):
-        if "d" not in self._cache:
-            self._cache["d"] = twisted.coboundaries(self.k, self.f)
-        return self._cache["d"]
-
-    def interior_masks(self):
-        if "masks" not in self._cache:
-            n = self.fiber_dim
-            self._cache["masks"] = (
-                np.repeat(twisted.interior_vertex_mask(self.k), n),
-                np.repeat(twisted.interior_edge_mask(self.k), n),
-            )
-        return self._cache["masks"]
 
 
 # the table edges w0w1, w0w2, w1w2 of a triangle as (low, high) positions
@@ -146,89 +134,60 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     return MetricComplex(k=k, h=h, f=f, m0=m0, m1=m1, m2=m2, w1_twisted=w1, tol=tol)
 
 
-def codifferentials(mc):
-    """Metric adjoints of the coboundaries, absolute and relative.
-
-    delta1 = M0^{-1} d0^T M1 and delta2 = M1^{-1} d1^T M2 satisfy the
-    adjointness identities by construction; the relative variants compress
-    to interior-supported cochains.
-    """
-    if "cod" in mc._cache:
-        return mc._cache["cod"]
-    d0, d1, d0_rel, d1_rel = mc.coboundaries()
-    vmask, emask = mc.interior_masks()
-    _, _, m0_inv = numlin.spd_functions(mc.m0, mc.tol)
-    _, _, m1_inv = numlin.spd_functions(mc.m1, mc.tol)
-    m0_int = mc.m0[np.ix_(vmask, vmask)]
-    m1_int = mc.m1[np.ix_(emask, emask)]
-    out = {
-        "delta1": m0_inv @ d0.T @ mc.m1,
-        "delta2": m1_inv @ d1.T @ mc.m2,
-        "m1_inv": m1_inv,
-        "m0_int": m0_int,
-        "m1_int": m1_int,
-    }
-    if vmask.any():
-        _, _, m0_int_inv = numlin.spd_functions(m0_int, mc.tol)
-        out["delta1_rel"] = m0_int_inv @ d0_rel.T @ m1_int
-    else:
-        out["delta1_rel"] = np.zeros((0, int(emask.sum())))
-    if emask.any():
-        _, _, m1_int_inv = numlin.spd_functions(m1_int, mc.tol)
-        out["delta2_rel"] = m1_int_inv @ d1_rel.T @ mc.m2
-    else:
-        out["delta2_rel"] = np.zeros((0, mc.m2.shape[0]))
-    mc._cache["cod"] = out
-    return out
-
-
 @dataclass
 class HarmonicSpaces:
     h_n: np.ndarray  # M1-orthonormal basis, absolute harmonic fields
     h_d: np.ndarray  # M1-orthonormal basis, interior-supported (absolute coords)
+    ccc: np.ndarray  # M1-orthonormal basis, closed and co-closed cochains
     dim_n: int
     dim_d: int
 
 
 def harmonic_spaces(mc):
-    """Harmonic one-cochains of both flavors.
+    """Harmonic one-cochains of both flavors and the space CcC holding them.
 
     H_N is the M1-orthogonal complement of the exact cochains inside the
     closed ones (so it represents degree-one cohomology exactly); H_D is the
     analog in the relative complex, embedded back into absolute coordinates.
+    CcC, the closed and co-closed cochains, is the complement inside the
+    closed ones of the relative exact cochains d0[:, interior vertices]:
+    the same step as H_N with d0 cut to interior vertices.
     """
-    if "harm" in mc._cache:
-        return mc._cache["harm"]
-    d0, d1, d0_rel, d1_rel = mc.coboundaries()
+    d0, d1 = twisted.coboundaries(mc.k, mc.f)
+    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
+                    for p in (0, 1))
     tol = mc.tol
+    scale = float(np.abs(mc.m1).max())
     kernel = numlin.nullspace_basis(d1, tol)
-    coeffs = numlin.nullspace_basis(d0.T @ (mc.m1 @ kernel), tol,
-                                    scale=float(np.abs(mc.m1).max()))
-    h_n = numlin.orthonormalize(kernel @ coeffs, mc.m1, tol)
+    # M1-pairings of the closed cochains with d0 of each vertex; H_N
+    # annihilates every row, CcC the rows of interior vertices
+    pairing = d0.T @ (mc.m1 @ kernel)
+    h_n = numlin.orthonormalize(
+        kernel @ numlin.nullspace_basis(pairing, tol, scale=scale), mc.m1, tol)
+    ccc = numlin.orthonormalize(
+        kernel @ numlin.nullspace_basis(pairing[vmask], tol, scale=scale),
+        mc.m1, tol)
 
-    vmask, emask = mc.interior_masks()
     m1_int = mc.m1[np.ix_(emask, emask)]
-    kernel_r = numlin.nullspace_basis(d1_rel, tol)
-    coeffs_r = numlin.nullspace_basis(d0_rel.T @ (m1_int @ kernel_r), tol,
-                                      scale=float(np.abs(mc.m1).max()))
+    kernel_r = numlin.nullspace_basis(d1[:, emask], tol)
+    coeffs_r = numlin.nullspace_basis(d0[np.ix_(emask, vmask)].T @ (m1_int @ kernel_r),
+                                      tol, scale=scale)
     h_d_int = numlin.orthonormalize(kernel_r @ coeffs_r, m1_int, tol)
     h_d = np.zeros((mc.m1.shape[0], h_d_int.shape[1]))
     h_d[emask] = h_d_int
-
-    out = HarmonicSpaces(h_n=h_n, h_d=h_d, dim_n=h_n.shape[1], dim_d=h_d.shape[1])
-    mc._cache["harm"] = out
-    return out
+    return HarmonicSpaces(h_n=h_n, h_d=h_d, ccc=ccc,
+                          dim_n=h_n.shape[1], dim_d=h_d.shape[1])
 
 
 def harmonic_representative(mc, u):
     """Harmonic field(s) representing the classes of closed cochains `u`:
     subtract the M1-best coboundary approximation."""
-    d0, _, _, _ = mc.coboundaries()
+    d0, _ = twisted.coboundaries(mc.k, mc.f)
     a = numlin.lsq_solve(d0, mc.m1, u, mc.tol)
     return u - d0 @ a
 
 
-def _span_dim_intersection(a, b, m, tol):
+def _span_dim_intersection(a, b, tol):
     """dim(span a  intersect  span b) through rank arithmetic."""
     ra = numlin.rank(a, tol)
     rb = numlin.rank(b, tol)
@@ -240,25 +199,23 @@ def hodge_decomposition(mc):
     """Three-way M1-orthogonal splitting of twisted one-cochains.
 
     cE_N is the image of the (natural-Neumann) codifferential of
-    two-cochains, E_D the image of the relative coboundary, CcC their joint
-    orthogonal complement.  The refinement report carries the empirical
-    middle-splitting checks: containment of both harmonic spaces in CcC and
-    the dimension identities with the intersections of the exact and
+    two-cochains, M1^{-1} d1^T, E_D the image of the relative coboundary,
+    and CcC (from `harmonic_spaces`) the closed and co-closed cochains,
+    their joint orthogonal complement; `dim_sum_ok` checks that the three
+    fill the space.  The refinement report carries the empirical
+    middle-splitting checks: containment of both harmonic spaces in CcC
+    and the dimension identities with the intersections of the exact and
     co-exact images with CcC.
     """
-    d0, d1, _, _ = mc.coboundaries()
+    d0, d1 = twisted.coboundaries(mc.k, mc.f)
+    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
+                    for p in (0, 1))
     tol = mc.tol
-    cod = codifferentials(mc)
-    vmask, emask = mc.interior_masks()
-    ce_n = numlin.orthonormalize(cod["m1_inv"] @ d1.T, mc.m1, tol)
-    e_d = numlin.orthonormalize(d0[:, vmask], mc.m1, tol)
-    both = np.hstack([ce_n, e_d])
-    ccc = numlin.orthonormalize(
-        numlin.nullspace_basis(both.T @ mc.m1, tol,
-                               scale=float(np.abs(mc.m1).max())),
-        mc.m1, tol,
-    )
     harm = harmonic_spaces(mc)
+    ccc = harm.ccc
+    _, _, m1_inv = numlin.spd_functions(mc.m1, tol)
+    ce_n = numlin.orthonormalize(m1_inv @ d1.T, mc.m1, tol)
+    e_d = numlin.orthonormalize(d0[:, vmask], mc.m1, tol)
 
     def m_residual(x, y):
         if x.size == 0 or y.size == 0:
@@ -272,15 +229,15 @@ def hodge_decomposition(mc):
         return float(np.abs(proj - x).max())
 
     exact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(d0, mc.m1, tol), ccc, mc.m1, tol)
+        numlin.orthonormalize(d0, mc.m1, tol), ccc, tol)
     # stand-in for the unconstrained codifferential image: the relative
-    # codifferential, embedded into absolute coordinates
-    cod_all = codifferentials(mc)
-    _, emask = mc.interior_masks()
-    emb = np.zeros((mc.m1.shape[0], cod_all["delta2_rel"].shape[1]))
-    emb[emask] = cod_all["delta2_rel"]
+    # codifferential M1_int^{-1} d1_rel^T M2, embedded into absolute
+    # coordinates
+    _, _, m1_int_inv = numlin.spd_functions(mc.m1[np.ix_(emask, emask)], tol)
+    coexact = np.zeros((mc.m1.shape[0], mc.m2.shape[0]))
+    coexact[emask] = m1_int_inv @ d1[:, emask].T @ mc.m2
     coexact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(emb, mc.m1, tol), ccc, mc.m1, tol)
+        numlin.orthonormalize(coexact, mc.m1, tol), ccc, tol)
     report = {
         "dims": {
             "cE_N": ce_n.shape[1],
@@ -317,44 +274,28 @@ def galerkin_star(mc):
     J_h = M1^{-1} W1^T; it is M1-skew exactly and squares to -I only
     approximately, improving under refinement.
     """
-    if "jh" in mc._cache:
-        return mc._cache["jh"]
-    cod = codifferentials(mc)
-    jh = cod["m1_inv"] @ mc.w1_twisted.T
-    mc._cache["jh"] = jh
-    return jh
-
-
-def _projector(basis, m):
-    if basis.shape[1] == 0:
-        return np.zeros((basis.shape[0], basis.shape[0]))
-    return basis @ (basis.T @ m)
+    _, _, m1_inv = numlin.spd_functions(mc.m1, mc.tol)
+    return m1_inv @ mc.w1_twisted.T
 
 
 def galerkin_diagnostics(mc):
     """Convergence diagnostics of the Galerkin star: deviation of its square
-    from -I on the joint harmonic complement, the principal angle between
-    J_h(H_N) and H_D, and the projector-intertwining residual
-    || P_N J_h - J_h P_D || on that space."""
+    from -I on CcC, the principal angle between J_h(H_N) and H_D, and the
+    projector-intertwining residual || P_N J_h - J_h P_D || on CcC.  J_h
+    and the M1-orthogonal projections P = B B^T M1 act on CcC's columns
+    only."""
     from . import compat
 
     jh = galerkin_star(mc)
     harm = harmonic_spaces(mc)
-    dec = hodge_decomposition(mc)
-    ccc = dec["CcC"]
-    out = {"skew_residual": float(np.abs(jh.T @ mc.m1 + mc.m1 @ jh).max())}
-    if ccc.shape[1]:
-        jj = (jh @ jh + np.eye(jh.shape[0])) @ ccc
-        out["jsq_on_ccc"] = float(np.linalg.norm(jj, 2))
-    else:
-        out["jsq_on_ccc"] = 0.0
-    out["angle_j_hn_vs_hd"] = compat.subspace_angle(
-        jh @ harm.h_n, harm.h_d, mc.m1, mc.tol)
-    p_n = _projector(harm.h_n, mc.m1)
-    p_d = _projector(harm.h_d, mc.m1)
-    if ccc.shape[1]:
-        res = (p_n @ jh - jh @ p_d) @ ccc
-        out["p38_residual"] = float(np.linalg.norm(res, 2))
-    else:
-        out["p38_residual"] = 0.0
-    return out
+    ccc = harm.ccc
+    j_ccc = jh @ ccc
+    p_n_j = harm.h_n @ (harm.h_n.T @ (mc.m1 @ j_ccc))
+    p_d = harm.h_d @ (harm.h_d.T @ (mc.m1 @ ccc))
+    return {
+        "skew_residual": float(np.abs(jh.T @ mc.m1 + mc.m1 @ jh).max()),
+        "jsq_on_ccc": float(np.linalg.norm(jh @ j_ccc + ccc, 2)),
+        "angle_j_hn_vs_hd": compat.subspace_angle(
+            jh @ harm.h_n, harm.h_d, mc.m1, mc.tol),
+        "p38_residual": float(np.linalg.norm(p_n_j - jh @ p_d, 2)),
+    }

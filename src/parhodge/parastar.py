@@ -41,7 +41,7 @@ class ParabolicStarReport:
     r: np.ndarray
     j_par: np.ndarray
     residuals: dict = field(default_factory=dict)
-    component_split: list | None = None
+    component_split: list | None = None  # per-component reports
 
     def to_dict(self):
         """JSON-ready dictionary with a stable field order."""
@@ -69,7 +69,8 @@ class ParabolicStarReport:
             "R": mat(self.r),
             "J_par": mat(self.j_par),
             "residuals": res,
-            "component_split": self.component_split,
+            "component_split": None if self.component_split is None
+            else [c.to_dict() for c in self.component_split],
         }
         return out
 
@@ -100,11 +101,11 @@ def input_hashes(k, h, f):
     }
 
 
-def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
+def parabolic_star(k, h, f, tol=DEFAULT_TOL):
     """Build the full report for (complex, metric, flat system).
 
-    `with_component_split` defaults to splitting only when the complex is
-    disconnected.
+    A disconnected complex also gets the report of each component, in
+    `component_split`.
     """
     rp = twisted.restriction_and_parabolic(k, f, tol)
     class_reps = rp["parabolic_basis"].reps
@@ -125,9 +126,7 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
             dim_h1=rp["h1"].dim, dim_h1_rel=rp["h1_rel"].dim, dim_h1_par=0,
             u_basis=np.zeros((f.fiber_dim * k.n_edges, 0)),
             m_u=empty, omega_u=empty, g=empty, r=empty, j_par=empty,
-            residuals=residuals,
-            component_split=_component_split(k, h, f, tol)
-            if _want_split(k, with_component_split) else None,
+            residuals=residuals, component_split=_component_split(k, h, f, tol),
         )
 
     mc = hodge.metric_complex(k, h, f, tol)
@@ -160,14 +159,8 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, with_component_split=None):
         dim_h1=rp["h1"].dim, dim_h1_rel=rp["h1_rel"].dim, dim_h1_par=dim_par,
         u_basis=u_basis, m_u=m_u, omega_u=omega_u,
         g=res.g, r=res.r, j_par=res.j,
-        residuals=residuals,
-        component_split=_component_split(k, h, f, tol)
-        if _want_split(k, with_component_split) else None,
+        residuals=residuals, component_split=_component_split(k, h, f, tol),
     )
-
-
-def _want_split(k, flag):
-    return k.n_components > 1 if flag is None else bool(flag)
 
 
 def _restrict_to_component(k, h, f, component):
@@ -185,15 +178,15 @@ def _restrict_to_component(k, h, f, component):
         fiber_dim=f.fiber_dim, transports=transports,
         flat_residual=f.flat_residual,
     )
-    return sub, sub_h, sub_f, vmap
+    return sub, sub_h, sub_f
 
 
 def _component_split(k, h, f, tol):
-    return [
-        parabolic_star(*_restrict_to_component(k, h, f, c)[:3], tol,
-                       with_component_split=False).to_dict()
-        for c in range(k.n_components)
-    ]
+    """Per-component reports of a disconnected complex, else None."""
+    if k.n_components <= 1:
+        return None
+    return [parabolic_star(*_restrict_to_component(k, h, f, c), tol)
+            for c in range(k.n_components)]
 
 
 def disconnected_split(k, h, f, tol=DEFAULT_TOL):
@@ -203,14 +196,12 @@ def disconnected_split(k, h, f, tol=DEFAULT_TOL):
     per-component basis, must be the block diagonal of the component
     operators.
     """
-    union = parabolic_star(k, h, f, tol, with_component_split=False)
-    pieces = []
+    union = parabolic_star(k, h, f, tol)
+    pieces = union.component_split or [union]
     embedded = []
     n = f.fiber_dim
-    for c in range(k.n_components):
-        sub, sub_h, sub_f, vmap = _restrict_to_component(k, h, f, c)
-        rep = parabolic_star(sub, sub_h, sub_f, tol, with_component_split=False)
-        pieces.append(rep)
+    for c, rep in enumerate(pieces):
+        sub, vmap = surface.subcomplex(k, c)
         lift = np.zeros((n * k.n_edges, rep.u_basis.shape[1]))
         inverse = {w: v for v, w in vmap.items()}
         for ei, (a, b) in enumerate(sub.edges):
@@ -248,7 +239,8 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     orthogonal complement of T = im(projection H_N -> H_D), the two
     projections have equal rank, no nonzero element of T is orthogonal to
     U = im(P_N), and U agrees with the span of the harmonic parabolic
-    representatives.  Approximate numbers: the Galerkin-star residuals.
+    representatives.  Approximate numbers: the Galerkin-star residuals
+    (`galerkin_diagnostics` computes the harmonic spaces and J_h again).
     """
     mc = hodge.metric_complex(k, h, f, tol)
     harm = hodge.harmonic_spaces(mc)

@@ -121,7 +121,8 @@ def _blocks(a, n):
 
 
 def coboundaries(k, f):
-    """Twisted coboundary matrices (d0, d1) and their relative compressions.
+    """Twisted coboundary matrices (d0, d1) in absolute coordinates; the
+    relative flavor's are the restrictions to `cochain_space(...).dof_mask`.
 
     (d0 a)(u -> v) = P_uv a(v) - a(u) on canonical edges; (d1 w) on a
     triangle with sorted vertices (w0, w1, w2) is
@@ -141,11 +142,7 @@ def coboundaries(k, f):
     d1_blocks[np.arange(nt), e12] = f.transports[e01]
     d1_blocks[np.arange(nt), e02] = -np.eye(n)
     d1_blocks[np.arange(nt), e01] = np.eye(n)
-    ve = _expand(interior_vertex_mask(k), n)
-    ee = _expand(interior_edge_mask(k), n)
-    d0_rel = d0[np.ix_(ee, ve)]
-    d1_rel = d1[:, ee]
-    return d0, d1, d0_rel, d1_rel
+    return d0, d1
 
 
 def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
@@ -160,8 +157,9 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
     if flavor not in ("absolute", "relative"):
         raise ValueError("flavor must be 'absolute' or 'relative'")
     if degree == 2:
-        _, d1, _, d1_rel = coboundaries(k, f)
-        reps = numlin.nullspace_basis((d1 if flavor == "absolute" else d1_rel).T, tol)
+        _, d1 = coboundaries(k, f)
+        edofs = cochain_space(k, f, 1, flavor).dof_mask
+        reps = numlin.nullspace_basis(d1[:, edofs].T, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
     if flavor == "relative":
@@ -465,7 +463,7 @@ def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
     boundary primitive kills it, which makes the pairing independent of the
     chosen representatives within their classes, hence metric-free.
     """
-    d0, d1, _, _ = coboundaries(k, f)
+    d0, d1 = coboundaries(k, f)
     _check_closed(d1, u_basis, tol)
     n = f.fiber_dim
     d0b, restriction = boundary_complex(k, f)

@@ -93,26 +93,12 @@ def test_mass_matrices_spd_and_wedge_skew_twisted():
     assert np.abs(mc.w1_twisted + mc.w1_twisted.T).max() == 0.0
 
 
-def test_adjointness_identity_random_pairs():
-    k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False)
-    mc = hodge.metric_complex(k, h, f)
-    cod = hodge.codifferentials(mc)
-    d0, d1, _, _ = mc.coboundaries()
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        a = rng.standard_normal(d0.shape[1])
-        u = rng.standard_normal(d0.shape[0])
-        lhs = (d0 @ a) @ mc.m1 @ u
-        rhs = a @ mc.m0 @ (cod["delta1"] @ u)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def test_delta1_d0_is_laplacian_with_constant_kernel():
+def test_d0t_m1_d0_is_laplacian_with_constant_kernel():
+    # the stiffness matrix that harmonic_representative's solve inverts
     k, h, f, _ = build(surface.torus, (4,))
     mc = hodge.metric_complex(k, h, f)
-    cod = hodge.codifferentials(mc)
-    d0, _, _, _ = mc.coboundaries()
-    lap = cod["delta1"] @ d0
+    d0, _ = twisted.coboundaries(k, f)
+    lap = d0.T @ mc.m1 @ d0
     assert numlin.rank(lap) == k.n_vertices - 1
     assert np.abs(lap @ np.ones(k.n_vertices)).max() < 1e-9
 
@@ -140,7 +126,7 @@ def test_harmonic_representative_is_lsq_projection():
     rng = np.random.default_rng(33)
     k, h, f, _ = build(surface.torus, (4,))
     mc = hodge.metric_complex(k, h, f)
-    d0, d1, _, _ = mc.coboundaries()
+    d0, d1 = twisted.coboundaries(k, f)
     closed = numlin.nullspace_basis(d1)
     for _ in range(10):
         u = closed @ rng.standard_normal(closed.shape[1])
@@ -273,6 +259,83 @@ def test_galerkin_flat_torus_exact_on_harmonics():
         diag = hodge.galerkin_diagnostics(mc)
         assert diag["jsq_on_ccc"] < 1e-9
         assert diag["p38_residual"] < 1e-9
+
+
+def _complement_route(mc):
+    """The former route, kept here as a reference: CcC as the M1-complement
+    of [M1^-1 d1^T, d0[:, interior]], and the diagnostics through J_h^2 and
+    the n_E x n_E projectors."""
+    d0, d1 = twisted.coboundaries(mc.k, mc.f)
+    vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative").dof_mask
+    _, _, m1_inv = numlin.spd_functions(mc.m1)
+    both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, mc.m1),
+                      numlin.orthonormalize(d0[:, vmask], mc.m1)])
+    ccc = numlin.orthonormalize(
+        numlin.nullspace_basis(both.T @ mc.m1, scale=float(np.abs(mc.m1).max())),
+        mc.m1)
+    jh = m1_inv @ mc.w1_twisted.T
+    harm = hodge.harmonic_spaces(mc)
+    p_n = harm.h_n @ (harm.h_n.T @ mc.m1)
+    p_d = harm.h_d @ (harm.h_d.T @ mc.m1)
+    return ccc, {
+        "skew_residual": float(np.abs(jh.T @ mc.m1 + mc.m1 @ jh).max()),
+        "jsq_on_ccc": float(np.linalg.norm((jh @ jh + np.eye(jh.shape[0])) @ ccc, 2)),
+        "angle_j_hn_vs_hd": compat.subspace_angle(jh @ harm.h_n, harm.h_d, mc.m1),
+        "p38_residual": float(np.linalg.norm((p_n @ jh - jh @ p_d) @ ccc, 2)),
+    }
+
+
+def _reference_cases():
+    k, _, _ = surface.torus(8)
+    yield pytest.param(k, doughnut_metric(k, 8), localsys.trivial_system(k, 1),
+                       id="doughnut_torus8")
+    rng = np.random.default_rng(70)
+    for name, gen, args in [("genus11", surface.genus_k, (1, 1, 2)),
+                            ("annulus", surface.annulus, (6, 2)),
+                            ("pants", surface.genus_k, (0, 3, 2))]:
+        k, h, loops = gen(*args)
+        yield pytest.param(k, surface.perturbed_metric(k, h, rng, amplitude=0.2),
+                           localsys.random_flat_system(k, loops, 3, rng),
+                           id=f"{name}_perturbed_SO3")
+
+
+@pytest.mark.parametrize("k,h,f", list(_reference_cases()))
+def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
+    mc = hodge.metric_complex(k, h, f)
+    ccc = hodge.harmonic_spaces(mc).ccc
+    ref_ccc, ref = _complement_route(mc)
+    assert ccc.shape[1] == ref_ccc.shape[1] > 0
+    assert numlin.rank(np.hstack([ccc, ref_ccc])) == ccc.shape[1]
+    assert np.abs(ccc.T @ mc.m1 @ ccc - np.eye(ccc.shape[1])).max() < 1e-9
+    diag = hodge.galerkin_diagnostics(mc)
+    assert diag.keys() == ref.keys()
+    for key in ref:
+        assert abs(diag[key] - ref[key]) < 1e-12, (key, diag[key], ref[key])
+
+
+def test_galerkin_diagnostics_skip_the_decomposition_and_large_factorizations(
+        monkeypatch):
+    k, h, _ = surface.torus(12)
+    mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
+
+    def forbidden(mc):
+        raise AssertionError("galerkin_diagnostics ran hodge_decomposition")
+
+    large = []
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            if min(np.shape(a)) >= 100:
+                large.append((fn.__name__, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hodge, "hodge_decomposition", forbidden)
+    monkeypatch.setattr(numlin, "_svd", counting(numlin._svd))
+    monkeypatch.setattr(numlin, "sym_eig", counting(numlin.sym_eig))
+    diag = hodge.galerkin_diagnostics(mc)
+    assert max(diag.values()) < 1e-9  # the flat torus is exact
+    assert len(large) <= 6, large
 
 
 def test_gauge_invariance_of_metric_complex():
