@@ -1,7 +1,8 @@
 """Deterministic report serialization.
 
-Floats are written with 17 significant digits so reports round-trip exactly
-and identical runs produce byte-identical files; non-finite floats are
+Floats are written with 17 significant digits, and with a decimal point or
+an exponent, so reports round-trip exactly, floats read back as floats, and
+identical runs produce byte-identical files; non-finite floats are
 `null` and `json` escapes strings, so the output is strict JSON.  The text
 format mirrors the JSON field order as flattened `path: value` lines.
 """
@@ -24,8 +25,9 @@ def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        v = float(x)
-        return format(v, ".17g") if math.isfinite(v) else "null"
+        text = format(float(x), ".17g") if math.isfinite(x) else "null"
+        # an integral float gets ".0", or it would read back as an integer
+        return text + ".0" if text.lstrip("-").isdigit() else text
     raise TypeError(f"unsupported scalar {type(x)}")
 
 

@@ -74,29 +74,30 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
+def _example(name, m):
+    if name not in _EXAMPLES:
+        raise ParhodgeError(f"unknown example {name!r}; choose from {sorted(_EXAMPLES)}")
+    return _EXAMPLES[name](m)
+
+
+def _read_json(path, what):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParhodgeError(f"{what} JSON parse error: {exc}") from exc
+
+
 def _load_inputs(args, tol):
     if args.example:
-        if args.example not in _EXAMPLES:
-            raise ParhodgeError(
-                f"unknown example {args.example!r}; choose from {sorted(_EXAMPLES)}")
-        k, h, loops = _EXAMPLES[args.example](args.m)
+        k, h, loops = _example(args.example, args.m)
     else:
         if not args.mesh:
             raise ParhodgeError("need --mesh FILE or --example NAME")
-        with open(args.mesh) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParhodgeError(f"mesh JSON parse error: {exc}") from exc
-        k, h = surface.mesh_from_json(data)
+        k, h = surface.mesh_from_json(_read_json(args.mesh, "mesh"))
         loops = None
     if args.system:
-        with open(args.system) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParhodgeError(f"system JSON parse error: {exc}") from exc
-        f = localsys.system_from_json(k, data, loops, tol)
+        f = localsys.system_from_json(k, _read_json(args.system, "system"), loops, tol)
     else:
         f = localsys.trivial_system(k, args.fiber)
     return k, h, loops, f
@@ -113,12 +114,7 @@ def cmd_star(args):
 def cmd_moduli(args):
     tol = _tolerance(args)
     if args.point:
-        with open(args.point) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParhodgeError(f"point JSON parse error: {exc}") from exc
-        point = _point_from_json(data)
+        point = _point_from_json(_read_json(args.point, "point"))
     else:
         if args.sample is None:
             raise ParhodgeError("need --point FILE or --sample G K")
@@ -159,6 +155,8 @@ def cmd_moduli(args):
 
 
 def _point_from_json(data):
+    if not isinstance(data, dict) or not {"g", "k"} <= data.keys():
+        raise ParhodgeError("point JSON must be an object with 'g' and 'k'")
     if "phi_images" in data:
         images = {n: np.asarray(q, dtype=float)
                   for n, q in data["phi_images"].items()}
@@ -220,7 +218,7 @@ def cmd_verify(args):
         name = args.example or "torus"
         rows = []
         for m in levels:
-            k, h, loops = _EXAMPLES[name](m)
+            k, h, _ = _example(name, m)
             f = localsys.trivial_system(k, 1)
             mc = hodge.metric_complex(k, h, f, tol)
             diag = hodge.galerkin_diagnostics(mc)

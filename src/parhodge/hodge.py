@@ -148,7 +148,8 @@ def harmonic_spaces(mc):
 
     H_N is the M1-orthogonal complement of the exact cochains inside the
     closed ones (so it represents degree-one cohomology exactly); H_D is the
-    analog in the relative complex, embedded back into absolute coordinates.
+    analog for the closed cochains vanishing on boundary dofs (the relative
+    complex), embedded back into absolute coordinates.
     CcC, the closed and co-closed cochains, is the complement inside the
     closed ones of the relative exact cochains d0[:, interior vertices]:
     the same step as H_N with d0 cut to interior vertices.
@@ -169,7 +170,7 @@ def harmonic_spaces(mc):
         mc.m1, tol)
 
     m1_int = mc.m1[np.ix_(emask, emask)]
-    kernel_r = numlin.nullspace_basis(d1[:, emask], tol)
+    kernel_r = (kernel @ numlin.nullspace_basis(kernel[~emask], tol, scale=1.0))[emask]
     coeffs_r = numlin.nullspace_basis(d0[np.ix_(emask, vmask)].T @ (m1_int @ kernel_r),
                                       tol, scale=scale)
     h_d_int = numlin.orthonormalize(kernel_r @ coeffs_r, m1_int, tol)

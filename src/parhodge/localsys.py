@@ -218,6 +218,9 @@ def system_from_json(k, data, loops=None, tol=DEFAULT_TOL):
             raise InvalidParameter("system JSON with transports needs fiber_dim")
         table = {}
         for entry in data["transports"]:
+            if not isinstance(entry, dict) or not {"tail", "head", "matrix"} <= entry.keys():
+                raise InvalidParameter(
+                    "each transport entry needs 'tail', 'head' and 'matrix'")
             key = (int(entry["tail"]), int(entry["head"]))
             if key in table:
                 raise InvalidParameter(f"transport for edge {key} given twice")

@@ -131,6 +131,9 @@ def sample_point(g, k, boundary_classes, seed, subdiv=1, max_attempts=1000):
         return ModuliPoint(g=g, k=k, boundary_classes=[], phi_images=images,
                            seed=seed, subdiv=subdiv)
 
+    if not k:
+        raise InvalidParameter("the sampler solves for the last boundary image, "
+                               "so it needs k >= 1 unless (g, k) = (1, 0)")
     target = boundary_classes[-1]
     for attempt in range(1, max_attempts + 1):
         images = {}
@@ -255,13 +258,18 @@ def tangent_space(point, tol=DEFAULT_TOL):
     reps = rp["parabolic_basis"].reps
     omega = twisted.parabolic_pairing(k, f, reps, tol) if reps.size else np.zeros((0, 0))
     h0 = twisted.cohomology(k, f, 0, "absolute", tol)
+    return _tangent(point, rp["h1"].dim, omega, h0.dim > 0, rp["exactness_check"], tol)
+
+
+def _tangent(point, dim_h1, omega, reducible, exactness, tol):
+    """The tangent-space record of `tangent_space` and `moduli_acs`."""
     return {
-        "dim_H1_par": rp["parabolic_basis"].dim,
-        "dim_H1": rp["h1"].dim,
+        "dim_H1_par": omega.shape[0],
+        "dim_H1": dim_h1,
         "expected_dim": 3 * (2 * point.g - 2) + 2 * point.k,
         "omega_rank": numlin.rank(omega, tol, scale=1.0),
-        "reducible_flag": h0.dim > 0,
-        "exactness_check": rp["exactness_check"],
+        "reducible_flag": reducible,
+        "exactness_check": exactness,
     }
 
 
@@ -289,19 +297,12 @@ def moduli_acs(point, metric=None, tol=DEFAULT_TOL):
         taming = 0.5 * (goldman @ acs + (goldman @ acs).T)
         w = np.linalg.eigvalsh(taming)
         residuals["taming_min_eigenvalue"] = float(w[0])
-    tangent = {
-        "dim_H1_par": dim,
-        "dim_H1": rep.dim_h1,
-        "expected_dim": 3 * (2 * point.g - 2) + 2 * point.k,
-        "omega_rank": numlin.rank(rep.omega_u, tol, scale=1.0),
-        "reducible_flag": False,
-        "exactness_check": bool(rep.residuals["parabolic_exactness"]),
-    }
     return {
         "dim_H1_par": dim,
         "goldman_omega": goldman,
         "acs": acs,
         "compatibility_residuals": residuals,
         "parastar_report": rep,
-        "tangent": tangent,
+        "tangent": _tangent(point, rep.dim_h1, rep.omega_u, False,
+                            bool(rep.residuals["parabolic_exactness"]), tol),
     }

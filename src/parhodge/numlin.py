@@ -180,24 +180,17 @@ def lsq_solve(a, m, b, tol=DEFAULT_TOL):
     return x[:, 0] if vec else x
 
 
-def orthonormalize(basis, m=None, tol=DEFAULT_TOL, scale=None):
-    """Return an (M-)orthonormal basis for the column span of `basis`.
+def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
+    """Return an M-orthonormal basis (B^T M B = I) for the column span of
+    `basis`.
 
-    Drops numerically dependent columns; with `m` given the result satisfies
-    B^T M B = I.  `scale` floors the drop cutoff (in units of column norm)
-    so that a basis consisting of pure noise collapses to zero columns.
+    Drops numerically dependent columns; `scale` floors the drop cutoff (in
+    units of column norm) so that a basis consisting of pure noise
+    collapses to zero columns.
     """
     b = as_matrix(basis, "basis")
     if b.shape[1] == 0:
         return b.copy()
-    if m is None:
-        # thin QR, then the SVD of the small R factor: rank-revealing even
-        # when a dependent column comes first
-        q, r = np.linalg.qr(b)
-        u, s, _ = _svd(r)
-        ref = max(s[0] if s.size else 0.0, scale or 0.0, 1e-300)
-        keep = s > tol.rank_tol * ref
-        return _fix_column_signs(q @ u[:, keep])
     gram = b.T @ as_matrix(m, "M") @ b
     w, v = sym_eig(0.5 * (gram + gram.T), tol)
     ref = max(w[0] if w.size else 0.0, (scale or 0.0) ** 2)

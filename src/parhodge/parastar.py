@@ -163,30 +163,27 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL):
     )
 
 
-def _restrict_to_component(k, h, f, component):
+def _component(k, component):
+    """One component as its own complex, and the id in `k` of each of its
+    edges; the vertex map is monotone, so canonical directions agree."""
     sub, vmap = surface.subcomplex(k, component)
-    lengths = np.empty(sub.n_edges)
-    transports = np.empty((sub.n_edges, f.fiber_dim, f.fiber_dim))
-    inverse = {w: v for v, w in vmap.items()}
-    for ei, (a, b) in enumerate(sub.edges):
-        orig = k.edge_id(inverse[a], inverse[b])
-        lengths[ei] = h.lengths[orig]
-        # vmap is monotone on the component, so canonical directions agree
-        transports[ei] = f.transports[orig]
-    sub_h = surface.metric_from_lengths(sub, lengths)
-    sub_f = localsys.FlatLocalSystem(
-        fiber_dim=f.fiber_dim, transports=transports,
-        flat_residual=f.flat_residual,
-    )
-    return sub, sub_h, sub_f
+    old = sorted(vmap)
+    return sub, np.array([k.edge_index[old[a], old[b]] for a, b in sub.edges], dtype=int)
 
 
 def _component_split(k, h, f, tol):
     """Per-component reports of a disconnected complex, else None."""
     if k.n_components <= 1:
         return None
-    return [parabolic_star(*_restrict_to_component(k, h, f, c), tol)
-            for c in range(k.n_components)]
+    reports = []
+    for c in range(k.n_components):
+        sub, edges = _component(k, c)
+        sub_f = localsys.FlatLocalSystem(
+            fiber_dim=f.fiber_dim, transports=f.transports[edges],
+            flat_residual=f.flat_residual)
+        reports.append(parabolic_star(
+            sub, surface.metric_from_lengths(sub, h.lengths[edges]), sub_f, tol))
+    return reports
 
 
 def disconnected_split(k, h, f, tol=DEFAULT_TOL):
@@ -201,13 +198,11 @@ def disconnected_split(k, h, f, tol=DEFAULT_TOL):
     embedded = []
     n = f.fiber_dim
     for c, rep in enumerate(pieces):
-        sub, vmap = surface.subcomplex(k, c)
-        lift = np.zeros((n * k.n_edges, rep.u_basis.shape[1]))
-        inverse = {w: v for v, w in vmap.items()}
-        for ei, (a, b) in enumerate(sub.edges):
-            orig = k.edge_id(inverse[a], inverse[b])
-            lift[n * orig:n * orig + n] = rep.u_basis[n * ei:n * ei + n]
-        embedded.append(lift)
+        edges = _component(k, c)[1]
+        cols = rep.u_basis.shape[1]
+        lift = np.zeros((k.n_edges, n, cols))
+        lift[edges] = rep.u_basis.reshape(len(edges), n, cols)
+        embedded.append(lift.reshape(n * k.n_edges, cols))
     concat = np.hstack(embedded) if embedded else np.zeros((n * k.n_edges, 0))
     blocks = [p.j_par for p in pieces]
     j_ds = np.zeros((concat.shape[1], concat.shape[1]))

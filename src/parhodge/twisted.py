@@ -19,25 +19,33 @@ generators"), with no dense SVD of the coboundaries:
     root fiber to each vertex.  The flat sections (H^0) are the G c whose
     defect P G_b c - G_a c vanishes on the non-tree edges.
   * cotree: a breadth-first spanning forest of the dual graph (triangles,
-    joined across active non-tree edges).  Walked leaves first, each
-    triangle equation of d1 solves its parent dual edge exactly (the
-    coefficient is +-I or P, so no rank decision is made); the values on
-    the edges L outside both forests are free, and the root-triangle
-    equations C (n rows per root, n|L| columns) are what is left.  Their
-    kernel, from a small SVD, gives the closed cochains Z_T vanishing on
-    the tree.
-  * projection: Z_T is projected off the exact cochains through the
-    twisted graph Laplacian d0^T d0, assembled blockwise and deflated by
-    the flat sections, then orthonormalized.
-  * check: Z_T meets the exact cochains exactly in the d0 of parallel
-    sections over free roots, so the kept rank must equal
-    dim Z_T - sum over free roots of (n - dim H^0 of that component);
-    otherwise `cohomology` raises NoConvergence.
+    joined across active non-tree edges, and to the outside across active
+    non-tree boundary edges, so the outside roots every component with
+    boundary).  Walked leaves first, each triangle equation of d1 solves
+    its parent dual edge exactly (the coefficient is +-I or P, so no rank
+    decision is made); the values on the loop edges L outside both forests
+    are free, and the root-triangle equations C (n rows per root triangle,
+    which only closed components and the relative flavor have; n|L|
+    columns) are what is left.  Their kernel, from a small SVD, gives the
+    closed cochains Z_T vanishing on the tree.
+  * classes: Z_T meets the exact cochains exactly in the d0 of parallel
+    sections over free roots, the free-root defects.  A cocycle in Z_T is
+    fixed by its loop-edge values (n 2g of them on a closed component,
+    n(2g + b - 1) with b boundary circles), and there a small SVD takes
+    the complement of the defects.  The kept rank must equal dim Z_T minus
+    the sum over free roots of n - dim H^0 of that component, or
+    `cohomology` raises NoConvergence.  One walk along the absolute tree
+    gauges any closed cochain into Z_T, which gives its class coordinates.
+  * boundary: one walk around each boundary cycle integrates a closed
+    cochain to z_j; it is exact there iff z_j lies in im(1 - rho_j), rho_j
+    the holonomy (Goldman 1984), and the walk yields the primitive that
+    lifts a parabolic class to a relative one.
 
-The result obeys the same contract as a dense kernel computation: columns
-are closed, Euclidean-orthonormal, orthogonal to the flavor's coboundaries
-and given in absolute coordinates.  Degree 2 keeps a dense SVD.  The
-transports are orthogonal (P^-1 = P^T) throughout.
+Degree-1 columns are closed, zero off the flavor's degrees of freedom and
+orthonormal in class coordinates: their loop-edge values are orthonormal
+and orthogonal to the defects; they are not orthogonal to the
+coboundaries.  Degree 2 keeps a dense SVD.  The transports are orthogonal
+(P^-1 = P^T) throughout.
 
 The symplectic pairing comes from the simplicial cup product evaluated on
 the fundamental 2-cycle and is metric-free.  On closed one-cochains the
@@ -48,7 +56,6 @@ against the metric module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +153,12 @@ def coboundaries(k, f):
 
 
 def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
-    """Basis of cocycle representatives, chosen Euclidean-orthonormal and
-    orthogonal to the coboundary space; `dim` is the Betti number.
+    """Basis of cocycle representatives; `dim` is the Betti number.
 
     Degrees 0 and 1 come from the tree-cotree elimination (module
-    docstring); degree 2 from a dense SVD of the transposed d1.
+    docstring): degree 1 gives tree-cotree cocycles, closed and
+    orthonormal in class coordinates; degree 0 gives Euclidean-orthonormal
+    flat sections.  Degree 2 comes from a dense SVD of the transposed d1.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
@@ -162,41 +170,44 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         reps = numlin.nullspace_basis(d1[:, edofs].T, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
-    if flavor == "relative":
-        active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
-    else:
-        active = np.ones(k.n_edges, dtype=bool)
-        pinned = np.zeros(k.vertex_count, dtype=bool)
-    in_tree, flat, deficit = _tree_and_flat_sections(k, f, active, pinned, tol)
+    loose, _, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
     if degree == 0:
         return CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
 
-    z = _cocycles_off_tree(k, f, active, in_tree, tol)
-    dofs = _expand(active, f.fiber_dim)
-    kept = numlin.orthonormalize(_project_off_exact(k, f, z, pinned, flat)[dofs],
-                                 tol=tol, scale=1.0)
-    if kept.shape[1] != z.shape[1] - deficit:
+    order, parent, loops = _cotree(k, loose)
+    z = _cocycles_off_tree(k, f, order, parent, loops, tol)
+    dofs = _expand(loops, f.fiber_dim)
+    # z[dofs] is orthonormal, and its span holds the loop-edge values of the
+    # exact cochains in Z_T; keep the complement of those
+    keep = numlin.nullspace_basis(exact[dofs].T @ z[dofs], tol, scale=1.0)
+    if keep.shape[1] != z.shape[1] - exact.shape[1]:
         raise NoConvergence(
-            f"{flavor} H^1: kept {kept.shape[1]} classes, but the tree-cotree "
-            f"count is {z.shape[1]} - {deficit}")
-    reps = np.zeros((dofs.size, kept.shape[1]))
-    reps[dofs] = kept
+            f"{flavor} H^1: kept {keep.shape[1]} classes, but the tree-cotree "
+            f"count is {z.shape[1]} - {exact.shape[1]}")
+    reps = z @ keep
     return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1])
 
 
-def _tree_and_flat_sections(k, f, active, pinned, tol):
-    """Spanning forest of the active edges and the flat sections it sees.
+def _tree_and_flat_sections(k, f, flavor, tol):
+    """Spanning forest of the flavor's active edges, and the flat sections
+    and exact cocycles it sees.
 
     Pinned vertices (the boundary, in the relative flavor) are one merged
     root where sections vanish; every other component gets a free root
     with tree transport G_v = identity.  A parallel section is G c with
-    c in the root fiber; it is flat iff P G_b c = G_a c on each non-tree
-    active edge (a, b).  Returns the tree-edge mask, the flat sections as
-    Euclidean-orthonormal 0-cochains, and the sum over free roots of
-    n - (number of flat sections of that component).
+    c in the root fiber; its d0 vanishes on the tree, and on each non-tree
+    active edge (a, b) it is the defect P G_b c - G_a c.  Returns the mask
+    of non-tree active edges, the tree walk as (vertex, parent, edge) in
+    breadth-first order, the flat sections (zero defect) as
+    Euclidean-orthonormal 0-cochains, and as 1-cochains the d0 G c for c
+    spanning the complement of the flat directions at each free root.
     """
     n = f.fiber_dim
     nv = k.vertex_count
+    if flavor == "relative":
+        active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
+    else:
+        active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(nv, dtype=bool)
     nbrs = [[] for _ in range(nv)]
     for ei in np.flatnonzero(active):
         a, b = k.edges[ei]
@@ -205,17 +216,18 @@ def _tree_and_flat_sections(k, f, active, pinned, tol):
     root = np.full(nv, -2)  # -2 unseen, -1 pinned root, else free root
     g = np.tile(np.eye(n), (nv, 1, 1))
     in_tree = np.zeros(k.n_edges, dtype=bool)
+    walk = []
 
     def grow(seed, label):
         root[seed] = label
-        queue = deque(seed)
-        while queue:
-            a = queue.popleft()
+        queue = list(seed)
+        for a in queue:
             for b, ei in nbrs[a]:
                 if root[b] != -2:
                     continue
                 root[b] = label
                 in_tree[ei] = True
+                walk.append((b, a, ei))
                 p = f.transports[ei]
                 # d0 of a parallel section vanishes on the tree edge
                 g[b] = (p.T if a == k.edges[ei][0] else p) @ g[a]
@@ -234,44 +246,43 @@ def _tree_and_flat_sections(k, f, active, pinned, tol):
         - g[ends[loose, 0]]
     loose_root = root[ends[loose, 0]]
     flat = np.zeros((n * nv, 0))
-    deficit = 0
+    exact = np.zeros((k.n_edges, n, 0))
     for r in free_roots:
-        rows = defect[loose_root == r].reshape(-1, n)
+        mine = loose_root == r
         # the R factor has the singular values of the tall system
-        c = numlin.nullspace_basis(np.linalg.qr(rows, mode="r"), tol, scale=1.0)
-        deficit += n - c.shape[1]
+        c = numlin.nullspace_basis(np.linalg.qr(defect[mine].reshape(-1, n), mode="r"),
+                                   tol, scale=1.0)
         verts = np.flatnonzero(root == r)
         sections = np.zeros((nv, n, c.shape[1]))
         sections[verts] = g[verts] @ c / np.sqrt(len(verts))
         flat = np.hstack([flat, sections.reshape(n * nv, -1)])
-    return in_tree, flat, deficit
+        moving = numlin.nullspace_basis(c.T, tol, scale=1.0)
+        cocycles = np.zeros((k.n_edges, n, moving.shape[1]))
+        cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
+        exact = np.concatenate([exact, cocycles], axis=2)
+    return loose, walk, flat, exact.reshape(n * k.n_edges, -1)
 
 
-def _cocycles_off_tree(k, f, active, in_tree, tol):
-    """Basis (absolute coordinates) of the flavor's closed 1-cochains that
-    vanish on the tree and on inactive edges.
-
-    Dual edges are the active non-tree edges shared by two triangles.  On a
-    breadth-first dual forest every non-root triangle equation fixes the
-    value on its parent dual edge, whose coefficient is +-I or P, so the
-    values on the edges L outside both forests parametrize everything; the
-    root triangle equations C are what is left, and the cocycles are
-    ker C.
-    """
-    n = f.fiber_dim
+def _cotree(k, dual):
+    """Breadth-first spanning forest of the triangles joined across the
+    `dual` edges.  A dual edge on the boundary joins its triangle to the
+    outside, which roots every component it reaches.  Returns the visiting
+    order, each triangle's parent edge (-1 at a root triangle) and the mask
+    of loop edges, the dual edges outside the forest."""
     tris = k.tri_edges.tolist()
     edge_tris = [[] for _ in range(k.n_edges)]
     for ti, es in enumerate(tris):
         for e in es:
             edge_tris[e].append(ti)
-    dual = active & ~in_tree
     parent = np.full(k.n_triangles, -1)
     seen = np.zeros(k.n_triangles, dtype=bool)
     order = []
-    for start in range(k.n_triangles):
+    starts = [(edge_tris[e][0], e) for e in np.flatnonzero(dual) if len(edge_tris[e]) == 1]
+    for start, edge in starts + [(t, -1) for t in range(k.n_triangles)]:
         if seen[start]:
             continue
         seen[start] = True
+        parent[start] = edge
         queue = [start]
         for t in queue:
             order.append(t)
@@ -282,13 +293,26 @@ def _cocycles_off_tree(k, f, active, in_tree, tol):
                         seen[s] = True
                         parent[s] = e
                         queue.append(s)
+    loops = dual.copy()
+    loops[parent[parent >= 0]] = False
+    return order, parent, loops
 
-    free = dual.copy()
-    free[parent[parent >= 0]] = False
-    n_free = int(free.sum())
-    m = n * n_free
+
+def _cocycles_off_tree(k, f, order, parent, loops, tol):
+    """Basis (absolute coordinates) of the closed 1-cochains that vanish
+    off the loop edges and the cotree, orthonormal on the loop edges.
+
+    Walked leaves first, every non-root triangle equation fixes the value
+    on its parent dual edge, whose coefficient is +-I or P, so the values
+    on the loop edges parametrize everything; the root triangle equations
+    C are what is left, and the cocycles are ker C.
+    """
+    n = f.fiber_dim
+    tris = k.tri_edges.tolist()
+    n_loops = int(loops.sum())
+    m = n * n_loops
     values = np.zeros((k.n_edges, n, m))
-    values[free] = np.eye(m).reshape(n_free, n, m)
+    values[loops] = np.eye(m).reshape(n_loops, n, m)
     root_rows = [np.zeros((0, m))]
     for t in reversed(order):
         e01, e02, e12 = tris[t]
@@ -310,121 +334,116 @@ def _cocycles_off_tree(k, f, active, in_tree, tol):
 
 def _d0_apply(k, f, a):
     """d0 @ a edgewise, for 0-cochain columns a."""
-    n = f.fiber_dim
+    n, cols = f.fiber_dim, a.shape[1]
     ends = np.array(k.edges, dtype=int).reshape(-1, 2)
-    x = a.reshape(k.vertex_count, n, -1)
+    x = a.reshape(k.vertex_count, n, cols)
     out = np.einsum("eij,ejr->eir", f.transports, x[ends[:, 1]]) - x[ends[:, 0]]
-    return out.reshape(n * k.n_edges, -1)
+    return out.reshape(n * k.n_edges, cols)
 
 
-def _d0t_apply(k, f, z):
-    """d0.T @ z edgewise, for 1-cochain columns z."""
-    n = f.fiber_dim
-    ends = np.array(k.edges, dtype=int).reshape(-1, 2)
-    w = z.reshape(k.n_edges, n, -1)
-    out = np.zeros((k.vertex_count, n, w.shape[2]))
-    np.add.at(out, ends[:, 1], np.einsum("eji,ejr->eir", f.transports, w))
-    np.add.at(out, ends[:, 0], -w)
-    return out.reshape(n * k.vertex_count, -1)
+def _step(k, f, w, tail, ei):
+    """(T, s) such that a primitive a of the 1-cochain columns w (d0 a = w,
+    shaped (edges, n, columns)) obeys a(head) = T a(tail) + s across edge
+    ei walked from `tail`: (d0 a)(lo -> hi) = P a(hi) - a(lo)."""
+    p = f.transports[ei]
+    return (p.T, p.T @ w[ei]) if tail == k.edges[ei][0] else (p, -w[ei])
 
 
-def _project_off_exact(k, f, z, pinned, flat):
-    """Subtract from the columns z their Euclidean projection onto the
-    flavor's exact cochains d0 a, a zero at the pinned vertices.
+def _class_coordinates(k, f, basis, u, tol):
+    """Coordinates of the classes of closed columns `u` in those of the
+    closed columns `basis`, which must be independent modulo exact ones.
 
-    The twisted graph Laplacian d0^T d0 is assembled blockwise from the
-    transports (P orthogonal, so each edge adds I to both diagonal blocks)
-    and deflated by the flat sections, its kernel.  Inactive edges join
-    two pinned vertices, so summing over all edges and dropping the pinned
-    rows and columns gives the flavor's Laplacian.
+    One walk along the absolute spanning tree subtracts from each column
+    the d0 a, a zero at the roots, that makes it vanish on the tree; that
+    leaves a tree-cotree cocycle in the same class, fixed by its values on
+    the loop edges.  There the exact cocycles are the free-root defects,
+    and a least-squares solve against [basis, exact] gives the coordinates.
     """
-    if not z.shape[1]:
-        return z
-    n = f.fiber_dim
-    nv = k.vertex_count
-    a_, b_ = np.array(k.edges, dtype=int).reshape(-1, 2).T
-    lap = np.zeros((nv, nv, n, n))
-    np.add.at(lap, (a_, a_), np.eye(n))
-    np.add.at(lap, (b_, b_), np.eye(n))
-    np.add.at(lap, (a_, b_), -f.transports)
-    np.add.at(lap, (b_, a_), -f.transports.transpose(0, 2, 1))
-    keep = _expand(~pinned, n)
-    lap = lap.transpose(0, 2, 1, 3).reshape(n * nv, n * nv)[np.ix_(keep, keep)]
-    defl = flat[keep]
-    a = np.zeros((n * nv, z.shape[1]))
-    a[keep] = np.linalg.solve(lap + defl @ defl.T, _d0t_apply(k, f, z)[keep])
-    return z - _d0_apply(k, f, a)
+    n, nb = f.fiber_dim, basis.shape[1]
+    cols = nb + u.shape[1]
+    loose, walk, _, exact = _tree_and_flat_sections(k, f, "absolute", tol)
+    dofs = _expand(_cotree(k, loose)[2], n)
+    w = np.hstack([basis, u]).reshape(k.n_edges, n, cols)
+    a = np.zeros((k.vertex_count, n, cols))
+    for child, up, ei in walk:
+        t, s = _step(k, f, w, up, ei)
+        a[child] = t @ a[up] + s
+    y = (w.reshape(n * k.n_edges, cols)
+         - _d0_apply(k, f, a.reshape(n * k.vertex_count, cols)))[dofs]
+    return np.linalg.lstsq(np.hstack([y[:, :nb], exact[dofs]]), y[:, nb:], rcond=None)[0][:nb]
 
 
-def class_coordinates(h_basis, u):
-    """Coordinates of closed cochains `u` (columns) in an orthonormal
-    cohomology basis whose reps are orthogonal to the coboundaries."""
-    return h_basis.reps.T @ u
+def _boundary_walk(k, f, u, tol):
+    """Integrate closed columns `u` around each stored boundary cycle.
 
-
-def boundary_complex(k, f):
-    """Coboundary of the boundary subcomplex and the boundary-edge selector.
-
-    Returns (d0_boundary, restriction) with `restriction` mapping absolute
-    1-cochains to boundary 1-cochains by selecting boundary-edge blocks.
+    Along a cycle v_0 -> v_1 -> ... -> v_m = v_0 a primitive a of u obeys
+    a(v_i+1) = T_i a(v_i) + s_i, with T_i the transport from v_i to v_i+1;
+    going round gives (1 - rho) a(v_0) = z with rho the holonomy.  So u is
+    exact on the cycle iff z lies in im(1 - rho), and N^T z, for N a basis
+    of coker(1 - rho), are its coordinates in the cycle's H^1.  Returns
+    those coordinates stacked over the cycles, and the primitive from the
+    least-norm a(v_0) as a 0-cochain that vanishes off the boundary.
     """
-    n = f.fiber_dim
-    bverts = list(k.boundary_vertices)
-    bedges = list(k.boundary_edge_indices)
-    vpos = {v: i for i, v in enumerate(bverts)}
-    d0b = np.zeros((n * len(bedges), n * len(bverts)))
-    for row, ei in enumerate(bedges):
-        u, v = k.edges[ei]
-        d0b[n * row:n * row + n, n * vpos[v]:n * vpos[v] + n] = f.transports[ei]
-        d0b[n * row:n * row + n, n * vpos[u]:n * vpos[u] + n] = -np.eye(n)
-    restriction = np.zeros((n * len(bedges), n * k.n_edges))
-    for row, ei in enumerate(bedges):
-        restriction[n * row:n * row + n, n * ei:n * ei + n] = np.eye(n)
-    return d0b, restriction
+    n, cols = f.fiber_dim, u.shape[1]
+    w = u.reshape(k.n_edges, n, cols)
+    coords = [np.zeros((0, cols))]
+    prim = np.zeros((k.vertex_count, n, cols))
+    for cycle in k.boundary_components:
+        rho, z = np.eye(n), np.zeros((n, cols))
+        for v, ei in zip(cycle["vertices"], cycle["edges"]):
+            t, s = _step(k, f, w, v, ei)
+            rho, z = t @ rho, t @ z + s
+        left, sigma, right = np.linalg.svd(np.eye(n) - rho)
+        r = int(np.sum(sigma > tol.rank_tol * max(sigma[0], 1.0)))
+        coords.append(left[:, r:].T @ z)
+        a = right[:r].T @ ((left[:, :r].T @ z) / sigma[:r, None])
+        for v, ei in zip(cycle["vertices"], cycle["edges"]):
+            prim[v] = a
+            t, s = _step(k, f, w, v, ei)
+            a = t @ a + s
+    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
 
 
 def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
     """Restriction map to boundary cohomology and the parabolic classes.
 
     Parabolic cohomology in degree one is the kernel of the restriction to
-    the boundary; `exactness_check` confirms it coincides with the image of
-    the relative cohomology (dimension and span agreement).
+    the boundary, whose values in each cycle's H^1 = coker(1 - rho_j) come
+    from one walk around it (`_boundary_walk`).  `exactness_check` confirms
+    that the kernel is the image of the relative cohomology by comparing
+    class coordinates (`_class_coordinates`), so any closed bases of H^1
+    and H^1_rel serve.
     """
     h1 = cohomology(k, f, 1, "absolute", tol)
     h1_rel = cohomology(k, f, 1, "relative", tol)
-    d0b, restriction = boundary_complex(k, f)
-    # coordinates on boundary H^1: orthogonal complement of the exact
-    # boundary cochains
-    z = numlin.nullspace_basis(d0b.T, tol)
-    r_star = z.T @ restriction @ h1.reps
-    # reps and z are orthonormal, so the honest scale of r_star is 1
+    r_star = _boundary_walk(k, f, h1.reps, tol)[0]
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
 
-    image_coeffs = class_coordinates(h1, h1_rel.reps)
+    image_coeffs = _class_coordinates(k, f, h1.reps, h1_rel.reps, tol)
     image_dim = numlin.rank(image_coeffs, tol, scale=1.0)
     same = (par_coeffs.shape[1] == image_dim) and (
         numlin.rank(np.hstack([par_coeffs, image_coeffs]), tol, scale=1.0) == image_dim
     )
     return {
-        "r_star_matrix": r_star,
         "h1": h1,
         "h1_rel": h1_rel,
         "parabolic_basis": CohomologyBasis(
             degree=1, flavor="parabolic", reps=par_reps, dim=par_reps.shape[1]
         ),
-        "parabolic_coeffs": par_coeffs,
-        "boundary_h1_dim": z.shape[1],
-        "image_dim": image_dim,
+        "boundary_h1_dim": r_star.shape[0],
         "exactness_check": bool(same),
     }
 
 
-def _check_closed(d1, u_basis, tol):
+def _check_closed(k, f, u_basis, tol):
+    """Raise NotClosed unless d1 u_basis, taken triangle by triangle, vanishes."""
     if u_basis.shape[1]:
-        res = np.abs(d1 @ u_basis).max()
-        scale = max(1.0, np.abs(u_basis).max())
-        if res > tol.residual_tol * scale:
+        w = u_basis.reshape(k.n_edges, f.fiber_dim, u_basis.shape[1])
+        e01, e02, e12 = k.tri_edges.T
+        d1w = np.einsum("tij,tjr->tir", f.transports[e01], w[e12]) - w[e02] + w[e01]
+        res = np.abs(d1w).max(initial=0.0)
+        if res > tol.residual_tol * max(1.0, np.abs(u_basis).max()):
             raise NotClosed(f"basis columns are not closed (residual {res:.3e})")
 
 
@@ -439,48 +458,34 @@ def cup_omega(k, f, u_basis, tol=DEFAULT_TOL, check_closed=True):
     """
     u_basis = np.asarray(u_basis, dtype=float)
     if check_closed:
-        _check_closed(coboundaries(k, f)[1], u_basis, tol)
+        _check_closed(k, f, u_basis, tol)
     raw = _cup_raw(k, f, u_basis, u_basis)
     return 0.5 * (raw - raw.T)
 
 
 def _cup_raw(k, f, u_basis, v_basis):
-    n = f.fiber_dim
-    raw = np.zeros((u_basis.shape[1], v_basis.shape[1]))
-    for ti, (e01, _, e12) in enumerate(k.tri_edges.tolist()):
-        p = f.transports[e01]
-        ub = u_basis[n * e01:n * e01 + n]
-        vb = v_basis[n * e12:n * e12 + n]
-        raw += k.sorted_sign[ti] * (ub.T @ p @ vb)
-    return raw
+    n, e01, e12 = f.fiber_dim, k.tri_edges[:, 0], k.tri_edges[:, 2]
+    u = u_basis.reshape(k.n_edges, n, u_basis.shape[1])[e01]
+    v = v_basis.reshape(k.n_edges, n, v_basis.shape[1])[e12]
+    return np.einsum("t,tir,tij,tjs->rs", k.sorted_sign, u, f.transports[e01], v)
 
 
 def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
     """Cup pairing with the left argument lifted to a relative cocycle.
 
-    Each column's boundary restriction is exact on the boundary (that is
-    what parabolic means); subtracting the coboundary of an extension of a
-    boundary primitive kills it, which makes the pairing independent of the
-    chosen representatives within their classes, hence metric-free.
+    Each column's restriction to every boundary cycle is exact there (that
+    is what parabolic means); subtracting the coboundary of the primitive
+    from `_boundary_walk`, zero off the boundary, kills it, which makes the
+    pairing independent of the chosen representatives within their
+    classes, hence metric-free.
     """
-    d0, d1 = coboundaries(k, f)
-    _check_closed(d1, u_basis, tol)
-    n = f.fiber_dim
-    d0b, restriction = boundary_complex(k, f)
-    bverts = list(k.boundary_vertices)
-    lifted = u_basis.copy()
-    if bverts and u_basis.shape[1]:
-        primitives = numlin.lsq_solve(d0b, np.eye(d0b.shape[0]),
-                                      restriction @ u_basis, tol)
-        res = d0b @ primitives - restriction @ u_basis
-        if np.abs(res).max() > tol.residual_tol * max(1.0, np.abs(u_basis).max()):
-            raise NotClosed("columns are not parabolic: boundary restriction "
-                            "is not exact on the boundary")
-        extend = np.zeros((n * k.vertex_count, u_basis.shape[1]))
-        for i, v in enumerate(bverts):
-            extend[n * v:n * v + n] = primitives[n * i:n * i + n]
-        lifted = u_basis - d0 @ extend
-    raw = _cup_raw(k, f, lifted, u_basis)
+    _check_closed(k, f, u_basis, tol)
+    coords, primitive = _boundary_walk(k, f, u_basis, tol)
+    if np.abs(coords).max(initial=0.0) > \
+            tol.residual_tol * max(1.0, np.abs(u_basis).max(initial=0.0)):
+        raise NotClosed("columns are not parabolic: boundary restriction "
+                        "is not exact on the boundary")
+    raw = _cup_raw(k, f, u_basis - _d0_apply(k, f, primitive), u_basis)
     return 0.5 * (raw - raw.T)
 
 

@@ -22,6 +22,9 @@ def load_strict(text):
 def test_dumps_is_strict_json():
     obj = {'a"b': [float("inf"), 'x"y'], "n": float("nan")}
     assert load_strict(_serialize.dumps(obj)) == {'a"b': [None, 'x"y'], "n": None}
+    back = load_strict(_serialize.dumps({"x": [1.0, -0.0, 1e20, 2], "y": 0.5}))
+    assert [type(v) for v in back["x"]] == [float, float, float, int]
+    assert back == {"x": [1.0, -0.0, 1e20, 2], "y": 0.5}
 
 
 def test_star_torus_example(tmp_path, capsys):
@@ -213,3 +216,22 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
     code = run(["star", "--example", "torus", "--m", "4", "--tolerance",
                 "1e-15", "--out", str(tmp_path / "y.json")])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["verify", "--example", "foo", "--refine", "4"], {}),
+    (["moduli", "--point", "{point}"], {"point": {"k": 3, "seed": 5}}),
+    (["moduli", "--point", "{point}"], {"point": [0, 3]}),
+    (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
+     {"system": {"fiber_dim": 1, "transports": [{"tail": 0, "matrix": [[1.0]]}]}}),
+    (["moduli", "--sample", "2", "0"], {}),
+], ids=["unknown-refine-example", "point-without-g", "point-array",
+        "transport-without-head", "sample-without-boundary"])
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    code = run([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), err

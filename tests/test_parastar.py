@@ -304,8 +304,9 @@ def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
     rng = np.random.default_rng(64)
     k, h, loops = surface.torus(12)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    svd_shapes, builds = [], []
+    svd_shapes, builds, twisted_solves = [], [], []
     svd, cob = numlin._svd, twisted.coboundaries
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
 
     def counting_svd(a, *args, **kwargs):
         svd_shapes.append(a.shape)
@@ -315,12 +316,22 @@ def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
         builds.append(1)
         return cob(*args)
 
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == twisted.__name__:
+                twisted_solves.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(numlin, "_svd", counting_svd)
     monkeypatch.setattr(twisted, "coboundaries", counting_coboundaries)
+    monkeypatch.setattr(np.linalg, "solve", recording(solve))
+    monkeypatch.setattr(np.linalg, "lstsq", recording(lstsq))
     rep = parastar.parabolic_star(k, h, f)
     assert rep.theorem_residuals_ok()
     assert svd_shapes and max(min(s) for s in svd_shapes) <= 100, svd_shapes
-    assert len(builds) <= 3
+    assert len(builds) <= 1
+    assert max(max(s) for s in twisted_solves + [(0,)]) <= 100, twisted_solves
 
 
 def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):

@@ -60,8 +60,7 @@ def test_cocycle_representatives_are_closed_and_orthonormal():
     h1 = twisted.cohomology(k, f, 1)
     d0, d1 = twisted.coboundaries(k, f)
     assert np.abs(d1 @ h1.reps).max() < 1e-9
-    assert np.abs(h1.reps.T @ h1.reps - np.eye(h1.dim)).max() < 1e-9
-    assert np.abs(d0.T @ h1.reps).max() < 1e-9
+    _assert_class_contract(k, f, h1, _dense_cohomology(k, f, 1), d0)
 
 
 def test_parabolic_annulus_trivial_is_zero():
@@ -194,6 +193,19 @@ def test_boundary_h1_dimension_matches_monodromy_kernel():
     assert rp["boundary_h1_dim"] == fixed
 
 
+def test_near_trivial_torus_system_keeps_the_exact_count():
+    # commuting rotations by small angles leave the twisted graph Laplacian
+    # nearly singular, which the exact directions must not depend on
+    k, h, loops = surface.torus(12)
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    for angles in ((1e-2, 1e-4), (1e-3, 1e-5)):
+        images = {name: localsys.su2_adjoint(localsys.quat_from_axis_angle(axis, t))
+                  for name, t in zip(("a1", "b1"), angles)}
+        f = localsys.from_representation(k, loops, images)
+        assert twisted.cohomology(k, f, 1).dim == 2
+        assert parastar.parabolic_star(k, h, f).theorem_residuals_ok()
+
+
 def test_cochain_space_dimensions():
     k, _, _ = surface.annulus(6, 2)
     f = localsys.trivial_system(k, 3)
@@ -241,6 +253,77 @@ def _dense_cohomology(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
                                    dim=reps.shape[1])
 
 
+def _assert_class_contract(k, f, got, want, exact, case=None):
+    """Degree-1 contract: the columns are independent modulo the flavor's
+    exact cochains (the columns of `exact`), span the oracle's classes, and
+    their loop-edge values are orthonormal and orthogonal to those of the
+    exact tree-cotree cocycles."""
+    r = numlin.rank(exact, scale=1.0)
+    assert numlin.rank(np.hstack([got.reps, exact]), scale=1.0) == got.dim + r, case
+    both = np.hstack([got.reps, want.reps, exact])
+    assert numlin.rank(both, scale=1.0) == got.dim + r, case
+    loose, _, _, cocycles = twisted._tree_and_flat_sections(
+        k, f, got.flavor, numlin.DEFAULT_TOL)
+    dofs = np.repeat(twisted._cotree(k, loose)[2], f.fiber_dim)
+    y = got.reps[dofs]
+    assert np.abs(y.T @ y - np.eye(got.dim)).max(initial=0) < 1e-9, case
+    assert np.abs(y.T @ cocycles[dofs]).max(initial=0) < 1e-9, case
+
+
+def _dense_boundary_route(k, f, h1, h1_rel, tol=numlin.DEFAULT_TOL):
+    """The dense boundary route: the coboundary d0_b of the boundary graph,
+    boundary H^1 as the orthogonal complement of its image, parabolic
+    classes as the kernel of the restriction, and class coordinates from
+    Euclidean bases orthogonal to the coboundaries (`_dense_cohomology`)."""
+    n = f.fiber_dim
+    d0, _ = twisted.coboundaries(k, f)
+    rows = np.repeat(np.isin(np.arange(k.n_edges), k.boundary_edge_indices), n)
+    cols = np.repeat(np.isin(np.arange(k.vertex_count), k.boundary_vertices), n)
+    d0b = d0[np.ix_(rows, cols)]
+    z = numlin.nullspace_basis(d0b.T, tol)
+    par = h1.reps @ numlin.nullspace_basis(z.T @ h1.reps[rows], tol, scale=1.0)
+    image = h1.reps.T @ h1_rel.reps
+    image_dim = numlin.rank(image, tol, scale=1.0)
+    same = par.shape[1] == image_dim and numlin.rank(
+        np.hstack([h1.reps.T @ par, image]), tol, scale=1.0) == image_dim
+    return {"d0b": d0b, "rows": rows, "cols": cols, "boundary_h1_dim": z.shape[1],
+            "parabolic": par, "exactness_check": bool(same)}
+
+
+def _dense_parabolic_pairing(k, f, u, route, tol=numlin.DEFAULT_TOL):
+    """Left lift by a least-squares primitive on the boundary graph."""
+    d0, _ = twisted.coboundaries(k, f)
+    d0b, rows = route["d0b"], route["rows"]
+    primitives = numlin.lsq_solve(d0b, np.eye(d0b.shape[0]), u[rows], tol)
+    extend = np.zeros((d0.shape[1], u.shape[1]))
+    extend[route["cols"]] = primitives
+    raw = twisted._cup_raw(k, f, u - d0 @ extend, u)
+    return 0.5 * (raw - raw.T)
+
+
+def test_boundary_walk_matches_the_dense_boundary_route():
+    bounded = 0
+    for label, k, f in _oracle_cases():
+        if not k.boundary_components:
+            continue
+        bounded += 1
+        rp = twisted.restriction_and_parabolic(k, f)
+        route = _dense_boundary_route(k, f, _dense_cohomology(k, f, 1),
+                                      _dense_cohomology(k, f, 1, "relative"))
+        assert rp["boundary_h1_dim"] == route["boundary_h1_dim"], label
+        assert rp["exactness_check"] == route["exactness_check"], label
+        par, ref = rp["parabolic_basis"].reps, route["parabolic"]
+        assert par.shape[1] == ref.shape[1], label
+        d0, _ = twisted.coboundaries(k, f)
+        r = numlin.rank(d0, scale=1.0)
+        assert numlin.rank(np.hstack([par, ref, d0]), scale=1.0) == par.shape[1] + r, label
+        if par.shape[1]:
+            omega = twisted.parabolic_pairing(k, f, par)
+            want = _dense_parabolic_pairing(k, f, par, route)
+            assert np.abs(omega - want).max() < 1e-9, label
+    assert bounded == 25
+
+
 def _oracle_cases():
     rng = np.random.default_rng(62)
     for name in ("torus", "annulus", "disk", "genus11", "pants", "sphere"):
@@ -267,17 +350,17 @@ def test_tree_cotree_matches_dense_oracle():
                 got = twisted.cohomology(k, f, degree, flavor)
                 want = _dense_cohomology(k, f, degree, flavor)
                 assert got.dim == want.dim, case
-                both = np.hstack([got.reps, want.reps])
-                assert numlin.rank(both, scale=1.0) == got.dim, case
                 reps = got.reps
-                gram = reps.T @ reps - np.eye(got.dim)
-                assert np.abs(gram).max(initial=0) < 1e-9, case
                 assert np.abs(reps[~mask[degree]]).max(initial=0) == 0.0, case
                 closed = (d0 if degree == 0 else d1) @ reps
                 assert np.abs(closed).max(initial=0) < 1e-9, case
                 if degree == 1:
-                    exact = d0[np.ix_(mask[1], mask[0])].T @ reps[mask[1]]
-                    assert np.abs(exact).max(initial=0) < 1e-9, case
+                    _assert_class_contract(k, f, got, want, d0[:, mask[0]], case)
+                    continue
+                both = np.hstack([got.reps, want.reps])
+                assert numlin.rank(both, scale=1.0) == got.dim, case
+                gram = reps.T @ reps - np.eye(got.dim)
+                assert np.abs(gram).max(initial=0) < 1e-9, case
 
 
 def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
