@@ -83,9 +83,12 @@ def _example(name, m):
 def _read_json(path, what):
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParhodgeError(f"{what} JSON parse error: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParhodgeError(f"{what} JSON must be an object")
+    return data
 
 
 def _load_inputs(args, tol):
@@ -155,11 +158,18 @@ def cmd_moduli(args):
 
 
 def _point_from_json(data):
-    if not isinstance(data, dict) or not {"g", "k"} <= data.keys():
+    if not {"g", "k"} <= data.keys():
         raise ParhodgeError("point JSON must be an object with 'g' and 'k'")
+    images = data.get("phi_images", {})
+    if not (all(surface.is_json_array(data.get(key, 0), 0, int)
+                for key in ("g", "k", "seed", "subdiv"))
+            and surface.is_json_array(data.get("boundary_classes", []), 1)
+            and isinstance(images, dict)
+            and all(surface.is_json_array(q, 1) for q in images.values())):
+        raise ParhodgeError("point needs integer 'g', 'k', 'seed' and 'subdiv', and "
+                            "number lists in 'boundary_classes' and 'phi_images'")
     if "phi_images" in data:
-        images = {n: np.asarray(q, dtype=float)
-                  for n, q in data["phi_images"].items()}
+        images = {n: np.asarray(q, dtype=float) for n, q in images.items()}
         return moduli.ModuliPoint(
             g=int(data["g"]), k=int(data["k"]),
             boundary_classes=[float(t) for t in data.get("boundary_classes", [])],

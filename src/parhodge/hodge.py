@@ -1,18 +1,20 @@
 """Discrete metric structures on twisted cochains.
 
-`metric_complex` is the one assembly of the Whitney matrices M0, M1, M2 and
-the wedge matrix W1; the scalar case is the trivial system in fiber
-dimension 1.  Per triangle, cochain values are transported into the fiber
-at the triangle's lowest vertex, where the barycentric integrals pair them.
-All triangles are assembled at once from the triangle-edge table
-`SurfaceComplex.tri_edges`, the edge lengths and the transports, and every
-entry is summed over triangles in stored order.  Orthogonal transports
-preserve the fiber inner product, so for a trivial system the matrices
-reduce to the scalar ones tensored with the fiber identity.
+`metric_complex` is the one assembly of the Whitney mass matrix M1, the
+wedge matrix W1 and the twisted cotan Laplacian L0 = d0^T M1 d0 (Pinkall &
+Polthier 1993); the scalar case is the trivial system in fiber dimension 1.
+Per triangle, cochain values are transported into the fiber at the
+triangle's lowest vertex, where the barycentric integrals pair the Whitney
+forms (M1, W1) and the hat-function gradients (L0).  All triangles are
+assembled at once from the triangle-edge table `SurfaceComplex.tri_edges`,
+the edge lengths and the transports, and every entry is summed over
+triangles in stored order.  Orthogonal transports preserve the fiber inner
+product, so for a trivial system the matrices reduce to the scalar ones
+tensored with the fiber identity.
 
 `MetricComplex` is a plain record of those matrices and keeps nothing
 between calls; the functions below build the coboundaries they need with
-`twisted.coboundaries`.
+`twisted.coboundaries`, and apply M1^{-1} and L0^{-1} by solves.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -44,10 +46,9 @@ class MetricComplex:
     k: object
     h: object
     f: object
-    m0: np.ndarray
     m1: np.ndarray
-    m2: np.ndarray
     w1_twisted: np.ndarray
+    l0: np.ndarray
     tol: object = DEFAULT_TOL
 
 
@@ -84,8 +85,8 @@ _WEDGE = _whitney_pairs(_lambda_products(0.5), _WEDGE_E)
 
 
 def metric_complex(k, h, f, tol=DEFAULT_TOL):
-    """Assemble the twisted mass and wedge matrices for (complex, metric,
-    system), all triangles at once."""
+    """Assemble the twisted mass, wedge and cotan Laplacian matrices for
+    (complex, metric, system), all triangles at once."""
     n = f.fiber_dim
     nv, ne, nt = k.n_vertices, k.n_edges, k.n_triangles
     te = k.tri_edges
@@ -116,22 +117,19 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     # np.add.at adds in index order, so each entry sums its triangles in
     # stored order
     rows, cols = te[:, :, None], te[:, None, :]
-    m0 = np.zeros((n * nv, n * nv))
-    np.add.at(twisted._blocks(m0, n), (verts[:, :, None], verts[:, None, :]),
-              ll[..., None, None] * pair)
+    l0 = np.zeros((n * nv, n * nv))
+    np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]),
+              (area[:, None, None] * g)[..., None, None] * pair)
     m1 = np.zeros((n * ne, n * ne))
     np.add.at(twisted._blocks(m1, n), (rows, cols),
               _whitney_pairs(ll, g)[..., None, None] * pair_e)
     w1 = np.zeros((n * ne, n * ne))
     np.add.at(twisted._blocks(w1, n), (rows, cols),
               (k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * pair_e)
-    m2 = np.zeros((n * nt, n * nt))
-    twisted._blocks(m2, n)[np.arange(nt), np.arange(nt)] = \
-        np.eye(n) / area[:, None, None]
-    m0 = 0.5 * (m0 + m0.T)
+    l0 = 0.5 * (l0 + l0.T)
     m1 = 0.5 * (m1 + m1.T)
     w1 = 0.5 * (w1 - w1.T)
-    return MetricComplex(k=k, h=h, f=f, m0=m0, m1=m1, m2=m2, w1_twisted=w1, tol=tol)
+    return MetricComplex(k=k, h=h, f=f, m1=m1, w1_twisted=w1, l0=l0, tol=tol)
 
 
 @dataclass
@@ -151,8 +149,8 @@ def harmonic_spaces(mc):
     analog for the closed cochains vanishing on boundary dofs (the relative
     complex), embedded back into absolute coordinates.
     CcC, the closed and co-closed cochains, is the complement inside the
-    closed ones of the relative exact cochains d0[:, interior vertices]:
-    the same step as H_N with d0 cut to interior vertices.
+    closed ones of the relative exact cochains d0[:, interior vertices];
+    H_N is then the complement inside CcC of d0 of the boundary vertices.
     """
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
@@ -160,14 +158,13 @@ def harmonic_spaces(mc):
     tol = mc.tol
     scale = float(np.abs(mc.m1).max())
     kernel = numlin.nullspace_basis(d1, tol)
-    # M1-pairings of the closed cochains with d0 of each vertex; H_N
-    # annihilates every row, CcC the rows of interior vertices
+    # M1-pairings of the closed cochains with d0 of each vertex; CcC
+    # annihilates the rows of interior vertices, H_N every row
     pairing = d0.T @ (mc.m1 @ kernel)
-    h_n = numlin.orthonormalize(
-        kernel @ numlin.nullspace_basis(pairing, tol, scale=scale), mc.m1, tol)
-    ccc = numlin.orthonormalize(
-        kernel @ numlin.nullspace_basis(pairing[vmask], tol, scale=scale),
-        mc.m1, tol)
+    c = numlin.nullspace_basis(pairing[vmask], tol, scale=scale)
+    ccc = numlin.orthonormalize(kernel @ c, mc.m1, tol)
+    c_n = c @ numlin.nullspace_basis(pairing[~vmask] @ c, tol, scale=scale)
+    h_n = numlin.orthonormalize(kernel @ c_n, mc.m1, tol)
 
     m1_int = mc.m1[np.ix_(emask, emask)]
     kernel_r = (kernel @ numlin.nullspace_basis(kernel[~emask], tol, scale=1.0))[emask]
@@ -182,9 +179,15 @@ def harmonic_spaces(mc):
 
 def harmonic_representative(mc, u):
     """Harmonic field(s) representing the classes of closed cochains `u`:
-    subtract the M1-best coboundary approximation."""
+    subtract the M1-best coboundary approximation d0 a.
+
+    a solves L0 a = d0^T M1 u.  The flat sections S span ker L0 = ker d0
+    and the right side is orthogonal to them, so (L0 + S S^T) a = d0^T M1 u
+    is SPD with the same solution orthogonal to S.
+    """
     d0, _ = twisted.coboundaries(mc.k, mc.f)
-    a = numlin.lsq_solve(d0, mc.m1, u, mc.tol)
+    flat = twisted.cohomology(mc.k, mc.f, 0, tol=mc.tol).reps
+    a = np.linalg.solve(mc.l0 + flat @ flat.T, d0.T @ (mc.m1 @ u))
     return u - d0 @ a
 
 
@@ -214,8 +217,7 @@ def hodge_decomposition(mc):
     tol = mc.tol
     harm = harmonic_spaces(mc)
     ccc = harm.ccc
-    _, _, m1_inv = numlin.spd_functions(mc.m1, tol)
-    ce_n = numlin.orthonormalize(m1_inv @ d1.T, mc.m1, tol)
+    ce_n = numlin.orthonormalize(np.linalg.solve(mc.m1, d1.T), mc.m1, tol)
     e_d = numlin.orthonormalize(d0[:, vmask], mc.m1, tol)
 
     def m_residual(x, y):
@@ -231,12 +233,11 @@ def hodge_decomposition(mc):
 
     exact_in_ccc = _span_dim_intersection(
         numlin.orthonormalize(d0, mc.m1, tol), ccc, tol)
-    # stand-in for the unconstrained codifferential image: the relative
-    # codifferential M1_int^{-1} d1_rel^T M2, embedded into absolute
-    # coordinates
-    _, _, m1_int_inv = numlin.spd_functions(mc.m1[np.ix_(emask, emask)], tol)
-    coexact = np.zeros((mc.m1.shape[0], mc.m2.shape[0]))
-    coexact[emask] = m1_int_inv @ d1[:, emask].T @ mc.m2
+    # stand-in for the unconstrained codifferential image: the span of the
+    # relative codifferential M1_int^{-1} d1_rel^T M2, embedded into
+    # absolute coordinates; M2 is a positive diagonal and drops out
+    coexact = np.zeros((mc.m1.shape[0], d1.shape[0]))
+    coexact[emask] = np.linalg.solve(mc.m1[np.ix_(emask, emask)], d1[:, emask].T)
     coexact_in_ccc = _span_dim_intersection(
         numlin.orthonormalize(coexact, mc.m1, tol), ccc, tol)
     report = {
@@ -275,8 +276,7 @@ def galerkin_star(mc):
     J_h = M1^{-1} W1^T; it is M1-skew exactly and squares to -I only
     approximately, improving under refinement.
     """
-    _, _, m1_inv = numlin.spd_functions(mc.m1, mc.tol)
-    return m1_inv @ mc.w1_twisted.T
+    return np.linalg.solve(mc.m1, mc.w1_twisted.T)
 
 
 def galerkin_diagnostics(mc):

@@ -26,7 +26,7 @@ from .errors import (
     RelationViolated,
 )
 from .numlin import DEFAULT_TOL
-from .surface import GeneratorLoops  # re-exported: generator output lives here
+from .surface import GeneratorLoops, is_json_array  # GeneratorLoops re-exported
 
 __all__ = [
     "FlatLocalSystem",
@@ -213,14 +213,20 @@ def system_from_json(k, data, loops=None, tol=DEFAULT_TOL):
     {"representation": {"images": {"a1": [[...]], ...}}} for generator
     images compiled on a builtin surface (whose `loops` must be supplied).
     """
+    if not isinstance(data, dict):
+        raise InvalidParameter("system JSON must be an object")
     if "transports" in data:
-        if "fiber_dim" not in data:
-            raise InvalidParameter("system JSON with transports needs fiber_dim")
+        if not (is_json_array(data.get("fiber_dim"), 0, int)
+                and isinstance(data["transports"], list)):
+            raise InvalidParameter("system JSON with transports needs an integer "
+                                   "fiber_dim and a list of transports")
         table = {}
         for entry in data["transports"]:
-            if not isinstance(entry, dict) or not {"tail", "head", "matrix"} <= entry.keys():
+            if not (isinstance(entry, dict) and {"tail", "head", "matrix"} <= entry.keys()
+                    and is_json_array([entry["tail"], entry["head"]], 1, int)
+                    and is_json_array(entry["matrix"], 2)):
                 raise InvalidParameter(
-                    "each transport entry needs 'tail', 'head' and 'matrix'")
+                    "each transport entry needs integer 'tail' and 'head' and a 'matrix'")
             key = (int(entry["tail"]), int(entry["head"]))
             if key in table:
                 raise InvalidParameter(f"transport for edge {key} given twice")
@@ -230,11 +236,12 @@ def system_from_json(k, data, loops=None, tol=DEFAULT_TOL):
         if loops is None:
             raise InvalidParameter(
                 "representation systems need a builtin surface (generator loops)")
-        images = {
-            name: np.asarray(mat, dtype=float)
-            for name, mat in data["representation"]["images"].items()
-        }
-        return from_representation(k, loops, images, tol)
+        images = data["representation"]
+        images = images.get("images") if isinstance(images, dict) else None
+        if not (isinstance(images, dict) and all(is_json_array(a, 2) for a in images.values())):
+            raise InvalidParameter("system 'representation' needs 'images' of matrices")
+        return from_representation(
+            k, loops, {name: np.asarray(a, dtype=float) for name, a in images.items()}, tol)
     raise InvalidParameter("system JSON needs 'transports' or 'representation'")
 
 

@@ -14,7 +14,7 @@ the same sense (the taming form is unchanged by the double negation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ModuliPoint:
     seed: int
     subdiv: int = 1
     attempts_used: int = 1
-    _built: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         names = _generator_names(self.g, self.k)
@@ -238,12 +237,9 @@ def _solve_last_bisect(g, k, images, target):
 
 def build_system(point):
     """Mesh, metric, loops and the adjoint flat system of a point."""
-    if "system" not in point._built:
-        k, h, loops = surface.genus_k(point.g, point.k, point.subdiv)
-        images = {name: su2_adjoint(q) for name, q in point.phi_images.items()}
-        f = localsys.from_representation(k, loops, images)
-        point._built["system"] = (k, h, loops, f)
-    return point._built["system"]
+    k, h, loops = surface.genus_k(point.g, point.k, point.subdiv)
+    images = {name: su2_adjoint(q) for name, q in point.phi_images.items()}
+    return k, h, loops, localsys.from_representation(k, loops, images)
 
 
 def tangent_space(point, tol=DEFAULT_TOL):

@@ -150,36 +150,6 @@ def rank(a, tol=DEFAULT_TOL, scale=None):
     return int(np.sum(s > tol.rank_tol * ref))
 
 
-def lsq_solve(a, m, b, tol=DEFAULT_TOL):
-    """Minimize ||A x - b|| in the inner product given by SPD `m`.
-
-    Solves the normal equations A^T M A x = A^T M b through a truncated
-    eigendecomposition, which picks the minimum-norm solution (x orthogonal
-    to ker A) when A has a nontrivial kernel.  `b` may be a vector or a
-    matrix of right-hand-side columns.
-    """
-    a = as_matrix(a, "A")
-    m = as_matrix(m, "M")
-    b = np.asarray(b, dtype=float)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    if m.shape != (a.shape[0], a.shape[0]) or b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"incompatible shapes A{a.shape}, M{m.shape}, b{b.shape}"
-        )
-    if a.shape[1] == 0:
-        x = np.zeros((0, b.shape[1]))
-        return x[:, 0] if vec else x
-    h = a.T @ m @ a
-    g = a.T @ m @ b
-    w, v = sym_eig(h, tol)
-    cut = tol.rank_tol * max(w[0], 0.0) if w.size else 0.0
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    x = v @ (inv[:, None] * (v.T @ g))
-    return x[:, 0] if vec else x
-
-
 def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
     """Return an M-orthonormal basis (B^T M B = I) for the column span of
     `basis`.

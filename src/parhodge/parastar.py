@@ -213,7 +213,7 @@ def disconnected_split(k, h, f, tol=DEFAULT_TOL):
 
     if union.dim_h1_par:
         # coordinates of the union basis in the concatenated one
-        x = numlin.lsq_solve(concat, np.eye(concat.shape[0]), union.u_basis, tol)
+        x = np.linalg.lstsq(concat, union.u_basis, rcond=None)[0]
         basis_residual = float(np.abs(concat @ x - union.u_basis).max())
         conj = np.linalg.solve(x, j_ds @ x) if x.shape[0] else np.zeros((0, 0))
         split_residual = float(np.abs(conj - union.j_par).max())
@@ -333,8 +333,7 @@ def determinism_check(k, h, f, rng=None, tol=DEFAULT_TOL):
     if base.dim_h1_par:
         pb = _cochain_pullback(k, k2, f, perm, n)
         pulled = pb @ relabeled.u_basis
-        x = numlin.lsq_solve(base.u_basis, np.eye(base.u_basis.shape[0]),
-                             pulled, tol)
+        x = np.linalg.lstsq(base.u_basis, pulled, rcond=None)[0]
         span_res = float(np.abs(base.u_basis @ x - pulled).max())
         conj_res = float(np.abs(base.j_par @ x - x @ relabeled.j_par).max())
     else:

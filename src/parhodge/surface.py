@@ -594,6 +594,14 @@ def perturbed_metric(k, h, rng, amplitude=0.1, max_tries=60):
     raise DegenerateMetric("could not perturb the metric; amplitude too large")
 
 
+def is_json_array(value, depth, kind=(int, float)):
+    """Whether `value` is a JSON list nested `depth` deep (a bare value at
+    depth 0) holding numbers of `kind`, never booleans, at the leaves."""
+    if depth == 0:
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, list) and all(is_json_array(x, depth - 1, kind) for x in value)
+
+
 def mesh_from_json(data):
     """Build (complex, metric) from the mesh JSON schema.
 
@@ -601,9 +609,15 @@ def mesh_from_json(data):
      "edge_lengths": [[i, j, length], ...] (optional)}; vertex coordinates
     imply edge lengths when explicit lengths are absent.
     """
-    if "triangles" not in data or "vertices" not in data:
+    if not isinstance(data, dict) or not {"triangles", "vertices"} <= data.keys():
         raise InvalidParameter("mesh JSON needs 'vertices' and 'triangles'")
     verts = data["vertices"]
+    if not (is_json_array(verts, 0, int) or is_json_array(verts, 2)):
+        raise InvalidParameter("mesh 'vertices' must be a count or a list of coordinates")
+    if not is_json_array(data["triangles"], 2, int):
+        raise InvalidParameter("mesh 'triangles' must be a list of vertex id lists")
+    if not is_json_array(data.get("edge_lengths", []), 2):
+        raise InvalidParameter("mesh 'edge_lengths' must be a list of [i, j, length]")
     if isinstance(verts, int):
         count, positions = verts, None
     else:

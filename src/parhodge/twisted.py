@@ -447,7 +447,7 @@ def _check_closed(k, f, u_basis, tol):
             raise NotClosed(f"basis columns are not closed (residual {res:.3e})")
 
 
-def cup_omega(k, f, u_basis, tol=DEFAULT_TOL, check_closed=True):
+def cup_omega(k, f, u_basis, tol=DEFAULT_TOL):
     """Skew pairing of closed one-cochains by the simplicial cup product
     summed over the fundamental cycle; never consults a metric.
 
@@ -457,8 +457,7 @@ def cup_omega(k, f, u_basis, tol=DEFAULT_TOL, check_closed=True):
     matches the Whitney wedge integral triangle by triangle.
     """
     u_basis = np.asarray(u_basis, dtype=float)
-    if check_closed:
-        _check_closed(k, f, u_basis, tol)
+    _check_closed(k, f, u_basis, tol)
     raw = _cup_raw(k, f, u_basis, u_basis)
     return 0.5 * (raw - raw.T)
 

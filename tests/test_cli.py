@@ -225,8 +225,17 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
      {"system": {"fiber_dim": 1, "transports": [{"tail": 0, "matrix": [[1.0]]}]}}),
     (["moduli", "--sample", "2", "0"], {}),
+    (["moduli", "--point", "{point}"], {"point": {"g": 1, "k": 1, "phi_images": [1, 2]}}),
+    (["star", "--mesh", "{mesh}"], {"mesh": 5}),
+    (["star", "--mesh", "{mesh}"], {"mesh": {"vertices": 3, "triangles": [5]}}),
+    (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
+     {"system": {"representation": {"images": [1]}}}),
+    (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
+     {"system": {"fiber_dim": 1, "transports": 5}}),
 ], ids=["unknown-refine-example", "point-without-g", "point-array",
-        "transport-without-head", "sample-without-boundary"])
+        "transport-without-head", "sample-without-boundary", "point-images-array",
+        "mesh-number", "mesh-triangle-number", "representation-images-array",
+        "transports-number"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, content in files.items():

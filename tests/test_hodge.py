@@ -18,7 +18,7 @@ def test_twisted_matrices_reduce_to_scalar_for_trivial_system():
     k, h, f, _ = build(surface.annulus, (5, 2), n=3)
     mc = hodge.metric_complex(k, h, f)
     sc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    for name in ("m0", "m1", "m2", "w1_twisted"):
+    for name in ("m1", "w1_twisted", "l0"):
         scalar = np.kron(getattr(sc, name), np.eye(3))
         assert np.abs(getattr(mc, name) - scalar).max() < 1e-12, name
 
@@ -37,9 +37,8 @@ def _reference_assembly(k, h, f):
     def blk(i, j):
         return np.s_[n * i:n * i + n, n * j:n * j + n]
 
-    m0 = np.zeros((n * k.n_vertices, n * k.n_vertices))
+    l0 = np.zeros((n * k.n_vertices, n * k.n_vertices))
     m1 = np.zeros((n * k.n_edges, n * k.n_edges))
-    m2 = np.zeros((n * k.n_triangles, n * k.n_triangles))
     w1 = np.zeros_like(m1)
     for ti, t in enumerate(k.triangles):
         side = np.array([h.lengths[k.edge_id(t[1], t[2])],
@@ -57,10 +56,9 @@ def _reference_assembly(k, h, f):
         ll = area * (np.ones((3, 3)) + np.eye(3)) / 12.0
         w = min(t)
         rho = {v: np.eye(n) if v == w else f.transports[k.edge_id(w, v)] for v in t}
-        m2[blk(ti, ti)] = np.eye(n) / area
         for i in range(3):
             for j in range(3):
-                m0[blk(t[i], t[j])] += ll[i, j] * (rho[t[i]].T @ rho[t[j]])
+                l0[blk(t[i], t[j])] += (area * g[i, j]) * (rho[t[i]].T @ rho[t[j]])
         edges = [(p, q) if t[p] < t[q] else (q, p) for p, q in ((0, 1), (0, 2), (1, 2))]
         for a, b in edges:
             for c, d in edges:
@@ -68,7 +66,7 @@ def _reference_assembly(k, h, f):
                 e, e2 = k.edge_id(t[a], t[b]), k.edge_id(t[c], t[d])
                 m1[blk(e, e2)] += whitney(ll, g, a, b, c, d) * pair
                 w1[blk(e, e2)] += whitney(ll_ref, wedge_e, a, b, c, d) * pair
-    return 0.5 * (m0 + m0.T), 0.5 * (m1 + m1.T), m2, 0.5 * (w1 - w1.T)
+    return 0.5 * (m1 + m1.T), 0.5 * (w1 - w1.T), 0.5 * (l0 + l0.T)
 
 
 @pytest.mark.parametrize("gen,args,n,trivial", [
@@ -81,26 +79,33 @@ def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
     h = surface.perturbed_metric(k, h, np.random.default_rng(41), amplitude=0.2)
     mc = hodge.metric_complex(k, h, f)
     ref = _reference_assembly(k, h, f)
-    for name, r in zip(("m0", "m1", "m2", "w1_twisted"), ref):
+    for name, r in zip(("m1", "w1_twisted", "l0"), ref):
         assert np.array_equal(getattr(mc, name), r), name
 
 
 def test_mass_matrices_spd_and_wedge_skew_twisted():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False)
     mc = hodge.metric_complex(k, h, f)
-    for m in (mc.m0, mc.m1, mc.m2):
-        assert np.linalg.eigvalsh(m)[0] > 0
+    assert np.linalg.eigvalsh(mc.m1)[0] > 0
     assert np.abs(mc.w1_twisted + mc.w1_twisted.T).max() == 0.0
 
 
-def test_d0t_m1_d0_is_laplacian_with_constant_kernel():
-    # the stiffness matrix that harmonic_representative's solve inverts
-    k, h, f, _ = build(surface.torus, (4,))
-    mc = hodge.metric_complex(k, h, f)
-    d0, _ = twisted.coboundaries(k, f)
-    lap = d0.T @ mc.m1 @ d0
-    assert numlin.rank(lap) == k.n_vertices - 1
-    assert np.abs(lap @ np.ones(k.n_vertices)).max() < 1e-9
+def test_l0_is_d0t_m1_d0_with_the_flat_sections_as_kernel():
+    # the cotan Laplacian that harmonic_representative's solve inverts
+    for gen, args, n, trivial in [(surface.genus_k, (1, 1, 2), 3, False),
+                                  (surface.genus_k, (0, 3, 1), 1, True),
+                                  (surface.sphere, (2,), 3, True)]:
+        k, h, f, _ = build(gen, args, n=n, trivial=trivial, seed=42)
+        h = surface.perturbed_metric(k, h, np.random.default_rng(43), amplitude=0.2)
+        mc = hodge.metric_complex(k, h, f)
+        d0, _ = twisted.coboundaries(k, f)
+        lap = d0.T @ mc.m1 @ d0
+        scale = np.abs(lap).max()
+        assert np.abs(mc.l0 - lap).max() <= 1e-13 * scale, args
+        flat = twisted.cohomology(k, f, 0).reps
+        assert flat.shape[1] == (0 if not trivial else n)
+        assert numlin.rank(mc.l0) == n * k.n_vertices - flat.shape[1], args
+        assert np.abs(mc.l0 @ flat).max(initial=0.0) < 1e-9 * scale, args
 
 
 def test_harmonic_dims_closed_and_bounded():
@@ -267,7 +272,7 @@ def _complement_route(mc):
     the n_E x n_E projectors."""
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative").dof_mask
-    _, _, m1_inv = numlin.spd_functions(mc.m1)
+    m1_inv = np.linalg.inv(mc.m1)
     both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, mc.m1),
                       numlin.orthonormalize(d0[:, vmask], mc.m1)])
     ccc = numlin.orthonormalize(
@@ -348,14 +353,14 @@ def test_gauge_invariance_of_metric_complex():
     a, b = hodge.harmonic_spaces(mc1), hodge.harmonic_spaces(mc2)
     assert (a.dim_n, a.dim_d) == (b.dim_n, b.dim_d)
     # M1 and W1 are conjugated by the block-orthogonal gauge on edge values
-    # (which live at the low vertex), M0 by the gauge on vertex values
+    # (which live at the low vertex), L0 by the gauge on vertex values
     n = 3
     blocks = np.zeros_like(mc1.m1)
     for ei, (u, v) in enumerate(k.edges):
         blocks[n * ei:n * ei + n, n * ei:n * ei + n] = gauges[u]
     assert np.abs(blocks @ mc1.m1 @ blocks.T - mc2.m1).max() < 1e-9
     assert np.abs(blocks @ mc1.w1_twisted @ blocks.T - mc2.w1_twisted).max() < 1e-9
-    vblocks = np.zeros_like(mc1.m0)
+    vblocks = np.zeros_like(mc1.l0)
     for v in range(k.vertex_count):
         vblocks[n * v:n * v + n, n * v:n * v + n] = gauges[v]
-    assert np.abs(vblocks @ mc1.m0 @ vblocks.T - mc2.m0).max() < 1e-9
+    assert np.abs(vblocks @ mc1.l0 @ vblocks.T - mc2.l0).max() < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parhodge import numlin
-from parhodge.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from parhodge.errors import NotPositiveDefinite, NotSymmetric
 from parhodge.numlin import Tolerance
 
 
@@ -106,39 +106,6 @@ def test_nullspace_random_rank():
     assert abs(np.linalg.det(n.T @ n) - 1.0) < 1e-8
 
 
-def test_lsq_identity_and_mean():
-    b = np.array([3.0, -1.0, 2.0])
-    x = numlin.lsq_solve(np.eye(3), np.eye(3), b)
-    assert np.allclose(x, b)
-    x = numlin.lsq_solve(np.array([[1.0], [1.0]]), np.eye(2), np.array([0.0, 2.0]))
-    assert np.allclose(x, [1.0])
-
-
-def test_lsq_normal_equation_residual_and_idempotence():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((12, 5))
-    c = rng.standard_normal((12, 12))
-    m = c.T @ c + np.eye(12)
-    b = rng.standard_normal(12)
-    x = numlin.lsq_solve(a, m, b)
-    assert np.abs(a.T @ m @ (a @ x - b)).max() < 1e-10
-    x2 = numlin.lsq_solve(a, m, a @ x)
-    assert np.abs(x2 - x).max() < 1e-9
-
-
-def test_lsq_minimum_norm_on_rank_deficient():
-    rng = np.random.default_rng(5)
-    a = np.hstack([np.ones((4, 1)), np.ones((4, 1))])  # ker = (1,-1)
-    b = rng.standard_normal(4)
-    x = numlin.lsq_solve(a, np.eye(4), b)
-    assert abs(x[0] - x[1]) < 1e-12  # orthogonal to the kernel
-
-
-def test_lsq_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        numlin.lsq_solve(np.eye(3), np.eye(2), np.zeros(3))
-
-
 def test_orthonormalize_m_inner_product():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((8, 3))
@@ -152,6 +119,4 @@ def test_empty_shapes_flow_through():
     w, v = numlin.sym_eig(np.zeros((0, 0)))
     assert w.shape == (0,) and v.shape == (0, 0)
     assert numlin.nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
-    x = numlin.lsq_solve(np.zeros((3, 0)), np.eye(3), np.zeros(3))
-    assert x.shape == (0,)
 

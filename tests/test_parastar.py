@@ -304,13 +304,17 @@ def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
     rng = np.random.default_rng(64)
     k, h, loops = surface.torus(12)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    svd_shapes, builds, twisted_solves = [], [], []
-    svd, cob = numlin._svd, twisted.coboundaries
+    svd_shapes, eig_shapes, builds, twisted_solves = [], [], [], []
+    svd, eig, cob = numlin._svd, numlin.sym_eig, twisted.coboundaries
     solve, lstsq = np.linalg.solve, np.linalg.lstsq
 
     def counting_svd(a, *args, **kwargs):
         svd_shapes.append(a.shape)
         return svd(a, *args, **kwargs)
+
+    def counting_eig(a, *args, **kwargs):
+        eig_shapes.append(np.shape(a))
+        return eig(a, *args, **kwargs)
 
     def counting_coboundaries(*args):
         builds.append(1)
@@ -324,12 +328,14 @@ def test_star_runs_no_large_svd_and_few_coboundary_builds(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(numlin, "_svd", counting_svd)
+    monkeypatch.setattr(numlin, "sym_eig", counting_eig)
     monkeypatch.setattr(twisted, "coboundaries", counting_coboundaries)
     monkeypatch.setattr(np.linalg, "solve", recording(solve))
     monkeypatch.setattr(np.linalg, "lstsq", recording(lstsq))
     rep = parastar.parabolic_star(k, h, f)
     assert rep.theorem_residuals_ok()
     assert svd_shapes and max(min(s) for s in svd_shapes) <= 100, svd_shapes
+    assert eig_shapes and max(max(s) for s in eig_shapes) <= 100, eig_shapes
     assert len(builds) <= 1
     assert max(max(s) for s in twisted_solves + [(0,)]) <= 100, twisted_solves
 

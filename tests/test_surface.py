@@ -134,7 +134,7 @@ def _reference_quadrature(f, order=40):
 def _whitney(k, h):
     """Scalar Whitney matrices: the assembly on the trivial line system."""
     mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    return mc.m0, mc.m1, mc.m2, mc.w1_twisted
+    return mc.m1, mc.w1_twisted, mc.l0
 
 
 def test_single_triangle_wedge_is_one_sixth():
@@ -144,7 +144,7 @@ def test_single_triangle_wedge_is_one_sixth():
     assert val == pytest.approx(1.0 / 6.0, abs=1e-4)
     k = surface.build(3, [(0, 1, 2)])
     h = surface.metric_from_lengths(k, np.ones(3))
-    _, _, _, w1 = _whitney(k, h)
+    _, w1, _ = _whitney(k, h)
     e01, e12, e02 = k.edge_id(0, 1), k.edge_id(1, 2), k.edge_id(0, 2)
     assert w1[e01, e12] == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert w1[e12, e01] == pytest.approx(-1.0 / 6.0, abs=1e-12)
@@ -153,23 +153,20 @@ def test_single_triangle_wedge_is_one_sixth():
 
 def test_w1_metric_free_and_skew():
     k, h, _ = surface.torus(4)
-    _, _, _, w1 = _whitney(k, h)
+    _, w1, _ = _whitney(k, h)
     h2 = surface.metric_from_lengths(k, 2.0 * h.lengths)
-    _, _, _, w1b = _whitney(k, h2)
+    _, w1b, _ = _whitney(k, h2)
     assert np.array_equal(w1, w1b)
     assert np.abs(w1 + w1.T).max() == 0.0
 
 
-def test_m0_row_sums_unit_right_triangle():
+def test_l0_is_the_p1_stiffness_of_the_unit_right_triangle():
     k = surface.build(3, [(0, 1, 2)])
-    h = surface.metric_from_lengths(
-        k, [1.0, np.sqrt(2.0), 1.0])  # edges (0,1), (0,2)? lexicographic
-    # edges sorted: (0,1), (0,2), (1,2); right angle chosen so area = 1/2
+    # edges sorted: (0,1), (0,2), (1,2); the right angle sits at vertex 0
     h = surface.metric_from_lengths(k, np.array([1.0, 1.0, np.sqrt(2.0)]))
-    m0, m1, m2, _ = _whitney(k, h)
-    area = 0.5
-    assert np.allclose(m0.sum(axis=1), area / 3)
-    assert m2[0, 0] == pytest.approx(1 / area)
+    m1, _, l0 = _whitney(k, h)
+    stiffness = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    assert np.abs(l0 - stiffness).max() < 1e-14
     w = np.linalg.eigvalsh(m1)
     assert w[0] > 0
 
@@ -178,7 +175,7 @@ def test_m1_quadrature_oracle_unit_right_triangle():
     # vertices at (0,0), (1,0), (0,1): w_01 = (1-y, x)... computed directly
     k = surface.build(3, [(0, 1, 2)])
     h = surface.metric_from_lengths(k, np.array([1.0, 1.0, np.sqrt(2.0)]))
-    _, m1, _, _ = _whitney(k, h)
+    m1, _, _ = _whitney(k, h)
 
     def lam(x, y):
         return np.array([1 - x - y, x, y])
@@ -201,7 +198,7 @@ def test_m1_spd_on_random_valid_metrics():
     k, h, _ = surface.annulus(5, 2)
     for _ in range(3):
         hp = surface.perturbed_metric(k, h, rng, amplitude=0.2)
-        _, m1, _, _ = _whitney(k, hp)
+        m1, _, _ = _whitney(k, hp)
         assert np.linalg.eigvalsh(m1)[0] > 0
 
 

@@ -290,11 +290,11 @@ def _dense_boundary_route(k, f, h1, h1_rel, tol=numlin.DEFAULT_TOL):
             "parabolic": par, "exactness_check": bool(same)}
 
 
-def _dense_parabolic_pairing(k, f, u, route, tol=numlin.DEFAULT_TOL):
+def _dense_parabolic_pairing(k, f, u, route):
     """Left lift by a least-squares primitive on the boundary graph."""
     d0, _ = twisted.coboundaries(k, f)
     d0b, rows = route["d0b"], route["rows"]
-    primitives = numlin.lsq_solve(d0b, np.eye(d0b.shape[0]), u[rows], tol)
+    primitives = np.linalg.lstsq(d0b, u[rows], rcond=None)[0]
     extend = np.zeros((d0.shape[1], u.shape[1]))
     extend[route["cols"]] = primitives
     raw = twisted._cup_raw(k, f, u - d0 @ extend, u)
