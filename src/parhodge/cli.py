@@ -224,12 +224,15 @@ def cmd_verify(args):
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     if args.refine:
+        if args.mesh or args.system:
+            raise ParhodgeError("--refine refines a builtin --example; it takes "
+                                "no --mesh or --system")
         levels = [int(x) for x in args.refine.split(",")]
         name = args.example or "torus"
         rows = []
         for m in levels:
             k, h, _ = _example(name, m)
-            f = localsys.trivial_system(k, 1)
+            f = localsys.trivial_system(k, args.fiber)
             mc = hodge.metric_complex(k, h, f, tol)
             diag = hodge.galerkin_diagnostics(mc)
             rows.append({"m": m, **{key: diag[key] for key in

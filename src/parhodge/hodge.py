@@ -18,13 +18,13 @@ between calls; the functions below build the coboundaries they need with
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
-interior support.  The harmonic spaces therefore represent absolute and
-relative cohomology exactly.  The middle space CcC of the three-way
-M1-orthogonal splitting of one-cochains is the closed and co-closed
-cochains: closed, and M1-orthogonal to the coboundaries of interior
-vertices.  Both harmonic flavors lie in it; the splitting and its middle
-refinements are verified empirically per mesh and reported rather than
-assumed.
+interior support, so the harmonic representatives of the tree-cotree
+classes represent absolute and relative cohomology exactly.  The middle
+space CcC of the three-way M1-orthogonal splitting of one-cochains is the
+closed and co-closed cochains: closed, and M1-orthogonal to the
+coboundaries of interior vertices.  Both harmonic flavors lie in it; the
+splitting and its middle refinements are verified empirically per mesh
+and reported rather than assumed.
 
 The Galerkin star J_h (weak form of the metric star on Whitney one-forms)
 is a diagnostic only: it is M1-skew but squares to -I only in the mesh
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin, surface, twisted
+from .errors import NoConvergence
 from .numlin import DEFAULT_TOL
 
 
@@ -144,50 +145,49 @@ class HarmonicSpaces:
 def harmonic_spaces(mc):
     """Harmonic one-cochains of both flavors and the space CcC holding them.
 
-    H_N is the M1-orthogonal complement of the exact cochains inside the
-    closed ones (so it represents degree-one cohomology exactly); H_D is the
-    analog for the closed cochains vanishing on boundary dofs (the relative
-    complex), embedded back into absolute coordinates.
-    CcC, the closed and co-closed cochains, is the complement inside the
-    closed ones of the relative exact cochains d0[:, interior vertices];
-    H_N is then the complement inside CcC of d0 of the boundary vertices.
+    H_N and H_D are the harmonic representatives of the absolute and
+    relative tree-cotree classes (H_D in absolute coordinates).  CcC is H_N
+    plus d0 Psi, Psi the discrete harmonic extensions of boundary-vertex
+    values (the relative harmonic representatives of d0 on the boundary
+    vertices); its kept count must equal dim H^1 + n #boundary vertices
+    - dim H^0 + dim H^0_rel, else NoConvergence.
     """
-    d0, d1 = twisted.coboundaries(mc.k, mc.f)
-    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
-                    for p in (0, 1))
-    tol = mc.tol
-    scale = float(np.abs(mc.m1).max())
-    kernel = numlin.nullspace_basis(d1, tol)
-    # M1-pairings of the closed cochains with d0 of each vertex; CcC
-    # annihilates the rows of interior vertices, H_N every row
-    pairing = d0.T @ (mc.m1 @ kernel)
-    c = numlin.nullspace_basis(pairing[vmask], tol, scale=scale)
-    ccc = numlin.orthonormalize(kernel @ c, mc.m1, tol)
-    c_n = c @ numlin.nullspace_basis(pairing[~vmask] @ c, tol, scale=scale)
-    h_n = numlin.orthonormalize(kernel @ c_n, mc.m1, tol)
-
-    m1_int = mc.m1[np.ix_(emask, emask)]
-    kernel_r = (kernel @ numlin.nullspace_basis(kernel[~emask], tol, scale=1.0))[emask]
-    coeffs_r = numlin.nullspace_basis(d0[np.ix_(emask, vmask)].T @ (m1_int @ kernel_r),
-                                      tol, scale=scale)
-    h_d_int = numlin.orthonormalize(kernel_r @ coeffs_r, m1_int, tol)
-    h_d = np.zeros((mc.m1.shape[0], h_d_int.shape[1]))
-    h_d[emask] = h_d_int
+    k, f, tol = mc.k, mc.f, mc.tol
+    h1 = twisted.cohomology(k, f, 1, "absolute", tol)
+    h1_rel = twisted.cohomology(k, f, 1, "relative", tol)
+    h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps), mc.m1, tol)
+    h_d = numlin.orthonormalize(
+        harmonic_representative(mc, h1_rel.reps, "relative"), mc.m1, tol)
+    vmask = twisted.cochain_space(k, f, 0, "relative").dof_mask
+    d0_boundary = twisted.coboundaries(k, f)[0][:, ~vmask]
+    ccc = numlin.orthonormalize(
+        np.hstack([h_n, harmonic_representative(mc, d0_boundary, "relative")]),
+        mc.m1, tol)
+    h0, h0_rel = (twisted.cohomology(k, f, 0, flavor, tol).dim
+                  for flavor in ("absolute", "relative"))
+    count = h1.dim + d0_boundary.shape[1] - h0 + h0_rel
+    if ccc.shape[1] != count:
+        raise NoConvergence(f"CcC: kept {ccc.shape[1]} cochains, but the exact "
+                            f"count is {count}")
     return HarmonicSpaces(h_n=h_n, h_d=h_d, ccc=ccc,
                           dim_n=h_n.shape[1], dim_d=h_d.shape[1])
 
 
-def harmonic_representative(mc, u):
+def harmonic_representative(mc, u, flavor="absolute"):
     """Harmonic field(s) representing the classes of closed cochains `u`:
-    subtract the M1-best coboundary approximation d0 a.
+    subtract the M1-best coboundary approximation d0 a, with a zero off
+    the flavor's vertex dofs, so a relative `u` stays relative.
 
-    a solves L0 a = d0^T M1 u.  The flat sections S span ker L0 = ker d0
-    and the right side is orthogonal to them, so (L0 + S S^T) a = d0^T M1 u
-    is SPD with the same solution orthogonal to S.
+    a solves L0 a = d0^T M1 u, both cut to those dofs.  The flavor's flat
+    sections S span the kernel and the right side is orthogonal to them,
+    so (L0 + S S^T) a = d0^T M1 u is SPD with the same solution.
     """
+    mask = twisted.cochain_space(mc.k, mc.f, 0, flavor).dof_mask
     d0, _ = twisted.coboundaries(mc.k, mc.f)
-    flat = twisted.cohomology(mc.k, mc.f, 0, tol=mc.tol).reps
-    a = np.linalg.solve(mc.l0 + flat @ flat.T, d0.T @ (mc.m1 @ u))
+    flat = twisted.cohomology(mc.k, mc.f, 0, flavor, mc.tol).reps[mask]
+    a = np.zeros((d0.shape[1],) + np.shape(u)[1:])
+    a[mask] = np.linalg.solve(mc.l0[np.ix_(mask, mask)] + flat @ flat.T,
+                              (d0.T @ (mc.m1 @ u))[mask])
     return u - d0 @ a
 
 

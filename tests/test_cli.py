@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from parhodge import _serialize, cli, localsys, surface
+from parhodge import _serialize, cli, hodge, localsys, surface, twisted
 
 
 def run(args):
@@ -198,6 +198,32 @@ def test_verify_refinement_table(tmp_path):
             assert r[key] <= 1e-9, (r["m"], key)
 
 
+def test_verify_refinement_honours_fiber(tmp_path, monkeypatch):
+    fibers = []
+    diagnostics = hodge.galerkin_diagnostics
+
+    def spy(mc):
+        fibers.append(mc.f.fiber_dim)
+        return diagnostics(mc)
+
+    monkeypatch.setattr(hodge, "galerkin_diagnostics", spy)
+    out = tmp_path / "refine.json"
+    code = run(["verify", "--example", "annulus", "--refine", "4,6", "--fiber", "3",
+                "--out", str(out)])
+    assert code == 0 and fibers == [3, 3]
+    rows = load_strict(out.read_text())["refinement"]
+    assert [r["m"] for r in rows] == [4, 6]
+    assert all(r["skew_residual"] < 1e-9 for r in rows)
+
+
+def test_degenerate_pairing_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(twisted, "parabolic_pairing",
+                        lambda k, f, u, tol: np.zeros((u.shape[1], u.shape[1])))
+    code = run(["star", "--example", "torus", "--m", "4"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ConditionFailed"), err
+
+
 def test_text_format_mirrors_fields(capsys):
     code = run(["star", "--example", "disk", "--m", "4", "--format", "text"])
     assert code == 0
@@ -220,6 +246,8 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, files", [
     (["verify", "--example", "foo", "--refine", "4"], {}),
+    (["verify", "--mesh", "{mesh}", "--refine", "4"], {"mesh": {}}),
+    (["verify", "--system", "{system}", "--refine", "4"], {"system": {}}),
     (["moduli", "--point", "{point}"], {"point": {"k": 3, "seed": 5}}),
     (["moduli", "--point", "{point}"], {"point": [0, 3]}),
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
@@ -232,8 +260,8 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
      {"system": {"representation": {"images": [1]}}}),
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
      {"system": {"fiber_dim": 1, "transports": 5}}),
-], ids=["unknown-refine-example", "point-without-g", "point-array",
-        "transport-without-head", "sample-without-boundary", "point-images-array",
+], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
+        "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
         "transports-number"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, files):
