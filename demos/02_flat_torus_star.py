@@ -62,7 +62,8 @@ def main():
     print("cup pairing of ([dx], [dy]):")
     print(np.round(omega, 12))
     from parhodge import compat
-    res = compat.compatible_complex_structure(basis.T @ mc.m1 @ basis, omega)
+    res = compat.compatible_complex_structure(
+        basis.T @ hodge.m1_apply(mc, basis), omega)
     print("operator matrix (expect [[0, -1], [1, 0]], i.e. [dx] -> [dy]):")
     print(np.round(res.j, 12))
 

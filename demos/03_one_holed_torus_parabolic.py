@@ -98,7 +98,8 @@ def main():
             hodge.harmonic_representative(mc, basis[:, 0]),
             hodge.harmonic_representative(mc, basis[:, 1]),
         ])
-        res = compat.compatible_complex_structure(harm.T @ mc.m1 @ harm, omega)
+        res = compat.compatible_complex_structure(
+            harm.T @ hodge.m1_apply(mc, harm), omega)
         err = np.abs(res.j - np.array([[0.0, -1.0], [1.0, 0.0]])).max()
         print(f"grid {mm:2d}: class pairing = {omega[0, 1]:.12f} "
               f"(intersection number), distance to the star = {err:.5f}")

@@ -1,20 +1,28 @@
 """Discrete metric structures on twisted cochains.
 
-`metric_complex` is the one assembly of the Whitney mass matrix M1, the
-wedge matrix W1 and the twisted cotan Laplacian L0 = d0^T M1 d0 (Pinkall &
-Polthier 1993); the scalar case is the trivial system in fiber dimension 1.
-Per triangle, cochain values are transported into the fiber at the
-triangle's lowest vertex, where the barycentric integrals pair the Whitney
-forms (M1, W1) and the hat-function gradients (L0).  All triangles are
-assembled at once from the triangle-edge table `SurfaceComplex.tri_edges`,
-the edge lengths and the transports, and every entry is summed over
-triangles in stored order.  Orthogonal transports preserve the fiber inner
-product, so for a trivial system the matrices reduce to the scalar ones
-tensored with the fiber identity.
+`metric_complex` is the one per-triangle computation of the metric: the
+local blocks of the Whitney mass matrix M1 and the twisted cotan Laplacian
+L0 = d0^T M1 d0 (Pinkall & Polthier 1993); the scalar case is the trivial
+system in fiber dimension 1.  Per triangle, cochain values are transported
+into the fiber at the triangle's lowest vertex, where the barycentric
+integrals pair the Whitney forms (M1, W1) and the hat-function gradients
+(L0).  All triangles are computed at once from the triangle-edge table
+`SurfaceComplex.tri_edges`, the edge lengths and the transports.
+Orthogonal transports preserve the fiber inner product, so for a trivial
+system the matrices reduce to the scalar ones tensored with the fiber
+identity.
 
-`MetricComplex` is a plain record of those matrices and keeps nothing
-between calls; the functions below build the coboundaries they need with
-`twisted.coboundaries`, and apply M1^{-1} and L0^{-1} by solves.
+`MetricComplex` is a plain record of L0 and the local blocks and keeps
+nothing between calls.  `m1_apply` applies M1 per triangle (gather the
+three edge values by `tri_edges`, multiply by the local block, scatter
+back) and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and d0^T
+edgewise, so a harmonic representative and its Gram matrix form no
+n_E-sized matrix.  The dense M1 and the wedge matrix W1 are scattered from
+the same blocks, every entry summed over triangles in stored order, by
+`mass_matrix` and `wedge_matrix`.  Only the Galerkin diagnostics, the
+decomposition that `verify` reports and `parastar.ambient_route_diagnostic`
+form them, once per entry point, and pass them down; they apply M1^{-1} by
+solves.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -47,9 +55,12 @@ class MetricComplex:
     k: object
     h: object
     f: object
-    m1: np.ndarray
-    w1_twisted: np.ndarray
-    l0: np.ndarray
+    l0: np.ndarray  # twisted cotan Laplacian, dense n n_V square
+    # (n_T, 3, 3, n, n) over the table edges of each triangle: the local M1
+    # blocks, and the products rho_a^T rho_b of the transports that carry
+    # the edge values into the fiber at w0
+    m1_blocks: np.ndarray
+    pairs: np.ndarray
     tol: object = DEFAULT_TOL
 
 
@@ -86,10 +97,10 @@ _WEDGE = _whitney_pairs(_lambda_products(0.5), _WEDGE_E)
 
 
 def metric_complex(k, h, f, tol=DEFAULT_TOL):
-    """Assemble the twisted mass, wedge and cotan Laplacian matrices for
+    """The local M1 blocks and the assembled cotan Laplacian L0 for
     (complex, metric, system), all triangles at once."""
     n = f.fiber_dim
-    nv, ne, nt = k.n_vertices, k.n_edges, k.n_triangles
+    nv, nt = k.n_vertices, k.n_triangles
     te = k.tri_edges
     tris = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
     verts = np.sort(tris, axis=1)
@@ -106,7 +117,6 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     a2 = (area * area)[:, None, None]
     g = np.where(np.eye(3, dtype=bool), sq[:, :, None] / (4.0 * a2),
                  -(sq[:, :, None] + sq[:, None, :] - third) / (8.0 * a2))
-    ll = _lambda_products(area)
     # pullbacks rho_i of the vertex fibers into the fiber at w0, and the
     # products rho_i^T rho_j; an edge cochain's value lives at its low vertex
     rho = np.empty((nt, 3, n, n))
@@ -116,21 +126,57 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
 
     # np.add.at adds in index order, so each entry sums its triangles in
-    # stored order
-    rows, cols = te[:, :, None], te[:, None, :]
+    # stored order; symmetrized in place, as L0 is the largest matrix of a
+    # star report
     l0 = np.zeros((n * nv, n * nv))
     np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]),
               (area[:, None, None] * g)[..., None, None] * pair)
-    m1 = np.zeros((n * ne, n * ne))
-    np.add.at(twisted._blocks(m1, n), (rows, cols),
-              _whitney_pairs(ll, g)[..., None, None] * pair_e)
-    w1 = np.zeros((n * ne, n * ne))
-    np.add.at(twisted._blocks(w1, n), (rows, cols),
-              (k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * pair_e)
-    l0 = 0.5 * (l0 + l0.T)
-    m1 = 0.5 * (m1 + m1.T)
-    w1 = 0.5 * (w1 - w1.T)
-    return MetricComplex(k=k, h=h, f=f, m1=m1, w1_twisted=w1, l0=l0, tol=tol)
+    l0 += l0.T
+    l0 *= 0.5
+    m1_blocks = _whitney_pairs(_lambda_products(area), g)[..., None, None] * pair_e
+    return MetricComplex(k=k, h=h, f=f, l0=l0, m1_blocks=m1_blocks, pairs=pair_e,
+                         tol=tol)
+
+
+def m1_apply(mc, u):
+    """M1 @ u per triangle, for a one-cochain or columns of them: gather the
+    values on each triangle's table edges, apply its local block, scatter
+    the results back."""
+    n, te = mc.f.fiber_dim, mc.k.tri_edges
+    nt, cols = len(te), int(np.prod(np.shape(u)[1:]))
+    x = np.reshape(u, (mc.k.n_edges, n, cols))
+    # each local block as one 3n x 3n matrix on the (edge, fiber) values
+    local = mc.m1_blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 3 * n, 3 * n)
+    out = np.zeros(x.shape)
+    np.add.at(out, te, (local @ x[te].reshape(nt, 3 * n, cols)).reshape(nt, 3, n, cols))
+    return out.reshape(np.shape(u))
+
+
+def _scatter(mc, local):
+    """Dense n n_E square matrix of per-triangle blocks over the table
+    edges; np.add.at sums each entry's triangles in stored order."""
+    n, te = mc.f.fiber_dim, mc.k.tri_edges
+    out = np.zeros((n * mc.k.n_edges, n * mc.k.n_edges))
+    np.add.at(twisted._blocks(out, n), (te[:, :, None], te[:, None, :]), local)
+    return out
+
+
+def mass_matrix(mc):
+    """The dense Whitney mass matrix M1, for the Galerkin diagnostics and
+    the decomposition only; the star path applies it with `m1_apply`."""
+    m1 = _scatter(mc, mc.m1_blocks)
+    m1 += m1.T
+    m1 *= 0.5
+    return m1
+
+
+def wedge_matrix(mc):
+    """The dense wedge matrix W1 (metric-free), for the Galerkin star."""
+    w1 = _scatter(mc, (mc.k.sorted_sign[:, None, None] * _WEDGE)[..., None, None]
+                  * mc.pairs)
+    w1 -= w1.T
+    w1 *= 0.5
+    return w1
 
 
 @dataclass
@@ -142,30 +188,31 @@ class HarmonicSpaces:
     dim_d: int
 
 
-def harmonic_spaces(mc):
-    """Harmonic one-cochains of both flavors and the space CcC holding them.
+def harmonic_spaces(mc, m1):
+    """Harmonic one-cochains of both flavors and the space CcC holding them,
+    M1-orthonormal in the dense M1 `m1` of the caller.
 
     H_N and H_D are the harmonic representatives of the absolute and
     relative tree-cotree classes (H_D in absolute coordinates).  CcC is H_N
     plus d0 Psi, Psi the discrete harmonic extensions of boundary-vertex
     values (the relative harmonic representatives of d0 on the boundary
-    vertices); its kept count must equal dim H^1 + n #boundary vertices
-    - dim H^0 + dim H^0_rel, else NoConvergence.
+    vertices, solved with the relative classes); its kept count must equal
+    dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel, else
+    NoConvergence.
     """
     k, f, tol = mc.k, mc.f, mc.tol
-    h1 = twisted.cohomology(k, f, 1, "absolute", tol)
-    h1_rel = twisted.cohomology(k, f, 1, "relative", tol)
-    h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps), mc.m1, tol)
-    h_d = numlin.orthonormalize(
-        harmonic_representative(mc, h1_rel.reps, "relative"), mc.m1, tol)
-    vmask = twisted.cochain_space(k, f, 0, "relative").dof_mask
-    d0_boundary = twisted.coboundaries(k, f)[0][:, ~vmask]
-    ccc = numlin.orthonormalize(
-        np.hstack([h_n, harmonic_representative(mc, d0_boundary, "relative")]),
-        mc.m1, tol)
-    h0, h0_rel = (twisted.cohomology(k, f, 0, flavor, tol).dim
-                  for flavor in ("absolute", "relative"))
-    count = h1.dim + d0_boundary.shape[1] - h0 + h0_rel
+    h0, h0_rel, h1, h1_rel = (twisted.cohomology(k, f, degree, flavor, tol)
+                              for degree in (0, 1) for flavor in ("absolute", "relative"))
+    h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h0), m1, tol)
+    # d0 of the unit 0-cochains on the boundary-vertex dofs, edgewise
+    boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative").dof_mask)
+    unit = np.zeros((f.fiber_dim * k.vertex_count, boundary.size))
+    unit[boundary, np.arange(boundary.size)] = 1.0
+    rel = harmonic_representative(
+        mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h0_rel)
+    h_d = numlin.orthonormalize(rel[:, :h1_rel.dim], m1, tol)
+    ccc = numlin.orthonormalize(np.hstack([h_n, rel[:, h1_rel.dim:]]), m1, tol)
+    count = h1.dim + boundary.size - h0.dim + h0_rel.dim
     if ccc.shape[1] != count:
         raise NoConvergence(f"CcC: kept {ccc.shape[1]} cochains, but the exact "
                             f"count is {count}")
@@ -173,22 +220,29 @@ def harmonic_spaces(mc):
                           dim_n=h_n.shape[1], dim_d=h_d.shape[1])
 
 
-def harmonic_representative(mc, u, flavor="absolute"):
+def harmonic_representative(mc, u, h0=None):
     """Harmonic field(s) representing the classes of closed cochains `u`:
     subtract the M1-best coboundary approximation d0 a, with a zero off
-    the flavor's vertex dofs, so a relative `u` stays relative.
+    the vertex dofs of the flavor of `h0`, so a relative `u` stays
+    relative.  `h0` is that flavor's degree-0 `twisted.cohomology`; the
+    absolute one is computed when it is not given.
 
-    a solves L0 a = d0^T M1 u, both cut to those dofs.  The flavor's flat
-    sections S span the kernel and the right side is orthogonal to them,
-    so (L0 + S S^T) a = d0^T M1 u is SPD with the same solution.
+    a solves L0 a = d0^T M1 u, both cut to those dofs, with M1 applied per
+    triangle and d0, d0^T edgewise.  The flat sections S of `h0` span the
+    kernel and the right side is orthogonal to them, so
+    (L0 + S S^T) a = d0^T M1 u is SPD with the same solution.
     """
-    mask = twisted.cochain_space(mc.k, mc.f, 0, flavor).dof_mask
-    d0, _ = twisted.coboundaries(mc.k, mc.f)
-    flat = twisted.cohomology(mc.k, mc.f, 0, flavor, mc.tol).reps[mask]
-    a = np.zeros((d0.shape[1],) + np.shape(u)[1:])
-    a[mask] = np.linalg.solve(mc.l0[np.ix_(mask, mask)] + flat @ flat.T,
-                              (d0.T @ (mc.m1 @ u))[mask])
-    return u - d0 @ a
+    k, f = mc.k, mc.f
+    if h0 is None:
+        h0 = twisted.cohomology(k, f, 0, "absolute", mc.tol)
+    mask = twisted.cochain_space(k, f, 0, h0.flavor).dof_mask
+    flat = h0.reps[mask]
+    cols = u if np.ndim(u) == 2 else np.reshape(u, (-1, 1))
+    lap = mc.l0[np.ix_(mask, mask)]
+    lap += flat @ flat.T
+    a = np.zeros((mask.size, cols.shape[1]))
+    a[mask] = np.linalg.solve(lap, twisted._d0_adjoint(k, f, m1_apply(mc, cols))[mask])
+    return (cols - twisted._d0_apply(k, f, a)).reshape(np.shape(u))
 
 
 def _span_dim_intersection(a, b, tol):
@@ -211,48 +265,49 @@ def hodge_decomposition(mc):
     and the dimension identities with the intersections of the exact and
     co-exact images with CcC.
     """
+    m1 = mass_matrix(mc)
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
                     for p in (0, 1))
     tol = mc.tol
-    harm = harmonic_spaces(mc)
+    harm = harmonic_spaces(mc, m1)
     ccc = harm.ccc
-    ce_n = numlin.orthonormalize(np.linalg.solve(mc.m1, d1.T), mc.m1, tol)
-    e_d = numlin.orthonormalize(d0[:, vmask], mc.m1, tol)
+    ce_n = numlin.orthonormalize(np.linalg.solve(m1, d1.T), m1, tol)
+    e_d = numlin.orthonormalize(d0[:, vmask], m1, tol)
 
     def m_residual(x, y):
         if x.size == 0 or y.size == 0:
             return 0.0
-        return float(np.abs(x.T @ mc.m1 @ y).max())
+        return float(np.abs(x.T @ m1 @ y).max())
 
     def contained(x, space):
         if x.size == 0:
             return 0.0
-        proj = space @ (space.T @ mc.m1 @ x)
+        proj = space @ (space.T @ m1 @ x)
         return float(np.abs(proj - x).max())
 
     exact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(d0, mc.m1, tol), ccc, tol)
+        numlin.orthonormalize(d0, m1, tol), ccc, tol)
     # stand-in for the unconstrained codifferential image: the span of the
     # relative codifferential M1_int^{-1} d1_rel^T M2, embedded into
     # absolute coordinates; M2 is a positive diagonal and drops out
-    coexact = np.zeros((mc.m1.shape[0], d1.shape[0]))
-    coexact[emask] = np.linalg.solve(mc.m1[np.ix_(emask, emask)], d1[:, emask].T)
+    coexact = np.zeros((m1.shape[0], d1.shape[0]))
+    coexact[emask] = np.linalg.solve(m1[np.ix_(emask, emask)], d1[:, emask].T)
     coexact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(coexact, mc.m1, tol), ccc, tol)
+        numlin.orthonormalize(coexact, m1, tol), ccc, tol)
     report = {
         "dims": {
             "cE_N": ce_n.shape[1],
             "E_D": e_d.shape[1],
             "CcC": ccc.shape[1],
-            "total": mc.m1.shape[0],
+            "total": m1.shape[0],
         },
         "orthogonality": {
             "cE_N_vs_E_D": m_residual(ce_n, e_d),
             "cE_N_vs_CcC": m_residual(ce_n, ccc),
             "E_D_vs_CcC": m_residual(e_d, ccc),
         },
-        "dim_sum_ok": ce_n.shape[1] + e_d.shape[1] + ccc.shape[1] == mc.m1.shape[0],
+        "dim_sum_ok": ce_n.shape[1] + e_d.shape[1] + ccc.shape[1] == m1.shape[0],
         "refinement_report": {
             "H_N_in_CcC_residual": contained(harm.h_n, ccc),
             "H_D_in_CcC_residual": contained(harm.h_d, ccc),
@@ -269,34 +324,40 @@ def hodge_decomposition(mc):
     return {"cE_N": ce_n, "E_D": e_d, "CcC": ccc, "report": report}
 
 
-def galerkin_star(mc):
-    """Weak (Galerkin) form of the metric star on twisted one-cochains.
+def galerkin_star(m1, w1):
+    """Weak (Galerkin) form of the metric star on twisted one-cochains,
+    from the dense M1 and W1.
 
     Defined by (J_h u, v)_M1 = integral of B(u wedge v), i.e.
     J_h = M1^{-1} W1^T; it is M1-skew exactly and squares to -I only
     approximately, improving under refinement.
     """
-    return np.linalg.solve(mc.m1, mc.w1_twisted.T)
+    return np.linalg.solve(m1, w1.T)
 
 
 def galerkin_diagnostics(mc):
-    """Convergence diagnostics of the Galerkin star: deviation of its square
-    from -I on CcC, the principal angle between J_h(H_N) and H_D, and the
-    projector-intertwining residual || P_N J_h - J_h P_D || on CcC.  J_h
-    and the M1-orthogonal projections P = B B^T M1 act on CcC's columns
-    only."""
+    """Convergence diagnostics of the Galerkin star (`galerkin_residuals`);
+    forms the dense M1 and W1 once."""
+    m1 = mass_matrix(mc)
+    jh = galerkin_star(m1, wedge_matrix(mc))
+    return galerkin_residuals(m1, jh, harmonic_spaces(mc, m1), mc.tol)
+
+
+def galerkin_residuals(m1, jh, harm, tol=DEFAULT_TOL):
+    """Deviation of the square of the Galerkin star `jh` from -I on CcC,
+    the principal angle between J_h(H_N) and H_D, and the
+    projector-intertwining residual || P_N J_h - J_h P_D || on CcC, for the
+    harmonic spaces `harm`.  J_h and the M1-orthogonal projections
+    P = B B^T M1 act on CcC's columns only."""
     from . import compat
 
-    jh = galerkin_star(mc)
-    harm = harmonic_spaces(mc)
     ccc = harm.ccc
     j_ccc = jh @ ccc
-    p_n_j = harm.h_n @ (harm.h_n.T @ (mc.m1 @ j_ccc))
-    p_d = harm.h_d @ (harm.h_d.T @ (mc.m1 @ ccc))
+    p_n_j = harm.h_n @ (harm.h_n.T @ (m1 @ j_ccc))
+    p_d = harm.h_d @ (harm.h_d.T @ (m1 @ ccc))
     return {
-        "skew_residual": float(np.abs(jh.T @ mc.m1 + mc.m1 @ jh).max()),
+        "skew_residual": float(np.abs(jh.T @ m1 + m1 @ jh).max()),
         "jsq_on_ccc": float(np.linalg.norm(jh @ j_ccc + ccc, 2)),
-        "angle_j_hn_vs_hd": compat.subspace_angle(
-            jh @ harm.h_n, harm.h_d, mc.m1, mc.tol),
+        "angle_j_hn_vs_hd": compat.subspace_angle(jh @ harm.h_n, harm.h_d, m1, tol),
         "p38_residual": float(np.linalg.norm(p_n_j - jh @ p_d, 2)),
     }

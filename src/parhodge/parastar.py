@@ -130,7 +130,7 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL):
 
     mc = hodge.metric_complex(k, h, f, tol)
     u_basis = hodge.harmonic_representative(mc, class_reps)
-    m_u = u_basis.T @ mc.m1 @ u_basis
+    m_u = u_basis.T @ hodge.m1_apply(mc, u_basis)
     m_u = 0.5 * (m_u + m_u.T)
     # class-level pairing: metric-free, identical for any representatives
     omega_u = twisted.parabolic_pairing(k, f, class_reps, tol)
@@ -225,26 +225,27 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     orthogonal complement of T = im(projection H_N -> H_D), the two
     projections have equal rank, no nonzero element of T is orthogonal to
     U = im(P_N), and U agrees with the span of the harmonic parabolic
-    representatives.  Approximate numbers: the Galerkin-star residuals
-    (`galerkin_diagnostics` computes the harmonic spaces and J_h again).
+    representatives.  Approximate numbers: the Galerkin-star residuals.
+    The dense M1 and W1, J_h and the harmonic spaces are formed once.
     """
     mc = hodge.metric_complex(k, h, f, tol)
-    harm = hodge.harmonic_spaces(mc)
-    out = compat.subspace_transfer(mc.m1, harm.h_n, harm.h_d, tol)
+    m1 = hodge.mass_matrix(mc)
+    harm = hodge.harmonic_spaces(mc, m1)
+    out = compat.subspace_transfer(m1, harm.h_n, harm.h_d, tol)
     u_amb, t_amb = out["U_basis"], out["T_basis"]
 
     lemma34 = True
     if u_amb.shape[1] and t_amb.shape[1]:
-        cross = u_amb.T @ mc.m1 @ t_amb
+        cross = u_amb.T @ m1 @ t_amb
         lemma34 = numlin.nullspace_basis(cross, tol, scale=1.0).shape[1] == 0
 
     rp = twisted.restriction_and_parabolic(k, f, tol)
     par_harm = hodge.harmonic_representative(mc, rp["parabolic_basis"].reps)
-    angle = compat.subspace_angle(u_amb, par_harm, mc.m1, tol)
+    angle = compat.subspace_angle(u_amb, par_harm, m1, tol)
     same_dim = numlin.rank(par_harm, tol) == u_amb.shape[1]
 
-    gal = hodge.galerkin_diagnostics(mc)
-    jh = hodge.galerkin_star(mc)
+    jh = hodge.galerkin_star(m1, hodge.wedge_matrix(mc))
+    gal = hodge.galerkin_residuals(m1, jh, harm, tol)
     return {
         "kernel_check": out["kernel_check"],
         "rank_equal": out["rank_equal"],
@@ -252,7 +253,7 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         "span_agrees_with_parabolic": bool(same_dim),
         "span_angle": angle,
         "p38_residual": gal["p38_residual"],
-        "angle_j_u_vs_t": compat.subspace_angle(jh @ u_amb, t_amb, mc.m1, tol),
+        "angle_j_u_vs_t": compat.subspace_angle(jh @ u_amb, t_amb, m1, tol),
         "jsq_on_ccc": gal["jsq_on_ccc"],
     }
 

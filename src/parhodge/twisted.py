@@ -104,6 +104,9 @@ class CohomologyBasis:
     flavor: str
     reps: np.ndarray  # columns are cocycles in absolute coordinates
     dim: int
+    # degree 1: the tree walk, exact cocycles and loop-edge dofs the classes
+    # were cut from (`_class_coordinates` reuses the absolute ones)
+    gauge: tuple | None = None
 
 
 def interior_edge_mask(k):
@@ -170,7 +173,7 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         reps = numlin.nullspace_basis(d1[:, edofs].T, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
-    loose, _, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
+    loose, walk, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
     if degree == 0:
         return CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
 
@@ -185,7 +188,8 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
             f"{flavor} H^1: kept {keep.shape[1]} classes, but the tree-cotree "
             f"count is {z.shape[1]} - {exact.shape[1]}")
     reps = z @ keep
-    return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1])
+    return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1],
+                           gauge=(walk, exact, dofs))
 
 
 def _tree_and_flat_sections(k, f, flavor, tol):
@@ -341,6 +345,18 @@ def _d0_apply(k, f, a):
     return out.reshape(n * k.n_edges, cols)
 
 
+def _d0_adjoint(k, f, w):
+    """d0^T @ w edgewise, for 1-cochain columns w: each edge u -> v sends
+    P^T w to v and -w to u."""
+    n, cols = f.fiber_dim, w.shape[1]
+    ends = np.array(k.edges, dtype=int).reshape(-1, 2)
+    x = w.reshape(k.n_edges, n, cols)
+    out = np.zeros((k.vertex_count, n, cols))
+    np.add.at(out, ends[:, 1], np.einsum("eji,ejr->eir", f.transports, x))
+    np.add.at(out, ends[:, 0], -x)
+    return out.reshape(n * k.vertex_count, cols)
+
+
 def _step(k, f, w, tail, ei):
     """(T, s) such that a primitive a of the 1-cochain columns w (d0 a = w,
     shaped (edges, n, columns)) obeys a(head) = T a(tail) + s across edge
@@ -351,19 +367,25 @@ def _step(k, f, w, tail, ei):
 
 def _class_coordinates(k, f, basis, u, tol):
     """Coordinates of the classes of closed columns `u` in those of the
-    closed columns `basis`, which must be independent modulo exact ones.
+    absolute `CohomologyBasis` `basis`, whose columns must be closed and
+    independent modulo exact ones.
 
     One walk along the absolute spanning tree subtracts from each column
     the d0 a, a zero at the roots, that makes it vanish on the tree; that
     leaves a tree-cotree cocycle in the same class, fixed by its values on
     the loop edges.  There the exact cocycles are the free-root defects,
     and a least-squares solve against [basis, exact] gives the coordinates.
+    The walk is the one that cut `basis` when it carries its `gauge`; any
+    other basis gets a walk of its own.
     """
-    n, nb = f.fiber_dim, basis.shape[1]
+    if basis.gauge is None:
+        loose, walk, _, exact = _tree_and_flat_sections(k, f, "absolute", tol)
+        dofs = _expand(_cotree(k, loose)[2], f.fiber_dim)
+    else:
+        walk, exact, dofs = basis.gauge
+    n, nb = f.fiber_dim, basis.dim
     cols = nb + u.shape[1]
-    loose, walk, _, exact = _tree_and_flat_sections(k, f, "absolute", tol)
-    dofs = _expand(_cotree(k, loose)[2], n)
-    w = np.hstack([basis, u]).reshape(k.n_edges, n, cols)
+    w = np.hstack([basis.reps, u]).reshape(k.n_edges, n, cols)
     a = np.zeros((k.vertex_count, n, cols))
     for child, up, ei in walk:
         t, s = _step(k, f, w, up, ei)
@@ -420,7 +442,7 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
 
-    image_coeffs = _class_coordinates(k, f, h1.reps, h1_rel.reps, tol)
+    image_coeffs = _class_coordinates(k, f, h1, h1_rel.reps, tol)
     image_dim = numlin.rank(image_coeffs, tol, scale=1.0)
     same = (par_coeffs.shape[1] == image_dim) and (
         numlin.rank(np.hstack([par_coeffs, image_coeffs]), tol, scale=1.0) == image_dim

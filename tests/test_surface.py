@@ -134,7 +134,7 @@ def _reference_quadrature(f, order=40):
 def _whitney(k, h):
     """Scalar Whitney matrices: the assembly on the trivial line system."""
     mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    return mc.m1, mc.w1_twisted, mc.l0
+    return hodge.mass_matrix(mc), hodge.wedge_matrix(mc), mc.l0
 
 
 def test_single_triangle_wedge_is_one_sixth():

@@ -139,7 +139,7 @@ def test_cup_matches_whitney_wedge_route():
             continue
         mc = hodge.metric_complex(k, h, f)
         omega_cup = twisted.cup_omega(k, f, h1.reps)
-        omega_wedge = h1.reps.T @ mc.w1_twisted @ h1.reps
+        omega_wedge = h1.reps.T @ hodge.wedge_matrix(mc) @ h1.reps
         assert np.abs(omega_cup - omega_wedge).max() < 1e-9
 
 
@@ -361,6 +361,27 @@ def test_tree_cotree_matches_dense_oracle():
                 assert numlin.rank(both, scale=1.0) == got.dim, case
                 gram = reps.T @ reps - np.eye(got.dim)
                 assert np.abs(gram).max(initial=0) < 1e-9, case
+
+
+def test_restriction_and_parabolic_walks_each_flavor_once(monkeypatch):
+    # the class coordinates reuse the absolute walk that cut the H^1 basis
+    rng = np.random.default_rng(66)
+    k, h, loops = surface.genus_k(1, 1, 2)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    counts = dict.fromkeys(("_tree_and_flat_sections", "_cotree"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(twisted, name, counting(name, getattr(twisted, name)))
+    rp = twisted.restriction_and_parabolic(k, f)
+    assert rp["exactness_check"] and rp["parabolic_basis"].dim == 2
+    # one spanning tree and one cotree per flavor
+    assert counts == {"_tree_and_flat_sections": 2, "_cotree": 2}
 
 
 def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
