@@ -126,13 +126,11 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
 
     # np.add.at adds in index order, so each entry sums its triangles in
-    # stored order; symmetrized in place, as L0 is the largest matrix of a
-    # star report
+    # stored order; g and the products rho_i^T rho_j are bitwise symmetric,
+    # so L0 is too
     l0 = np.zeros((n * nv, n * nv))
     np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]),
               (area[:, None, None] * g)[..., None, None] * pair)
-    l0 += l0.T
-    l0 *= 0.5
     m1_blocks = _whitney_pairs(_lambda_products(area), g)[..., None, None] * pair_e
     return MetricComplex(k=k, h=h, f=f, l0=l0, m1_blocks=m1_blocks, pairs=pair_e,
                          tol=tol)
@@ -193,7 +191,8 @@ def harmonic_spaces(mc, m1):
     M1-orthonormal in the dense M1 `m1` of the caller.
 
     H_N and H_D are the harmonic representatives of the absolute and
-    relative tree-cotree classes (H_D in absolute coordinates).  CcC is H_N
+    relative tree-cotree classes (H_D in absolute coordinates), solved with
+    the flat sections of the walks that cut them.  CcC is H_N
     plus d0 Psi, Psi the discrete harmonic extensions of boundary-vertex
     values (the relative harmonic representatives of d0 on the boundary
     vertices, solved with the relative classes); its kept count must equal
@@ -201,18 +200,18 @@ def harmonic_spaces(mc, m1):
     NoConvergence.
     """
     k, f, tol = mc.k, mc.f, mc.tol
-    h0, h0_rel, h1, h1_rel = (twisted.cohomology(k, f, degree, flavor, tol)
-                              for degree in (0, 1) for flavor in ("absolute", "relative"))
-    h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h0), m1, tol)
+    h1, h1_rel = (twisted.cohomology(k, f, 1, flavor, tol)
+                  for flavor in ("absolute", "relative"))
+    h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h1.h0), m1, tol)
     # d0 of the unit 0-cochains on the boundary-vertex dofs, edgewise
     boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative").dof_mask)
     unit = np.zeros((f.fiber_dim * k.vertex_count, boundary.size))
     unit[boundary, np.arange(boundary.size)] = 1.0
     rel = harmonic_representative(
-        mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h0_rel)
+        mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h1_rel.h0)
     h_d = numlin.orthonormalize(rel[:, :h1_rel.dim], m1, tol)
     ccc = numlin.orthonormalize(np.hstack([h_n, rel[:, h1_rel.dim:]]), m1, tol)
-    count = h1.dim + boundary.size - h0.dim + h0_rel.dim
+    count = h1.dim + boundary.size - h1.h0.dim + h1_rel.h0.dim
     if ccc.shape[1] != count:
         raise NoConvergence(f"CcC: kept {ccc.shape[1]} cochains, but the exact "
                             f"count is {count}")
@@ -224,8 +223,9 @@ def harmonic_representative(mc, u, h0=None):
     """Harmonic field(s) representing the classes of closed cochains `u`:
     subtract the M1-best coboundary approximation d0 a, with a zero off
     the vertex dofs of the flavor of `h0`, so a relative `u` stays
-    relative.  `h0` is that flavor's degree-0 `twisted.cohomology`; the
-    absolute one is computed when it is not given.
+    relative.  `h0` is that flavor's degree-0 `twisted.cohomology`, which
+    a degree-1 basis carries as its `h0`; the absolute one is computed when
+    it is not given.
 
     a solves L0 a = d0^T M1 u, both cut to those dofs, with M1 applied per
     triangle and d0, d0^T edgewise.  The flat sections S of `h0` span the

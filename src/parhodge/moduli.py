@@ -253,8 +253,8 @@ def tangent_space(point, tol=DEFAULT_TOL):
     rp = twisted.restriction_and_parabolic(k, f, tol)
     reps = rp["parabolic_basis"].reps
     omega = twisted.parabolic_pairing(k, f, reps, tol) if reps.size else np.zeros((0, 0))
-    h0 = twisted.cohomology(k, f, 0, "absolute", tol)
-    return _tangent(point, rp["h1"].dim, omega, h0.dim > 0, rp["exactness_check"], tol)
+    return _tangent(point, rp["h1"].dim, omega, rp["h1"].h0.dim > 0,
+                    rp["exactness_check"], tol)
 
 
 def _tangent(point, dim_h1, omega, reducible, exactness, tol):

@@ -129,7 +129,7 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL):
         )
 
     mc = hodge.metric_complex(k, h, f, tol)
-    u_basis = hodge.harmonic_representative(mc, class_reps)
+    u_basis = hodge.harmonic_representative(mc, class_reps, rp["h1"].h0)
     m_u = u_basis.T @ hodge.m1_apply(mc, u_basis)
     m_u = 0.5 * (m_u + m_u.T)
     # class-level pairing: metric-free, identical for any representatives
@@ -240,7 +240,8 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         lemma34 = numlin.nullspace_basis(cross, tol, scale=1.0).shape[1] == 0
 
     rp = twisted.restriction_and_parabolic(k, f, tol)
-    par_harm = hodge.harmonic_representative(mc, rp["parabolic_basis"].reps)
+    par_harm = hodge.harmonic_representative(mc, rp["parabolic_basis"].reps,
+                                              rp["h1"].h0)
     angle = compat.subspace_angle(u_amb, par_harm, m1, tol)
     same_dim = numlin.rank(par_harm, tol) == u_amb.shape[1]
 

@@ -310,13 +310,6 @@ def _torus_grid(m):
     """Oriented triangles, edge lengths and seam words of the m x m grid."""
     vid = lambda i, j: (i % m) * m + (j % m)
     tris, lengths, words = [], {}, {}
-
-    def add_edge(u, v, length, word):
-        key = (u, v) if u < v else (v, u)
-        if key not in lengths:
-            lengths[key] = length
-            words[key] = word if u < v else _invert(word)
-
     for i in range(m):
         for j in range(m):
             v00, v10 = vid(i, j), vid(i + 1, j)
@@ -325,16 +318,26 @@ def _torus_grid(m):
             tris.append((v00, v11, v01))
             wa = _word(("a1", 1)) if i == m - 1 else ()
             wb = _word(("b1", 1)) if j == m - 1 else ()
-            add_edge(v00, v10, 1.0 / m, wa)
-            add_edge(v00, v01, 1.0 / m, wb)
+            lengths.setdefault(_add_word(words, v00, v10, wa), 1.0 / m)
+            lengths.setdefault(_add_word(words, v00, v01, wb), 1.0 / m)
             # crossing both seams: the corner triangle (v00,v10,v11) pins
             # the diagonal word to a then b
-            add_edge(v00, v11, np.sqrt(2.0) / m, _word(*wa, *wb))
+            lengths.setdefault(_add_word(words, v00, v11, _word(*wa, *wb)),
+                               np.sqrt(2.0) / m)
     return tris, lengths, words
 
 
 def _invert(word):
     return tuple((n, -e) for n, e in reversed(word))
+
+
+def _add_word(words, u, v, word):
+    """Record `word`, read along u -> v, as the word of the canonical edge
+    unless it has one already; returns the edge's (low, high) key."""
+    key = (u, v) if u < v else (v, u)
+    if key not in words:
+        words[key] = word if u < v else _invert(word)
+    return key
 
 
 def _length_array(k, lengths):
@@ -357,11 +360,6 @@ def annulus(m, n):
         th = 2.0 * np.pi * (i % m) / m
         return np.array([r * np.cos(th), r * np.sin(th)])
 
-    def add_word(u, v, word):
-        key = (u, v) if u < v else (v, u)
-        if key not in words:
-            words[key] = word if u < v else _invert(word)
-
     for i in range(m):
         for j in range(n):
             v00, v10 = vid(i, j), vid(i + 1, j)
@@ -369,11 +367,11 @@ def annulus(m, n):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
             w = _word(("c1", 1)) if i == m - 1 else ()
-            add_word(v00, v10, w)
-            add_word(v00, v01, ())
-            add_word(v00, v11, w)
-            add_word(v10, v11, ())
-            add_word(v01, v11, w if i == m - 1 else ())
+            _add_word(words, v00, v10, w)
+            _add_word(words, v00, v01, ())
+            _add_word(words, v00, v11, w)
+            _add_word(words, v10, v11, ())
+            _add_word(words, v01, v11, w if i == m - 1 else ())
 
     complex_ = build(m * (n + 1), tris)
     positions = np.array([pos(v % m, v // m) for v in range(m * (n + 1))])
@@ -388,7 +386,7 @@ def annulus(m, n):
         base_vertex=0,
         loops=[("c1", c1), ("c2", c2)],
         relation=_word(("c1", 1), ("c2", 1)),
-        edge_words=_index_words(complex_, {e: w for e, w in words.items() if w}),
+        edge_words=_index_words(complex_, words),
     )
     return complex_, metric, loops
 
@@ -521,11 +519,6 @@ def _punctured_rectangle(k, subdiv):
 
     tris, words = [], {}
 
-    def add_word(u, v, word):
-        key = (u, v) if u < v else (v, u)
-        if key not in words:
-            words[key] = word if u < v else _invert(word)
-
     for i in range(width):
         for j in range(height):
             v00, v10 = vid(i, j), vid(i + 1, j)
@@ -545,11 +538,11 @@ def _punctured_rectangle(k, subdiv):
                 limit = hole_row[i] if not diagonal else hole_row[i] - 1
                 return _word((letter, 1)) if row <= limit else ()
 
-            add_word(v00, v10, crossing(j))
-            add_word(v00, v11, crossing(j, diagonal=True))
-            add_word(v00, v01, ())
-            add_word(v10, v11, ())
-            add_word(v01, v11, crossing(j + 1))
+            _add_word(words, v00, v10, crossing(j))
+            _add_word(words, v00, v11, crossing(j, diagonal=True))
+            _add_word(words, v00, v01, ())
+            _add_word(words, v10, v11, ())
+            _add_word(words, v01, v11, crossing(j + 1))
 
     complex_ = build((width + 1) * (height + 1), tris)
     spacing = 1.0 / height
@@ -576,7 +569,7 @@ def _punctured_rectangle(k, subdiv):
         base_vertex=base,
         loops=loop_list,
         relation=_word(*[("c%d" % (j + 1), 1) for j in range(k)]),
-        edge_words=_index_words(complex_, {e: w for e, w in words.items() if w}),
+        edge_words=_index_words(complex_, words),
     )
     return complex_, metric, loops
 
@@ -616,8 +609,12 @@ def mesh_from_json(data):
         raise InvalidParameter("mesh 'vertices' must be a count or a list of coordinates")
     if not is_json_array(data["triangles"], 2, int):
         raise InvalidParameter("mesh 'triangles' must be a list of vertex id lists")
-    if not is_json_array(data.get("edge_lengths", []), 2):
-        raise InvalidParameter("mesh 'edge_lengths' must be a list of [i, j, length]")
+    entries = data.get("edge_lengths", [])
+    if not (is_json_array(entries, 1, list) and all(
+            len(e) == 3 and is_json_array(e[:2], 1, int) and is_json_array(e[2], 0)
+            for e in entries)):
+        raise InvalidParameter("mesh 'edge_lengths' must be a list of [i, j, length] "
+                               "with integer vertex ids")
     if isinstance(verts, int):
         count, positions = verts, None
     else:
@@ -629,10 +626,12 @@ def mesh_from_json(data):
     if "edge_lengths" in data:
         lengths = np.zeros(k.n_edges)
         seen = np.zeros(k.n_edges, dtype=bool)
-        for i, j, length in data["edge_lengths"]:
-            key = (int(i), int(j)) if i < j else (int(j), int(i))
+        for i, j, length in entries:
+            key = (i, j) if i < j else (j, i)
             if key not in k.edge_index:
                 raise InvalidParameter(f"edge_lengths entry {key} is not an edge")
+            if seen[k.edge_index[key]]:
+                raise InvalidParameter(f"edge_lengths entry {key} given twice")
             lengths[k.edge_index[key]] = float(length)
             seen[k.edge_index[key]] = True
         if not seen.all():

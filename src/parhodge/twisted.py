@@ -105,8 +105,10 @@ class CohomologyBasis:
     reps: np.ndarray  # columns are cocycles in absolute coordinates
     dim: int
     # degree 1: the tree walk, exact cocycles and loop-edge dofs the classes
-    # were cut from (`_class_coordinates` reuses the absolute ones)
+    # were cut from (`_class_coordinates` reads the absolute ones), and the
+    # degree-0 basis of the same flavor from the same walk
     gauge: tuple | None = None
+    h0: CohomologyBasis | None = None
 
 
 def interior_edge_mask(k):
@@ -160,8 +162,9 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
 
     Degrees 0 and 1 come from the tree-cotree elimination (module
     docstring): degree 1 gives tree-cotree cocycles, closed and
-    orthonormal in class coordinates; degree 0 gives Euclidean-orthonormal
-    flat sections.  Degree 2 comes from a dense SVD of the transposed d1.
+    orthonormal in class coordinates, and carries as `h0` the degree-0
+    basis of the same walk; degree 0 gives Euclidean-orthonormal flat
+    sections.  Degree 2 comes from a dense SVD of the transposed d1.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
@@ -174,8 +177,9 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
     loose, walk, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
+    h0 = CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
     if degree == 0:
-        return CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
+        return h0
 
     order, parent, loops = _cotree(k, loose)
     z = _cocycles_off_tree(k, f, order, parent, loops, tol)
@@ -189,7 +193,7 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
             f"count is {z.shape[1]} - {exact.shape[1]}")
     reps = z @ keep
     return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1],
-                           gauge=(walk, exact, dofs))
+                           gauge=(walk, exact, dofs), h0=h0)
 
 
 def _tree_and_flat_sections(k, f, flavor, tol):
@@ -365,7 +369,7 @@ def _step(k, f, w, tail, ei):
     return (p.T, p.T @ w[ei]) if tail == k.edges[ei][0] else (p, -w[ei])
 
 
-def _class_coordinates(k, f, basis, u, tol):
+def _class_coordinates(k, f, basis, u):
     """Coordinates of the classes of closed columns `u` in those of the
     absolute `CohomologyBasis` `basis`, whose columns must be closed and
     independent modulo exact ones.
@@ -375,14 +379,9 @@ def _class_coordinates(k, f, basis, u, tol):
     leaves a tree-cotree cocycle in the same class, fixed by its values on
     the loop edges.  There the exact cocycles are the free-root defects,
     and a least-squares solve against [basis, exact] gives the coordinates.
-    The walk is the one that cut `basis` when it carries its `gauge`; any
-    other basis gets a walk of its own.
+    The walk is the one that cut `basis`, read from its `gauge`.
     """
-    if basis.gauge is None:
-        loose, walk, _, exact = _tree_and_flat_sections(k, f, "absolute", tol)
-        dofs = _expand(_cotree(k, loose)[2], f.fiber_dim)
-    else:
-        walk, exact, dofs = basis.gauge
+    walk, exact, dofs = basis.gauge
     n, nb = f.fiber_dim, basis.dim
     cols = nb + u.shape[1]
     w = np.hstack([basis.reps, u]).reshape(k.n_edges, n, cols)
@@ -433,8 +432,8 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
     the boundary, whose values in each cycle's H^1 = coker(1 - rho_j) come
     from one walk around it (`_boundary_walk`).  `exactness_check` confirms
     that the kernel is the image of the relative cohomology by comparing
-    class coordinates (`_class_coordinates`), so any closed bases of H^1
-    and H^1_rel serve.
+    class coordinates (`_class_coordinates`, along the walk that cut H^1),
+    so any closed basis of H^1_rel serves.
     """
     h1 = cohomology(k, f, 1, "absolute", tol)
     h1_rel = cohomology(k, f, 1, "relative", tol)
@@ -442,7 +441,7 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
 
-    image_coeffs = _class_coordinates(k, f, h1, h1_rel.reps, tol)
+    image_coeffs = _class_coordinates(k, f, h1, h1_rel.reps)
     image_dim = numlin.rank(image_coeffs, tol, scale=1.0)
     same = (par_coeffs.shape[1] == image_dim) and (
         numlin.rank(np.hstack([par_coeffs, image_coeffs]), tol, scale=1.0) == image_dim
@@ -513,4 +512,5 @@ def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
 def euler_characteristic_dims(k, f, tol=DEFAULT_TOL):
     """Absolute Betti numbers (deg 0..2); their alternating sum equals the
     fiber dimension times the Euler characteristic for any flat system."""
-    return [cohomology(k, f, p, "absolute", tol).dim for p in (0, 1, 2)]
+    h1 = cohomology(k, f, 1, "absolute", tol)
+    return [h1.h0.dim, h1.dim, cohomology(k, f, 2, "absolute", tol).dim]

@@ -244,6 +244,10 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
     assert code == 0
 
 
+def _triangle(edge_lengths):
+    return {"vertices": 3, "triangles": [[0, 1, 2]], "edge_lengths": edge_lengths}
+
+
 @pytest.mark.parametrize("argv, files", [
     (["verify", "--example", "foo", "--refine", "4"], {}),
     (["verify", "--mesh", "{mesh}", "--refine", "4"], {"mesh": {}}),
@@ -260,10 +264,16 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
      {"system": {"representation": {"images": [1]}}}),
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
      {"system": {"fiber_dim": 1, "transports": 5}}),
+    (["star", "--mesh", "{mesh}"],
+     {"mesh": _triangle([[0.6, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]])}),
+    (["star", "--mesh", "{mesh}"],
+     {"mesh": _triangle([[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0], [0, 1, 1.01]])}),
+    (["star", "--mesh", "{mesh}"], {"mesh": _triangle([[0, 1], [0, 2, 1.0], [1, 2, 1.0]])}),
 ], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
         "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
-        "transports-number"])
+        "transports-number", "edge-length-fractional-id", "edge-length-twice",
+        "edge-length-short-row"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, files):
     paths = {}
     for name, content in files.items():

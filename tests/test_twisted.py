@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parhodge import cli, hodge, localsys, numlin, parastar, surface, twisted
+from parhodge import cli, hodge, localsys, moduli, numlin, parastar, surface, twisted
 from parhodge.errors import NotClosed
 
 from conftest import torus_grid_cochain, union_with_metric_and_system
@@ -363,25 +363,55 @@ def test_tree_cotree_matches_dense_oracle():
                 assert np.abs(gram).max(initial=0) < 1e-9, case
 
 
-def test_restriction_and_parabolic_walks_each_flavor_once(monkeypatch):
-    # the class coordinates reuse the absolute walk that cut the H^1 basis
-    rng = np.random.default_rng(66)
+def _entry_point(name):
+    """Run one entry point on a one-holed torus with an SO(3) system, or on
+    a (1, 1) moduli point; each checks enough of its result to show it ran."""
+    if name in ("tangent_space", "moduli_acs"):
+        out = getattr(moduli, name)(moduli.sample_point(1, 1, [3.0], seed=7))
+        assert (out if name == "tangent_space" else out["tangent"])["dim_H1_par"] == 2
+        return
     k, h, loops = surface.genus_k(1, 1, 2)
-    f = localsys.random_flat_system(k, loops, 3, rng)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(66))
+    if name == "restriction_and_parabolic":
+        rp = twisted.restriction_and_parabolic(k, f)
+        assert rp["exactness_check"] and rp["parabolic_basis"].dim == 2
+    elif name == "parabolic_star":
+        assert parastar.parabolic_star(k, h, f).dim_h1_par == 2
+    elif name == "harmonic_spaces":
+        mc = hodge.metric_complex(k, h, f)
+        assert hodge.harmonic_spaces(mc, hodge.mass_matrix(mc)).dim_n == 3
+    else:
+        assert twisted.euler_characteristic_dims(k, f) == [0, 3, 0]
+
+
+# (spanning trees, cotrees) walked per call
+_WALKS = {
+    "restriction_and_parabolic": (2, 2),
+    "parabolic_star": (2, 2),
+    "tangent_space": (2, 2),
+    # plus its own H^0 check, which must raise before the star report runs
+    "moduli_acs": (3, 2),
+    "harmonic_spaces": (2, 2),
+    "euler_characteristic_dims": (1, 1),
+}
+
+
+@pytest.mark.parametrize("name", _WALKS)
+def test_entry_points_walk_each_flavor_once(monkeypatch, name):
+    # a degree-1 basis carries its walk (for the class coordinates) and its
+    # flat sections (for the harmonic solve), so nothing walks a flavor again
     counts = dict.fromkeys(("_tree_and_flat_sections", "_cotree"), 0)
 
-    def counting(name, fn):
+    def counting(fn_name, fn):
         def wrapped(*args):
-            counts[name] += 1
+            counts[fn_name] += 1
             return fn(*args)
         return wrapped
 
-    for name in counts:
-        monkeypatch.setattr(twisted, name, counting(name, getattr(twisted, name)))
-    rp = twisted.restriction_and_parabolic(k, f)
-    assert rp["exactness_check"] and rp["parabolic_basis"].dim == 2
-    # one spanning tree and one cotree per flavor
-    assert counts == {"_tree_and_flat_sections": 2, "_cotree": 2}
+    for fn_name in counts:
+        monkeypatch.setattr(twisted, fn_name, counting(fn_name, getattr(twisted, fn_name)))
+    _entry_point(name)
+    assert (counts["_tree_and_flat_sections"], counts["_cotree"]) == _WALKS[name]
 
 
 def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
@@ -390,7 +420,19 @@ def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
     systems = [(k, h, localsys.random_flat_system(k, loops, 3, rng))
                for k, h, loops in cases]
     reports = [parastar.parabolic_star(*c) for c in systems]
-    monkeypatch.setattr(twisted, "cohomology", _dense_cohomology)
+    cohomology = twisted.cohomology
+
+    def oracle(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
+        # dense classes, with the walk and the flat sections of the real
+        # degree-1 basis, which the class coordinates and the harmonic
+        # solve read
+        basis = _dense_cohomology(k, f, degree, flavor, tol)
+        if degree == 1:
+            real = cohomology(k, f, degree, flavor, tol)
+            basis.gauge, basis.h0 = real.gauge, real.h0
+        return basis
+
+    monkeypatch.setattr(twisted, "cohomology", oracle)
     for (k, h, f), rep in zip(systems, reports):
         dense = parastar.parabolic_star(k, h, f)
         assert dense.dim_h1_par == rep.dim_h1_par > 0
