@@ -258,8 +258,10 @@ def subspace_transfer(q, n_basis, d_basis, tol=DEFAULT_TOL):
 
     # projections of the source vectors can at most keep their norms, so
     # that norm is the honest scale for deciding whether an image vanishes
-    u_basis = numlin.orthonormalize(n_b @ p_n, q, tol, scale=norm_scale(d_b))
-    t_basis = numlin.orthonormalize(d_b @ p_d, q, tol, scale=norm_scale(n_b))
+    u_basis = numlin.orthonormalize(n_b @ p_n, q.__matmul__, tol,
+                                    scale=norm_scale(d_b))
+    t_basis = numlin.orthonormalize(d_b @ p_d, q.__matmul__, tol,
+                                    scale=norm_scale(n_b))
 
     ker_pn = numlin.nullspace_basis(n_b @ p_n, tol, scale=norm_scale(d_b))
     # Q-orthogonal complement of T inside span(D), in D coordinates
@@ -287,7 +289,8 @@ def _same_span(a, b, q=None, tol=DEFAULT_TOL):
 
 def subspace_angle(a, b, q, tol=DEFAULT_TOL):
     """Largest principal angle (radians) between the column spans of a, b
-    in the Q-inner product; for unequal dimensions, the angle of the
+    in the Q-inner product, Q applied by `q` (columns x -> Q x, as in
+    `numlin.orthonormalize`); for unequal dimensions, the angle of the
     smaller span against the larger.  Computed through the sine (projection
     residual), which stays accurate near zero.  Empty spans give 0."""
     oa = numlin.orthonormalize(a, q, tol)
@@ -296,8 +299,8 @@ def subspace_angle(a, b, q, tol=DEFAULT_TOL):
         return 0.0
     if ob.shape[1] < oa.shape[1]:
         oa, ob = ob, oa
-    resid = oa - ob @ (ob.T @ q @ oa)
-    gram = resid.T @ q @ resid
+    resid = oa - ob @ (ob.T @ q(oa))
+    gram = resid.T @ q(resid)
     w, _ = numlin.sym_eig(0.5 * (gram + gram.T), tol)
     smax = np.sqrt(max(float(w[0]), 0.0)) if w.size else 0.0
     return float(np.arcsin(np.clip(smax, 0.0, 1.0)))

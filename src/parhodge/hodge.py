@@ -15,14 +15,13 @@ identity.
 `MetricComplex` is a plain record of L0 and the local blocks and keeps
 nothing between calls.  `m1_apply` applies M1 per triangle (gather the
 three edge values by `tri_edges`, multiply by the local block, scatter
-back) and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and d0^T
-edgewise, so a harmonic representative and its Gram matrix form no
-n_E-sized matrix.  The dense M1 and the wedge matrix W1 are scattered from
-the same blocks, every entry summed over triangles in stored order, by
-`mass_matrix` and `wedge_matrix`.  Only the Galerkin diagnostics, the
-decomposition that `verify` reports and `parastar.ambient_route_diagnostic`
-form them, once per entry point, and pass them down; they apply M1^{-1} by
-solves.
+back), `galerkin_apply` applies W1^T the same way from the metric-free
+wedge blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
+d0^T edgewise, so harmonic representatives, their Gram matrices and the
+Galerkin diagnostics form no n_E-sized matrix.  The dense M1 is scattered
+from the same blocks, every entry summed over triangles in stored order,
+by `mass_matrix`; only the decomposition that `verify` reports and the
+projection route of `parastar.ambient_route_diagnostic` form it.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -34,13 +33,16 @@ coboundaries of interior vertices.  Both harmonic flavors lie in it; the
 splitting and its middle refinements are verified empirically per mesh
 and reported rather than assumed.
 
-The Galerkin star J_h (weak form of the metric star on Whitney one-forms)
-is a diagnostic only: it is M1-skew but squares to -I only in the mesh
-limit, and nothing downstream depends on it.
+The Galerkin star J_h = M1^{-1} W1^T (weak form of the metric star on
+Whitney one-forms) is a diagnostic only: it is M1-skew but squares to -I
+only in the mesh limit, and nothing downstream depends on it.
+`galerkin_apply` applies it to the few columns the diagnostics read, by
+block-Jacobi preconditioned CG on M1 (`numlin.pcg`); J_h is never formed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,18 +138,50 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
                          tol=tol)
 
 
-def m1_apply(mc, u):
-    """M1 @ u per triangle, for a one-cochain or columns of them: gather the
-    values on each triangle's table edges, apply its local block, scatter
-    the results back."""
+def _triangle_apply(mc, blocks, u):
+    """Sum over triangles of the local (3, 3, n, n) `blocks` over the table
+    edges applied to u, a one-cochain or columns of them: gather the values
+    on each triangle's table edges, apply its block, scatter the results
+    back; np.add.at sums each edge's triangles in stored order."""
     n, te = mc.f.fiber_dim, mc.k.tri_edges
     nt, cols = len(te), int(np.prod(np.shape(u)[1:]))
     x = np.reshape(u, (mc.k.n_edges, n, cols))
     # each local block as one 3n x 3n matrix on the (edge, fiber) values
-    local = mc.m1_blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 3 * n, 3 * n)
+    local = blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 3 * n, 3 * n)
     out = np.zeros(x.shape)
     np.add.at(out, te, (local @ x[te].reshape(nt, 3 * n, cols)).reshape(nt, 3, n, cols))
     return out.reshape(np.shape(u))
+
+
+def m1_apply(mc, u):
+    """M1 @ u per triangle, for a one-cochain or columns of them."""
+    return _triangle_apply(mc, mc.m1_blocks, u)
+
+
+def galerkin_apply(mc, x):
+    """J_h x = M1^{-1} W1^T x, the Galerkin star of a one-cochain or of
+    columns of them, with no n_E-sized matrix.
+
+    W1^T is applied per triangle from the metric-free wedge blocks
+    sorted_sign * _WEDGE * pairs (transposed), and M1 y = W1^T x is solved
+    by `numlin.pcg` with `m1_apply` and the n x n diagonal blocks of M1 per
+    edge as a block-Jacobi preconditioner.  A mass matrix is spectrally
+    equivalent to its diagonal on shape-regular meshes (Wathen 1987), so
+    the iteration count does not grow under refinement.
+    """
+    n, ne = mc.f.fiber_dim, mc.k.n_edges
+    wedge = (mc.k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * mc.pairs
+    rhs = np.reshape(_triangle_apply(mc, wedge.transpose(0, 2, 1, 4, 3), x),
+                     (n * ne, int(np.prod(np.shape(x)[1:]))))
+    diag = np.zeros((ne, n, n))
+    np.add.at(diag, mc.k.tri_edges, mc.m1_blocks[:, [0, 1, 2], [0, 1, 2]])
+    diag_inv = np.linalg.inv(diag)
+
+    def precond(r):
+        return (diag_inv @ r.reshape(ne, n, -1)).reshape(r.shape)
+
+    y = numlin.pcg(functools.partial(m1_apply, mc), rhs, precond)
+    return y.reshape(np.shape(x))
 
 
 def _scatter(mc, local):
@@ -160,21 +194,14 @@ def _scatter(mc, local):
 
 
 def mass_matrix(mc):
-    """The dense Whitney mass matrix M1, for the Galerkin diagnostics and
-    the decomposition only; the star path applies it with `m1_apply`."""
+    """The dense Whitney mass matrix M1, for the decomposition that
+    `verify` reports and the projection route of
+    `parastar.ambient_route_diagnostic` only; everything else applies it
+    with `m1_apply`."""
     m1 = _scatter(mc, mc.m1_blocks)
     m1 += m1.T
     m1 *= 0.5
     return m1
-
-
-def wedge_matrix(mc):
-    """The dense wedge matrix W1 (metric-free), for the Galerkin star."""
-    w1 = _scatter(mc, (mc.k.sorted_sign[:, None, None] * _WEDGE)[..., None, None]
-                  * mc.pairs)
-    w1 -= w1.T
-    w1 *= 0.5
-    return w1
 
 
 @dataclass
@@ -186,22 +213,26 @@ class HarmonicSpaces:
     dim_d: int
 
 
-def harmonic_spaces(mc, m1):
+def harmonic_spaces(mc, h1=None, h1_rel=None):
     """Harmonic one-cochains of both flavors and the space CcC holding them,
-    M1-orthonormal in the dense M1 `m1` of the caller.
+    M1-orthonormal, with every Gram matrix taken through `m1_apply`.
 
     H_N and H_D are the harmonic representatives of the absolute and
-    relative tree-cotree classes (H_D in absolute coordinates), solved with
-    the flat sections of the walks that cut them.  CcC is H_N
-    plus d0 Psi, Psi the discrete harmonic extensions of boundary-vertex
-    values (the relative harmonic representatives of d0 on the boundary
-    vertices, solved with the relative classes); its kept count must equal
-    dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel, else
-    NoConvergence.
+    relative tree-cotree classes `h1` and `h1_rel` (degree-1
+    `twisted.cohomology` bases, cut here when not given; H_D in absolute
+    coordinates), solved with the flat sections of the walks that cut
+    them.  CcC is H_N plus d0 Psi, Psi the discrete harmonic extensions of
+    boundary-vertex values (the relative harmonic representatives of d0 on
+    the boundary vertices, solved with the relative classes); its kept
+    count must equal dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel,
+    else NoConvergence.
     """
     k, f, tol = mc.k, mc.f, mc.tol
-    h1, h1_rel = (twisted.cohomology(k, f, 1, flavor, tol)
-                  for flavor in ("absolute", "relative"))
+    if h1 is None:
+        h1 = twisted.cohomology(k, f, 1, "absolute", tol)
+    if h1_rel is None:
+        h1_rel = twisted.cohomology(k, f, 1, "relative", tol)
+    m1 = functools.partial(m1_apply, mc)
     h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h1.h0), m1, tol)
     # d0 of the unit 0-cochains on the boundary-vertex dofs, edgewise
     boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative").dof_mask)
@@ -238,8 +269,10 @@ def harmonic_representative(mc, u, h0=None):
     mask = twisted.cochain_space(k, f, 0, h0.flavor).dof_mask
     flat = h0.reps[mask]
     cols = u if np.ndim(u) == 2 else np.reshape(u, (-1, 1))
-    lap = mc.l0[np.ix_(mask, mask)]
-    lap += flat @ flat.T
+    # addition commutes bitwise, so adding L0 to S S^T copies L0 only
+    # where the relative flavor cuts it
+    lap = flat @ flat.T
+    lap += mc.l0 if mask.all() else mc.l0[np.ix_(mask, mask)]
     a = np.zeros((mask.size, cols.shape[1]))
     a[mask] = np.linalg.solve(lap, twisted._d0_adjoint(k, f, m1_apply(mc, cols))[mask])
     return (cols - twisted._d0_apply(k, f, a)).reshape(np.shape(u))
@@ -270,10 +303,11 @@ def hodge_decomposition(mc):
     vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
                     for p in (0, 1))
     tol = mc.tol
-    harm = harmonic_spaces(mc, m1)
+    harm = harmonic_spaces(mc)
     ccc = harm.ccc
-    ce_n = numlin.orthonormalize(np.linalg.solve(m1, d1.T), m1, tol)
-    e_d = numlin.orthonormalize(d0[:, vmask], m1, tol)
+    m1_mul = m1.__matmul__
+    ce_n = numlin.orthonormalize(np.linalg.solve(m1, d1.T), m1_mul, tol)
+    e_d = numlin.orthonormalize(d0[:, vmask], m1_mul, tol)
 
     def m_residual(x, y):
         if x.size == 0 or y.size == 0:
@@ -287,14 +321,14 @@ def hodge_decomposition(mc):
         return float(np.abs(proj - x).max())
 
     exact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(d0, m1, tol), ccc, tol)
+        numlin.orthonormalize(d0, m1_mul, tol), ccc, tol)
     # stand-in for the unconstrained codifferential image: the span of the
     # relative codifferential M1_int^{-1} d1_rel^T M2, embedded into
     # absolute coordinates; M2 is a positive diagonal and drops out
     coexact = np.zeros((m1.shape[0], d1.shape[0]))
     coexact[emask] = np.linalg.solve(m1[np.ix_(emask, emask)], d1[:, emask].T)
     coexact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(coexact, m1, tol), ccc, tol)
+        numlin.orthonormalize(coexact, m1_mul, tol), ccc, tol)
     report = {
         "dims": {
             "cE_N": ce_n.shape[1],
@@ -324,40 +358,36 @@ def hodge_decomposition(mc):
     return {"cE_N": ce_n, "E_D": e_d, "CcC": ccc, "report": report}
 
 
-def galerkin_star(m1, w1):
-    """Weak (Galerkin) form of the metric star on twisted one-cochains,
-    from the dense M1 and W1.
-
-    Defined by (J_h u, v)_M1 = integral of B(u wedge v), i.e.
-    J_h = M1^{-1} W1^T; it is M1-skew exactly and squares to -I only
-    approximately, improving under refinement.
-    """
-    return np.linalg.solve(m1, w1.T)
-
-
 def galerkin_diagnostics(mc):
-    """Convergence diagnostics of the Galerkin star (`galerkin_residuals`);
-    forms the dense M1 and W1 once."""
-    m1 = mass_matrix(mc)
-    jh = galerkin_star(m1, wedge_matrix(mc))
-    return galerkin_residuals(m1, jh, harmonic_spaces(mc, m1), mc.tol)
+    """Convergence diagnostics of the Galerkin star (`galerkin_residuals`)
+    on the harmonic spaces of `mc`; forms no n_E-sized matrix."""
+    return galerkin_residuals(mc, harmonic_spaces(mc))
 
 
-def galerkin_residuals(m1, jh, harm, tol=DEFAULT_TOL):
-    """Deviation of the square of the Galerkin star `jh` from -I on CcC,
-    the principal angle between J_h(H_N) and H_D, and the
-    projector-intertwining residual || P_N J_h - J_h P_D || on CcC, for the
-    harmonic spaces `harm`.  J_h and the M1-orthogonal projections
-    P = B B^T M1 act on CcC's columns only."""
+def galerkin_residuals(mc, harm):
+    """Deviation of the square of the Galerkin star J_h from -I on CcC,
+    the principal angle between J_h(H_N) and H_D, the
+    projector-intertwining residual || P_N J_h - J_h P_D || on CcC, and
+    the skew residual max |C^T M1 (J_h C) + (J_h C)^T M1 C| on CcC's
+    columns C, for the harmonic spaces `harm`.
+
+    J_h acts by `galerkin_apply` on the columns of CcC, H_N and P_D CcC
+    (then once more on J_h CcC) and the M1-orthogonal projections
+    P = B B^T M1 by `m1_apply`.  W1 is exactly skew, so the skew residual
+    is the backward error of the M1 solves in the directions read here.
+    """
     from . import compat
 
-    ccc = harm.ccc
-    j_ccc = jh @ ccc
-    p_n_j = harm.h_n @ (harm.h_n.T @ (m1 @ j_ccc))
-    p_d = harm.h_d @ (harm.h_d.T @ (m1 @ ccc))
+    m1 = functools.partial(m1_apply, mc)
+    ccc, h_n, h_d = harm.ccc, harm.h_n, harm.h_d
+    p_d = h_d @ (h_d.T @ m1(ccc))
+    j = galerkin_apply(mc, np.hstack([ccc, h_n, p_d]))
+    j_ccc, j_hn, j_pd = np.split(j, np.cumsum([ccc.shape[1], h_n.shape[1]]), axis=1)
+    m1_j_ccc = m1(j_ccc)
+    skew = ccc.T @ m1_j_ccc
     return {
-        "skew_residual": float(np.abs(jh.T @ m1 + m1 @ jh).max()),
-        "jsq_on_ccc": float(np.linalg.norm(jh @ j_ccc + ccc, 2)),
-        "angle_j_hn_vs_hd": compat.subspace_angle(jh @ harm.h_n, harm.h_d, m1, tol),
-        "p38_residual": float(np.linalg.norm(p_n_j - jh @ p_d, 2)),
+        "skew_residual": float(np.abs(skew + skew.T).max(initial=0.0)),
+        "jsq_on_ccc": float(np.linalg.norm(galerkin_apply(mc, j_ccc) + ccc, 2)),
+        "angle_j_hn_vs_hd": compat.subspace_angle(j_hn, h_d, m1, mc.tol),
+        "p38_residual": float(np.linalg.norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd, 2)),
     }

@@ -1,9 +1,13 @@
-"""Dense real linear-algebra kernels used by every other module.
+"""Real linear-algebra kernels used by every other module.
 
-All operations are pure functions of immutable inputs, deterministic for
-identical input, and sized for desk-scale dense problems (up to a few
-thousand rows).  Rank decisions are made relative to the largest
-singular/eigen value; assertion thresholds are absolute residuals.
+All operations are pure functions of immutable inputs and deterministic
+for identical input.  The factorizations (SVD, `eigh`) are dense and sized
+for the small matrices they meet (class coordinates, Gram matrices, root
+kernels).  `pcg` solves with an SPD operator given only as an apply
+function, and `orthonormalize` takes its metric the same way, so a caller
+never has to form an n_E-sized matrix.  Rank decisions are made relative
+to the largest singular/eigen value; assertion thresholds are absolute
+residuals.
 """
 
 from __future__ import annotations
@@ -152,7 +156,8 @@ def rank(a, tol=DEFAULT_TOL, scale=None):
 
 def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
     """Return an M-orthonormal basis (B^T M B = I) for the column span of
-    `basis`.
+    `basis`, for the SPD metric applied by `m` (columns x -> M x; a dense
+    M is passed as `M.__matmul__`).
 
     Drops numerically dependent columns; `scale` floors the drop cutoff (in
     units of column norm) so that a basis consisting of pure noise
@@ -161,10 +166,48 @@ def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
     b = as_matrix(basis, "basis")
     if b.shape[1] == 0:
         return b.copy()
-    gram = b.T @ as_matrix(m, "M") @ b
+    gram = b.T @ m(b)
     w, v = sym_eig(0.5 * (gram + gram.T), tol)
     ref = max(w[0] if w.size else 0.0, (scale or 0.0) ** 2)
     keep = w > tol.rank_tol * ref
     if not keep.any():
         return np.zeros((b.shape[0], 0))
     return b @ (v[:, keep] / np.sqrt(w[keep]))
+
+
+def pcg(apply, b, precond, rtol=1e-13, max_iter=1000):
+    """Solve A X = B by preconditioned conjugate gradients, each column of
+    the block right side B on its own, from X = 0.
+
+    A is SPD and given by `apply` (columns x -> A x), the preconditioner by
+    `precond` (residual columns r -> P^{-1} r, P SPD).  A column stops when
+    its residual norm is at most `rtol` times the norm of its right side,
+    and leaves the block, so the applies shrink with it.  Raises
+    NoConvergence when `max_iter` iterations leave a column above that,
+    rather than return an unconverged solution.
+    """
+    b = as_matrix(b, "B")
+    x = np.zeros(b.shape)
+    target = rtol * np.linalg.norm(b, axis=0)
+    live = np.flatnonzero(target > 0)  # a zero column is solved by zero
+    r = b[:, live]
+    p = rz = None
+    iterations = 0
+    while live.size:
+        if iterations == max_iter:
+            raise NoConvergence(f"PCG: {live.size} of {b.shape[1]} columns above "
+                                f"a relative residual of {rtol:.0e} after "
+                                f"{max_iter} iterations")
+        iterations += 1
+        z = precond(r)
+        rz_next = np.einsum("ij,ij->j", r, z)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        q = apply(p)
+        alpha = rz / np.einsum("ij,ij->j", p, q)
+        x[:, live] += alpha * p
+        r = r - alpha * q
+        keep = np.linalg.norm(r, axis=0) > target[live]
+        if not keep.all():
+            live, r, p, rz = live[keep], r[:, keep], p[:, keep], rz[keep]
+    return x

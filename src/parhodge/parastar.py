@@ -226,11 +226,14 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     projections have equal rank, no nonzero element of T is orthogonal to
     U = im(P_N), and U agrees with the span of the harmonic parabolic
     representatives.  Approximate numbers: the Galerkin-star residuals.
-    The dense M1 and W1, J_h and the harmonic spaces are formed once.
+    Each flavor is walked once, by `restriction_and_parabolic`; the
+    harmonic spaces are formed once, from its H^1 bases, and the dense M1
+    once, for the projections.  J_h is applied by `hodge.galerkin_apply`.
     """
+    rp = twisted.restriction_and_parabolic(k, f, tol)
     mc = hodge.metric_complex(k, h, f, tol)
+    harm = hodge.harmonic_spaces(mc, rp["h1"], rp["h1_rel"])
     m1 = hodge.mass_matrix(mc)
-    harm = hodge.harmonic_spaces(mc, m1)
     out = compat.subspace_transfer(m1, harm.h_n, harm.h_d, tol)
     u_amb, t_amb = out["U_basis"], out["T_basis"]
 
@@ -239,14 +242,12 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         cross = u_amb.T @ m1 @ t_amb
         lemma34 = numlin.nullspace_basis(cross, tol, scale=1.0).shape[1] == 0
 
-    rp = twisted.restriction_and_parabolic(k, f, tol)
     par_harm = hodge.harmonic_representative(mc, rp["parabolic_basis"].reps,
                                               rp["h1"].h0)
-    angle = compat.subspace_angle(u_amb, par_harm, m1, tol)
+    angle = compat.subspace_angle(u_amb, par_harm, m1.__matmul__, tol)
     same_dim = numlin.rank(par_harm, tol) == u_amb.shape[1]
 
-    jh = hodge.galerkin_star(m1, hodge.wedge_matrix(mc))
-    gal = hodge.galerkin_residuals(m1, jh, harm, tol)
+    gal = hodge.galerkin_residuals(mc, harm)
     return {
         "kernel_check": out["kernel_check"],
         "rank_equal": out["rank_equal"],
@@ -254,7 +255,8 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         "span_agrees_with_parabolic": bool(same_dim),
         "span_angle": angle,
         "p38_residual": gal["p38_residual"],
-        "angle_j_u_vs_t": compat.subspace_angle(jh @ u_amb, t_amb, m1, tol),
+        "angle_j_u_vs_t": compat.subspace_angle(hodge.galerkin_apply(mc, u_amb),
+                                                t_amb, m1.__matmul__, tol),
         "jsq_on_ccc": gal["jsq_on_ccc"],
     }
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from parhodge import localsys, surface
+from parhodge import hodge, localsys, surface
 from parhodge.errors import NotConnectedWarning
 
 
@@ -12,6 +12,23 @@ def _silence_disconnected():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConnectedWarning)
         yield
+
+
+def wedge_matrix(mc):
+    """The dense wedge matrix W1 (metric-free), scattered from the
+    per-triangle wedge blocks; the oracle for `hodge.galerkin_apply` and
+    for the cup pairing."""
+    w1 = hodge._scatter(mc, (mc.k.sorted_sign[:, None, None] * hodge._WEDGE)
+                        [..., None, None] * mc.pairs)
+    w1 -= w1.T
+    w1 *= 0.5
+    return w1
+
+
+def galerkin_star(m1, w1):
+    """The dense Galerkin star J_h = M1^{-1} W1^T from the dense M1 and
+    W1: M1-skew exactly, and -I when squared only in the mesh limit."""
+    return np.linalg.solve(m1, w1.T)
 
 
 def torus_grid_cochain(k, m, dx, dy):

@@ -13,7 +13,7 @@ import pytest
 from parhodge import cli, compat, hodge, localsys, moduli, numlin, parastar, \
     surface, twisted
 
-from conftest import torus_grid_cochain
+from conftest import torus_grid_cochain, wedge_matrix
 
 
 def _report(num, text):
@@ -169,7 +169,7 @@ def test_criterion_5_cup_wedge_agreement(builtin_sweep):
             continue
         mc = hodge.metric_complex(k, h, f)
         cup = twisted.cup_omega(k, f, h1.reps)
-        wedge = h1.reps.T @ hodge.wedge_matrix(mc) @ h1.reps
+        wedge = h1.reps.T @ wedge_matrix(mc) @ h1.reps
         diff = float(np.abs(cup - wedge).max())
         worst = max(worst, diff)
         assert diff < 1e-9, label

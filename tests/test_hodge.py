@@ -1,10 +1,14 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from parhodge import compat, hodge, localsys, numlin, surface, twisted
 from parhodge.errors import NoConvergence
 
-from conftest import doughnut_metric, torus_grid_cochain, union_with_metric_and_system
+from conftest import (doughnut_metric, galerkin_star, torus_grid_cochain,
+                      union_with_metric_and_system, wedge_matrix)
 
 
 def build(gen, args, n=1, seed=30, trivial=True):
@@ -19,7 +23,7 @@ def test_twisted_matrices_reduce_to_scalar_for_trivial_system():
     k, h, f, _ = build(surface.annulus, (5, 2), n=3)
     mc = hodge.metric_complex(k, h, f)
     sc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    for name, get in (("m1", hodge.mass_matrix), ("w1", hodge.wedge_matrix),
+    for name, get in (("m1", hodge.mass_matrix), ("w1", wedge_matrix),
                       ("l0", lambda c: c.l0)):
         scalar = np.kron(get(sc), np.eye(3))
         assert np.abs(get(mc) - scalar).max() < 1e-12, name
@@ -81,7 +85,7 @@ def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
     h = surface.perturbed_metric(k, h, np.random.default_rng(41), amplitude=0.2)
     mc = hodge.metric_complex(k, h, f)
     ref = _reference_assembly(k, h, f)
-    got = (hodge.mass_matrix(mc), hodge.wedge_matrix(mc), mc.l0)
+    got = (hodge.mass_matrix(mc), wedge_matrix(mc), mc.l0)
     for name, g, r in zip(("m1", "w1", "l0"), got, ref):
         assert np.array_equal(g, r), name
     # the scatter alone is bitwise symmetric, so the reference's 0.5 (L0 + L0^T)
@@ -92,7 +96,7 @@ def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
 def test_mass_matrices_spd_and_wedge_skew_twisted():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False)
     mc = hodge.metric_complex(k, h, f)
-    w1 = hodge.wedge_matrix(mc)
+    w1 = wedge_matrix(mc)
     assert np.linalg.eigvalsh(hodge.mass_matrix(mc))[0] > 0
     assert np.abs(w1 + w1.T).max() == 0.0
 
@@ -118,11 +122,11 @@ def test_l0_is_d0t_m1_d0_with_the_flat_sections_as_kernel():
 def test_harmonic_dims_closed_and_bounded():
     k, h, f, _ = build(surface.torus, (4,))
     mc = hodge.metric_complex(k, h, f)
-    harm = hodge.harmonic_spaces(mc, hodge.mass_matrix(mc))
+    harm = hodge.harmonic_spaces(mc)
     assert harm.dim_n == harm.dim_d == 2
     k2, h2, f2, _ = build(surface.annulus, (6, 2))
     mc2 = hodge.metric_complex(k2, h2, f2)
-    harm2 = hodge.harmonic_spaces(mc2, hodge.mass_matrix(mc2))
+    harm2 = hodge.harmonic_spaces(mc2)
     assert harm2.dim_n == 1 and harm2.dim_d == 1
 
 
@@ -175,7 +179,7 @@ def test_harmonic_dims_match_cohomology_twisted():
                                    (surface.genus_k, (1, 1, 1))]]
         for k, h, f in cases + [_torus_and_annulus(n, trivial, 32)]:
             mc = hodge.metric_complex(k, h, f)
-            harm = hodge.harmonic_spaces(mc, hodge.mass_matrix(mc))
+            harm = hodge.harmonic_spaces(mc)
             dims = {flavor: [twisted.cohomology(k, f, p, flavor).dim for p in (0, 1)]
                     for flavor in ("absolute", "relative")}
             assert harm.dim_n == dims["absolute"][1]
@@ -188,7 +192,6 @@ def test_harmonic_dims_match_cohomology_twisted():
 def test_harmonic_spaces_walk_each_class_once_and_build_no_coboundaries(monkeypatch):
     k, h, f = _torus_and_annulus(3, False, 47)
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
     calls = []
 
     def counting(name, fn):
@@ -199,7 +202,7 @@ def test_harmonic_spaces_walk_each_class_once_and_build_no_coboundaries(monkeypa
 
     for name in ("coboundaries", "cohomology", "_tree_and_flat_sections", "_cotree"):
         counting(name, getattr(twisted, name))
-    harm = hodge.harmonic_spaces(mc, m1)
+    harm = hodge.harmonic_spaces(mc)
     assert harm.dim_n > 0 and harm.dim_d > 0
     names = [name for name, _ in calls]
     assert names.count("coboundaries") == 0
@@ -234,9 +237,9 @@ def test_metric_scaling_leaves_harmonic_spaces_invariant():
     h2 = surface.metric_from_lengths(k, 2.0 * h.lengths)
     mc2 = hodge.metric_complex(k, h2, f)
     m1 = hodge.mass_matrix(mc1)
-    h_n1 = hodge.harmonic_spaces(mc1, m1).h_n
-    h_n2 = hodge.harmonic_spaces(mc2, hodge.mass_matrix(mc2)).h_n
-    assert compat.subspace_angle(h_n1, h_n2, m1) < 1e-9
+    h_n1 = hodge.harmonic_spaces(mc1).h_n
+    h_n2 = hodge.harmonic_spaces(mc2).h_n
+    assert compat.subspace_angle(h_n1, h_n2, m1.__matmul__) < 1e-9
 
 
 def test_metric_independence_of_harmonic_dims():
@@ -244,7 +247,7 @@ def test_metric_independence_of_harmonic_dims():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False, seed=35)
     mc1 = hodge.metric_complex(k, h, f)
     mc2 = hodge.metric_complex(k, surface.perturbed_metric(k, h, rng), f)
-    a, b = (hodge.harmonic_spaces(mc, hodge.mass_matrix(mc)) for mc in (mc1, mc2))
+    a, b = (hodge.harmonic_spaces(mc) for mc in (mc1, mc2))
     assert (a.dim_n, a.dim_d) == (b.dim_n, b.dim_d)
 
 
@@ -301,7 +304,7 @@ def test_hodge_decomposition_annulus_middle_dims():
     mc = hodge.metric_complex(k, h, f)
     dec = hodge.hodge_decomposition(mc)
     rep = dec["report"]
-    harm = hodge.harmonic_spaces(mc, hodge.mass_matrix(mc))
+    harm = hodge.harmonic_spaces(mc)
     assert harm.dim_n == 1 and harm.dim_d == 1
     # both harmonic flavors sit inside CcC exactly
     assert rep["refinement_report"]["H_N_in_CcC_residual"] < 1e-12
@@ -316,7 +319,7 @@ def test_galerkin_star_skew_always():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False, seed=37)
     mc = hodge.metric_complex(k, h, f)
     m1 = hodge.mass_matrix(mc)
-    jh = hodge.galerkin_star(m1, hodge.wedge_matrix(mc))
+    jh = galerkin_star(m1, wedge_matrix(mc))
     assert np.abs(jh.T @ m1 + m1 @ jh).max() < 1e-10
 
 
@@ -324,10 +327,9 @@ def test_galerkin_star_flat_torus_maps_dx_to_dy():
     m = 8
     k, h, f, _ = build(surface.torus, (m,))
     mc = hodge.metric_complex(k, h, f)
-    jh = hodge.galerkin_star(hodge.mass_matrix(mc), hodge.wedge_matrix(mc))
     hx = hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 1, 0))
     hy = hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 0, 1))
-    err = np.linalg.norm(jh @ hx - hy) / np.linalg.norm(hy)
+    err = np.linalg.norm(hodge.galerkin_apply(mc, hx) - hy) / np.linalg.norm(hy)
     assert err < 0.05
 
 
@@ -361,18 +363,20 @@ def _complement_route(mc):
     vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative").dof_mask
     m1 = hodge.mass_matrix(mc)
     m1_inv = np.linalg.inv(m1)
-    both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, m1),
-                      numlin.orthonormalize(d0[:, vmask], m1)])
+    both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, m1.__matmul__),
+                      numlin.orthonormalize(d0[:, vmask], m1.__matmul__)])
     ccc = numlin.orthonormalize(
-        numlin.nullspace_basis(both.T @ m1, scale=float(np.abs(m1).max())), m1)
-    jh = m1_inv @ hodge.wedge_matrix(mc).T
-    harm = hodge.harmonic_spaces(mc, m1)
+        numlin.nullspace_basis(both.T @ m1, scale=float(np.abs(m1).max())),
+        m1.__matmul__)
+    jh = m1_inv @ wedge_matrix(mc).T
+    harm = hodge.harmonic_spaces(mc)
     p_n = harm.h_n @ (harm.h_n.T @ m1)
     p_d = harm.h_d @ (harm.h_d.T @ m1)
+    skew = ccc.T @ m1 @ (jh @ ccc)
     return ccc, {
-        "skew_residual": float(np.abs(jh.T @ m1 + m1 @ jh).max()),
+        "skew_residual": float(np.abs(skew + skew.T).max()),
         "jsq_on_ccc": float(np.linalg.norm((jh @ jh + np.eye(jh.shape[0])) @ ccc, 2)),
-        "angle_j_hn_vs_hd": compat.subspace_angle(jh @ harm.h_n, harm.h_d, m1),
+        "angle_j_hn_vs_hd": compat.subspace_angle(jh @ harm.h_n, harm.h_d, m1.__matmul__),
         "p38_residual": float(np.linalg.norm((p_n @ jh - jh @ p_d) @ ccc, 2)),
     }
 
@@ -407,15 +411,15 @@ def _kernel_route(mc):
     kernel = numlin.nullspace_basis(d1)
     pairing = d0.T @ (m1 @ kernel)
     c = numlin.nullspace_basis(pairing[vmask], scale=scale)
-    ccc = numlin.orthonormalize(kernel @ c, m1)
+    ccc = numlin.orthonormalize(kernel @ c, m1.__matmul__)
     c_n = c @ numlin.nullspace_basis(pairing[~vmask] @ c, scale=scale)
-    h_n = numlin.orthonormalize(kernel @ c_n, m1)
+    h_n = numlin.orthonormalize(kernel @ c_n, m1.__matmul__)
     m1_int = m1[np.ix_(emask, emask)]
     kernel_r = (kernel @ numlin.nullspace_basis(kernel[~emask], scale=1.0))[emask]
     coeffs_r = numlin.nullspace_basis(d0[np.ix_(emask, vmask)].T @ (m1_int @ kernel_r),
                                       scale=scale)
     h_d = np.zeros((m1.shape[0], coeffs_r.shape[1]))
-    h_d[emask] = numlin.orthonormalize(kernel_r @ coeffs_r, m1_int)
+    h_d[emask] = numlin.orthonormalize(kernel_r @ coeffs_r, m1_int.__matmul__)
     return h_n, h_d, ccc
 
 
@@ -423,18 +427,17 @@ def _kernel_route(mc):
 def test_harmonic_spaces_match_the_kernel_route(k, h, f):
     mc = hodge.metric_complex(k, h, f)
     m1 = hodge.mass_matrix(mc)
-    harm = hodge.harmonic_spaces(mc, m1)
+    harm = hodge.harmonic_spaces(mc)
     for name, got, ref in zip(("H_N", "H_D", "CcC"), (harm.h_n, harm.h_d, harm.ccc),
                               _kernel_route(mc)):
         assert got.shape[1] == ref.shape[1] > 0, name
         assert np.abs(got.T @ m1 @ got - np.eye(got.shape[1])).max() < 1e-9, name
-        assert compat.subspace_angle(got, ref, m1) < 1e-9, name
+        assert compat.subspace_angle(got, ref, m1.__matmul__) < 1e-9, name
 
 
 def test_harmonic_spaces_raise_when_ccc_misses_its_count(monkeypatch):
     k, h, f, _ = build(surface.annulus, (6, 2))
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
     representative = hodge.harmonic_representative
 
     def drop_two_extensions(mc, u, h0=None):
@@ -446,14 +449,14 @@ def test_harmonic_spaces_raise_when_ccc_misses_its_count(monkeypatch):
 
     monkeypatch.setattr(hodge, "harmonic_representative", drop_two_extensions)
     with pytest.raises(NoConvergence):
-        hodge.harmonic_spaces(mc, m1)
+        hodge.harmonic_spaces(mc)
 
 
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
     mc = hodge.metric_complex(k, h, f)
     m1 = hodge.mass_matrix(mc)
-    ccc = hodge.harmonic_spaces(mc, m1).ccc
+    ccc = hodge.harmonic_spaces(mc).ccc
     ref_ccc, ref = _complement_route(mc)
     assert ccc.shape[1] == ref_ccc.shape[1] > 0
     assert numlin.rank(np.hstack([ccc, ref_ccc])) == ccc.shape[1]
@@ -462,6 +465,53 @@ def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
     assert diag.keys() == ref.keys()
     for key in ref:
         assert abs(diag[key] - ref[key]) < 1e-12, (key, diag[key], ref[key])
+
+
+@pytest.mark.parametrize("k,h,f", list(_reference_cases()))
+def test_pcg_matches_the_dense_solve_with_m1(k, h, f):
+    mc = hodge.metric_complex(k, h, f)
+    m1 = hodge.mass_matrix(mc)
+    b = np.random.default_rng(72).standard_normal((m1.shape[0], 3))
+    x = numlin.pcg(functools.partial(hodge.m1_apply, mc), b,
+                   lambda r: r / np.diag(m1)[:, None])
+    want = np.linalg.solve(m1, b)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k,h,f", list(_reference_cases()))
+def test_galerkin_apply_matches_the_dense_galerkin_star(k, h, f):
+    mc = hodge.metric_complex(k, h, f)
+    jh = galerkin_star(hodge.mass_matrix(mc), wedge_matrix(mc))
+    x = np.random.default_rng(73).standard_normal((jh.shape[0], 3))
+    want = jh @ x
+    got = hodge.galerkin_apply(mc, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    one = hodge.galerkin_apply(mc, x[:, 0])
+    assert one.shape == x[:, 0].shape
+    assert np.linalg.norm(one - want[:, 0]) <= 1e-12 * np.linalg.norm(want[:, 0])
+    assert hodge.galerkin_apply(mc, x[:, :0]).shape == x[:, :0].shape
+
+
+def test_galerkin_diagnostics_form_no_edge_sized_matrix(monkeypatch):
+    # J_h is applied by PCG on M1 and the Gram matrices through m1_apply, so
+    # the diagnostics stay within the star path's bound in units of L0
+    def forbidden(*args):
+        raise AssertionError("the Galerkin diagnostics formed a dense "
+                             "n_E-sized matrix")
+
+    for module, name in ((hodge, "mass_matrix"), (twisted, "coboundaries")):
+        monkeypatch.setattr(module, name, forbidden)
+    k, h, loops = surface.torus(16)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(74))
+    l0_bytes = (3 * k.n_vertices) ** 2 * 8
+    tracemalloc.start()
+    try:
+        diag = hodge.galerkin_diagnostics(hodge.metric_complex(k, h, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(diag.values()) < 1e-9  # the flat torus is exact
+    assert peak < 3 * l0_bytes, peak / l0_bytes
 
 
 def test_galerkin_diagnostics_skip_the_decomposition_and_large_factorizations(
@@ -496,7 +546,7 @@ def test_gauge_invariance_of_metric_complex():
     f2 = localsys.gauge_transform(k, f, gauges)
     mc1 = hodge.metric_complex(k, h, f)
     mc2 = hodge.metric_complex(k, h, f2)
-    a, b = (hodge.harmonic_spaces(mc, hodge.mass_matrix(mc)) for mc in (mc1, mc2))
+    a, b = (hodge.harmonic_spaces(mc) for mc in (mc1, mc2))
     assert (a.dim_n, a.dim_d) == (b.dim_n, b.dim_d)
     # M1 and W1 are conjugated by the block-orthogonal gauge on edge values
     # (which live at the low vertex), L0 by the gauge on vertex values
@@ -504,7 +554,7 @@ def test_gauge_invariance_of_metric_complex():
     blocks = np.zeros((n * k.n_edges, n * k.n_edges))
     for ei, (u, v) in enumerate(k.edges):
         blocks[n * ei:n * ei + n, n * ei:n * ei + n] = gauges[u]
-    for dense in (hodge.mass_matrix, hodge.wedge_matrix):
+    for dense in (hodge.mass_matrix, wedge_matrix):
         assert np.abs(blocks @ dense(mc1) @ blocks.T - dense(mc2)).max() < 1e-9
     vblocks = np.zeros_like(mc1.l0)
     for v in range(k.vertex_count):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parhodge import numlin
-from parhodge.errors import NotPositiveDefinite, NotSymmetric
+from parhodge.errors import NoConvergence, NotPositiveDefinite, NotSymmetric
 from parhodge.numlin import Tolerance
 
 
@@ -111,8 +111,29 @@ def test_orthonormalize_m_inner_product():
     b = rng.standard_normal((8, 3))
     c = rng.standard_normal((8, 8))
     m = c.T @ c + np.eye(8)
-    q = numlin.orthonormalize(b, m)
+    q = numlin.orthonormalize(b, m.__matmul__)
     assert np.abs(q.T @ m @ q - np.eye(3)).max() < 1e-9
+
+
+def test_pcg_solves_block_right_sides_and_zero_columns():
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((30, 30))
+    a = c.T @ c + 30 * np.eye(30)
+    b = rng.standard_normal((30, 3))
+    b[:, 1] = 0.0
+    x = numlin.pcg(a.__matmul__, b, lambda r: r / np.diag(a)[:, None])
+    assert not x[:, 1].any()
+    want = np.linalg.solve(a, b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pcg_raises_rather_than_return_an_unconverged_solution():
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((40, 40))
+    a = c.T @ c + np.eye(40)
+    with pytest.raises(NoConvergence):
+        numlin.pcg(a.__matmul__, rng.standard_normal((40, 2)), lambda r: r,
+                   max_iter=3)
 
 
 def test_empty_shapes_flow_through():

@@ -10,6 +10,8 @@ from parhodge.errors import (
     NotConnectedWarning,
 )
 
+from conftest import wedge_matrix
+
 
 def test_build_square_disk():
     k = surface.build(4, [(0, 1, 2), (0, 2, 3)])
@@ -134,7 +136,7 @@ def _reference_quadrature(f, order=40):
 def _whitney(k, h):
     """Scalar Whitney matrices: the assembly on the trivial line system."""
     mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    return hodge.mass_matrix(mc), hodge.wedge_matrix(mc), mc.l0
+    return hodge.mass_matrix(mc), wedge_matrix(mc), mc.l0
 
 
 def test_single_triangle_wedge_is_one_sixth():

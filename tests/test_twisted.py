@@ -4,7 +4,7 @@ import pytest
 from parhodge import cli, hodge, localsys, moduli, numlin, parastar, surface, twisted
 from parhodge.errors import NotClosed
 
-from conftest import torus_grid_cochain, union_with_metric_and_system
+from conftest import torus_grid_cochain, union_with_metric_and_system, wedge_matrix
 
 
 def test_d0_rank_on_disk():
@@ -139,7 +139,7 @@ def test_cup_matches_whitney_wedge_route():
             continue
         mc = hodge.metric_complex(k, h, f)
         omega_cup = twisted.cup_omega(k, f, h1.reps)
-        omega_wedge = h1.reps.T @ hodge.wedge_matrix(mc) @ h1.reps
+        omega_wedge = h1.reps.T @ wedge_matrix(mc) @ h1.reps
         assert np.abs(omega_cup - omega_wedge).max() < 1e-9
 
 
@@ -379,7 +379,9 @@ def _entry_point(name):
         assert parastar.parabolic_star(k, h, f).dim_h1_par == 2
     elif name == "harmonic_spaces":
         mc = hodge.metric_complex(k, h, f)
-        assert hodge.harmonic_spaces(mc, hodge.mass_matrix(mc)).dim_n == 3
+        assert hodge.harmonic_spaces(mc).dim_n == 3
+    elif name == "ambient_route_diagnostic":
+        assert parastar.ambient_route_diagnostic(k, h, f)["kernel_check"]
     else:
         assert twisted.euler_characteristic_dims(k, f) == [0, 3, 0]
 
@@ -392,6 +394,7 @@ _WALKS = {
     # plus its own H^0 check, which must raise before the star report runs
     "moduli_acs": (3, 2),
     "harmonic_spaces": (2, 2),
+    "ambient_route_diagnostic": (2, 2),
     "euler_characteristic_dims": (1, 1),
 }
 
