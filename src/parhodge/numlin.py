@@ -175,29 +175,36 @@ def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
     return b @ (v[:, keep] / np.sqrt(w[keep]))
 
 
-def pcg(apply, b, precond, rtol=1e-13, max_iter=1000):
+# A PCG column stops at this residual relative to its right side; a solve
+# that has not got there after _PCG_MAX_ITER iterations raises.
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITER = 1000
+
+
+def pcg(apply, b, precond):
     """Solve A X = B by preconditioned conjugate gradients, each column of
     the block right side B on its own, from X = 0.
 
     A is SPD and given by `apply` (columns x -> A x), the preconditioner by
     `precond` (residual columns r -> P^{-1} r, P SPD).  A column stops when
-    its residual norm is at most `rtol` times the norm of its right side,
-    and leaves the block, so the applies shrink with it.  Raises
-    NoConvergence when `max_iter` iterations leave a column above that,
-    rather than return an unconverged solution.
+    its residual norm is at most `_PCG_RTOL` times the norm of its right
+    side, and leaves the block, so the applies shrink with it.  Raises
+    NoConvergence when `_PCG_MAX_ITER` iterations leave a column above
+    that (a breakdown's non-finite residual included), rather than return
+    an unconverged solution.
     """
     b = as_matrix(b, "B")
     x = np.zeros(b.shape)
-    target = rtol * np.linalg.norm(b, axis=0)
+    target = _PCG_RTOL * np.linalg.norm(b, axis=0)
     live = np.flatnonzero(target > 0)  # a zero column is solved by zero
     r = b[:, live]
     p = rz = None
     iterations = 0
     while live.size:
-        if iterations == max_iter:
+        if iterations == _PCG_MAX_ITER:
             raise NoConvergence(f"PCG: {live.size} of {b.shape[1]} columns above "
-                                f"a relative residual of {rtol:.0e} after "
-                                f"{max_iter} iterations")
+                                f"a relative residual of {_PCG_RTOL:.0e} after "
+                                f"{_PCG_MAX_ITER} iterations")
         iterations += 1
         z = precond(r)
         rz_next = np.einsum("ij,ij->j", r, z)
@@ -207,7 +214,7 @@ def pcg(apply, b, precond, rtol=1e-13, max_iter=1000):
         alpha = rz / np.einsum("ij,ij->j", p, q)
         x[:, live] += alpha * p
         r = r - alpha * q
-        keep = np.linalg.norm(r, axis=0) > target[live]
+        keep = ~(np.linalg.norm(r, axis=0) <= target[live])
         if not keep.all():
             live, r, p, rz = live[keep], r[:, keep], p[:, keep], rz[keep]
     return x

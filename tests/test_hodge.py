@@ -492,35 +492,17 @@ def test_galerkin_apply_matches_the_dense_galerkin_star(k, h, f):
     assert hodge.galerkin_apply(mc, x[:, :0]).shape == x[:, :0].shape
 
 
-def test_galerkin_diagnostics_form_no_edge_sized_matrix(monkeypatch):
-    # J_h is applied by PCG on M1 and the Gram matrices through m1_apply, so
-    # the diagnostics stay within the star path's bound in units of L0
-    def forbidden(*args):
-        raise AssertionError("the Galerkin diagnostics formed a dense "
-                             "n_E-sized matrix")
-
-    for module, name in ((hodge, "mass_matrix"), (twisted, "coboundaries")):
-        monkeypatch.setattr(module, name, forbidden)
-    k, h, loops = surface.torus(16)
-    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(74))
-    l0_bytes = (3 * k.n_vertices) ** 2 * 8
-    tracemalloc.start()
-    try:
-        diag = hodge.galerkin_diagnostics(hodge.metric_complex(k, h, f))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert max(diag.values()) < 1e-9  # the flat torus is exact
-    assert peak < 3 * l0_bytes, peak / l0_bytes
-
-
 def test_galerkin_diagnostics_skip_the_decomposition_and_large_factorizations(
         monkeypatch):
-    k, h, _ = surface.torus(12)
-    mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
+    # J_h is applied by PCG on M1 and the Gram matrices through m1_apply, so
+    # the diagnostics form no dense n_E-sized matrix and stay within the star
+    # path's bound in units of L0
+    k, h, loops = surface.torus(16)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(74))
 
-    def forbidden(mc):
-        raise AssertionError("galerkin_diagnostics ran hodge_decomposition")
+    def forbidden(*args):
+        raise AssertionError("galerkin_diagnostics ran hodge_decomposition "
+                             "or formed a dense n_E-sized matrix")
 
     large = []
 
@@ -531,12 +513,21 @@ def test_galerkin_diagnostics_skip_the_decomposition_and_large_factorizations(
             return fn(a, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(hodge, "hodge_decomposition", forbidden)
+    for module, name in ((hodge, "hodge_decomposition"),
+                         (hodge, "mass_matrix"), (twisted, "coboundaries")):
+        monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(numlin, "_svd", counting(numlin._svd))
     monkeypatch.setattr(numlin, "sym_eig", counting(numlin.sym_eig))
-    diag = hodge.galerkin_diagnostics(mc)
+    l0_bytes = (3 * k.n_vertices) ** 2 * 8
+    tracemalloc.start()
+    try:
+        diag = hodge.galerkin_diagnostics(hodge.metric_complex(k, h, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert max(diag.values()) < 1e-9  # the flat torus is exact
     assert not large, large
+    assert peak < 3 * l0_bytes, peak / l0_bytes
 
 
 def test_gauge_invariance_of_metric_complex():

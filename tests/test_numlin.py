@@ -127,13 +127,17 @@ def test_pcg_solves_block_right_sides_and_zero_columns():
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_pcg_raises_rather_than_return_an_unconverged_solution():
+def test_pcg_raises_rather_than_return_an_unconverged_solution(monkeypatch):
     rng = np.random.default_rng(8)
     c = rng.standard_normal((40, 40))
     a = c.T @ c + np.eye(40)
+    b = rng.standard_normal((40, 2))
+    monkeypatch.setattr(numlin, "_PCG_MAX_ITER", 3)
     with pytest.raises(NoConvergence):
-        numlin.pcg(a.__matmul__, rng.standard_normal((40, 2)), lambda r: r,
-                   max_iter=3)
+        numlin.pcg(a.__matmul__, b, lambda r: r)
+    # a singular apply breaks down (pᵀAp = 0): the NaN residual stays live
+    with pytest.raises(NoConvergence), np.errstate(all="ignore"):
+        numlin.pcg(np.zeros_like, b, lambda r: r)
 
 
 def test_empty_shapes_flow_through():
