@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
+
+# an entry of a float row that %.17g printed as an integer, with the "[" or
+# " " before it
+_INTEGRAL = re.compile(r"([\[ ]-?\d+)(?=[,\]])")
 
 
 def _fmt(x):
@@ -31,6 +36,29 @@ def _fmt(x):
     raise TypeError(f"unsupported scalar {type(x)}")
 
 
+def _float_rows(rows, lead):
+    """`lead[x, y, ...]` for each row, joined by ",\n", when `rows` is a
+    list of equal-length lists of finite floats, else None: one % over a
+    %.17g template, then, if some entry is integral, one regex pass that
+    gives those entries their ".0", so every entry reads as `_fmt` writes
+    it."""
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]:
+        return None
+    flat = [x for row in rows for x in row]
+    if set(map(type, flat)) != {float}:
+        return None
+    template = lead + "[" + ", ".join(["%.17g"] * len(rows[0])) + "]"
+    text = ",\n".join([template] * len(rows)) % tuple(flat)
+    if "n" in text:  # nan or inf, which `_fmt` writes as null
+        return None
+    return _INTEGRAL.sub(r"\1.0", text) if any(map(float.is_integer, flat)) else text
+
+
+def _scalars(values):
+    """A flat list of scalars as `[a, b, ...]`."""
+    return _float_rows([values], "") or "[" + ", ".join(_fmt(v) for v in values) + "]"
+
+
 def dumps(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -46,7 +74,10 @@ def dumps(obj, indent=0):
             return "[]"
         scalar = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if scalar:
-            return "[" + ", ".join(_fmt(v) for v in obj) + "]"
+            return _scalars(obj)
+        matrix = _float_rows(obj, pad + "  ")
+        if matrix is not None:
+            return "[\n" + matrix + "\n" + pad + "]"
         items = [f"{pad}  {dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _fmt(obj)
@@ -61,12 +92,16 @@ def to_text(obj, prefix=""):
     elif isinstance(obj, (list, tuple)) and any(
         isinstance(v, (dict, list, tuple)) for v in obj
     ):
-        for i, val in enumerate(obj):
-            lines.extend(to_text(val, f"{prefix}{i}."))
+        matrix = _float_rows(obj, "") if isinstance(obj, list) else None
+        if matrix is not None:
+            lines.extend(f"{prefix}{i}: {row}" for i, row in enumerate(matrix.split(",\n")))
+        else:
+            for i, val in enumerate(obj):
+                lines.extend(to_text(val, f"{prefix}{i}."))
     else:
         path = prefix[:-1] if prefix.endswith(".") else prefix
         if isinstance(obj, (list, tuple)):
-            value = "[" + ", ".join(_fmt(v) for v in obj) + "]"
+            value = _scalars(obj)
         elif isinstance(obj, str):
             value = obj
         else:

@@ -136,16 +136,13 @@ def cmd_moduli(args):
             "g": point.g, "k": point.k, "seed": point.seed,
             "boundary_classes": list(point.boundary_classes),
             "attempts_used": point.attempts_used,
-            "phi_images": {n: [float(x) for x in q]
+            "phi_images": {n: np.asarray(q, dtype=float).tolist()
                            for n, q in sorted(point.phi_images.items())},
         },
         "tangent": acs["tangent"],
     }
-    payload["goldman_omega"] = [[float(x) for x in row]
-                                for row in np.atleast_2d(acs["goldman_omega"])] \
-        if acs["goldman_omega"].size else []
-    payload["acs"] = [[float(x) for x in row]
-                      for row in np.atleast_2d(acs["acs"])] if acs["acs"].size else []
+    for key in ("goldman_omega", "acs"):
+        payload[key] = np.atleast_2d(acs[key]).astype(float).tolist() if acs[key].size else []
     payload["compatibility_residuals"] = {
         key: float(v) for key, v in acs["compatibility_residuals"].items()
     }
@@ -184,14 +181,16 @@ def _point_from_json(data):
 
 
 def _verify_case(k, h, f, tol, rng):
-    """One invariant sweep; returns a dict of residual numbers and flags."""
+    """One invariant sweep; returns a dict of residual numbers and flags.
+    Each system's H^1 bases are cut once and shared by every check."""
     out = {}
     n = f.fiber_dim
-    dims = twisted.euler_characteristic_dims(k, f, tol)
+    bases = twisted.h1_flavors(k, f, tol)
+    dims = twisted.euler_characteristic_dims(k, f, tol, bases[0])
     out["betti"] = dims
     out["euler_ok"] = (dims[0] - dims[1] + dims[2]) == n * k.euler_characteristic
     mc = hodge.metric_complex(k, h, f, tol)
-    dec = hodge.hodge_decomposition(mc)
+    dec = hodge.hodge_decomposition(mc, bases)
     rep = dec["report"]
     out["orthogonality_max"] = max(rep["orthogonality"].values())
     out["dim_sum_ok"] = rep["dim_sum_ok"]
@@ -199,16 +198,17 @@ def _verify_case(k, h, f, tol, rng):
         rep["refinement_report"]["H_N_in_CcC_residual"],
         rep["refinement_report"]["H_D_in_CcC_residual"],
     )
-    star = parastar.parabolic_star(k, h, f, tol)
+    star = parastar.parabolic_star(k, h, f, tol, bases)
     out["dim_H1_par"] = star.dim_h1_par
     out["parabolic_even"] = star.dim_h1_par % 2 == 0
     out["exactness_ok"] = bool(star.residuals["parabolic_exactness"])
     gauges = [localsys.random_rotation(rng, n) for _ in range(k.vertex_count)]
     gauged = localsys.gauge_transform(k, f, gauges)
-    rp2 = twisted.restriction_and_parabolic(k, gauged, tol)
+    gauged_bases = twisted.h1_flavors(k, gauged, tol)
+    rp2 = twisted.restriction_and_parabolic(k, gauged, tol, gauged_bases)
     out["gauge_dims_ok"] = (
         rp2["parabolic_basis"].dim == star.dim_h1_par
-        and twisted.euler_characteristic_dims(k, gauged, tol) == dims
+        and twisted.euler_characteristic_dims(k, gauged, tol, gauged_bases[0]) == dims
     )
     out["theorem_ok"] = star.theorem_residuals_ok(tol)
     out["ok"] = bool(

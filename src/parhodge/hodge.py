@@ -104,12 +104,11 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     n = f.fiber_dim
     nv, nt = k.n_vertices, k.n_triangles
     te = k.tri_edges
-    tris = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
-    verts = np.sort(tris, axis=1)
+    verts = np.sort(np.asarray(k.triangles, dtype=int).reshape(-1, 3), axis=1)
     # side[:, i] is opposite w_i; Heron takes the sides in the triangle's
     # stored order, which fixes the rounding of the area
     side = h.lengths[te[:, ::-1]]
-    stored = np.take_along_axis(side, tris.argsort(axis=1).argsort(axis=1), axis=1)
+    stored = h.lengths[surface.opposite_edges(k)]
     area = surface._heron(stored[:, 0], stored[:, 1], stored[:, 2])
     # gradient pairings: |dl_i|^2 = l_i^2 / (4 A^2) and, with k the third
     # vertex, <dl_i, dl_j> = -(l_i^2 + l_j^2 - l_k^2) / (8 A^2); float_power
@@ -213,35 +212,38 @@ class HarmonicSpaces:
     dim_d: int
 
 
-def harmonic_spaces(mc, h1=None, h1_rel=None):
+def harmonic_spaces(mc, bases=None):
     """Harmonic one-cochains of both flavors and the space CcC holding them,
     M1-orthonormal, with every Gram matrix taken through `m1_apply`.
 
     H_N and H_D are the harmonic representatives of the absolute and
-    relative tree-cotree classes `h1` and `h1_rel` (degree-1
-    `twisted.cohomology` bases, cut here when not given; H_D in absolute
+    relative tree-cotree classes of `bases`, the pair (h1, h1_rel) of
+    `twisted.h1_flavors`, cut here when not given (H_D in absolute
     coordinates), solved with the flat sections of the walks that cut
-    them.  CcC is H_N plus d0 Psi, Psi the discrete harmonic extensions of
-    boundary-vertex values (the relative harmonic representatives of d0 on
-    the boundary vertices, solved with the relative classes); its kept
-    count must equal dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel,
-    else NoConvergence.
+    them.  On a complex without boundary `h1_rel is h1`, and H_D is H_N:
+    one solve serves both.  CcC is H_N plus d0 Psi, Psi the discrete
+    harmonic extensions of boundary-vertex values (the relative harmonic
+    representatives of d0 on the boundary vertices, solved with the
+    relative classes); its kept count must equal
+    dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel, else
+    NoConvergence.
     """
     k, f, tol = mc.k, mc.f, mc.tol
-    if h1 is None:
-        h1 = twisted.cohomology(k, f, 1, "absolute", tol)
-    if h1_rel is None:
-        h1_rel = twisted.cohomology(k, f, 1, "relative", tol)
+    h1, h1_rel = bases or twisted.h1_flavors(k, f, tol)
     m1 = functools.partial(m1_apply, mc)
     h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h1.h0), m1, tol)
     # d0 of the unit 0-cochains on the boundary-vertex dofs, edgewise
     boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative").dof_mask)
-    unit = np.zeros((f.fiber_dim * k.vertex_count, boundary.size))
-    unit[boundary, np.arange(boundary.size)] = 1.0
-    rel = harmonic_representative(
-        mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h1_rel.h0)
-    h_d = numlin.orthonormalize(rel[:, :h1_rel.dim], m1, tol)
-    ccc = numlin.orthonormalize(np.hstack([h_n, rel[:, h1_rel.dim:]]), m1, tol)
+    if h1_rel is h1:
+        h_d, extensions = h_n, np.zeros((h_n.shape[0], 0))
+    else:
+        unit = np.zeros((f.fiber_dim * k.vertex_count, boundary.size))
+        unit[boundary, np.arange(boundary.size)] = 1.0
+        rel = harmonic_representative(
+            mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h1_rel.h0)
+        h_d = numlin.orthonormalize(rel[:, :h1_rel.dim], m1, tol)
+        extensions = rel[:, h1_rel.dim:]
+    ccc = numlin.orthonormalize(np.hstack([h_n, extensions]), m1, tol)
     count = h1.dim + boundary.size - h1.h0.dim + h1_rel.h0.dim
     if ccc.shape[1] != count:
         raise NoConvergence(f"CcC: kept {ccc.shape[1]} cochains, but the exact "
@@ -286,7 +288,7 @@ def _span_dim_intersection(a, b, tol):
     return ra + rb - rab
 
 
-def hodge_decomposition(mc):
+def hodge_decomposition(mc, bases=None):
     """Three-way M1-orthogonal splitting of twisted one-cochains.
 
     cE_N is the image of the (natural-Neumann) codifferential of
@@ -296,14 +298,14 @@ def hodge_decomposition(mc):
     fill the space.  The refinement report carries the empirical
     middle-splitting checks: containment of both harmonic spaces in CcC
     and the dimension identities with the intersections of the exact and
-    co-exact images with CcC.
+    co-exact images with CcC.  `bases` goes to `harmonic_spaces`.
     """
     m1 = mass_matrix(mc)
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
                     for p in (0, 1))
     tol = mc.tol
-    harm = harmonic_spaces(mc)
+    harm = harmonic_spaces(mc, bases)
     ccc = harm.ccc
     m1_mul = m1.__matmul__
     ce_n = numlin.orthonormalize(np.linalg.solve(m1, d1.T), m1_mul, tol)

@@ -26,7 +26,8 @@ from .errors import (
     RelationViolated,
 )
 from .numlin import DEFAULT_TOL
-from .surface import GeneratorLoops, is_json_array  # GeneratorLoops re-exported
+# GeneratorLoops is re-exported
+from .surface import GeneratorLoops, is_json_array, opposite_edges
 
 __all__ = [
     "FlatLocalSystem",
@@ -69,16 +70,20 @@ def _check_orthogonal(p, n, tol, what):
 
 
 def _flat_residual(k, system):
-    worst = 0.0
-    eye = np.eye(system.fiber_dim)
-    for a, b, c in k.triangles:
-        hol = (
-            system.transport(k, a, b)
-            @ system.transport(k, b, c)
-            @ system.transport(k, c, a)
-        )
-        worst = max(worst, float(np.abs(hol - eye).max()))
-    return worst
+    """Largest entry of hol - I over the triangles, hol the transport
+    around each stored triangle (a, b, c), P_ab P_bc P_ca, all at once."""
+    tri = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
+    opposite = opposite_edges(k)
+    p = system.transports
+
+    def transport(i, j):
+        # edge t_i t_j is opposite the third vertex; P read backwards is P^T
+        forward = p[opposite[:, 3 - i - j]]
+        return np.where((tri[:, i] < tri[:, j])[:, None, None], forward,
+                        forward.transpose(0, 2, 1))
+
+    hol = transport(0, 1) @ transport(1, 2) @ transport(2, 0)
+    return float(np.abs(hol - np.eye(system.fiber_dim)).max(initial=0.0))
 
 
 def trivial_system(k, n):

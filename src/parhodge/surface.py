@@ -2,13 +2,17 @@
 piecewise flat metrics and the builtin meshes.
 
 A `SurfaceComplex` stores orientation-bearing triangles over integer vertex
-ids and derives everything else: canonical edges (low id -> high id), the
+ids and derives everything else: canonical edges (low id -> high id, in
+lexicographic order, also as the (n_E, 2) array `ends`), the
 triangle-edge table `tri_edges` (per triangle with sorted vertices
 w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), boundary cycles, connected
 components, and the parity `sorted_sign` relating each stored triangle
 orientation to its sorted vertex order (the fundamental 2-cycle is the sum
-of all triangles with sign +1 in stored order).  The Whitney matrices are
-assembled from this table in `hodge`.
+of all triangles with sign +1 in stored order).  `build` derives them
+with array operations over all triangles, walking only the boundary
+edges; `metric_from_lengths` validates every triangle at once from
+`tri_edges`.  The Whitney matrices are assembled from this table in
+`hodge`.
 
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
 sphere, one-holed torus and the round sphere) together with
@@ -46,6 +50,7 @@ class SurfaceComplex:
     edges: list = field(default_factory=list)
     edge_index: dict = field(default_factory=dict)
     tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
+    ends: np.ndarray | None = None  # (n_E, 2) low and high vertex of each edge
     sorted_sign: np.ndarray | None = None
     boundary_edge_indices: list = field(default_factory=list)
     boundary_vertices: list = field(default_factory=list)
@@ -112,59 +117,60 @@ class GeneratorLoops:
 
 
 def build(vertex_count, triangles):
-    """Validate triangles and derive the full combinatorial structure."""
-    tris = []
-    for t in triangles:
-        t = tuple(int(v) for v in t)
-        if len(t) != 3 or len(set(t)) != 3:
-            raise InvalidParameter(f"triangle {t} must have three distinct vertices")
-        if min(t) < 0 or max(t) >= vertex_count:
-            raise InvalidParameter(f"triangle {t} references invalid vertices")
-        tris.append(t)
-    k = SurfaceComplex(vertex_count=int(vertex_count), triangles=tris)
+    """Validate triangles and derive the full combinatorial structure.
 
-    edge_set = {}
-    # per canonical edge: list of (triangle index, +1 if traversed low->high)
-    edge_tris = []
-    for ti, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            if key not in edge_set:
-                edge_set[key] = len(edge_tris)
-                edge_tris.append([])
-            edge_tris[edge_set[key]].append((ti, 1 if u < v else -1))
+    Every triangle is handled at once: the three sides of each triangle
+    are keyed low * n_V + high, `np.unique` gives the canonical edges in
+    lexicographic order, `searchsorted` the table `tri_edges`, and
+    `bincount` the incidences, so an edge in three triangles, or in two
+    that traverse it the same way, is caught at the lowest such edge.  Only
+    the boundary edges are walked, into cycles.  Invalid input raises on
+    the first offending triangle or edge.
+    """
+    nv = int(vertex_count)
+    tri = _triangle_table(nv, triangles)
+    k = SurfaceComplex(vertex_count=nv, triangles=list(map(tuple, tri.tolist())))
 
-    order = sorted(edge_set, key=lambda e: e)
-    k.edges = order
-    k.edge_index = {e: i for i, e in enumerate(order)}
-    remap = {edge_set[e]: k.edge_index[e] for e in edge_set}
-    by_edge = [None] * len(order)
-    for old, new in remap.items():
-        by_edge[new] = edge_tris[old]
+    # the sides ab, bc, ca of each stored triangle, as low * n_V + high keys
+    tail, head = tri, tri[:, [1, 2, 0]]
+    keys = np.minimum(tail, head) * nv + np.maximum(tail, head)
+    edge_keys, side_edge = np.unique(keys, return_inverse=True)
+    side_edge = side_edge.reshape(-1, 3)
+    k.ends = np.stack(np.divmod(edge_keys, max(nv, 1)), axis=1).reshape(-1, 2)
+    k.edges = list(map(tuple, k.ends.tolist()))
+    k.edge_index = dict(zip(k.edges, range(len(k.edges))))
 
-    for ei, incident in enumerate(by_edge):
-        if len(incident) > 2:
-            raise NonManifold(f"edge {k.edges[ei]} lies in {len(incident)} triangles")
-        if len(incident) == 2 and incident[0][1] == incident[1][1]:
-            raise InconsistentOrientation(
-                f"edge {k.edges[ei]} is traversed twice in the same direction"
-            )
+    # per edge: the triangles on it, and how many run it low -> high,
+    # which is 1 for a consistently oriented pair
+    sides = side_edge.ravel()
+    count = np.bincount(sides, minlength=len(k.edges))
+    forward = np.bincount(sides, weights=(tail < head).ravel(), minlength=len(k.edges))
+    bad = (count > 2) | ((count == 2) & (forward != 1))
+    if bad.any():
+        ei = int(np.argmax(bad))
+        if count[ei] > 2:
+            raise NonManifold(f"edge {k.edges[ei]} lies in {count[ei]} triangles")
+        raise InconsistentOrientation(
+            f"edge {k.edges[ei]} is traversed twice in the same direction")
 
-    k.tri_edges = np.array(
-        [(k.edge_index[(w0, w1)], k.edge_index[(w0, w2)], k.edge_index[(w1, w2)])
-         for w0, w1, w2 in map(sorted, tris)], dtype=int).reshape(-1, 3)
-    k.sorted_sign = np.array([_parity(t) for t in tris], dtype=int)
+    w = np.sort(tri, axis=1)
+    k.tri_edges = np.searchsorted(
+        edge_keys, w[:, [0, 0, 1]] * nv + w[:, [1, 2, 2]]).reshape(-1, 3)
+    inversions = (tri[:, 0] > tri[:, 1]).astype(int) + (tri[:, 0] > tri[:, 2]) \
+        + (tri[:, 1] > tri[:, 2])
+    k.sorted_sign = 1 - 2 * (inversions % 2)
 
-    k.boundary_edge_indices = sorted(
-        ei for ei, incident in enumerate(by_edge) if len(incident) == 1
-    )
-    k.boundary_components = _boundary_cycles(k, by_edge)
-    bverts = set()
-    for comp in k.boundary_components:
-        bverts.update(comp["vertices"])
-    k.boundary_vertices = sorted(bverts)
+    k.boundary_edge_indices = np.flatnonzero(count == 1).tolist()
+    # a boundary edge runs the way its one side does
+    side_of = np.empty(len(k.edges), dtype=int)
+    side_of[sides] = np.arange(sides.size)
+    on_boundary = side_of[k.boundary_edge_indices]
+    tails = tail.ravel()[on_boundary]
+    k.boundary_components = _boundary_cycles(
+        tails.tolist(), head.ravel()[on_boundary].tolist(), k.boundary_edge_indices)
+    k.boundary_vertices = np.sort(tails).tolist()
 
-    k.component_of, k.n_components = _components(k)
+    k.component_of, k.n_components = _components(nv, k.ends)
     if k.n_components > 1:
         warnings.warn(
             f"complex has {k.n_components} components", NotConnectedWarning,
@@ -173,71 +179,84 @@ def build(vertex_count, triangles):
     return k
 
 
-def _parity(t):
-    """+1 when the stored orientation agrees with sorted vertex order."""
-    a, b, c = t
-    inversions = sum(1 for x, y in ((a, b), (a, c), (b, c)) if x > y)
-    return 1 if inversions % 2 == 0 else -1
+def _triangle_table(nv, triangles):
+    """The triangles as an (n_T, 3) int array, raising InvalidParameter at
+    the first one that lacks three distinct vertex ids in range."""
+    try:
+        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        tri = None
+    if tri is not None and len(tri) == len(triangles):
+        _check_triangles(nv, triangles, tri)
+        return tri
+    # a row of another length, or an id beyond int64: check the rows
+    # before the first odd one as they are, then that one
+    sizes = np.fromiter(map(len, triangles), dtype=int, count=len(triangles))
+    first = np.append(np.flatnonzero(sizes != 3), len(triangles))[0]
+    _check_triangles(nv, triangles, np.array(triangles[:first], dtype=object).reshape(-1, 3))
+    raise InvalidParameter(
+        f"triangle {tuple(map(int, triangles[first]))} must have three distinct vertices")
 
 
-def _boundary_cycles(k, by_edge):
-    """Walk boundary edges into cycles following the induced orientation
-    (each boundary edge is traversed the way its one triangle traverses it)."""
+def _check_triangles(nv, triangles, tri):
+    repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
+    bad = np.flatnonzero(repeated | (tri.min(axis=1) < 0) | (tri.max(axis=1) >= nv))
+    if bad.size:
+        t = tuple(map(int, triangles[bad[0]]))
+        if repeated[bad[0]]:
+            raise InvalidParameter(f"triangle {t} must have three distinct vertices")
+        raise InvalidParameter(f"triangle {t} references invalid vertices")
+
+
+def _boundary_cycles(tails, heads, edges):
+    """Walk the boundary edges, given as tail -> head in edge order, into
+    cycles; each starts at its lowest vertex, and they come in that
+    vertex's order."""
     outgoing = {}
-    for ei in (i for i, inc in enumerate(by_edge) if len(inc) == 1):
-        a, b = k.edges[ei]
-        ti, sign = by_edge[ei][0]
-        tail, head = (a, b) if sign == 1 else (b, a)
+    for tail, head, ei in zip(tails, heads, edges):
         if tail in outgoing:
             raise NonManifold(f"boundary vertex {tail} has several outgoing edges")
         outgoing[tail] = (head, ei)
-
     cycles = []
-    seen = set()
     for start in sorted(outgoing):
-        if start in seen:
-            continue
-        verts, eids = [start], []
+        verts, eids = [], []
         v = start
-        while True:
-            seen.add(v)
-            head, ei = outgoing[v]
+        while v in outgoing:
+            head, ei = outgoing.pop(v)
+            verts.append(v)
             eids.append(ei)
-            if head == start:
-                break
-            if head in seen or head not in outgoing:
-                raise NonManifold("boundary walk does not close into a cycle")
-            verts.append(head)
             v = head
-        cycles.append({"vertices": verts, "edges": eids})
+        if verts and v != start:
+            raise NonManifold("boundary walk does not close into a cycle")
+        if verts:
+            cycles.append({"vertices": verts, "edges": eids})
     return cycles
 
 
-def _components(k):
-    parent = list(range(k.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in k.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = {}
-    comp = np.zeros(k.vertex_count, dtype=int)
-    for v in range(k.vertex_count):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp[v] = roots[r]
-    return comp, len(roots) if k.vertex_count else 0
+def _components(nv, ends):
+    """Component id of each vertex, numbered by lowest vertex, and their
+    count: every edge lowers both ends' labels to the smaller, then each
+    label jumps to its label's label, until nothing moves."""
+    label = np.arange(nv)
+    a, b = ends.T
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # each component's label is its lowest vertex, its root
+    roots = label == np.arange(nv)
+    return np.cumsum(roots)[label] - 1, int(roots.sum())
 
 
 def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
-    """Validate explicit edge lengths against the complex."""
+    """Validate explicit edge lengths against the complex, every triangle
+    at once; raises on the first triangle, in stored order, that fails the
+    strict triangle inequalities or is degenerate."""
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (k.n_edges,):
         raise DegenerateMetric(
@@ -245,21 +264,36 @@ def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
         )
     if not np.isfinite(lengths).all() or (lengths <= 0).any():
         raise DegenerateMetric("edge lengths must be positive and finite")
-    for t in k.triangles:
-        l01 = lengths[k.edge_id(t[0], t[1])]
-        l12 = lengths[k.edge_id(t[1], t[2])]
-        l02 = lengths[k.edge_id(t[0], t[2])]
-        if not (l01 < l12 + l02 and l12 < l01 + l02 and l02 < l01 + l12):
+    l12, l02, l01 = lengths[opposite_edges(k)].T
+    unequal = ~((l01 < l12 + l02) & (l12 < l01 + l02) & (l02 < l01 + l12))
+    # float_power squares through libm pow, as a float's ** 2 does
+    longest = np.maximum(np.maximum(l01, l12), l02)
+    thin = _heron(l01, l12, l02) <= tol.rank_tol * np.float_power(longest, 2)
+    bad = np.flatnonzero(unequal | thin)
+    if bad.size:
+        t = k.triangles[bad[0]]
+        if unequal[bad[0]]:
             raise DegenerateMetric(f"triangle inequality fails on {t}")
-        if _heron(l01, l12, l02) <= tol.rank_tol * max(l01, l12, l02) ** 2:
-            raise DegenerateMetric(f"triangle {t} is degenerate")
+        raise DegenerateMetric(f"triangle {t} is degenerate")
     return PLMetric(lengths=lengths)
 
 
 def metric_from_positions(k, positions, tol=DEFAULT_TOL):
     pos = np.asarray(positions, dtype=float)
-    lengths = np.array([np.linalg.norm(pos[a] - pos[b]) for a, b in k.edges])
+    d = pos[k.ends[:, 0]] - pos[k.ends[:, 1]]
+    # one row times its transpose is the dot that np.linalg.norm takes of
+    # one vector, so the lengths are bitwise the per-edge norms
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(-1))
     return metric_from_lengths(k, lengths, tol)
+
+
+def opposite_edges(k):
+    """Ids of the edges opposite the vertices t0, t1, t2 of each stored
+    triangle (t1t2, t0t2, t0t1): for a vertex of sorted rank r that is
+    column 2 - r of `tri_edges`."""
+    tri = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
+    rank = tri.argsort(axis=1).argsort(axis=1)
+    return np.take_along_axis(k.tri_edges, 2 - rank, axis=1)
 
 
 def _heron(a, b, c):

@@ -5,7 +5,9 @@ p-simplex, stored blockwise in simplex order (vertices by id, edges in
 lexicographic order, triangles in stored order).  The value on a simplex
 lives in the fiber at its lowest vertex; coboundary formulas transport all
 terms there.  The `relative` flavor is the subcomplex of cochains vanishing
-on boundary simplices, represented on interior degrees of freedom.
+on boundary simplices, represented on interior degrees of freedom.  On a
+complex without boundary it is the absolute flavor, so `h1_flavors` hands
+out the absolute degree-1 basis for both.
 
 Cohomology in degrees 0 and 1 comes from a tree-cotree elimination
 (Eppstein 2003, "Dynamic generators of topologically embedded graphs";
@@ -143,7 +145,7 @@ def coboundaries(k, f):
     """
     n = f.fiber_dim
     ne, nt = k.n_edges, k.n_triangles
-    u, v = np.array(k.edges, dtype=int).reshape(-1, 2).T
+    u, v = k.ends.T
     e01, e02, e12 = k.tri_edges.T
     d0 = np.zeros((n * ne, n * k.vertex_count))
     d0_blocks = _blocks(d0, n)
@@ -216,11 +218,15 @@ def _tree_and_flat_sections(k, f, flavor, tol):
         active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
     else:
         active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(nv, dtype=bool)
-    nbrs = [[] for _ in range(nv)]
-    for ei in np.flatnonzero(active):
-        a, b = k.edges[ei]
-        nbrs[a].append((b, ei))
-        nbrs[b].append((a, ei))
+    # per vertex, in edge order: (neighbour, edge, whether the vertex is
+    # the edge's low end) across the active edges, from nbrs[start[v]] on
+    act = np.flatnonzero(active)
+    lo, hi = k.ends[act].T
+    at, edge = np.concatenate([lo, hi]), np.concatenate([act, act])
+    by_vertex = np.lexsort((edge, at))
+    nbrs = list(zip(np.concatenate([hi, lo])[by_vertex].tolist(), edge[by_vertex].tolist(),
+                    (by_vertex < act.size).tolist()))
+    start = np.searchsorted(at[by_vertex], np.arange(nv + 1)).tolist()
     root = np.full(nv, -2)  # -2 unseen, -1 pinned root, else free root
     g = np.tile(np.eye(n), (nv, 1, 1))
     in_tree = np.zeros(k.n_edges, dtype=bool)
@@ -230,7 +236,7 @@ def _tree_and_flat_sections(k, f, flavor, tol):
         root[seed] = label
         queue = list(seed)
         for a in queue:
-            for b, ei in nbrs[a]:
+            for b, ei, low in nbrs[start[a]:start[a + 1]]:
                 if root[b] != -2:
                     continue
                 root[b] = label
@@ -238,7 +244,7 @@ def _tree_and_flat_sections(k, f, flavor, tol):
                 walk.append((b, a, ei))
                 p = f.transports[ei]
                 # d0 of a parallel section vanishes on the tree edge
-                g[b] = (p.T if a == k.edges[ei][0] else p) @ g[a]
+                g[b] = (p.T if low else p) @ g[a]
                 queue.append(b)
 
     grow(list(np.flatnonzero(pinned)), -1)
@@ -248,7 +254,7 @@ def _tree_and_flat_sections(k, f, flavor, tol):
             free_roots.append(v)
             grow([v], v)
 
-    ends = np.array(k.edges, dtype=int).reshape(-1, 2)
+    ends = k.ends
     loose = active & ~in_tree
     defect = np.einsum("eij,ejk->eik", f.transports[loose], g[ends[loose, 1]]) \
         - g[ends[loose, 0]]
@@ -277,16 +283,22 @@ def _cotree(k, dual):
     outside, which roots every component it reaches.  Returns the visiting
     order, each triangle's parent edge (-1 at a root triangle) and the mask
     of loop edges, the dual edges outside the forest."""
-    tris = k.tri_edges.tolist()
-    edge_tris = [[] for _ in range(k.n_edges)]
-    for ti, es in enumerate(tris):
-        for e in es:
-            edge_tris[e].append(ti)
-    parent = np.full(k.n_triangles, -1)
-    seen = np.zeros(k.n_triangles, dtype=bool)
+    te, nt = k.tri_edges, k.n_triangles
+    # per edge: its number of triangles and the sum of their ids, which
+    # names the other triangle across an interior edge and the one triangle
+    # on a boundary edge
+    count = np.bincount(te.ravel(), minlength=k.n_edges)
+    total = np.bincount(te.ravel(), weights=np.repeat(np.arange(nt), 3),
+                        minlength=k.n_edges).astype(int)
+    joined = dual & (count == 2)
+    across = np.where(joined[te], total[te] - np.arange(nt)[:, None], -1).tolist()
+    tris = te.tolist()
+    outside = np.flatnonzero(dual & (count == 1))
+    parent = [-1] * nt
+    seen = [False] * nt
     order = []
-    starts = [(edge_tris[e][0], e) for e in np.flatnonzero(dual) if len(edge_tris[e]) == 1]
-    for start, edge in starts + [(t, -1) for t in range(k.n_triangles)]:
+    for start, edge in list(zip(total[outside].tolist(), outside.tolist())) \
+            + [(t, -1) for t in range(nt)]:
         if seen[start]:
             continue
         seen[start] = True
@@ -294,13 +306,12 @@ def _cotree(k, dual):
         queue = [start]
         for t in queue:
             order.append(t)
-            for e in tris[t]:
-                if dual[e] and len(edge_tris[e]) == 2:
-                    s = edge_tris[e][0] + edge_tris[e][1] - t
-                    if not seen[s]:
-                        seen[s] = True
-                        parent[s] = e
-                        queue.append(s)
+            for s, e in zip(across[t], tris[t]):
+                if s >= 0 and not seen[s]:
+                    seen[s] = True
+                    parent[s] = e
+                    queue.append(s)
+    parent = np.array(parent, dtype=int)
     loops = dual.copy()
     loops[parent[parent >= 0]] = False
     return order, parent, loops
@@ -342,8 +353,7 @@ def _cocycles_off_tree(k, f, order, parent, loops, tol):
 
 def _d0_apply(k, f, a):
     """d0 @ a edgewise, for 0-cochain columns a."""
-    n, cols = f.fiber_dim, a.shape[1]
-    ends = np.array(k.edges, dtype=int).reshape(-1, 2)
+    n, cols, ends = f.fiber_dim, a.shape[1], k.ends
     x = a.reshape(k.vertex_count, n, cols)
     out = np.einsum("eij,ejr->eir", f.transports, x[ends[:, 1]]) - x[ends[:, 0]]
     return out.reshape(n * k.n_edges, cols)
@@ -352,8 +362,7 @@ def _d0_apply(k, f, a):
 def _d0_adjoint(k, f, w):
     """d0^T @ w edgewise, for 1-cochain columns w: each edge u -> v sends
     P^T w to v and -w to u."""
-    n, cols = f.fiber_dim, w.shape[1]
-    ends = np.array(k.edges, dtype=int).reshape(-1, 2)
+    n, cols, ends = f.fiber_dim, w.shape[1], k.ends
     x = w.reshape(k.n_edges, n, cols)
     out = np.zeros((k.vertex_count, n, cols))
     np.add.at(out, ends[:, 1], np.einsum("eji,ejr->eir", f.transports, x))
@@ -425,7 +434,25 @@ def _boundary_walk(k, f, u, tol):
     return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
 
 
-def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
+def h1_flavors(k, f, tol=DEFAULT_TOL):
+    """The degree-1 bases (h1, h1_rel) of both flavors, each from its own
+    walk, with `h1_rel is h1` on a complex with no boundary edge.
+
+    There the relative flavor keeps every degree of freedom, so its walk
+    is the absolute one edge for edge and H^1_rel = H^1: the relative
+    basis would repeat the absolute one bit for bit.  `h1_rel` then keeps
+    the absolute `flavor`, which only selects the degree-0 dofs, all of
+    them either way.  Entry points that need both flavors take them from
+    here, and `hodge.harmonic_spaces` reads the identity to solve for H_D
+    once.
+    """
+    h1 = cohomology(k, f, 1, "absolute", tol)
+    if not k.boundary_edge_indices:
+        return h1, h1
+    return h1, cohomology(k, f, 1, "relative", tol)
+
+
+def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
     """Restriction map to boundary cohomology and the parabolic classes.
 
     Parabolic cohomology in degree one is the kernel of the restriction to
@@ -433,10 +460,10 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL):
     from one walk around it (`_boundary_walk`).  `exactness_check` confirms
     that the kernel is the image of the relative cohomology by comparing
     class coordinates (`_class_coordinates`, along the walk that cut H^1),
-    so any closed basis of H^1_rel serves.
+    so any closed basis of H^1_rel serves.  `bases` is the pair from
+    `h1_flavors`, cut here when not given.
     """
-    h1 = cohomology(k, f, 1, "absolute", tol)
-    h1_rel = cohomology(k, f, 1, "relative", tol)
+    h1, h1_rel = bases or h1_flavors(k, f, tol)
     r_star = _boundary_walk(k, f, h1.reps, tol)[0]
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
@@ -509,8 +536,10 @@ def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
     return 0.5 * (raw - raw.T)
 
 
-def euler_characteristic_dims(k, f, tol=DEFAULT_TOL):
+def euler_characteristic_dims(k, f, tol=DEFAULT_TOL, h1=None):
     """Absolute Betti numbers (deg 0..2); their alternating sum equals the
-    fiber dimension times the Euler characteristic for any flat system."""
-    h1 = cohomology(k, f, 1, "absolute", tol)
+    fiber dimension times the Euler characteristic for any flat system.
+    `h1` is the absolute degree-1 basis, cut here when not given."""
+    if h1 is None:
+        h1 = cohomology(k, f, 1, "absolute", tol)
     return [h1.h0.dim, h1.dim, cohomology(k, f, 2, "absolute", tol).dim]

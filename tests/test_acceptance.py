@@ -14,6 +14,7 @@ from parhodge import cli, compat, hodge, localsys, moduli, numlin, parastar, \
     surface, twisted
 
 from conftest import torus_grid_cochain, wedge_matrix
+from naturality import determinism_check
 
 
 def _report(num, text):
@@ -237,7 +238,7 @@ def test_criterion_8_determinism_and_naturality(tmp_path):
     rng = np.random.default_rng(12)
     k, h, loops = surface.genus_k(1, 1, 1)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    out = parastar.determinism_check(k, h, f, rng)
+    out = determinism_check(k, h, f, rng)
     assert out["identity_bit_identical"]
     assert out["relabel_conjugation_residual"] < 1e-9
     assert out["orientation_omega_flip_residual"] < 1e-9

@@ -27,6 +27,72 @@ def test_dumps_is_strict_json():
     assert back == {"x": [1.0, -0.0, 1e20, 2], "y": 0.5}
 
 
+def _dumps_per_entry(obj, indent=0):
+    """The report layout with every scalar written by `_serialize._fmt`:
+    the oracle of the row-template fast path."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{pad}  {json.dumps(str(key))}: {_dumps_per_entry(val, indent + 1)}"
+                 for key, val in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(_serialize._fmt(v) for v in obj) + "]"
+        items = [f"{pad}  {_dumps_per_entry(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _serialize._fmt(obj)
+
+
+def _text_per_entry(obj, prefix=""):
+    lines = []
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            lines.extend(_text_per_entry(val, f"{prefix}{key}."))
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        for i, val in enumerate(obj):
+            lines.extend(_text_per_entry(val, f"{prefix}{i}."))
+    else:
+        path = prefix[:-1] if prefix.endswith(".") else prefix
+        if isinstance(obj, (list, tuple)):
+            value = "[" + ", ".join(_serialize._fmt(v) for v in obj) + "]"
+        else:
+            value = obj if isinstance(obj, str) else _serialize._fmt(obj)
+        lines.append(f"{path}: {value}")
+    return lines
+
+
+def test_float_rows_write_what_fmt_writes_entry_by_entry():
+    values = [0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e17, 1e20, 5e-324, -2.5e-16, 1 / 3, 123.0]
+    rng = np.random.default_rng(73)
+    square = np.array(values[:9]).reshape(3, 3).tolist()
+    report = {
+        "row": values,
+        "matrix": np.reshape(values, (4, 3)).tolist(),
+        "column": [[v] for v in values],
+        "square": square,
+        "nan_row": square[:1] + [[1.0, float("nan"), 2.0]] + square[1:],
+        "inf_row": [[float("inf"), -0.0], [1.0, 2.0]],
+        "neg_inf": [-float("inf"), 0.0],
+        "ints": [[1, 2], [3, 4]],
+        "mixed": [[1.0, 2], [3.0, 4.0]],
+        "ragged": [[1.0, 2.0], [3.0]],
+        "empty_rows": [[], []],
+        "numpy_floats": [[np.float64(1.0), np.float64(0.5)]],
+        "bools": [True, 1.0],
+        "nested": [{"a": [[0.25, 1e16]]}, [[-0.0]]],
+        "random": (rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-20, 20, (40, 5))).tolist(),
+        "integral": rng.integers(-9, 9, (6, 4)).astype(float).tolist(),
+    }
+    assert _serialize.write_report(report) == _dumps_per_entry(report) + "\n"
+    assert _serialize.write_report(report, "text") == "\n".join(_text_per_entry(report)) + "\n"
+    for key, value in report.items():
+        assert _serialize.dumps(value, 2) == _dumps_per_entry(value, 2), key
+
+
 def test_star_torus_example(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["star", "--example", "torus", "--m", "8", "--out", str(out)])

@@ -130,6 +130,25 @@ def test_harmonic_dims_closed_and_bounded():
     assert harm2.dim_n == 1 and harm2.dim_d == 1
 
 
+def test_closed_torus_takes_h_d_from_the_absolute_solve(monkeypatch):
+    k, h, f, _ = build(surface.torus, (5,), n=3, trivial=False, seed=69)
+    mc = hodge.metric_complex(k, h, f)
+    solves = []
+    solve = hodge.harmonic_representative
+    monkeypatch.setattr(hodge, "harmonic_representative",
+                        lambda *args: solves.append(1) or solve(*args))
+    harm = hodge.harmonic_spaces(mc)
+    assert len(solves) == 1
+    assert np.array_equal(harm.h_d, harm.h_n)
+    # a relative basis cut by its own walk takes the boundary route, with
+    # a second solve, and lands on the same bits
+    h1 = twisted.cohomology(k, f, 1, "absolute")
+    routed = hodge.harmonic_spaces(mc, (h1, twisted.cohomology(k, f, 1, "relative")))
+    assert len(solves) == 3
+    for got, want in ((harm.h_d, routed.h_d), (harm.h_n, routed.h_n), (harm.ccc, routed.ccc)):
+        assert np.array_equal(got, want)
+
+
 def _torus_and_annulus(n, trivial, seed):
     """torus(4) and annulus(6, 2) as one disconnected complex."""
     k1, h1, f1, _ = build(surface.torus, (4,), n=n, trivial=trivial, seed=seed)

@@ -11,6 +11,7 @@ from parhodge import compat, hodge, localsys, moduli, numlin, parastar, surface,
 from parhodge.errors import ConditionFailed
 
 from conftest import torus_grid_cochain, union_with_metric_and_system
+from naturality import determinism_check, disconnected_split
 
 
 def test_closed_torus_matches_analytic_star():
@@ -100,7 +101,7 @@ def test_disconnected_split_two_tori():
     k, h, _ = surface.torus(4)
     f = localsys.trivial_system(k, 1)
     ku, hu, fu = union_with_metric_and_system(k, h, f, k, h, f)
-    out = parastar.disconnected_split(ku, hu, fu)
+    out = disconnected_split(ku, hu, fu)
     assert out["union"].dim_h1_par == 4
     assert [p.dim_h1_par for p in out["components"]] == [2, 2]
     assert out["basis_residual"] < 1e-9
@@ -116,7 +117,7 @@ def test_disconnected_split_torus_with_annulus():
     f1 = localsys.trivial_system(k1, 1)
     f2 = localsys.trivial_system(k2, 1)
     ku, hu, fu = union_with_metric_and_system(k1, h1, f1, k2, h2, f2)
-    out = parastar.disconnected_split(ku, hu, fu)
+    out = disconnected_split(ku, hu, fu)
     assert out["union"].dim_h1_par == 2
     assert sorted(p.dim_h1_par for p in out["components"]) == [0, 2]
     assert out["direct_sum_residual"] < 1e-9
@@ -131,7 +132,7 @@ def test_disconnected_split_two_metrics():
     h2 = surface.perturbed_metric(k, h, rng)
     f = localsys.trivial_system(k, 1)
     ku, hu, fu = union_with_metric_and_system(k, h, f, k, h2, f)
-    out = parastar.disconnected_split(ku, hu, fu)
+    out = disconnected_split(ku, hu, fu)
     for p in out["components"]:
         assert p.theorem_residuals_ok()
     assert out["direct_sum_residual"] < 1e-9
@@ -172,7 +173,7 @@ def test_determinism_and_naturality():
     rng = np.random.default_rng(45)
     k, h, loops = surface.genus_k(1, 1, 1)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    out = parastar.determinism_check(k, h, f, rng)
+    out = determinism_check(k, h, f, rng)
     assert out["identity_bit_identical"]
     assert out["relabel_span_residual"] < 1e-9
     assert out["relabel_conjugation_residual"] < 1e-9
@@ -184,7 +185,7 @@ def test_determinism_and_naturality():
 def test_determinism_check_closed_torus():
     k, h, _ = surface.torus(4)
     f = localsys.trivial_system(k, 1)
-    out = parastar.determinism_check(k, h, f, np.random.default_rng(46))
+    out = determinism_check(k, h, f, np.random.default_rng(46))
     assert out["identity_bit_identical"]
     assert out["relabel_conjugation_residual"] < 1e-9
     assert out["orientation_j_flip_residual"] < 1e-12

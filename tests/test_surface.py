@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from parhodge.errors import (
     NotConnectedWarning,
 )
 
+import surface_oracle
 from conftest import wedge_matrix
 
 
@@ -231,3 +235,128 @@ def test_subcomplex_and_union():
     sub0, vmap0 = surface.subcomplex(ku, 0)
     sub1, vmap1 = surface.subcomplex(ku, 1)
     assert {sub0.n_triangles, sub1.n_triangles} == {k1.n_triangles, k2.n_triangles}
+
+
+def _assert_same_complex(got, want):
+    """Every `SurfaceComplex` field equal, with the same types: edges and
+    triangles as tuples of ints, arrays with the same dtype."""
+    for name in surface.SurfaceComplex.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+            assert repr(a) == repr(b), name
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+@pytest.mark.parametrize("m", [3, 9])
+def test_build_matches_the_loop_oracle(name, m):
+    k, h, _ = cli._EXAMPLES[name](m)
+    tris = k.triangles
+    _assert_same_complex(k, surface_oracle.build(k.vertex_count, tris))
+    perm = np.random.default_rng(m).permutation(k.vertex_count).tolist()
+    for variant in ([(a, c, b) for a, b, c in tris],            # orientation flip
+                    [tuple(perm[v] for v in t) for t in tris],  # relabel
+                    tris[::-1]):
+        _assert_same_complex(surface.build(k.vertex_count, variant),
+                             surface_oracle.build(k.vertex_count, variant))
+    # the generators' lengths, from positions or from the grid, validate
+    # alike, and positions give the per-edge norms bit for bit
+    assert np.array_equal(surface.metric_from_lengths(k, h.lengths).lengths,
+                          surface_oracle.metric_from_lengths(k, h.lengths).lengths)
+    pos = np.random.default_rng(m + 1).standard_normal((k.vertex_count, 3))
+    assert np.array_equal(surface.metric_from_positions(k, pos).lengths,
+                          surface_oracle.metric_from_positions(k, pos).lengths)
+
+
+def test_union_and_component_match_the_loop_oracle(monkeypatch):
+    k1, _, _ = surface.torus(3)
+    k2, _, _ = surface.genus_k(0, 3, 1)
+    ku, _ = surface.disjoint_union(k1, k2)
+    sub, _ = surface.subcomplex(ku, 1)
+    monkeypatch.setattr(surface, "build", surface_oracle.build)
+    ku_loop, _ = surface.disjoint_union(k1, k2)
+    sub_loop, _ = surface.subcomplex(ku_loop, 1)
+    _assert_same_complex(ku, ku_loop)
+    _assert_same_complex(sub, sub_loop)
+    assert ku.n_components == 2
+
+
+_INVALID_MESHES = [
+    (3, [(0, 1, 1)]),
+    (3, [(0, 1, 3)]),
+    (3, [(0, 1, -1)]),
+    (3, [(0, 1, 10 ** 20)]),
+    (3, [(0, 0, 10 ** 20)]),
+    (3, [[0, 1]]),
+    (4, [(0, 1, 2), [0, 1]]),
+    (4, [(0, 1, 5), [0, 1]]),
+    (4, [(0, 1, 2, 3)]),
+    (0, [(0, 1, 2)]),
+    (3, [(0, 1, 2), (0, 1, 2)]),
+    (5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)]),
+    (4, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 2, 3), (1, 3, 2)]),
+    (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (0, 1, 3)]),
+    (5, [(0, 1, 2), (0, 3, 4)]),
+    (6, [(0, 1, 2), (3, 4, 5), (2, 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("vertex_count,triangles", _INVALID_MESHES)
+def test_build_raises_as_the_loop_oracle(vertex_count, triangles):
+    with pytest.raises(Exception) as want:
+        surface_oracle.build(vertex_count, triangles)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        surface.build(vertex_count, triangles)
+
+
+def test_metric_validation_raises_at_the_oracles_triangle():
+    rng = np.random.default_rng(70)
+    for k, h, _ in (surface.torus(4), surface.genus_k(0, 3, 1)):
+        for _ in range(20):
+            lengths = h.lengths * rng.uniform(0.3, 3.0, k.n_edges)
+            try:
+                surface_oracle.metric_from_lengths(k, lengths)
+            except DegenerateMetric as exc:
+                with pytest.raises(DegenerateMetric, match=f"^{re.escape(str(exc))}$"):
+                    surface.metric_from_lengths(k, lengths)
+            else:
+                surface.metric_from_lengths(k, lengths)
+    # a degenerate (flat) triangle, not only a violated inequality
+    k = surface.build(3, [(0, 1, 2)])
+    for lengths in ([1.0, 1.0, 1e-11], [1.0, 1.0, 2.5]):
+        with pytest.raises(DegenerateMetric) as want:
+            surface_oracle.metric_from_lengths(k, lengths)
+        with pytest.raises(DegenerateMetric, match=f"^{re.escape(str(want.value))}$"):
+            surface.metric_from_lengths(k, lengths)
+
+
+def test_flat_residual_matches_the_loop_oracle():
+    rng = np.random.default_rng(71)
+    for k, _, loops in (surface.torus(5), surface.genus_k(1, 1, 2), surface.sphere(2)):
+        f = localsys.random_flat_system(k, loops, 3, rng)
+        assert localsys._flat_residual(k, f) == surface_oracle.flat_residual(k, f)
+        f.transports[3] = localsys.random_rotation(rng, 3)
+        assert localsys._flat_residual(k, f) == surface_oracle.flat_residual(k, f) > 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--example", "torus", "--m", "6", "--system", "SYSTEM"],
+    ["verify", "--refine", "4,6"],
+])
+def test_reports_are_byte_identical_with_the_loop_oracle(tmp_path, monkeypatch, capsys, argv):
+    _, _, loops = surface.torus(6)
+    images = localsys.random_images(loops, 3, np.random.default_rng(72))
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"representation": {"images": {
+        name: a.tolist() for name, a in images.items()}}}))
+    argv = [str(system) if a == "SYSTEM" else a for a in argv]
+    assert cli.main(argv) == 0
+    arrays = capsys.readouterr().out
+    monkeypatch.setattr(surface, "build", surface_oracle.build)
+    monkeypatch.setattr(surface, "metric_from_lengths", surface_oracle.metric_from_lengths)
+    monkeypatch.setattr(surface, "metric_from_positions", surface_oracle.metric_from_positions)
+    monkeypatch.setattr(localsys, "_flat_residual", surface_oracle.flat_residual)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == arrays

@@ -363,14 +363,16 @@ def test_tree_cotree_matches_dense_oracle():
                 assert np.abs(gram).max(initial=0) < 1e-9, case
 
 
-def _entry_point(name):
-    """Run one entry point on a one-holed torus with an SO(3) system, or on
-    a (1, 1) moduli point; each checks enough of its result to show it ran."""
+def _entry_point(case):
+    """Run one entry point on a one-holed torus with an SO(3) system (on a
+    closed torus when `case` ends in "-torus"), or on a (1, 1) moduli
+    point; each checks enough of its result to show it ran."""
+    name, _, closed = case.partition("-")
     if name in ("tangent_space", "moduli_acs"):
         out = getattr(moduli, name)(moduli.sample_point(1, 1, [3.0], seed=7))
         assert (out if name == "tangent_space" else out["tangent"])["dim_H1_par"] == 2
         return
-    k, h, loops = surface.genus_k(1, 1, 2)
+    k, h, loops = surface.torus(6) if closed else surface.genus_k(1, 1, 2)
     f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(66))
     if name == "restriction_and_parabolic":
         rp = twisted.restriction_and_parabolic(k, f)
@@ -379,9 +381,13 @@ def _entry_point(name):
         assert parastar.parabolic_star(k, h, f).dim_h1_par == 2
     elif name == "harmonic_spaces":
         mc = hodge.metric_complex(k, h, f)
-        assert hodge.harmonic_spaces(mc).dim_n == 3
+        # a generic SO(3) system has dim H^1 = 3 on the one-holed torus;
+        # on the torus its commuting rotations fix an axis, which gives 2
+        assert hodge.harmonic_spaces(mc).dim_n == (2 if closed else 3)
     elif name == "ambient_route_diagnostic":
         assert parastar.ambient_route_diagnostic(k, h, f)["kernel_check"]
+    elif name == "verify_case":
+        assert cli._verify_case(k, h, f, numlin.DEFAULT_TOL, np.random.default_rng(67))["ok"]
     else:
         assert twisted.euler_characteristic_dims(k, f) == [0, 3, 0]
 
@@ -396,6 +402,14 @@ _WALKS = {
     "harmonic_spaces": (2, 2),
     "ambient_route_diagnostic": (2, 2),
     "euler_characteristic_dims": (1, 1),
+    # each flavor of the system and of its gauge transform, once
+    "verify_case": (4, 4),
+    # a closed surface's relative flavor is its absolute one
+    "restriction_and_parabolic-torus": (1, 1),
+    "parabolic_star-torus": (1, 1),
+    "harmonic_spaces-torus": (1, 1),
+    "ambient_route_diagnostic-torus": (1, 1),
+    "verify_case-torus": (2, 2),
 }
 
 
@@ -415,6 +429,18 @@ def test_entry_points_walk_each_flavor_once(monkeypatch, name):
         monkeypatch.setattr(twisted, fn_name, counting(fn_name, getattr(twisted, fn_name)))
     _entry_point(name)
     assert (counts["_tree_and_flat_sections"], counts["_cotree"]) == _WALKS[name]
+
+
+def test_h1_flavors_share_the_basis_only_without_boundary():
+    rng = np.random.default_rng(68)
+    for k, h, loops in (surface.torus(5), surface.genus_k(1, 1, 1), surface.sphere(2)):
+        f = localsys.random_flat_system(k, loops, 3, rng)
+        h1, h1_rel = twisted.h1_flavors(k, f)
+        assert (h1_rel is h1) == (not k.boundary_edge_indices)
+        # the shared basis is what the relative walk would cut, bit for bit
+        rel = twisted.cohomology(k, f, 1, "relative")
+        assert np.array_equal(rel.reps, h1_rel.reps)
+        assert np.array_equal(rel.h0.reps, h1_rel.h0.reps)
 
 
 def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
