@@ -117,7 +117,7 @@ def cmd_star(args):
 def cmd_moduli(args):
     tol = _tolerance(args)
     if args.point:
-        point = _point_from_json(_read_json(args.point, "point"))
+        point = _point_from_json(_read_json(args.point, "point"), tol)
     else:
         if args.sample is None:
             raise ParhodgeError("need --point FILE or --sample G K")
@@ -127,7 +127,7 @@ def cmd_moduli(args):
             names = moduli._generator_names(g, kk)
             images = {n: np.array([1.0, 0, 0, 0]) for n in names}
             point = moduli.ModuliPoint(g=g, k=kk, boundary_classes=[],
-                                       phi_images=images, seed=args.seed)
+                                       phi_images=images, seed=args.seed, tol=tol)
         else:
             point = moduli.sample_point(g, kk, angles, args.seed)
     acs = moduli.moduli_acs(point, tol=tol)  # raises SingularPoint if reducible
@@ -154,7 +154,7 @@ def cmd_moduli(args):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _point_from_json(data):
+def _point_from_json(data, tol):
     if not {"g", "k"} <= data.keys():
         raise ParhodgeError("point JSON must be an object with 'g' and 'k'")
     images = data.get("phi_images", {})
@@ -171,7 +171,7 @@ def _point_from_json(data):
             g=int(data["g"]), k=int(data["k"]),
             boundary_classes=[float(t) for t in data.get("boundary_classes", [])],
             phi_images=images, seed=int(data.get("seed", 0)),
-            subdiv=int(data.get("subdiv", 1)),
+            subdiv=int(data.get("subdiv", 1)), tol=tol,
         )
     return moduli.sample_point(
         int(data["g"]), int(data["k"]),

@@ -254,15 +254,21 @@ def system_from_json(k, data, loops=None, tol=DEFAULT_TOL):
 # quaternions and SU(2)
 # ---------------------------------------------------------------------------
 
-def quat_mul(p, q):
+def _quat_mul_parts(p, q):
+    """Hamilton product of two 4-sequences, of floats or of equal-length
+    arrays, as a 4-tuple of the same kind."""
     w1, x1, y1, z1 = p
     w2, x2, y2, z2 = q
-    return np.array([
+    return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    )
+
+
+def quat_mul(p, q):
+    return np.array(_quat_mul_parts(p, q))
 
 
 def quat_conj(q):

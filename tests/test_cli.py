@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from parhodge import _serialize, cli, hodge, localsys, surface, twisted
+from parhodge import _serialize, cli, hodge, localsys, moduli, surface, twisted
 
 
 def run(args):
@@ -231,6 +231,62 @@ def test_moduli_point_file(tmp_path):
     assert code == 0
     report = load_strict(out.read_text())
     assert report["tangent"]["dim_H1_par"] == 0
+
+
+def _point_json(g, k, classes, seed):
+    """A `--point` object with the images of a sampled point."""
+    p = moduli.sample_point(g, k, classes, seed)
+    return {"g": g, "k": k, "seed": seed, "boundary_classes": classes,
+            "phi_images": {n: q.tolist() for n, q in p.phi_images.items()}}
+
+
+def _edited(point, **changes):
+    """A copy of `point` with top-level fields or images (a1=...) replaced."""
+    out = json.loads(json.dumps(point))
+    for key, value in changes.items():
+        (out if key in out else out["phi_images"])[key] = value
+    return out
+
+
+_PANTS = _point_json(0, 3, [1.2, 2.0, 2.5], 5)
+_ONE_HOLED = _point_json(1, 1, [2.5], 11)
+
+
+@pytest.mark.parametrize("point, message", [
+    (_edited(_ONE_HOLED, boundary_classes=[2.5, 1.0]), "2 boundary classes listed for k = 1"),
+    (_edited(_PANTS, boundary_classes=[1.2, 2.0]), "2 boundary classes listed for k = 3"),
+    (_edited(_ONE_HOLED, a1=[1.0, 0.0]), "image a1 has shape (2,)"),
+    (_edited(_ONE_HOLED, a1=[2 * v for v in _ONE_HOLED["phi_images"]["a1"]]),
+     "image a1 has norm 2.000000, not 1"),
+    (_edited(_ONE_HOLED, boundary_classes=[2.4]), "c1 has class angle 2.500000, expected 2.400000"),
+], ids=["more-classes-than-k", "fewer-classes-than-k", "two-entry-image",
+        "non-unit-image", "wrong-class"])
+def test_malformed_point_file_exits_2_with_its_reason(tmp_path, capsys, point, message):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(point))
+    code = run(["moduli", "--point", str(pfile)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: InvalidParameter:") and message in err, err
+
+
+def test_point_file_lists_all_classes_or_none(tmp_path):
+    for point in (_PANTS, _edited(_PANTS, boundary_classes=[])):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(point))
+        assert run(["moduli", "--point", str(pfile), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_tolerance_reaches_point_file(tmp_path, capsys):
+    # turn a1 by 1e-7 about its own axis: the relation now fails by ~1e-7
+    a1 = np.array(_ONE_HOLED["phi_images"]["a1"])
+    turned = localsys.quat_mul(a1, localsys.quat_from_axis_angle(a1[1:], 1e-7))
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(_edited(_ONE_HOLED, a1=turned.tolist())))
+    assert run(["moduli", "--point", str(pfile)]) == 2
+    assert "surface-group relation" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert run(["moduli", "--point", str(pfile), "--tolerance", "1e-5", "--out", str(out)]) == 0
+    assert load_strict(out.read_text())["tangent"]["dim_H1_par"] == 2
 
 
 def test_verify_sweep(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import moduli_oracle
 from parhodge import localsys, moduli, surface
-from parhodge.errors import InvalidAngles, InvalidParameter, SingularPoint
+from parhodge.errors import InvalidAngles, InvalidParameter, SamplingFailed, SingularPoint
 from parhodge.localsys import quat_angle, quat_from_axis_angle, quat_mul, quat_conj
 
 
@@ -148,3 +149,124 @@ def test_mesh_independence_of_tangent_dim():
                                  subdiv=subdiv)
         dims.append(moduli.tangent_space(p_s)["dim_H1_par"])
     assert dims[0] == dims[1] == 2
+
+
+def _sample(g, k, angles, seed, max_attempts):
+    """A sampled point's image bytes and attempts, or its failure message."""
+    try:
+        p = moduli.sample_point(g, k, angles, seed, max_attempts=max_attempts)
+    except SamplingFailed as exc:
+        return str(exc), exc.attempts
+    return {n: q.tobytes() for n, q in p.phi_images.items()}, p.attempts_used
+
+
+# (g, k, class angles, seed, max_attempts); the cap of four makes some fail
+_ORACLE_CASES = (
+    [(1, 1, [float(a)], seed, 4)
+     for seed, a in enumerate(np.random.default_rng(70).uniform(0.2, 6.0, 32))]
+    + [(2, 1, [float(a)], seed, 4)
+       for seed, a in enumerate(np.random.default_rng(71).uniform(0.2, 6.0, 4))]
+    + [(3, 2, [float(a), float(b)], seed, 4)
+       for seed, (a, b) in enumerate(np.random.default_rng(72).uniform(0.2, 6.0, (4, 2)))]
+)
+
+
+def test_sampler_matches_the_scalar_bisection_bit_for_bit(monkeypatch):
+    new = [_sample(*case) for case in _ORACLE_CASES]
+    monkeypatch.setattr(moduli, "_solve_last_bisect", moduli_oracle._solve_last_bisect)
+    old = [_sample(*case) for case in _ORACLE_CASES]
+    assert new == old
+    failed = [isinstance(images, str) for images, _ in old]
+    assert any(failed) and not all(failed)
+    assert any(n > 1 for images, n in old if not isinstance(images, str))
+
+
+def _bisect_both(g, k, images, target):
+    mine, theirs = dict(images), dict(images)
+    q = moduli._solve_last_bisect(g, k, mine, target)
+    q_old = moduli_oracle._solve_last_bisect(g, k, theirs, target)
+    assert q_old is not None and q.tobytes() == q_old.tobytes()
+    assert {n: v.tobytes() for n, v in mine.items()} == \
+        {n: v.tobytes() for n, v in theirs.items()}
+
+
+def _target_at(g, k, images, t):
+    """The class angle of the forced image at t, as the oracle computes it,
+    so that f(t) = 0 exactly."""
+    b_name = f"b{g}"
+    scaled = dict(images, **{b_name: moduli_oracle._scaled(images[b_name], t)})
+    word = moduli._relation_word(g, k)[:-1]
+    return quat_angle(quat_conj(moduli._quat_word(scaled, word)))
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.0, 0.5])
+def test_bisection_matches_on_a_node_at_the_target(monkeypatch, shift):
+    # the last node, t = 1, sits on the target; batched angles that are off
+    # by less than the screen margin must not change the bracket
+    raw_angles = moduli._ForcedImage.raw_angles
+    monkeypatch.setattr(moduli._ForcedImage, "raw_angles", lambda self, ts:
+                        raw_angles(self, ts) + shift * moduli._SCAN_MARGIN)
+    rng = np.random.default_rng(50)
+    images = {"a1": localsys.random_unit_quaternion(rng),
+              "b1": localsys.random_unit_quaternion(rng)}
+    _bisect_both(1, 1, images, _target_at(1, 1, images, 1.0))
+
+
+def test_bisection_matches_at_its_step_cap():
+    rng = np.random.default_rng(52)
+    images = {name: localsys.random_unit_quaternion(rng)
+              for name in ("a1", "b1", "a2", "b2")}
+    # f(0) = 0: the bracket halves toward t = 0 and stops after 80 steps,
+    # far above the float fixed point, at a t that still moves b2
+    _bisect_both(2, 1, images, _target_at(2, 1, images, 0.0))
+    # with b2 the identity the forced image does not move with t
+    images["b2"] = np.array([1.0, 0, 0, 0])
+    _bisect_both(2, 1, images, _target_at(2, 1, images, 0.0))
+
+
+def test_screen_rules_out_only_cells_with_two_sure_ends_of_one_sign():
+    # offsets from the target 3: -2, -1, within the margin, 1, 2, near the
+    # wrap at 2*pi, 2, -1, -2, NaN
+    raw = np.array([1.0, 2.0, 3.0 + 1e-12, 4.0, 5.0, 2.0 * np.pi - 1e-12,
+                    5.0, 2.0, 1.0, np.nan])
+    assert list(moduli._screen(raw, 3.0)) == [1, 2, 4, 5, 6, 8]
+
+
+def test_sampler_evaluates_the_scalar_word_only_on_screened_cells(monkeypatch):
+    # per attempt: (solved, scalar evaluations, cells the screen kept)
+    attempts, count, kept = [], [0], []
+    at, raw_angles = moduli._ForcedImage.at, moduli._ForcedImage.raw_angles
+    screen, solve = moduli._screen, moduli._solve_last_bisect
+
+    def counting_at(self, t):
+        count[0] += 1
+        return at(self, t)
+
+    def scan(self, ts):
+        before = count[0]
+        out = raw_angles(self, ts)
+        assert count[0] == before
+        return out
+
+    def screening(raw, target):
+        cells = screen(raw, target)
+        kept.append(len(cells))
+        return cells
+
+    def solving(g, k, images, target):
+        count[0] = 0
+        q = solve(g, k, images, target)
+        attempts.append((q is not None, count[0], kept.pop()))
+        return q
+
+    monkeypatch.setattr(moduli._ForcedImage, "at", counting_at)
+    monkeypatch.setattr(moduli._ForcedImage, "raw_angles", scan)
+    monkeypatch.setattr(moduli, "_screen", screening)
+    monkeypatch.setattr(moduli, "_solve_last_bisect", solving)
+    for case in _ORACLE_CASES:
+        _sample(*case)
+    for solved, evaluations, cells in attempts:
+        # a confirmed cell costs at most its two ends; then 80 steps and
+        # the final midpoint
+        assert evaluations <= (2 * cells + 81 if solved else 0)
+    assert {solved for solved, _, _ in attempts} == {True, False}

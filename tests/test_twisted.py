@@ -397,8 +397,8 @@ _WALKS = {
     "restriction_and_parabolic": (2, 2),
     "parabolic_star": (2, 2),
     "tangent_space": (2, 2),
-    # plus its own H^0 check, which must raise before the star report runs
-    "moduli_acs": (3, 2),
+    # its H^0 check reads the shared bases before the star report runs
+    "moduli_acs": (2, 2),
     "harmonic_spaces": (2, 2),
     "ambient_route_diagnostic": (2, 2),
     "euler_characteristic_dims": (1, 1),
