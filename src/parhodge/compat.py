@@ -8,7 +8,9 @@ projection after J) and R the positive square root of -G^2, the operator
 J_U = R^{-1} G squares to -I, is an isometry of U, and is compatible with
 the symplectic form omega(u, v) = (J u, v).
 
-Everything here is plain dense linear algebra over a chosen basis of U:
+Everything here is dense linear algebra over a chosen basis of U, with Q
+applied as a function (columns x -> Q x) where V is a large cochain space
+(`subspace_transfer`, `subspace_angle`):
   M[i,j]     = (u_i, u_j)          (Gram matrix, SPD)
   Omega[i,j] = omega(u_i, u_j)     (skew, nondegenerate iff the condition holds)
   G          = -M^{-1} Omega       (matrix of the compression, columns = images)
@@ -228,25 +230,25 @@ def subspace_transfer(q, n_basis, d_basis, tol=DEFAULT_TOL):
     symmetrically), returns the projection matrices in the given bases, the
     images U = im(P_N), T = im(P_D), and two exact facts about them:
     `kernel_check` - ker(P_N) is the Q-orthogonal complement of T inside
-    span(D) - and `rank_equal` - the two projections have equal rank.
+    span(D) - and `rank_equal` - the two projections have equal rank.  Q is
+    applied by `q` (columns x -> Q x, as in `numlin.orthonormalize`).
     """
-    q = as_matrix(q, "Q")
     n_b = as_matrix(n_basis, "N")
     d_b = as_matrix(d_basis, "D")
     for name, b in (("N", n_b), ("D", d_b)):
         if b.shape[1] and numlin.rank(b, tol) < b.shape[1]:
             raise DegenerateInput(f"{name} basis columns are dependent")
-    if q.shape[0] != n_b.shape[0] or q.shape[0] != d_b.shape[0]:
-        raise DimensionMismatch("bases must live in the space of Q")
+    if n_b.shape[0] != d_b.shape[0]:
+        raise DimensionMismatch("bases must live in the same space")
 
     def proj_matrix(target, source):
         # coordinates (in target basis) of the Q-orthogonal projection of
         # each source basis vector
         if target.shape[1] == 0:
             return np.zeros((0, source.shape[1]))
-        gram = target.T @ q @ target
+        gram = target.T @ q(target)
         _, _, g_inv = numlin.spd_functions(gram, tol)
-        return g_inv @ (target.T @ q @ source)
+        return g_inv @ (target.T @ q(source))
 
     p_n = proj_matrix(n_b, d_b)
     p_d = proj_matrix(d_b, n_b)
@@ -254,20 +256,19 @@ def subspace_transfer(q, n_basis, d_basis, tol=DEFAULT_TOL):
     def norm_scale(b):
         if b.shape[1] == 0:
             return 1.0
-        return float(np.sqrt(np.abs(np.diag(b.T @ q @ b)).max()))
+        return float(np.sqrt(np.abs(np.diag(b.T @ q(b))).max()))
 
     # projections of the source vectors can at most keep their norms, so
     # that norm is the honest scale for deciding whether an image vanishes
-    u_basis = numlin.orthonormalize(n_b @ p_n, q.__matmul__, tol,
-                                    scale=norm_scale(d_b))
-    t_basis = numlin.orthonormalize(d_b @ p_d, q.__matmul__, tol,
-                                    scale=norm_scale(n_b))
+    u_basis = numlin.orthonormalize(n_b @ p_n, q, tol, scale=norm_scale(d_b))
+    t_basis = numlin.orthonormalize(d_b @ p_d, q, tol, scale=norm_scale(n_b))
 
-    ker_pn = numlin.nullspace_basis(n_b @ p_n, tol, scale=norm_scale(d_b))
+    # the R factor has the singular values of the tall n_b p_n, and no full U
+    ker_pn = numlin.nullspace_basis(np.linalg.qr(n_b @ p_n, mode="r"), tol,
+                                    scale=norm_scale(d_b))
     # Q-orthogonal complement of T inside span(D), in D coordinates
-    comp = numlin.nullspace_basis(t_basis.T @ q @ d_b, tol,
-                                  scale=norm_scale(d_b))
-    kernel_check = _same_span(d_b @ ker_pn, d_b @ comp, q, tol)
+    comp = numlin.nullspace_basis(t_basis.T @ q(d_b), tol, scale=norm_scale(d_b))
+    kernel_check = _same_span(d_b @ ker_pn, d_b @ comp, tol)
     rank_equal = numlin.rank(p_n, tol) == numlin.rank(p_d, tol)
     return {
         "P_N_matrix": p_n,
@@ -279,7 +280,7 @@ def subspace_transfer(q, n_basis, d_basis, tol=DEFAULT_TOL):
     }
 
 
-def _same_span(a, b, q=None, tol=DEFAULT_TOL):
+def _same_span(a, b, tol=DEFAULT_TOL):
     """True when the column spans of a and b agree within rank_tol."""
     ra, rb = numlin.rank(a, tol), numlin.rank(b, tol)
     if ra != rb:

@@ -17,11 +17,9 @@ nothing between calls.  `m1_apply` applies M1 per triangle (gather the
 three edge values by `tri_edges`, multiply by the local block, scatter
 back), `galerkin_apply` applies W1^T the same way from the metric-free
 wedge blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
-d0^T edgewise, so harmonic representatives, their Gram matrices and the
-Galerkin diagnostics form no n_E-sized matrix.  The dense M1 is scattered
-from the same blocks, every entry summed over triangles in stored order,
-by `mass_matrix`; only the decomposition that `verify` reports and the
-projection route of `parastar.ambient_route_diagnostic` form it.
+d0^T edgewise, so harmonic representatives, their Gram matrices, the
+decomposition that `verify` reports and the Galerkin diagnostics form no
+n_E-sized matrix.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -30,8 +28,8 @@ classes represent absolute and relative cohomology exactly.  The middle
 space CcC of the three-way M1-orthogonal splitting of one-cochains is the
 closed and co-closed cochains: closed, and M1-orthogonal to the
 coboundaries of interior vertices.  Both harmonic flavors lie in it; the
-splitting and its middle refinements are verified empirically per mesh
-and reported rather than assumed.
+splitting is verified per mesh, its dimensions against exact counts, and
+reported rather than assumed.
 
 The Galerkin star J_h = M1^{-1} W1^T (weak form of the metric star on
 Whitney one-forms) is a diagnostic only: it is M1-skew but squares to -I
@@ -183,26 +181,6 @@ def galerkin_apply(mc, x):
     return y.reshape(np.shape(x))
 
 
-def _scatter(mc, local):
-    """Dense n n_E square matrix of per-triangle blocks over the table
-    edges; np.add.at sums each entry's triangles in stored order."""
-    n, te = mc.f.fiber_dim, mc.k.tri_edges
-    out = np.zeros((n * mc.k.n_edges, n * mc.k.n_edges))
-    np.add.at(twisted._blocks(out, n), (te[:, :, None], te[:, None, :]), local)
-    return out
-
-
-def mass_matrix(mc):
-    """The dense Whitney mass matrix M1, for the decomposition that
-    `verify` reports and the projection route of
-    `parastar.ambient_route_diagnostic` only; everything else applies it
-    with `m1_apply`."""
-    m1 = _scatter(mc, mc.m1_blocks)
-    m1 += m1.T
-    m1 *= 0.5
-    return m1
-
-
 @dataclass
 class HarmonicSpaces:
     h_n: np.ndarray  # M1-orthonormal basis, absolute harmonic fields
@@ -280,84 +258,55 @@ def harmonic_representative(mc, u, h0=None):
     return (cols - twisted._d0_apply(k, f, a)).reshape(np.shape(u))
 
 
-def _span_dim_intersection(a, b, tol):
-    """dim(span a  intersect  span b) through rank arithmetic."""
-    ra = numlin.rank(a, tol)
-    rb = numlin.rank(b, tol)
-    rab = numlin.rank(np.hstack([a, b]), tol) if a.size + b.size else 0
-    return ra + rb - rab
-
-
 def hodge_decomposition(mc, bases=None):
-    """Three-way M1-orthogonal splitting of twisted one-cochains.
+    """Three-way M1-orthogonal splitting of twisted one-cochains, checked
+    from exact counts and applies.
 
-    cE_N is the image of the (natural-Neumann) codifferential of
-    two-cochains, M1^{-1} d1^T, E_D the image of the relative coboundary,
-    and CcC (from `harmonic_spaces`) the closed and co-closed cochains,
-    their joint orthogonal complement; `dim_sum_ok` checks that the three
-    fill the space.  The refinement report carries the empirical
-    middle-splitting checks: containment of both harmonic spaces in CcC
-    and the dimension identities with the intersections of the exact and
-    co-exact images with CcC.  `bases` goes to `harmonic_spaces`.
+    cE_N, the image of the (natural-Neumann) codifferential M1^{-1} d1^T,
+    has dimension n n_T - dim H^2; E_D, the image of the relative
+    coboundary, n #interior vertices - dim H^0_rel; CcC (M1-orthonormal,
+    from `harmonic_spaces`) is their joint orthogonal complement, and
+    `dim_sum_ok` checks that the three fill the space.  cE_N is
+    M1-orthogonal to x exactly when d1 x = 0: so cE_N against E_D is
+    d1 d0 = 0 triangle by triangle, and cE_N against CcC is |d1 C| relative
+    to |C|.  E_D against CcC is the largest M1-norm of the projection of a
+    column of C onto E_D, which `harmonic_representative` subtracts.  The
+    refinement report has the containment of both harmonic spaces in CcC.
+    `bases` is the pair from `twisted.h1_flavors`, cut here when not given.
     """
-    m1 = mass_matrix(mc)
-    d0, d1 = twisted.coboundaries(mc.k, mc.f)
-    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
-                    for p in (0, 1))
-    tol = mc.tol
-    harm = harmonic_spaces(mc, bases)
+    k, f, tol = mc.k, mc.f, mc.tol
+    # the transports of each triangle's edges e01, e02, e12
+    n, p = f.fiber_dim, f.transports[k.tri_edges]
+    h1, h1_rel = bases or twisted.h1_flavors(k, f, tol)
+    harm = harmonic_spaces(mc, (h1, h1_rel))
     ccc = harm.ccc
-    m1_mul = m1.__matmul__
-    ce_n = numlin.orthonormalize(np.linalg.solve(m1, d1.T), m1_mul, tol)
-    e_d = numlin.orthonormalize(d0[:, vmask], m1_mul, tol)
+    m1 = functools.partial(m1_apply, mc)
+    to_e_d = ccc - harmonic_representative(mc, ccc, h1_rel.h0)
 
-    def m_residual(x, y):
-        if x.size == 0 or y.size == 0:
-            return 0.0
-        return float(np.abs(x.T @ m1 @ y).max())
+    def contained(x):
+        return float(np.abs(ccc @ (ccc.T @ m1(x)) - x).max(initial=0.0))
 
-    def contained(x, space):
-        if x.size == 0:
-            return 0.0
-        proj = space @ (space.T @ m1 @ x)
-        return float(np.abs(proj - x).max())
-
-    exact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(d0, m1_mul, tol), ccc, tol)
-    # stand-in for the unconstrained codifferential image: the span of the
-    # relative codifferential M1_int^{-1} d1_rel^T M2, embedded into
-    # absolute coordinates; M2 is a positive diagonal and drops out
-    coexact = np.zeros((m1.shape[0], d1.shape[0]))
-    coexact[emask] = np.linalg.solve(m1[np.ix_(emask, emask)], d1[:, emask].T)
-    coexact_in_ccc = _span_dim_intersection(
-        numlin.orthonormalize(coexact, m1_mul, tol), ccc, tol)
-    report = {
-        "dims": {
-            "cE_N": ce_n.shape[1],
-            "E_D": e_d.shape[1],
-            "CcC": ccc.shape[1],
-            "total": m1.shape[0],
-        },
-        "orthogonality": {
-            "cE_N_vs_E_D": m_residual(ce_n, e_d),
-            "cE_N_vs_CcC": m_residual(ce_n, ccc),
-            "E_D_vs_CcC": m_residual(e_d, ccc),
-        },
-        "dim_sum_ok": ce_n.shape[1] + e_d.shape[1] + ccc.shape[1] == m1.shape[0],
-        "refinement_report": {
-            "H_N_in_CcC_residual": contained(harm.h_n, ccc),
-            "H_D_in_CcC_residual": contained(harm.h_d, ccc),
-            "dim_exact_in_CcC": exact_in_ccc,
-            "dim_coexact_in_CcC": coexact_in_ccc,
-            "split_neumann_ok": ccc.shape[1] == harm.dim_n + exact_in_ccc,
-            # discretely the Dirichlet fields are only approximately
-            # co-closed in the absolute sense, so this identity genuinely
-            # fails on boundary meshes; the defect is reported, not hidden
-            "split_dirichlet_ok": ccc.shape[1] == harm.dim_d + coexact_in_ccc,
-            "dirichlet_defect": ccc.shape[1] - harm.dim_d - coexact_in_ccc,
-        },
+    dims = {
+        "cE_N": n * k.n_triangles - twisted.cohomology(k, f, 2, "absolute", tol).dim,
+        "E_D": n * int(twisted.interior_vertex_mask(k).sum()) - h1_rel.h0.dim,
+        "CcC": ccc.shape[1],
+        "total": n * k.n_edges,
     }
-    return {"cE_N": ce_n, "E_D": e_d, "CcC": ccc, "report": report}
+    return {"CcC": ccc, "report": {
+        "dims": dims,
+        "orthogonality": {
+            "cE_N_vs_E_D": float(np.abs(p[:, 0] @ p[:, 2] - p[:, 1]).max(initial=0.0)),
+            "cE_N_vs_CcC": float(np.abs(twisted._d1_apply(k, f, ccc)).max(initial=0.0)
+                                 / max(1.0, np.abs(ccc).max(initial=0.0))),
+            "E_D_vs_CcC": float(np.sqrt(np.einsum("ij,ij->j", to_e_d, m1(to_e_d))
+                                        .max(initial=0.0))),
+        },
+        "dim_sum_ok": dims["cE_N"] + dims["E_D"] + dims["CcC"] == dims["total"],
+        "refinement_report": {
+            "H_N_in_CcC_residual": contained(harm.h_n),
+            "H_D_in_CcC_residual": contained(harm.h_d),
+        },
+    }}
 
 
 def galerkin_diagnostics(mc):

@@ -86,10 +86,16 @@ def _flat_residual(k, system):
     return float(np.abs(hol - np.eye(system.fiber_dim)).max(initial=0.0))
 
 
+def _fiber_dim(n):
+    if int(n) < 1:
+        raise InvalidParameter("fiber dimension must be a positive integer")
+    return int(n)
+
+
 def trivial_system(k, n):
     """Identity transports in fiber dimension n."""
     return FlatLocalSystem(
-        fiber_dim=int(n),
+        fiber_dim=_fiber_dim(n),
         transports=np.tile(np.eye(n), (k.n_edges, 1, 1)),
         flat_residual=0.0,
     )
@@ -101,7 +107,7 @@ def from_edge_transports(k, fiber_dim, transports, tol=DEFAULT_TOL):
     Either orientation of an edge may be supplied; the reverse is the
     transpose.  Raises NotOrthogonal / NotFlat on invalid input.
     """
-    n = int(fiber_dim)
+    n = _fiber_dim(fiber_dim)
     arr = np.zeros((k.n_edges, n, n))
     seen = set()
     for (u, v), p in transports.items():

@@ -18,6 +18,7 @@ the two harmonic flavors reproduces the same parabolic subspace.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -186,24 +187,24 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     U = im(P_N), and U agrees with the span of the harmonic parabolic
     representatives.  Approximate numbers: the Galerkin-star residuals.
     Each flavor is walked once, by `restriction_and_parabolic`; the
-    harmonic spaces are formed once, from its H^1 bases, and the dense M1
-    once, for the projections.  J_h is applied by `hodge.galerkin_apply`.
+    harmonic spaces are formed once, from its H^1 bases.  M1 is applied by
+    `hodge.m1_apply` and J_h by `hodge.galerkin_apply`.
     """
     rp = twisted.restriction_and_parabolic(k, f, tol)
     mc = hodge.metric_complex(k, h, f, tol)
     harm = hodge.harmonic_spaces(mc, (rp["h1"], rp["h1_rel"]))
-    m1 = hodge.mass_matrix(mc)
+    m1 = functools.partial(hodge.m1_apply, mc)
     out = compat.subspace_transfer(m1, harm.h_n, harm.h_d, tol)
     u_amb, t_amb = out["U_basis"], out["T_basis"]
 
     lemma34 = True
     if u_amb.shape[1] and t_amb.shape[1]:
-        cross = u_amb.T @ m1 @ t_amb
+        cross = u_amb.T @ m1(t_amb)
         lemma34 = numlin.nullspace_basis(cross, tol, scale=1.0).shape[1] == 0
 
     par_harm = hodge.harmonic_representative(mc, rp["parabolic_basis"].reps,
                                               rp["h1"].h0)
-    angle = compat.subspace_angle(u_amb, par_harm, m1.__matmul__, tol)
+    angle = compat.subspace_angle(u_amb, par_harm, m1, tol)
     same_dim = numlin.rank(par_harm, tol) == u_amb.shape[1]
 
     gal = hodge.galerkin_residuals(mc, harm)
@@ -215,6 +216,6 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         "span_angle": angle,
         "p38_residual": gal["p38_residual"],
         "angle_j_u_vs_t": compat.subspace_angle(hodge.galerkin_apply(mc, u_amb),
-                                                t_amb, m1.__matmul__, tol),
+                                                t_amb, m1, tol),
         "jsq_on_ccc": gal["jsq_on_ccc"],
     }

@@ -9,17 +9,19 @@ on boundary simplices, represented on interior degrees of freedom.  On a
 complex without boundary it is the absolute flavor, so `h1_flavors` hands
 out the absolute degree-1 basis for both.
 
-Cohomology in degrees 0 and 1 comes from a tree-cotree elimination
-(Eppstein 2003, "Dynamic generators of topologically embedded graphs";
-Erickson & Whittlesey 2005, "Greedy optimal homotopy and homology
-generators"), with no dense SVD of the coboundaries:
+Cohomology comes from a tree-cotree elimination (Eppstein 2003, "Dynamic
+generators of topologically embedded graphs"; Erickson & Whittlesey 2005,
+"Greedy optimal homotopy and homology generators"), with no dense SVD of
+the coboundaries:
 
   * tree: a breadth-first spanning forest of the flavor's active edges
     (all edges; in the relative flavor the interior ones, with every
     boundary vertex pinned to one merged root).  Components without a
     pinned vertex get a free root, and the tree transport G_v carries the
     root fiber to each vertex.  The flat sections (H^0) are the G c whose
-    defect P G_b c - G_a c vanishes on the non-tree edges.
+    defect P G_b c - G_a c vanishes on the non-tree edges.  H^2 = coker d1
+    is the same construction on the dual graph: triangles joined across
+    interior edges, pinned by boundary edges in the absolute flavor.
   * cotree: a breadth-first spanning forest of the dual graph (triangles,
     joined across active non-tree edges, and to the outside across active
     non-tree boundary edges, so the outside roots every component with
@@ -46,8 +48,7 @@ generators"), with no dense SVD of the coboundaries:
 Degree-1 columns are closed, zero off the flavor's degrees of freedom and
 orthonormal in class coordinates: their loop-edge values are orthonormal
 and orthogonal to the defects; they are not orthogonal to the
-coboundaries.  Degree 2 keeps a dense SVD.  The transports are orthogonal
-(P^-1 = P^T) throughout.
+coboundaries.  The transports are orthogonal (P^-1 = P^T) throughout.
 
 The symplectic pairing comes from the simplicial cup product evaluated on
 the fundamental 2-cycle and is metric-free.  On closed one-cochains the
@@ -137,6 +138,7 @@ def _blocks(a, n):
 def coboundaries(k, f):
     """Twisted coboundary matrices (d0, d1) in absolute coordinates; the
     relative flavor's are the restrictions to `cochain_space(...).dof_mask`.
+    The dense reference the tests compare against: no src path calls it.
 
     (d0 a)(u -> v) = P_uv a(v) - a(u) on canonical edges; (d1 w) on a
     triangle with sorted vertices (w0, w1, w2) is
@@ -162,20 +164,18 @@ def coboundaries(k, f):
 def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
     """Basis of cocycle representatives; `dim` is the Betti number.
 
-    Degrees 0 and 1 come from the tree-cotree elimination (module
-    docstring): degree 1 gives tree-cotree cocycles, closed and
-    orthonormal in class coordinates, and carries as `h0` the degree-0
-    basis of the same walk; degree 0 gives Euclidean-orthonormal flat
-    sections.  Degree 2 comes from a dense SVD of the transposed d1.
+    All degrees come from the tree-cotree elimination (module docstring):
+    degree 1 gives tree-cotree cocycles, closed and orthonormal in class
+    coordinates, and carries as `h0` the degree-0 basis of the same walk;
+    degree 0 gives Euclidean-orthonormal flat sections, and degree 2 those
+    of the dual graph, an orthonormal basis of ker d1^T.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     if flavor not in ("absolute", "relative"):
         raise ValueError("flavor must be 'absolute' or 'relative'")
     if degree == 2:
-        _, d1 = coboundaries(k, f)
-        edofs = cochain_space(k, f, 1, flavor).dof_mask
-        reps = numlin.nullspace_basis(d1[:, edofs].T, tol)
+        reps = _flat_triangle_sections(k, f, flavor, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
     loose, walk, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
@@ -199,82 +199,119 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
 
 
 def _tree_and_flat_sections(k, f, flavor, tol):
-    """Spanning forest of the flavor's active edges, and the flat sections
-    and exact cocycles it sees.
-
-    Pinned vertices (the boundary, in the relative flavor) are one merged
-    root where sections vanish; every other component gets a free root
-    with tree transport G_v = identity.  A parallel section is G c with
-    c in the root fiber; its d0 vanishes on the tree, and on each non-tree
-    active edge (a, b) it is the defect P G_b c - G_a c.  Returns the mask
-    of non-tree active edges, the tree walk as (vertex, parent, edge) in
-    breadth-first order, the flat sections (zero defect) as
-    Euclidean-orthonormal 0-cochains, and as 1-cochains the d0 G c for c
-    spanning the complement of the flat directions at each free root.
-    """
+    """`_flat_forest` on the vertices joined across the flavor's active
+    edges, the boundary pinned in the relative flavor: the mask of
+    non-tree active edges, the walk with edge ids, the flat sections as
+    0-cochains, and the exact cocycles d0 G c as 1-cochains."""
     n = f.fiber_dim
-    nv = k.vertex_count
     if flavor == "relative":
         active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
     else:
-        active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(nv, dtype=bool)
-    # per vertex, in edge order: (neighbour, edge, whether the vertex is
-    # the edge's low end) across the active edges, from nbrs[start[v]] on
+        active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(k.vertex_count, dtype=bool)
     act = np.flatnonzero(active)
-    lo, hi = k.ends[act].T
-    at, edge = np.concatenate([lo, hi]), np.concatenate([act, act])
-    by_vertex = np.lexsort((edge, at))
-    nbrs = list(zip(np.concatenate([hi, lo])[by_vertex].tolist(), edge[by_vertex].tolist(),
-                    (by_vertex < act.size).tolist()))
-    start = np.searchsorted(at[by_vertex], np.arange(nv + 1)).tolist()
-    root = np.full(nv, -2)  # -2 unseen, -1 pinned root, else free root
-    g = np.tile(np.eye(n), (nv, 1, 1))
-    in_tree = np.zeros(k.n_edges, dtype=bool)
+    loose_arcs, walk, flat, defects = _flat_forest(
+        k.vertex_count, k.ends[act], f.transports[act], pinned, tol)
+    edges, loose = act.tolist(), active.copy()
+    loose[act] = loose_arcs
+    exact = np.zeros((k.n_edges, n, defects.shape[2]))
+    exact[act] = defects
+    return loose, [(b, a, edges[i]) for b, a, i in walk], flat, exact.reshape(n * k.n_edges, -1)
+
+
+def _flat_forest(nodes, ends, transports, pinned, tol):
+    """Breadth-first spanning forest of a graph whose arcs carry orthogonal
+    transports, and its flat sections.
+
+    A section x, a fiber vector per node, is flat across arc i, ends[i] =
+    (a, b), when x_a = P_i x_b.  Pinned nodes are one merged root where
+    sections vanish; every other component gets a free root with tree
+    transport G = identity.  A parallel section G c, c in the root fiber,
+    is flat on the tree, and its defect on a non-tree arc is P G_b c - G_a c.
+    Returns the mask of non-tree arcs, the walk as (node, parent, arc) in
+    breadth-first order, the flat sections (zero defect) as
+    Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
+    of G c for c spanning the complement of the flat directions.
+    """
+    n = transports.shape[1]
+    # per node, in arc order: (neighbour, arc, whether the node is the
+    # arc's first end), from nbrs[start[v]] on
+    a_end, b_end = ends.T
+    arcs = np.arange(len(ends))
+    at, arc = np.concatenate([a_end, b_end]), np.concatenate([arcs, arcs])
+    by_node = np.lexsort((arc, at))
+    nbrs = list(zip(np.concatenate([b_end, a_end])[by_node].tolist(), arc[by_node].tolist(),
+                    (by_node < len(ends)).tolist()))
+    start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
+    root = np.full(nodes, -2)  # -2 unseen, -1 pinned root, else free root
+    g = np.tile(np.eye(n), (nodes, 1, 1))
+    in_tree = np.zeros(len(ends), dtype=bool)
     walk = []
 
     def grow(seed, label):
         root[seed] = label
         queue = list(seed)
         for a in queue:
-            for b, ei, low in nbrs[start[a]:start[a + 1]]:
+            for b, ei, first in nbrs[start[a]:start[a + 1]]:
                 if root[b] != -2:
                     continue
                 root[b] = label
                 in_tree[ei] = True
                 walk.append((b, a, ei))
-                p = f.transports[ei]
-                # d0 of a parallel section vanishes on the tree edge
-                g[b] = (p.T if low else p) @ g[a]
+                p = transports[ei]
+                # the section is flat across the tree arc
+                g[b] = (p.T if first else p) @ g[a]
                 queue.append(b)
 
     grow(list(np.flatnonzero(pinned)), -1)
     free_roots = []
-    for v in range(nv):
+    for v in range(nodes):
         if root[v] == -2:
             free_roots.append(v)
             grow([v], v)
 
-    ends = k.ends
-    loose = active & ~in_tree
-    defect = np.einsum("eij,ejk->eik", f.transports[loose], g[ends[loose, 1]]) \
+    loose = ~in_tree
+    defect = np.einsum("eij,ejk->eik", transports[loose], g[ends[loose, 1]]) \
         - g[ends[loose, 0]]
     loose_root = root[ends[loose, 0]]
-    flat = np.zeros((n * nv, 0))
-    exact = np.zeros((k.n_edges, n, 0))
+    flat = np.zeros((n * nodes, 0))
+    exact = np.zeros((len(ends), n, 0))
     for r in free_roots:
         mine = loose_root == r
         # the R factor has the singular values of the tall system
         c = numlin.nullspace_basis(np.linalg.qr(defect[mine].reshape(-1, n), mode="r"),
                                    tol, scale=1.0)
         verts = np.flatnonzero(root == r)
-        sections = np.zeros((nv, n, c.shape[1]))
+        sections = np.zeros((nodes, n, c.shape[1]))
         sections[verts] = g[verts] @ c / np.sqrt(len(verts))
-        flat = np.hstack([flat, sections.reshape(n * nv, -1)])
+        flat = np.hstack([flat, sections.reshape(n * nodes, -1)])
         moving = numlin.nullspace_basis(c.T, tol, scale=1.0)
-        cocycles = np.zeros((k.n_edges, n, moving.shape[1]))
+        cocycles = np.zeros((len(ends), n, moving.shape[1]))
         cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
-    return loose, walk, flat, exact.reshape(n * k.n_edges, -1)
+    return loose, walk, flat, exact
+
+
+def _flat_triangle_sections(k, f, flavor, tol):
+    """Basis of H^2 = ker d1^T (on the flavor's edges) as the flat sections
+    of the dual graph.  With c_t(e) in {I, -I, P_e01} the block of e in t's
+    row of d1, d1^T y = 0 reads y_1 = -c_1 c_2^T y_2 across an interior
+    edge of triangles t_1, t_2, and c_t^T y_t = 0 on a boundary edge, which
+    pins its triangle in the absolute flavor."""
+    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
+    coef = np.empty((nt, 3, n, n))
+    coef[:, 0] = np.eye(n)
+    coef[:, 1] = -np.eye(n)
+    coef[:, 2] = f.transports[te[:, 0]]
+    coef = coef.reshape(3 * nt, n, n)
+    # the (triangle, slot) occurrences of each edge, edge by edge
+    slots = np.argsort(te.ravel(), kind="stable")
+    count = np.bincount(te.ravel(), minlength=k.n_edges)
+    first = np.cumsum(count) - count
+    s1, s2 = slots[first[count == 2]], slots[first[count == 2] + 1]
+    pinned = np.zeros(nt, dtype=bool)
+    pinned[slots[first[count == 1]] // 3] = flavor == "absolute"
+    return _flat_forest(nt, np.stack([s1 // 3, s2 // 3], axis=1),
+                        -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[2]
 
 
 def _cotree(k, dual):
@@ -484,13 +521,18 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
     }
 
 
+def _d1_apply(k, f, u):
+    """d1 @ u triangle by triangle, for 1-cochain columns u."""
+    w = u.reshape(k.n_edges, f.fiber_dim, u.shape[1])
+    e01, e02, e12 = k.tri_edges.T
+    d1w = np.einsum("tij,tjr->tir", f.transports[e01], w[e12]) - w[e02] + w[e01]
+    return d1w.reshape(f.fiber_dim * k.n_triangles, u.shape[1])
+
+
 def _check_closed(k, f, u_basis, tol):
     """Raise NotClosed unless d1 u_basis, taken triangle by triangle, vanishes."""
     if u_basis.shape[1]:
-        w = u_basis.reshape(k.n_edges, f.fiber_dim, u_basis.shape[1])
-        e01, e02, e12 = k.tri_edges.T
-        d1w = np.einsum("tij,tjr->tir", f.transports[e01], w[e12]) - w[e02] + w[e01]
-        res = np.abs(d1w).max(initial=0.0)
+        res = np.abs(_d1_apply(k, f, u_basis)).max(initial=0.0)
         if res > tol.residual_tol * max(1.0, np.abs(u_basis).max()):
             raise NotClosed(f"basis columns are not closed (residual {res:.3e})")
 

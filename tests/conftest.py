@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from parhodge import hodge, localsys, surface
+from parhodge import hodge, localsys, surface, twisted
 from parhodge.errors import NotConnectedWarning
 
 
@@ -14,12 +14,30 @@ def _silence_disconnected():
         yield
 
 
+def _scatter(mc, local):
+    """Dense n n_E square matrix of per-triangle blocks over the table
+    edges; np.add.at sums each entry's triangles in stored order."""
+    n, te = mc.f.fiber_dim, mc.k.tri_edges
+    out = np.zeros((n * mc.k.n_edges, n * mc.k.n_edges))
+    np.add.at(twisted._blocks(out, n), (te[:, :, None], te[:, None, :]), local)
+    return out
+
+
+def mass_matrix(mc):
+    """The dense Whitney mass matrix M1, scattered from the per-triangle
+    blocks; the oracle for `hodge.m1_apply`."""
+    m1 = _scatter(mc, mc.m1_blocks)
+    m1 += m1.T
+    m1 *= 0.5
+    return m1
+
+
 def wedge_matrix(mc):
     """The dense wedge matrix W1 (metric-free), scattered from the
     per-triangle wedge blocks; the oracle for `hodge.galerkin_apply` and
     for the cup pairing."""
-    w1 = hodge._scatter(mc, (mc.k.sorted_sign[:, None, None] * hodge._WEDGE)
-                        [..., None, None] * mc.pairs)
+    w1 = _scatter(mc, (mc.k.sorted_sign[:, None, None] * hodge._WEDGE)
+                  [..., None, None] * mc.pairs)
     w1 -= w1.T
     w1 *= 0.5
     return w1

@@ -13,7 +13,7 @@ import pytest
 from parhodge import cli, compat, hodge, localsys, moduli, numlin, parastar, \
     surface, twisted
 
-from conftest import torus_grid_cochain, wedge_matrix
+from conftest import mass_matrix, torus_grid_cochain, wedge_matrix
 from naturality import determinism_check
 
 
@@ -193,7 +193,7 @@ def test_criterion_6_flat_torus_star():
             hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 1, 0)),
             hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 0, 1)),
         ])
-        m_u = basis.T @ hodge.mass_matrix(mc) @ basis
+        m_u = basis.T @ mass_matrix(mc) @ basis
         omega = twisted.parabolic_pairing(k, f, basis)
         res = compat.compatible_complex_structure(m_u, omega)
         errors[m] = float(np.abs(

@@ -404,3 +404,20 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, file
     code = run([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["star", "--example", "torus", "--m", "3", "--fiber", "0"], {}),
+    (["star", "--example", "torus", "--m", "3", "--fiber", "-1"], {}),
+    (["star", "--example", "torus", "--m", "3", "--system", "{system}"],
+     {"system": {"fiber_dim": -2, "transports": []}}),
+], ids=["fiber-zero", "fiber-negative", "system-fiber-negative"])
+def test_non_positive_fiber_dimension_exits_2_with_its_reason(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    code = run([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: InvalidParameter: fiber dimension must be a positive integer\n", err

@@ -164,7 +164,7 @@ def test_dimension_mismatch_checks():
 def test_subspace_transfer_identical_bases():
     rng = np.random.default_rng(15)
     n = rng.standard_normal((8, 3))
-    out = compat.subspace_transfer(np.eye(8), n, n)
+    out = compat.subspace_transfer(np.eye(8).__matmul__, n, n)
     assert np.abs(out["P_N_matrix"] - np.eye(3)).max() < 1e-9
     assert out["kernel_check"] and out["rank_equal"]
     assert out["U_basis"].shape[1] == 3 and out["T_basis"].shape[1] == 3
@@ -173,7 +173,7 @@ def test_subspace_transfer_identical_bases():
 def test_subspace_transfer_orthogonal_bases():
     n = np.eye(8)[:, :3]
     d = np.eye(8)[:, 3:6]
-    out = compat.subspace_transfer(np.eye(8), n, d)
+    out = compat.subspace_transfer(np.eye(8).__matmul__, n, d)
     assert np.abs(out["P_N_matrix"]).max() < 1e-12
     assert out["U_basis"].shape[1] == 0
     assert out["kernel_check"] and out["rank_equal"]
@@ -185,7 +185,7 @@ def test_subspace_transfer_random_mutual_adjointness():
     q = c.T @ c + np.eye(8)
     n = rng.standard_normal((8, 3))
     d = rng.standard_normal((8, 3))
-    out = compat.subspace_transfer(q, n, d)
+    out = compat.subspace_transfer(q.__matmul__, n, d)
     assert out["kernel_check"] and out["rank_equal"]
     # mutual adjointness by brute-force Gram computation:
     # (P_N d_i, n_j)_Q = (d_i, P_D n_j)_Q
@@ -197,7 +197,7 @@ def test_subspace_transfer_random_mutual_adjointness():
 def test_subspace_transfer_rejects_dependent():
     n = np.ones((5, 2))
     with pytest.raises(DegenerateInput):
-        compat.subspace_transfer(np.eye(5), n, np.eye(5)[:, :2])
+        compat.subspace_transfer(np.eye(5).__matmul__, n, np.eye(5)[:, :2])
 
 
 def test_near_degenerate_omega_flagged_not_rejected():

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parhodge import compat, hodge, localsys, numlin, surface, twisted
+from parhodge import cli, compat, hodge, localsys, numlin, surface, twisted
 from parhodge.errors import NoConvergence
 
-from conftest import (doughnut_metric, galerkin_star, torus_grid_cochain,
+import decomposition_oracle
+from conftest import (doughnut_metric, galerkin_star, mass_matrix, torus_grid_cochain,
                       union_with_metric_and_system, wedge_matrix)
 
 
@@ -23,7 +24,7 @@ def test_twisted_matrices_reduce_to_scalar_for_trivial_system():
     k, h, f, _ = build(surface.annulus, (5, 2), n=3)
     mc = hodge.metric_complex(k, h, f)
     sc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    for name, get in (("m1", hodge.mass_matrix), ("w1", wedge_matrix),
+    for name, get in (("m1", mass_matrix), ("w1", wedge_matrix),
                       ("l0", lambda c: c.l0)):
         scalar = np.kron(get(sc), np.eye(3))
         assert np.abs(get(mc) - scalar).max() < 1e-12, name
@@ -85,7 +86,7 @@ def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
     h = surface.perturbed_metric(k, h, np.random.default_rng(41), amplitude=0.2)
     mc = hodge.metric_complex(k, h, f)
     ref = _reference_assembly(k, h, f)
-    got = (hodge.mass_matrix(mc), wedge_matrix(mc), mc.l0)
+    got = (mass_matrix(mc), wedge_matrix(mc), mc.l0)
     for name, g, r in zip(("m1", "w1", "l0"), got, ref):
         assert np.array_equal(g, r), name
     # the scatter alone is bitwise symmetric, so the reference's 0.5 (L0 + L0^T)
@@ -97,7 +98,7 @@ def test_mass_matrices_spd_and_wedge_skew_twisted():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False)
     mc = hodge.metric_complex(k, h, f)
     w1 = wedge_matrix(mc)
-    assert np.linalg.eigvalsh(hodge.mass_matrix(mc))[0] > 0
+    assert np.linalg.eigvalsh(mass_matrix(mc))[0] > 0
     assert np.abs(w1 + w1.T).max() == 0.0
 
 
@@ -110,7 +111,7 @@ def test_l0_is_d0t_m1_d0_with_the_flat_sections_as_kernel():
         h = surface.perturbed_metric(k, h, np.random.default_rng(43), amplitude=0.2)
         mc = hodge.metric_complex(k, h, f)
         d0, _ = twisted.coboundaries(k, f)
-        lap = d0.T @ hodge.mass_matrix(mc) @ d0
+        lap = d0.T @ mass_matrix(mc) @ d0
         scale = np.abs(lap).max()
         assert np.abs(mc.l0 - lap).max() <= 1e-13 * scale, args
         flat = twisted.cohomology(k, f, 0).reps
@@ -173,7 +174,7 @@ def test_m1_apply_and_edgewise_d0_match_the_dense_oracles(k, h, f):
     # the star path applies M1 per triangle and d0, d0^T edgewise
     rng = np.random.default_rng(46)
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     d0, _ = twisted.coboundaries(k, f)
     u = rng.standard_normal((m1.shape[0], 3))
 
@@ -237,7 +238,7 @@ def test_harmonic_representative_is_lsq_projection():
     rng = np.random.default_rng(33)
     k, h, f, _ = build(surface.torus, (4,))
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     d0, d1 = twisted.coboundaries(k, f)
     closed = numlin.nullspace_basis(d1)
     for _ in range(10):
@@ -255,7 +256,7 @@ def test_metric_scaling_leaves_harmonic_spaces_invariant():
     mc1 = hodge.metric_complex(k, h, f)
     h2 = surface.metric_from_lengths(k, 2.0 * h.lengths)
     mc2 = hodge.metric_complex(k, h2, f)
-    m1 = hodge.mass_matrix(mc1)
+    m1 = mass_matrix(mc1)
     h_n1 = hodge.harmonic_spaces(mc1).h_n
     h_n2 = hodge.harmonic_spaces(mc2).h_n
     assert compat.subspace_angle(h_n1, h_n2, m1.__matmul__) < 1e-9
@@ -298,10 +299,46 @@ def test_hodge_decomposition_orthogonality_20_random_systems():
         assert max(rep["orthogonality"].values()) < 1e-9
 
 
+def _decomposition_cases():
+    for gen, args, n, trivial, seed in [
+        (surface.torus, (4,), 1, True, 0),
+        (surface.disk, (4,), 1, True, 0),
+        (surface.annulus, (6, 2), 1, True, 0),
+        (surface.genus_k, (1, 1, 1), 3, False, 36),
+        # H^1 = 0 and no boundary: CcC has no columns
+        (surface.sphere, (2,), 3, True, 0),
+    ]:
+        k, h, f, _ = build(gen, args, n=n, trivial=trivial, seed=seed)
+        yield pytest.param(k, h, f, id=f"{gen.__name__}{args}_{n}")
+    # the cases of the verify sweep
+    rng = np.random.default_rng(75)
+    for name in ("torus", "annulus", "disk", "genus11"):
+        k, h, loops = cli._EXAMPLES[name](6 if name != "genus11" else 3)
+        for label, f in (("R", localsys.trivial_system(k, 1)),
+                         ("R3", localsys.trivial_system(k, 3)),
+                         ("SO3", localsys.random_flat_system(k, loops, 3, rng))):
+            yield pytest.param(k, h, f, id=f"{name}_{label}")
+
+
+@pytest.mark.parametrize("k,h,f", list(_decomposition_cases()))
+def test_hodge_decomposition_matches_the_dense_oracle(k, h, f):
+    # dims from exact counts against ranks of the dense bases, and the
+    # containment residuals through m1_apply against the dense M1
+    mc = hodge.metric_complex(k, h, f)
+    rep = hodge.hodge_decomposition(mc)["report"]
+    want = decomposition_oracle.hodge_decomposition(mc)["report"]
+    assert rep["dims"] == want["dims"]
+    assert rep["dim_sum_ok"] == want["dim_sum_ok"]
+    for key in ("H_N_in_CcC_residual", "H_D_in_CcC_residual"):
+        got, ref = rep["refinement_report"][key], want["refinement_report"][key]
+        assert abs(got - ref) < 1e-12, (key, got, ref)
+    assert max(rep["orthogonality"].values()) < 1e-9
+
+
 def test_hodge_decomposition_closed_torus_collapses():
     k, h, f, _ = build(surface.torus, (4,))
     mc = hodge.metric_complex(k, h, f)
-    dec = hodge.hodge_decomposition(mc)
+    dec = decomposition_oracle.hodge_decomposition(mc)
     assert dec["report"]["dims"]["CcC"] == 2
     assert dec["report"]["refinement_report"]["dim_exact_in_CcC"] == 0
     assert dec["report"]["refinement_report"]["split_neumann_ok"]
@@ -311,7 +348,7 @@ def test_hodge_decomposition_closed_torus_collapses():
 def test_hodge_decomposition_disk_middle_carries_no_cohomology():
     k, h, f, _ = build(surface.disk, (4,))
     mc = hodge.metric_complex(k, h, f)
-    dec = hodge.hodge_decomposition(mc)
+    dec = decomposition_oracle.hodge_decomposition(mc)
     rep = dec["report"]["refinement_report"]
     # trivial cohomology on both sides; CcC itself is exact material
     assert rep["dim_exact_in_CcC"] == dec["report"]["dims"]["CcC"]
@@ -319,25 +356,33 @@ def test_hodge_decomposition_disk_middle_carries_no_cohomology():
 
 
 def test_hodge_decomposition_annulus_middle_dims():
-    k, h, f, _ = build(surface.annulus, (6, 2))
-    mc = hodge.metric_complex(k, h, f)
-    dec = hodge.hodge_decomposition(mc)
-    rep = dec["report"]
-    harm = hodge.harmonic_spaces(mc)
-    assert harm.dim_n == 1 and harm.dim_d == 1
-    # both harmonic flavors sit inside CcC exactly
-    assert rep["refinement_report"]["H_N_in_CcC_residual"] < 1e-12
-    assert rep["refinement_report"]["H_D_in_CcC_residual"] < 1e-12
-    # the Neumann-side refinement holds exactly; the Dirichlet-side
-    # identity genuinely fails at the discrete level and the report says so
-    assert rep["refinement_report"]["split_neumann_ok"]
-    assert rep["refinement_report"]["dirichlet_defect"] >= 0
+    # on the one-holed torus with an SO(3) system, CcC (dim 12) meets the
+    # co-exact cochains in nothing, so the Dirichlet defect is 12 - 3 = 9
+    for gen, args, n, trivial, dims, defect in [
+        (surface.annulus, (6, 2), 1, True, (1, 1), None),
+        (surface.genus_k, (1, 1, 1), 3, False, (3, 3), 9),
+    ]:
+        k, h, f, _ = build(gen, args, n=n, trivial=trivial, seed=36)
+        mc = hodge.metric_complex(k, h, f)
+        dec = decomposition_oracle.hodge_decomposition(mc)
+        rep = dec["report"]
+        harm = hodge.harmonic_spaces(mc)
+        assert (harm.dim_n, harm.dim_d) == dims
+        # both harmonic flavors sit inside CcC exactly
+        assert rep["refinement_report"]["H_N_in_CcC_residual"] < 1e-12
+        assert rep["refinement_report"]["H_D_in_CcC_residual"] < 1e-12
+        # the Neumann-side refinement holds exactly; the Dirichlet-side
+        # identity genuinely fails at the discrete level and the report says so
+        assert rep["refinement_report"]["split_neumann_ok"]
+        assert rep["refinement_report"]["dirichlet_defect"] >= 0
+        if defect is not None:
+            assert rep["refinement_report"]["dirichlet_defect"] == defect
 
 
 def test_galerkin_star_skew_always():
     k, h, f, _ = build(surface.genus_k, (1, 1, 1), n=3, trivial=False, seed=37)
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     jh = galerkin_star(m1, wedge_matrix(mc))
     assert np.abs(jh.T @ m1 + m1 @ jh).max() < 1e-10
 
@@ -380,7 +425,7 @@ def _complement_route(mc):
     the n_E x n_E projectors."""
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative").dof_mask
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     m1_inv = np.linalg.inv(m1)
     both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, m1.__matmul__),
                       numlin.orthonormalize(d0[:, vmask], m1.__matmul__)])
@@ -425,7 +470,7 @@ def _kernel_route(mc):
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
     vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
                     for p in (0, 1))
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     scale = float(np.abs(m1).max())
     kernel = numlin.nullspace_basis(d1)
     pairing = d0.T @ (m1 @ kernel)
@@ -445,7 +490,7 @@ def _kernel_route(mc):
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_harmonic_spaces_match_the_kernel_route(k, h, f):
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     harm = hodge.harmonic_spaces(mc)
     for name, got, ref in zip(("H_N", "H_D", "CcC"), (harm.h_n, harm.h_d, harm.ccc),
                               _kernel_route(mc)):
@@ -474,7 +519,7 @@ def test_harmonic_spaces_raise_when_ccc_misses_its_count(monkeypatch):
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     ccc = hodge.harmonic_spaces(mc).ccc
     ref_ccc, ref = _complement_route(mc)
     assert ccc.shape[1] == ref_ccc.shape[1] > 0
@@ -489,7 +534,7 @@ def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_pcg_matches_the_dense_solve_with_m1(k, h, f):
     mc = hodge.metric_complex(k, h, f)
-    m1 = hodge.mass_matrix(mc)
+    m1 = mass_matrix(mc)
     b = np.random.default_rng(72).standard_normal((m1.shape[0], 3))
     x = numlin.pcg(functools.partial(hodge.m1_apply, mc), b,
                    lambda r: r / np.diag(m1)[:, None])
@@ -500,7 +545,7 @@ def test_pcg_matches_the_dense_solve_with_m1(k, h, f):
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_galerkin_apply_matches_the_dense_galerkin_star(k, h, f):
     mc = hodge.metric_complex(k, h, f)
-    jh = galerkin_star(hodge.mass_matrix(mc), wedge_matrix(mc))
+    jh = galerkin_star(mass_matrix(mc), wedge_matrix(mc))
     x = np.random.default_rng(73).standard_normal((jh.shape[0], 3))
     want = jh @ x
     got = hodge.galerkin_apply(mc, x)
@@ -532,8 +577,9 @@ def test_galerkin_diagnostics_skip_the_decomposition_and_large_factorizations(
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for module, name in ((hodge, "hodge_decomposition"),
-                         (hodge, "mass_matrix"), (twisted, "coboundaries")):
+    # the dense M1 is a test oracle, so src cannot form it
+    assert not hasattr(hodge, "mass_matrix")
+    for module, name in ((hodge, "hodge_decomposition"), (twisted, "coboundaries")):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(numlin, "_svd", counting(numlin._svd))
     monkeypatch.setattr(numlin, "sym_eig", counting(numlin.sym_eig))
@@ -564,7 +610,7 @@ def test_gauge_invariance_of_metric_complex():
     blocks = np.zeros((n * k.n_edges, n * k.n_edges))
     for ei, (u, v) in enumerate(k.edges):
         blocks[n * ei:n * ei + n, n * ei:n * ei + n] = gauges[u]
-    for dense in (hodge.mass_matrix, wedge_matrix):
+    for dense in (mass_matrix, wedge_matrix):
         assert np.abs(blocks @ dense(mc1) @ blocks.T - dense(mc2)).max() < 1e-9
     vblocks = np.zeros_like(mc1.l0)
     for v in range(k.vertex_count):

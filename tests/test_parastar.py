@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parhodge import compat, hodge, localsys, moduli, numlin, parastar, surface, twisted
+from parhodge import cli, compat, hodge, localsys, moduli, numlin, parastar, surface, twisted
 from parhodge.errors import ConditionFailed
 
-from conftest import torus_grid_cochain, union_with_metric_and_system
+from conftest import mass_matrix, torus_grid_cochain, union_with_metric_and_system
 from naturality import determinism_check, disconnected_split
 
 
@@ -27,7 +27,7 @@ def test_closed_torus_matches_analytic_star():
         hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 1, 0)),
         hodge.harmonic_representative(mc, torus_grid_cochain(k, m, 0, 1)),
     ])
-    m_u = basis.T @ hodge.mass_matrix(mc) @ basis
+    m_u = basis.T @ mass_matrix(mc) @ basis
     omega = twisted.parabolic_pairing(k, f, basis)
     res = compat.compatible_complex_structure(m_u, omega)
     assert np.abs(res.j - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 0.05
@@ -228,12 +228,12 @@ def test_star_runs_no_galerkin_diagnostics(monkeypatch):
 
 def test_star_and_moduli_form_no_edge_sized_matrix(monkeypatch):
     # M1 is applied per triangle and d0 edgewise: the dense M1 and the
-    # coboundary matrices are for verify's decomposition only
+    # coboundary matrices are test oracles
     def forbidden(*args):
         raise AssertionError("the star path formed a dense n_E-sized matrix")
 
-    for module, name in ((hodge, "mass_matrix"), (twisted, "coboundaries")):
-        monkeypatch.setattr(module, name, forbidden)
+    assert not hasattr(hodge, "mass_matrix")
+    monkeypatch.setattr(twisted, "coboundaries", forbidden)
     rng = np.random.default_rng(67)
     for k, h, loops in (surface.genus_k(1, 1, 1), surface.genus_k(0, 4, 1)):
         f = localsys.random_flat_system(k, loops, 3, rng)
@@ -257,13 +257,51 @@ def test_star_and_moduli_form_no_edge_sized_matrix(monkeypatch):
     assert peak < 3 * l0_bytes, peak / l0_bytes
 
 
+@pytest.mark.parametrize("mesh", [(surface.torus, (16,)), (surface.genus_k, (1, 1, 5))],
+                         ids=["torus16", "genus11_5"])
+def test_verify_case_forms_no_edge_sized_matrix(monkeypatch, mesh):
+    # H^2 comes from the dual walk and the decomposition from exact counts
+    # and applies, so one verify case stays within the star path's matrices
+    def forbidden(*args):
+        raise AssertionError("verify formed the dense coboundary matrices")
+
+    large = []
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            if min(np.shape(a)) >= 100:
+                large.append((fn.__name__, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(twisted, "coboundaries", forbidden)
+    monkeypatch.setattr(numlin, "_svd", counting(numlin._svd))
+    monkeypatch.setattr(numlin, "sym_eig", counting(numlin.sym_eig))
+    gen, args = mesh
+    k, h, loops = gen(*args)
+    rng = np.random.default_rng(69)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    l0_bytes = (3 * k.n_vertices) ** 2 * 8
+    tracemalloc.start()
+    try:
+        case = cli._verify_case(k, h, f, numlin.DEFAULT_TOL, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case["ok"], case
+    assert not large, large
+    assert peak < 4 * l0_bytes, peak / l0_bytes
+
+
 def test_ambient_route_forms_each_dense_piece_once(monkeypatch):
     rng = np.random.default_rng(68)
-    k, h, loops = surface.genus_k(1, 1, 1)
+    k, h, loops = surface.genus_k(1, 1, 4)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    # J_h is applied by PCG, never formed, so the dense W1 and J_h are gone
-    assert not hasattr(hodge, "wedge_matrix") and not hasattr(hodge, "galerkin_star")
-    counts = dict.fromkeys(("mass_matrix", "harmonic_spaces"), 0)
+    # J_h is applied by PCG and M1 per triangle, so the dense W1, J_h and M1
+    # are test oracles
+    for name in ("wedge_matrix", "galerkin_star", "mass_matrix"):
+        assert not hasattr(hodge, name), name
+    counts = {"harmonic_spaces": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -273,12 +311,21 @@ def test_ambient_route_forms_each_dense_piece_once(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(hodge, name, counting(name, getattr(hodge, name)))
-    out = parastar.ambient_route_diagnostic(k, h, f)
+    m1_bytes = (3 * k.n_edges) ** 2 * 8
+    tracemalloc.start()
+    try:
+        out = parastar.ambient_route_diagnostic(k, h, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert set(counts.values()) == {1}, counts
     assert set(out) == {"kernel_check", "rank_equal", "lemma34_trivial_intersection",
                         "span_agrees_with_parabolic", "span_angle", "p38_residual",
                         "angle_j_u_vs_t", "jsq_on_ccc"}
     assert out["kernel_check"] and out["span_agrees_with_parabolic"]
+    # mc keeps L0 alive throughout, so a dense M1 would lift the peak past
+    # its own bytes; the route peaks near 4 L0, about half of them here
+    assert peak < m1_bytes, peak / m1_bytes
 
 
 def test_gauge_naturality_full_pipeline():
@@ -352,7 +399,7 @@ def test_holed_torus_intersection_number_and_convergence():
             hodge.harmonic_representative(mc, u_dy),
         ])
         res = compat.compatible_complex_structure(
-            harm.T @ hodge.mass_matrix(mc) @ harm, omega)
+            harm.T @ mass_matrix(mc) @ harm, omega)
         errors.append(np.abs(res.j - np.array([[0.0, -1.0], [1.0, 0.0]])).max())
     assert errors[0] < 0.05
     assert errors[1] < errors[0]

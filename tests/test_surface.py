@@ -14,7 +14,7 @@ from parhodge.errors import (
 )
 
 import surface_oracle
-from conftest import wedge_matrix
+from conftest import mass_matrix, wedge_matrix
 
 
 def test_build_square_disk():
@@ -140,7 +140,7 @@ def _reference_quadrature(f, order=40):
 def _whitney(k, h):
     """Scalar Whitney matrices: the assembly on the trivial line system."""
     mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    return hodge.mass_matrix(mc), wedge_matrix(mc), mc.l0
+    return mass_matrix(mc), wedge_matrix(mc), mc.l0
 
 
 def test_single_triangle_wedge_is_one_sixth():

@@ -239,10 +239,15 @@ def test_parabolic_pairing_agrees_with_right_lift():
 
 
 def _dense_cohomology(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
-    """Dense SVD oracle: ker d_degree intersected with ker d_{degree-1}^T."""
+    """Dense SVD oracle: ker d_degree intersected with ker d_{degree-1}^T,
+    and in degree 2 ker d1^T."""
     d0, d1 = twisted.coboundaries(k, f)
     vmask, emask = (twisted.cochain_space(k, f, p, flavor).dof_mask for p in (0, 1))
     ds = (d0[np.ix_(emask, vmask)], d1[:, emask])
+    if degree == 2:
+        reps = numlin.nullspace_basis(ds[1].T, tol)
+        return twisted.CohomologyBasis(degree=2, flavor=flavor, reps=reps,
+                                       dim=reps.shape[1])
     kernel = numlin.nullspace_basis(ds[degree], tol)
     if degree == 1:
         kernel = kernel @ numlin.nullspace_basis(ds[0].T @ kernel, tol)
@@ -361,6 +366,21 @@ def test_tree_cotree_matches_dense_oracle():
                 assert numlin.rank(both, scale=1.0) == got.dim, case
                 gram = reps.T @ reps - np.eye(got.dim)
                 assert np.abs(gram).max(initial=0) < 1e-9, case
+
+
+def test_h2_from_the_dual_walk_matches_the_dense_oracle():
+    for label, k, f in _oracle_cases():
+        _, d1 = twisted.coboundaries(k, f)
+        dims = {}
+        for flavor in ("absolute", "relative"):
+            got = twisted.cohomology(k, f, 2, flavor)
+            assert got.dim == _dense_cohomology(k, f, 2, flavor).dim, (label, flavor)
+            emask = twisted.cochain_space(k, f, 1, flavor).dof_mask
+            assert np.abs(d1[:, emask].T @ got.reps).max(initial=0) < 1e-9, (label, flavor)
+            dims[flavor] = (twisted.cohomology(k, f, 0, flavor).dim, got.dim)
+        # Poincare-Lefschetz duality; an orthogonal system is its own dual
+        assert dims["absolute"][1] == dims["relative"][0], label
+        assert dims["relative"][1] == dims["absolute"][0], label
 
 
 def _entry_point(case):
