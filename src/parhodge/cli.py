@@ -189,9 +189,8 @@ def _verify_case(k, h, f, tol, rng):
     dims = twisted.euler_characteristic_dims(k, f, tol, bases[0])
     out["betti"] = dims
     out["euler_ok"] = (dims[0] - dims[1] + dims[2]) == n * k.euler_characteristic
-    mc = hodge.metric_complex(k, h, f, tol)
-    dec = hodge.hodge_decomposition(mc, bases)
-    rep = dec["report"]
+    # the star report builds its own metric complex; this one goes first
+    rep = hodge.hodge_decomposition(hodge.metric_complex(k, h, f, tol), bases)["report"]
     out["orthogonality_max"] = max(rep["orthogonality"].values())
     out["dim_sum_ok"] = rep["dim_sum_ok"]
     out["harmonic_in_ccc_max"] = max(

@@ -324,7 +324,7 @@ def test_ambient_route_forms_each_dense_piece_once(monkeypatch):
                         "angle_j_u_vs_t", "jsq_on_ccc"}
     assert out["kernel_check"] and out["span_agrees_with_parabolic"]
     # mc keeps L0 alive throughout, so a dense M1 would lift the peak past
-    # its own bytes; the route peaks near 4 L0, about half of them here
+    # its own bytes; the route peaks near 4 L0, about half a dense M1 here
     assert peak < m1_bytes, peak / m1_bytes
 
 
