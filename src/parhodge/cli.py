@@ -13,6 +13,7 @@ PARHODGE_TOL overrides the residual tolerance; --tolerance beats both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,6 +263,7 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="parhodge",
@@ -287,7 +289,6 @@ def build_parser():
     star.add_argument("--fiber", type=int, default=1,
                       help="trivial-system fiber dimension when no --system")
     common(star)
-    star.set_defaults(func=cmd_star)
 
     mod = sub.add_parser("moduli", help="moduli tangent space report")
     mod.add_argument("--point", help="point JSON file")
@@ -297,7 +298,6 @@ def build_parser():
     mod.add_argument("--trivial", action="store_true",
                      help="use the trivial representation (singular)")
     common(mod)
-    mod.set_defaults(func=cmd_moduli)
 
     ver = sub.add_parser("verify", help="invariant sweep / refinement table")
     ver.add_argument("--mesh", help="mesh JSON file")
@@ -307,17 +307,17 @@ def build_parser():
     ver.add_argument("--fiber", type=int, default=1)
     ver.add_argument("--refine", help="comma-separated resolutions, e.g. 4,8")
     common(ver)
-    ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* is the one that runs
+    commands = {"star": cmd_star, "moduli": cmd_moduli, "verify": cmd_verify}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotConnectedWarning)
-            return args.func(args)
+            return commands[args.command](args)
     except ConditionFailed as exc:
         print(f"error: ConditionFailed: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

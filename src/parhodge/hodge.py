@@ -249,10 +249,13 @@ def harmonic_representative(mc, u, h0=None):
     mask = twisted.cochain_space(k, f, 0, h0.flavor).dof_mask
     flat = h0.reps[mask]
     cols = u if np.ndim(u) == 2 else np.reshape(u, (-1, 1))
-    # addition commutes bitwise, so adding L0 to S S^T copies L0 only
-    # where the relative flavor cuts it
-    lap = flat @ flat.T
-    lap += mc.l0 if mask.all() else mc.l0[np.ix_(mask, mask)]
+    # L0 is copied only where the relative flavor cuts it, and S S^T formed
+    # only when there are flat sections: the sum goes into the cut copy, or
+    # into S S^T so that L0 stays as it is (addition commutes bitwise)
+    lap = mc.l0 if mask.all() else mc.l0[np.ix_(mask, mask)]
+    if flat.shape[1]:
+        ss = flat @ flat.T
+        lap = np.add(lap, ss, out=ss if lap is mc.l0 else lap)
     a = np.zeros((mask.size, cols.shape[1]))
     a[mask] = np.linalg.solve(lap, twisted._d0_adjoint(k, f, m1_apply(mc, cols))[mask])
     return (cols - twisted._d0_apply(k, f, a)).reshape(np.shape(u))

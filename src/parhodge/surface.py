@@ -20,10 +20,12 @@ sphere, one-holed torus and the round sphere) together with
   * `GeneratorLoops`: based edge loops for the surface-group generators,
     the group relation they satisfy, and a per-edge word table that lets a
     representation of the surface group be compiled into exact edge
-    transports (see `localsys.from_representation`).  The word tables come
-    from seam/cut crossings of the explicit grid constructions, so triangle
-    holonomy words reduce to the identity freely (or to the group relation
-    on the one removed relator triangle).
+    transports (see `localsys.from_representation`).  The grid surfaces
+    (torus, one-holed torus, annulus, punctured sphere) come from one array
+    of vertex ids (`_grid`): each grid step carries the word of the seam or
+    cut it crosses, and each diagonal the two steps around its cell's first
+    kept triangle, so triangle holonomy words reduce to the identity freely
+    (or to the group relation on the one removed relator triangle).
 """
 
 from __future__ import annotations
@@ -325,9 +327,7 @@ def torus(m):
     """Flat unit-square torus on an m x m grid (m >= 3)."""
     if m < 3:
         raise InvalidParameter("torus grid needs m >= 3")
-    k, lengths, words = _torus_grid(m)
-    complex_ = build(m * m, k)
-    metric = metric_from_lengths(complex_, _length_array(complex_, lengths))
+    complex_, metric, words = _square_torus(m)
     vid = lambda i, j: (i % m) * m + (j % m)
     a_path = [vid(i, 0) for i in range(m)] + [vid(0, 0)]
     b_path = [vid(0, j) for j in range(m)] + [vid(0, 0)]
@@ -335,47 +335,65 @@ def torus(m):
         base_vertex=0,
         loops=[("a1", a_path), ("b1", b_path)],
         relation=_word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)),
-        edge_words=_index_words(complex_, words),
+        edge_words=words,
     )
     return complex_, metric, loops
 
 
-def _torus_grid(m):
-    """Oriented triangles, edge lengths and seam words of the m x m grid."""
-    vid = lambda i, j: (i % m) * m + (j % m)
-    tris, lengths, words = [], {}, {}
-    for i in range(m):
-        for j in range(m):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-            wa = _word(("a1", 1)) if i == m - 1 else ()
-            wb = _word(("b1", 1)) if j == m - 1 else ()
-            lengths.setdefault(_add_word(words, v00, v10, wa), 1.0 / m)
-            lengths.setdefault(_add_word(words, v00, v01, wb), 1.0 / m)
-            # crossing both seams: the corner triangle (v00,v10,v11) pins
-            # the diagonal word to a then b
-            lengths.setdefault(_add_word(words, v00, v11, _word(*wa, *wb)),
-                               np.sqrt(2.0) / m)
-    return tris, lengths, words
+def _square_torus(m, removed=()):
+    """Complex, metric and edge words of the m x m unit-square torus grid
+    less the triangles in `removed`; the seams carry a1 and b1."""
+    ids = (np.arange(m + 1) % m)[:, None] * m + np.arange(m + 1) % m
+    seam = range(m + 1)
+    tris, words = _grid(ids, {(m - 1, j): _word(("a1", 1)) for j in seam},
+                        {(i, m - 1): _word(("b1", 1)) for i in seam}, removed)
+    complex_ = build(m * m, tris)
+    # grid edges join vertices that share a row or a column, diagonals none
+    i, j = np.divmod(complex_.ends, m)
+    across = (i[:, 0] != i[:, 1]) & (j[:, 0] != j[:, 1])
+    metric = metric_from_lengths(complex_, np.where(across, np.sqrt(2.0) / m, 1.0 / m))
+    return complex_, metric, _index_words(complex_, words)
+
+
+def _grid(ids, steps_i, steps_j, removed=()):
+    """Triangles and edge words of a grid of squares.
+
+    `ids` is the (ni + 1, nj + 1) array of vertex ids of the grid points
+    (i, j); a wrapped side repeats the opposite one.  Each cell, in i-major
+    order, is cut into (v00, v10, v11) and (v00, v11, v01), and the
+    triangles in `removed` are left out.  `steps_i` and `steps_j` map (i, j)
+    to the word of the step to (i + 1, j) and to (i, j + 1), absent ones
+    being empty; a diagonal reads the two steps around the first kept
+    triangle of its cell.  Returns the kept triangles as an (n_T, 3) array
+    and the nonempty words of the canonical edges, read low -> high and
+    keyed (low, high).
+    """
+    v00, v10, v11, v01 = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    kept = np.ones(len(tris), dtype=bool)
+    for t in removed:
+        kept &= (tris != t).any(axis=1)
+    first = kept[::2].reshape(v00.shape).tolist()
+    ni, nj = v00.shape
+    at = ids.tolist()
+    # (u, v, the word read along u -> v)
+    arcs = [(at[i][j], at[i + 1][j], w) for (i, j), w in steps_i.items()]
+    arcs += [(at[i][j], at[i][j + 1], w) for (i, j), w in steps_j.items()]
+    # only a cell next to a nonempty step can have a nonempty diagonal
+    cells = {(i, j - d) for i, j in steps_i for d in (0, 1)} \
+        | {(i - d, j) for i, j in steps_j for d in (0, 1)}
+    for i, j in sorted(c for c in cells if 0 <= c[0] < ni and 0 <= c[1] < nj):
+        if first[i][j]:
+            word = steps_i.get((i, j), ()) + steps_j.get((i + 1, j), ())
+        else:
+            word = steps_j.get((i, j), ()) + steps_i.get((i, j + 1), ())
+        arcs.append((at[i][j], at[i + 1][j + 1], word))
+    return tris[kept], {(u, v) if u < v else (v, u): w if u < v else _invert(w)
+                        for u, v, w in arcs if w}
 
 
 def _invert(word):
     return tuple((n, -e) for n, e in reversed(word))
-
-
-def _add_word(words, u, v, word):
-    """Record `word`, read along u -> v, as the word of the canonical edge
-    unless it has one already; returns the edge's (low, high) key."""
-    key = (u, v) if u < v else (v, u)
-    if key not in words:
-        words[key] = word if u < v else _invert(word)
-    return key
-
-
-def _length_array(k, lengths):
-    return np.array([lengths[e] for e in k.edges])
 
 
 def _index_words(k, words):
@@ -387,26 +405,15 @@ def annulus(m, n):
     if m < 3 or n < 1:
         raise InvalidParameter("annulus needs m >= 3 angular and n >= 1 radial")
     vid = lambda i, j: j * m + (i % m)
-    tris, words = [], {}
 
     def pos(i, j):
         r = 1.0 + j / n
         th = 2.0 * np.pi * (i % m) / m
         return np.array([r * np.cos(th), r * np.sin(th)])
 
-    for i in range(m):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-            w = _word(("c1", 1)) if i == m - 1 else ()
-            _add_word(words, v00, v10, w)
-            _add_word(words, v00, v01, ())
-            _add_word(words, v00, v11, w)
-            _add_word(words, v10, v11, ())
-            _add_word(words, v01, v11, w if i == m - 1 else ())
-
+    # the seam between angular columns m - 1 and 0 carries c1
+    ids = np.arange(n + 1) * m + (np.arange(m + 1) % m)[:, None]
+    tris, words = _grid(ids, {(m - 1, j): _word(("c1", 1)) for j in range(n + 1)}, {})
     complex_ = build(m * (n + 1), tris)
     positions = np.array([pos(v % m, v // m) for v in range(m * (n + 1))])
     metric = metric_from_positions(complex_, positions)
@@ -503,12 +510,8 @@ def genus_k(g, k, subdiv=1):
 
 def _one_holed_torus(m):
     """Torus grid minus the corner relator triangle; a free surface group."""
-    tris, lengths, words = _torus_grid(m)
     vid = lambda i, j: (i % m) * m + (j % m)
-    removed = (vid(m - 1, m - 1), vid(0, 0), vid(m - 1, 0))
-    tris = [t for t in tris if t != removed]
-    complex_ = build(m * m, tris)
-    metric = metric_from_lengths(complex_, _length_array(complex_, lengths))
+    complex_, metric, words = _square_torus(m, [(vid(m - 1, m - 1), vid(0, 0), vid(m - 1, 0))])
     a_path = [vid(i, 0) for i in range(m)] + [vid(0, 0)]
     b_path = [vid(0, j) for j in range(m)] + [vid(0, 0)]
     # loop around the removed triangle, conjugated so that the standard
@@ -519,7 +522,7 @@ def _one_holed_torus(m):
         base_vertex=0,
         loops=[("a1", a_path), ("b1", b_path), ("c1", c_path)],
         relation=_word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1), ("c1", 1)),
-        edge_words=_index_words(complex_, words),
+        edge_words=words,
     )
     return complex_, metric, loops
 
@@ -545,39 +548,13 @@ def _punctured_rectangle(k, subdiv):
     height = s
     vid = lambda i, j: i * (height + 1) + j
     holes = [(j * s + 1, height - 2) for j in range(k - 1)]
-    removed = {
-        (vid(x, y), vid(x + 1, y), vid(x + 1, y + 1)) for x, y in holes
-    }
     hole_letter = {x: ("c%d" % (j + 1)) for j, (x, y) in enumerate(holes)}
-    hole_row = {x: y for x, y in holes}
-
-    tris, words = [], {}
-
-    for i in range(width):
-        for j in range(height):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            t1, t2 = (v00, v10, v11), (v00, v11, v01)
-            if t1 not in removed:
-                tris.append(t1)
-            if t2 not in removed:
-                tris.append(t2)
-            # the cut from the hole in column i runs straight down,
-            # crossing bottom-horizontal and diagonal edges of lower squares
-            letter = hole_letter.get(i)
-
-            def crossing(row, diagonal=False):
-                if letter is None:
-                    return ()
-                limit = hole_row[i] if not diagonal else hole_row[i] - 1
-                return _word((letter, 1)) if row <= limit else ()
-
-            _add_word(words, v00, v10, crossing(j))
-            _add_word(words, v00, v11, crossing(j, diagonal=True))
-            _add_word(words, v00, v01, ())
-            _add_word(words, v10, v11, ())
-            _add_word(words, v01, v11, crossing(j + 1))
-
+    # the cut from the hole in column x runs straight down, crossing the
+    # steps from column x to x + 1 in the rows up to the hole's
+    ids = np.arange((width + 1) * (height + 1)).reshape(width + 1, height + 1)
+    tris, words = _grid(
+        ids, {(x, j): _word((hole_letter[x], 1)) for x, y in holes for j in range(y + 1)}, {},
+        [(vid(x, y), vid(x + 1, y), vid(x + 1, y + 1)) for x, y in holes])
     complex_ = build((width + 1) * (height + 1), tris)
     spacing = 1.0 / height
     positions = np.array(

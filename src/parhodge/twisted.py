@@ -38,8 +38,11 @@ the coboundaries:
     n(2g + b - 1) with b boundary circles), and there a small SVD takes
     the complement of the defects.  The kept rank must equal dim Z_T minus
     the sum over free roots of n - dim H^0 of that component, or
-    `cohomology` raises NoConvergence.  One walk along the absolute tree
-    gauges any closed cochain into Z_T, which gives its class coordinates.
+    `cohomology` raises NoConvergence.
+  * class coordinates: the cup pairing of H^1 with H^1_rel is perfect
+    (Poincare-Lefschetz duality), and a coboundary cups to zero against a
+    relative cocycle, so the raw cup with a basis of H^1_rel reads off the
+    class of any closed cochain in an absolute basis.
   * boundary: one walk around each boundary cycle integrates a closed
     cochain to z_j; it is exact there iff z_j lies in im(1 - rho_j), rho_j
     the holonomy (Goldman 1984), and the walk yields the primitive that
@@ -107,10 +110,7 @@ class CohomologyBasis:
     flavor: str
     reps: np.ndarray  # columns are cocycles in absolute coordinates
     dim: int
-    # degree 1: the tree walk, exact cocycles and loop-edge dofs the classes
-    # were cut from (`_class_coordinates` reads the absolute ones), and the
-    # degree-0 basis of the same flavor from the same walk
-    gauge: tuple | None = None
+    # degree 1: the degree-0 basis of the same flavor from the same walk
     h0: CohomologyBasis | None = None
 
 
@@ -178,7 +178,7 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         reps = _flat_triangle_sections(k, f, flavor, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
-    loose, walk, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
+    loose, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
     h0 = CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
     if degree == 0:
         return h0
@@ -194,28 +194,27 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
             f"{flavor} H^1: kept {keep.shape[1]} classes, but the tree-cotree "
             f"count is {z.shape[1]} - {exact.shape[1]}")
     reps = z @ keep
-    return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1],
-                           gauge=(walk, exact, dofs), h0=h0)
+    return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1], h0=h0)
 
 
 def _tree_and_flat_sections(k, f, flavor, tol):
     """`_flat_forest` on the vertices joined across the flavor's active
     edges, the boundary pinned in the relative flavor: the mask of
-    non-tree active edges, the walk with edge ids, the flat sections as
-    0-cochains, and the exact cocycles d0 G c as 1-cochains."""
+    non-tree active edges, the flat sections as 0-cochains, and the exact
+    cocycles d0 G c as 1-cochains."""
     n = f.fiber_dim
     if flavor == "relative":
         active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
     else:
         active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(k.vertex_count, dtype=bool)
     act = np.flatnonzero(active)
-    loose_arcs, walk, flat, defects = _flat_forest(
+    loose_arcs, flat, defects = _flat_forest(
         k.vertex_count, k.ends[act], f.transports[act], pinned, tol)
-    edges, loose = act.tolist(), active.copy()
+    loose = active.copy()
     loose[act] = loose_arcs
     exact = np.zeros((k.n_edges, n, defects.shape[2]))
     exact[act] = defects
-    return loose, [(b, a, edges[i]) for b, a, i in walk], flat, exact.reshape(n * k.n_edges, -1)
+    return loose, flat, exact.reshape(n * k.n_edges, -1)
 
 
 def _flat_forest(nodes, ends, transports, pinned, tol):
@@ -227,8 +226,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     sections vanish; every other component gets a free root with tree
     transport G = identity.  A parallel section G c, c in the root fiber,
     is flat on the tree, and its defect on a non-tree arc is P G_b c - G_a c.
-    Returns the mask of non-tree arcs, the walk as (node, parent, arc) in
-    breadth-first order, the flat sections (zero defect) as
+    Returns the mask of non-tree arcs, the flat sections (zero defect) as
     Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
     of G c for c spanning the complement of the flat directions.
     """
@@ -245,7 +243,6 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     root = np.full(nodes, -2)  # -2 unseen, -1 pinned root, else free root
     g = np.tile(np.eye(n), (nodes, 1, 1))
     in_tree = np.zeros(len(ends), dtype=bool)
-    walk = []
 
     def grow(seed, label):
         root[seed] = label
@@ -256,7 +253,6 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
                     continue
                 root[b] = label
                 in_tree[ei] = True
-                walk.append((b, a, ei))
                 p = transports[ei]
                 # the section is flat across the tree arc
                 g[b] = (p.T if first else p) @ g[a]
@@ -288,7 +284,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
         cocycles = np.zeros((len(ends), n, moving.shape[1]))
         cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
-    return loose, walk, flat, exact
+    return loose, flat, exact
 
 
 def _flat_triangle_sections(k, f, flavor, tol):
@@ -311,7 +307,7 @@ def _flat_triangle_sections(k, f, flavor, tol):
     pinned = np.zeros(nt, dtype=bool)
     pinned[slots[first[count == 1]] // 3] = flavor == "absolute"
     return _flat_forest(nt, np.stack([s1 // 3, s2 // 3], axis=1),
-                        -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[2]
+                        -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[1]
 
 
 def _cotree(k, dual):
@@ -415,29 +411,21 @@ def _step(k, f, w, tail, ei):
     return (p.T, p.T @ w[ei]) if tail == k.edges[ei][0] else (p, -w[ei])
 
 
-def _class_coordinates(k, f, basis, u):
-    """Coordinates of the classes of closed columns `u` in those of the
-    absolute `CohomologyBasis` `basis`, whose columns must be closed and
-    independent modulo exact ones.
+def _class_coordinates(k, f, h1, h1_rel, u):
+    """Coordinates C of the classes of closed columns `u` in the absolute
+    basis `h1`, read off the raw cup pairing with the relative basis
+    `h1_rel`: P^T C = (u cup R)^T, P = h1 cup R, R = `h1_rel.reps`.
 
-    One walk along the absolute spanning tree subtracts from each column
-    the d0 a, a zero at the roots, that makes it vanish on the tree; that
-    leaves a tree-cotree cocycle in the same class, fixed by its values on
-    the loop edges.  There the exact cocycles are the free-root defects,
-    and a least-squares solve against [basis, exact] gives the coordinates.
-    The walk is the one that cut `basis`, read from its `gauge`.
+    For a relative cocycle r, (d0 a) cup r is the coboundary of a cup r,
+    which vanishes on the boundary, so it sums to zero over the fundamental
+    cycle and u cup r depends only on the class of u.  Duality makes P
+    square and invertible; unequal dimensions raise NoConvergence.
     """
-    walk, exact, dofs = basis.gauge
-    n, nb = f.fiber_dim, basis.dim
-    cols = nb + u.shape[1]
-    w = np.hstack([basis.reps, u]).reshape(k.n_edges, n, cols)
-    a = np.zeros((k.vertex_count, n, cols))
-    for child, up, ei in walk:
-        t, s = _step(k, f, w, up, ei)
-        a[child] = t @ a[up] + s
-    y = (w.reshape(n * k.n_edges, cols)
-         - _d0_apply(k, f, a.reshape(n * k.vertex_count, cols)))[dofs]
-    return np.linalg.lstsq(np.hstack([y[:, :nb], exact[dofs]]), y[:, nb:], rcond=None)[0][:nb]
+    if h1.dim != h1_rel.dim:
+        raise NoConvergence(f"dim H^1 = {h1.dim} but dim H^1_rel = {h1_rel.dim}: "
+                            "the cup pairing cannot be perfect")
+    r = h1_rel.reps
+    return np.linalg.solve(_cup_raw(k, f, h1.reps, r).T, _cup_raw(k, f, u, r).T)
 
 
 def _boundary_walk(k, f, u, tol):
@@ -496,8 +484,8 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
     the boundary, whose values in each cycle's H^1 = coker(1 - rho_j) come
     from one walk around it (`_boundary_walk`).  `exactness_check` confirms
     that the kernel is the image of the relative cohomology by comparing
-    class coordinates (`_class_coordinates`, along the walk that cut H^1),
-    so any closed basis of H^1_rel serves.  `bases` is the pair from
+    class coordinates (`_class_coordinates`, from the cup pairing with
+    H^1_rel), so any closed bases serve.  `bases` is the pair from
     `h1_flavors`, cut here when not given.
     """
     h1, h1_rel = bases or h1_flavors(k, f, tol)
@@ -505,7 +493,7 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
 
-    image_coeffs = _class_coordinates(k, f, h1, h1_rel.reps)
+    image_coeffs = _class_coordinates(k, f, h1, h1_rel, h1_rel.reps)
     image_dim = numlin.rank(image_coeffs, tol, scale=1.0)
     same = (par_coeffs.shape[1] == image_dim) and (
         numlin.rank(np.hstack([par_coeffs, image_coeffs]), tol, scale=1.0) == image_dim

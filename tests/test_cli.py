@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -336,6 +337,25 @@ def test_verify_refinement_honours_fiber(tmp_path, monkeypatch):
     rows = load_strict(out.read_text())["refinement"]
     assert [r["m"] for r in rows] == [4, 6]
     assert all(r["skew_residual"] < 1e-9 for r in rows)
+
+
+def test_main_builds_the_parser_once_and_runs_the_bound_command(monkeypatch, request):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    assert run(["moduli", "--sample", "1", "0", "--trivial"]) == cli.EXIT_SINGULAR
+    ran = []
+    monkeypatch.setattr(cli, "cmd_moduli", lambda args: ran.append(args.sample) or 0)
+    assert run(["moduli", "--sample", "1", "1"]) == 0
+    assert ran == [[1, 1]]
+    assert built.count("parhodge") == 1
 
 
 def test_degenerate_pairing_exits_3(monkeypatch, capsys):

@@ -290,7 +290,7 @@ def test_verify_case_forms_no_edge_sized_matrix(monkeypatch, mesh):
         tracemalloc.stop()
     assert case["ok"], case
     assert not large, large
-    assert peak < 4 * l0_bytes, peak / l0_bytes
+    assert peak < 3 * l0_bytes, peak / l0_bytes
 
 
 def test_ambient_route_forms_each_dense_piece_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -104,6 +105,31 @@ def test_genus_k_refinement_keeps_topology():
         k2, _, _ = surface.genus_k(g, kk, 2)
         assert k1.euler_characteristic == k2.euler_characteristic
         assert len(k1.boundary_components) == len(k2.boundary_components)
+
+
+# sha256 of each builtin generator's triangles, edges, length bytes, sorted
+# edge words, loops, relation and base vertex, as the per-cell loops built
+# them: `from_representation` accepts any consistent word table, so nothing
+# else pins these
+_GENERATOR_DIGESTS = [
+    ("torus", (3,), "017f8cb772459d1624b845d812456b64f2216ad73e69877115a11af43659efb3"),
+    ("torus", (8,), "ff634ad1f5ab744f032b2f6304e334461595d4e04510708f2442c684fa6e5aa2"),
+    ("annulus", (5, 2), "a63606ce3b0d596750af7f271dc7e34140aa3f8def5d674521ae309cab18b7ae"),
+    ("genus_k", (1, 1, 1), "b64a44deb0e135d629b62a5a973b7019e79cce0e82e0492d4c3604d9783bc563"),
+    ("genus_k", (1, 1, 2), "11d699d0ed669de33ff637f270a49d79f35c0776a0424d639f963557f33dda88"),
+    ("genus_k", (0, 3, 1), "eeb3edb8259030aa0dfefb022e56007be93f2e5bd79a865f983af06b3bfe83e3"),
+    ("genus_k", (0, 4, 2), "8f731643662bcef3347c7159c962c360afaa2523e2792bbb0fcaf1ce0a59db05"),
+    ("sphere", (2,), "f11098ba64e799bb08feef58b3f5dcd05fbd6c5e7e358392ea11b6d4f4b3c373"),
+    ("disk", (6,), "a174ce9f1d68185ebad8035982e0dbab18ff9a6b6798f56dddf7ab0ee62cc5b3"),
+]
+
+
+@pytest.mark.parametrize("name,args,digest", _GENERATOR_DIGESTS)
+def test_builtin_generators_keep_their_tables(name, args, digest):
+    k, h, loops = getattr(surface, name)(*args)
+    data = repr((k.triangles, k.edges, sorted(loops.edge_words.items()), loops.loops,
+                 tuple(loops.relation), loops.base_vertex))
+    assert hashlib.sha256(data.encode() + h.lengths.tobytes()).hexdigest() == digest
 
 
 def test_genus_k_unsupported():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parhodge import cli, hodge, localsys, moduli, numlin, parastar, surface, twisted
-from parhodge.errors import NotClosed
+from parhodge.errors import NoConvergence, NotClosed
 
 from conftest import torus_grid_cochain, union_with_metric_and_system, wedge_matrix
 
@@ -267,7 +267,7 @@ def _assert_class_contract(k, f, got, want, exact, case=None):
     assert numlin.rank(np.hstack([got.reps, exact]), scale=1.0) == got.dim + r, case
     both = np.hstack([got.reps, want.reps, exact])
     assert numlin.rank(both, scale=1.0) == got.dim + r, case
-    loose, _, _, cocycles = twisted._tree_and_flat_sections(
+    loose, _, cocycles = twisted._tree_and_flat_sections(
         k, f, got.flavor, numlin.DEFAULT_TOL)
     dofs = np.repeat(twisted._cotree(k, loose)[2], f.fiber_dim)
     y = got.reps[dofs]
@@ -368,6 +368,37 @@ def test_tree_cotree_matches_dense_oracle():
                 assert np.abs(gram).max(initial=0) < 1e-9, case
 
 
+def test_class_coordinates_by_duality_match_the_dense_oracle():
+    # the relative classes minus their image through the coordinates read
+    # off the cup pairing are exact, by rank against the dense d0; the
+    # pairing matrix P of H^1 with H^1_rel is square on every case
+    for label, k, f in _oracle_cases():
+        h1, h1_rel = twisted.h1_flavors(k, f)
+        p = twisted._cup_raw(k, f, h1.reps, h1_rel.reps)
+        assert p.shape == (h1.dim, h1.dim), label
+        c = twisted._class_coordinates(k, f, h1, h1_rel, h1_rel.reps)
+        d0, _ = twisted.coboundaries(k, f)
+        r = numlin.rank(d0, scale=1.0)
+        assert numlin.rank(np.hstack([d0, h1_rel.reps - h1.reps @ c]), scale=1.0) == r, label
+
+
+def test_unequal_flavor_dimensions_raise(monkeypatch):
+    rng = np.random.default_rng(70)
+    k, _, loops = surface.genus_k(1, 1, 1)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    cohomology = twisted.cohomology
+
+    def dropping(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
+        basis = cohomology(k, f, degree, flavor, tol)
+        if degree == 1 and flavor == "relative":
+            basis.reps, basis.dim = basis.reps[:, 1:], basis.dim - 1
+        return basis
+
+    monkeypatch.setattr(twisted, "cohomology", dropping)
+    with pytest.raises(NoConvergence, match=r"dim H\^1 = 3 but dim H\^1_rel = 2"):
+        twisted.restriction_and_parabolic(k, f)
+
+
 def test_h2_from_the_dual_walk_matches_the_dense_oracle():
     for label, k, f in _oracle_cases():
         _, d1 = twisted.coboundaries(k, f)
@@ -435,8 +466,8 @@ _WALKS = {
 
 @pytest.mark.parametrize("name", _WALKS)
 def test_entry_points_walk_each_flavor_once(monkeypatch, name):
-    # a degree-1 basis carries its walk (for the class coordinates) and its
-    # flat sections (for the harmonic solve), so nothing walks a flavor again
+    # a degree-1 basis carries its flat sections (for the harmonic solve),
+    # so nothing walks a flavor again
     counts = dict.fromkeys(("_tree_and_flat_sections", "_cotree"), 0)
 
     def counting(fn_name, fn):
@@ -472,13 +503,11 @@ def test_star_operator_does_not_depend_on_the_class_basis(monkeypatch):
     cohomology = twisted.cohomology
 
     def oracle(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
-        # dense classes, with the walk and the flat sections of the real
-        # degree-1 basis, which the class coordinates and the harmonic
-        # solve read
+        # dense classes, with the flat sections of the real degree-1 basis,
+        # which the harmonic solve reads
         basis = _dense_cohomology(k, f, degree, flavor, tol)
         if degree == 1:
-            real = cohomology(k, f, degree, flavor, tol)
-            basis.gauge, basis.h0 = real.gauge, real.h0
+            basis.h0 = cohomology(k, f, degree, flavor, tol).h0
         return basis
 
     monkeypatch.setattr(twisted, "cohomology", oracle)
