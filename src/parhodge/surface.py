@@ -5,14 +5,18 @@ A `SurfaceComplex` stores orientation-bearing triangles over integer vertex
 ids and derives everything else: canonical edges (low id -> high id, in
 lexicographic order, also as the (n_E, 2) array `ends`), the
 triangle-edge table `tri_edges` (per triangle with sorted vertices
-w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), boundary cycles, connected
-components, and the parity `sorted_sign` relating each stored triangle
-orientation to its sorted vertex order (the fundamental 2-cycle is the sum
-of all triangles with sign +1 in stored order).  `build` derives them
-with array operations over all triangles, walking only the boundary
-edges; `metric_from_lengths` validates every triangle at once from
-`tri_edges`.  The Whitney matrices are assembled from this table in
-`hodge`.
+w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), its inverse `edge_slots`
+(per edge, the positions 3 t + j where it occurs in `tri_edges.ravel()`,
+in stored order, with -1 for the missing second triangle of a boundary
+edge), boundary cycles, connected components, and the parity
+`sorted_sign` relating each stored triangle orientation to its sorted
+vertex order (the fundamental 2-cycle is the sum of all triangles with
+sign +1 in stored order).  `build` derives them with array operations
+over all triangles, walking only the boundary edges;
+`metric_from_lengths` validates every triangle at once from `tri_edges`.
+The Whitney matrices are assembled from this table in `hodge`, which sums
+per-triangle results back onto the edges through `edge_slots`, as do the
+dual-graph walks in `twisted`.
 
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
 sphere, one-holed torus and the round sphere) together with
@@ -52,6 +56,9 @@ class SurfaceComplex:
     edges: list = field(default_factory=list)
     edge_index: dict = field(default_factory=dict)
     tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
+    # (n_E, 2) positions 3 t + j of each edge in tri_edges.ravel(), in
+    # stored order; -1 second on a boundary edge
+    edge_slots: np.ndarray | None = None
     ends: np.ndarray | None = None  # (n_E, 2) low and high vertex of each edge
     sorted_sign: np.ndarray | None = None
     boundary_edge_indices: list = field(default_factory=list)
@@ -123,9 +130,10 @@ def build(vertex_count, triangles):
 
     Every triangle is handled at once: the three sides of each triangle
     are keyed low * n_V + high, `np.unique` gives the canonical edges in
-    lexicographic order, `searchsorted` the table `tri_edges`, and
-    `bincount` the incidences, so an edge in three triangles, or in two
-    that traverse it the same way, is caught at the lowest such edge.  Only
+    lexicographic order, `searchsorted` the table `tri_edges`, a stable
+    `argsort` of it the `edge_slots`, and `bincount` the incidences, so an
+    edge in three triangles, or in two that traverse it the same way, is
+    caught at the lowest such edge.  Only
     the boundary edges are walked, into cycles.  Invalid input raises on
     the first offending triangle or edge.
     """
@@ -161,6 +169,11 @@ def build(vertex_count, triangles):
     inversions = (tri[:, 0] > tri[:, 1]).astype(int) + (tri[:, 0] > tri[:, 2]) \
         + (tri[:, 1] > tri[:, 2])
     k.sorted_sign = 1 - 2 * (inversions % 2)
+    # a stable sort keeps each edge's slots in stored order
+    slots = np.argsort(k.tri_edges.ravel(), kind="stable")
+    first = np.cumsum(count) - count
+    k.edge_slots = np.stack(
+        [slots[first], np.where(count == 2, slots[first + count - 1], -1)], axis=1)
 
     k.boundary_edge_indices = np.flatnonzero(count == 1).tolist()
     # a boundary edge runs the way its one side does

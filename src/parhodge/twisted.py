@@ -18,10 +18,13 @@ the coboundaries:
     (all edges; in the relative flavor the interior ones, with every
     boundary vertex pinned to one merged root).  Components without a
     pinned vertex get a free root, and the tree transport G_v carries the
-    root fiber to each vertex.  The flat sections (H^0) are the G c whose
-    defect P G_b c - G_a c vanishes on the non-tree edges.  H^2 = coker d1
-    is the same construction on the dual graph: triangles joined across
-    interior edges, pinned by boundary edges in the absolute flavor.
+    root fiber to each vertex.  The queue walk is integer bookkeeping on
+    Python lists; the transports go down the forest one depth at a time,
+    one batched product per depth.  The flat sections (H^0) are the G c
+    whose defect P G_b c - G_a c vanishes on the non-tree edges.
+    H^2 = coker d1 is the same construction on the dual graph: triangles
+    joined across interior edges, pinned by boundary edges in the absolute
+    flavor.
   * cotree: a breadth-first spanning forest of the dual graph (triangles,
     joined across active non-tree edges, and to the outside across active
     non-tree boundary edges, so the outside roots every component with
@@ -31,7 +34,10 @@ the coboundaries:
     are free, and the root-triangle equations C (n rows per root triangle,
     which only closed components and the relative flavor have; n|L|
     columns) are what is left.  Their kernel, from a small SVD, gives the
-    closed cochains Z_T vanishing on the tree.
+    closed cochains Z_T vanishing on the tree.  A triangle's equation is
+    exactly zero unless its subtree holds a triangle with a loop edge, so
+    only those live triangles, the cotree paths from the loop edges up to
+    the roots, are eliminated: O(|L| x cotree depth) work, not O(n_T).
   * classes: Z_T meets the exact cochains exactly in the d0 of parallel
     sections over free roots, the free-root defects.  A cocycle in Z_T is
     fixed by its loop-edge values (n 2g of them on a closed component,
@@ -183,8 +189,8 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
     if degree == 0:
         return h0
 
-    order, parent, loops = _cotree(k, loose)
-    z = _cocycles_off_tree(k, f, order, parent, loops, tol)
+    order, parent, up, loops = _cotree(k, loose)
+    z = _cocycles_off_tree(k, f, order, parent, up, loops, tol)
     dofs = _expand(loops, f.fiber_dim)
     # z[dofs] is orthonormal, and its span holds the loop-edge values of the
     # exact cochains in Z_T; keep the complement of those
@@ -229,42 +235,60 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     Returns the mask of non-tree arcs, the flat sections (zero defect) as
     Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
     of G c for c spanning the complement of the flat directions.
+
+    The queue walk only labels the nodes, each with its depth and the arc
+    that reached it; the transports then go down one depth at a time, each
+    depth one batched product G_child = P G_parent over all components.
     """
     n = transports.shape[1]
-    # per node, in arc order: (neighbour, arc, whether the node is the
-    # arc's first end), from nbrs[start[v]] on
+    # per node, in arc order: (neighbour, arc), from nbrs[start[v]] on
     a_end, b_end = ends.T
     arcs = np.arange(len(ends))
     at, arc = np.concatenate([a_end, b_end]), np.concatenate([arcs, arcs])
     by_node = np.lexsort((arc, at))
-    nbrs = list(zip(np.concatenate([b_end, a_end])[by_node].tolist(), arc[by_node].tolist(),
-                    (by_node < len(ends)).tolist()))
+    nbrs = list(zip(np.concatenate([b_end, a_end])[by_node].tolist(), arc[by_node].tolist()))
     start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
-    root = np.full(nodes, -2)  # -2 unseen, -1 pinned root, else free root
-    g = np.tile(np.eye(n), (nodes, 1, 1))
-    in_tree = np.zeros(len(ends), dtype=bool)
+    root = [-2] * nodes  # -2 unseen, -1 pinned root, else free root
+    depth = [0] * nodes
+    via = [-1] * nodes  # the tree arc that reached the node
 
     def grow(seed, label):
-        root[seed] = label
+        for v in seed:
+            root[v] = label
         queue = list(seed)
         for a in queue:
-            for b, ei, first in nbrs[start[a]:start[a + 1]]:
-                if root[b] != -2:
-                    continue
-                root[b] = label
-                in_tree[ei] = True
-                p = transports[ei]
-                # the section is flat across the tree arc
-                g[b] = (p.T if first else p) @ g[a]
-                queue.append(b)
+            d = depth[a] + 1
+            for b, ei in nbrs[start[a]:start[a + 1]]:
+                if root[b] == -2:
+                    root[b] = label
+                    depth[b] = d
+                    via[b] = ei
+                    queue.append(b)
 
-    grow(list(np.flatnonzero(pinned)), -1)
+    grow(np.flatnonzero(pinned).tolist(), -1)
     free_roots = []
     for v in range(nodes):
         if root[v] == -2:
             free_roots.append(v)
             grow([v], v)
 
+    via, depth = np.array(via), np.array(depth)
+    child = np.flatnonzero(via >= 0)
+    child = child[np.argsort(depth[child], kind="stable")]
+    tree_arc = via[child]
+    in_tree = np.zeros(len(ends), dtype=bool)
+    in_tree[tree_arc] = True
+    # the section is flat across each tree arc, x_a = P x_b for ends (a, b)
+    down = ends[tree_arc, 1] == child
+    up = np.where(down, ends[tree_arc, 0], ends[tree_arc, 1])
+    p = transports[tree_arc]
+    p = np.where(down[:, None, None], p.transpose(0, 2, 1), p)
+    g = np.tile(np.eye(n), (nodes, 1, 1))
+    cuts = np.flatnonzero(np.diff(depth[child], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        g[child[lo:hi]] = p[lo:hi] @ g[up[lo:hi]]
+
+    root = np.array(root)
     loose = ~in_tree
     defect = np.einsum("eij,ejk->eik", transports[loose], g[ends[loose, 1]]) \
         - g[ends[loose, 0]]
@@ -300,12 +324,11 @@ def _flat_triangle_sections(k, f, flavor, tol):
     coef[:, 2] = f.transports[te[:, 0]]
     coef = coef.reshape(3 * nt, n, n)
     # the (triangle, slot) occurrences of each edge, edge by edge
-    slots = np.argsort(te.ravel(), kind="stable")
-    count = np.bincount(te.ravel(), minlength=k.n_edges)
-    first = np.cumsum(count) - count
-    s1, s2 = slots[first[count == 2]], slots[first[count == 2] + 1]
+    s1, s2 = k.edge_slots.T
+    inner = s2 >= 0
+    s1, s2, lone = s1[inner], s2[inner], s1[~inner]
     pinned = np.zeros(nt, dtype=bool)
-    pinned[slots[first[count == 1]] // 3] = flavor == "absolute"
+    pinned[lone // 3] = flavor == "absolute"
     return _flat_forest(nt, np.stack([s1 // 3, s2 // 3], axis=1),
                         -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[1]
 
@@ -314,50 +337,73 @@ def _cotree(k, dual):
     """Breadth-first spanning forest of the triangles joined across the
     `dual` edges.  A dual edge on the boundary joins its triangle to the
     outside, which roots every component it reaches.  Returns the visiting
-    order, each triangle's parent edge (-1 at a root triangle) and the mask
-    of loop edges, the dual edges outside the forest."""
-    te, nt = k.tri_edges, k.n_triangles
-    # per edge: its number of triangles and the sum of their ids, which
-    # names the other triangle across an interior edge and the one triangle
-    # on a boundary edge
-    count = np.bincount(te.ravel(), minlength=k.n_edges)
-    total = np.bincount(te.ravel(), weights=np.repeat(np.arange(nt), 3),
-                        minlength=k.n_edges).astype(int)
-    joined = dual & (count == 2)
-    across = np.where(joined[te], total[te] - np.arange(nt)[:, None], -1).tolist()
-    tris = te.tolist()
-    outside = np.flatnonzero(dual & (count == 1))
+    order, each triangle's parent edge (-1 at a root triangle) and parent
+    triangle (-1 also below the outside) and the mask of loop edges, the
+    dual edges outside the forest."""
+    nt = k.n_triangles
+    # across every (triangle, slot) position, the other triangle on that
+    # slot's edge, -1 where the edge is not a dual edge between two
+    first, second = k.edge_slots.T
+    joined = np.flatnonzero(dual & (second >= 0))
+    mate = np.full(3 * nt, -1)
+    mate[first[joined]] = second[joined] // 3
+    mate[second[joined]] = first[joined] // 3
+    across = mate.reshape(nt, 3).tolist()
+    tris = k.tri_edges.tolist()
+    outside = np.flatnonzero(dual & (second < 0))
     parent = [-1] * nt
+    up = [-1] * nt
     seen = [False] * nt
     order = []
-    for start, edge in list(zip(total[outside].tolist(), outside.tolist())) \
-            + [(t, -1) for t in range(nt)]:
-        if seen[start]:
-            continue
+
+    def grow(start, edge):
         seen[start] = True
         parent[start] = edge
         queue = [start]
         for t in queue:
-            order.append(t)
             for s, e in zip(across[t], tris[t]):
                 if s >= 0 and not seen[s]:
                     seen[s] = True
                     parent[s] = e
+                    up[s] = t
                     queue.append(s)
+        order.extend(queue)
+
+    for t, edge in zip((first[outside] // 3).tolist(), outside.tolist()):
+        if not seen[t]:
+            grow(t, edge)
+    for t in range(nt):
+        if not seen[t]:
+            grow(t, -1)
     parent = np.array(parent, dtype=int)
     loops = dual.copy()
     loops[parent[parent >= 0]] = False
-    return order, parent, loops
+    return order, parent, up, loops
 
 
-def _cocycles_off_tree(k, f, order, parent, loops, tol):
+def _live_triangles(k, up, loops):
+    """The cotree triangles whose subtree holds a triangle with a loop
+    edge, as a list of flags: the triangles of the loop edges and every
+    cotree ancestor of them."""
+    live = [False] * k.n_triangles
+    slots = k.edge_slots[loops].ravel()
+    for t in (slots[slots >= 0] // 3).tolist():
+        while t >= 0 and not live[t]:
+            live[t] = True
+            t = up[t]
+    return live
+
+
+def _cocycles_off_tree(k, f, order, parent, up, loops, tol):
     """Basis (absolute coordinates) of the closed 1-cochains that vanish
     off the loop edges and the cotree, orthonormal on the loop edges.
 
     Walked leaves first, every non-root triangle equation fixes the value
     on its parent dual edge, whose coefficient is +-I or P, so the values
     on the loop edges parametrize everything; the root triangle equations
-    C are what is left, and the cocycles are ker C.
+    C are what is left, and the cocycles are ker C.  Outside the live
+    triangles (`_live_triangles`) every value is zero, so only those are
+    eliminated, and a root triangle that is not live adds zero rows.
     """
     n = f.fiber_dim
     tris = k.tri_edges.tolist()
@@ -365,13 +411,19 @@ def _cocycles_off_tree(k, f, order, parent, loops, tol):
     m = n * n_loops
     values = np.zeros((k.n_edges, n, m))
     values[loops] = np.eye(m).reshape(n_loops, n, m)
+    live = _live_triangles(k, up, loops)
+    parent = parent.tolist()
     root_rows = [np.zeros((0, m))]
     for t in reversed(order):
+        e = parent[t]
+        if not live[t]:
+            if e < 0:
+                root_rows.append(np.zeros((n, m)))
+            continue
         e01, e02, e12 = tris[t]
         p = f.transports[e01]
         # (d1 w)_t = P w(e12) - w(e02) + w(e01); the parent edge is still 0
         rest = p @ values[e12] - values[e02] + values[e01]
-        e = parent[t]
         if e < 0:
             root_rows.append(rest)
         elif e == e01:
@@ -444,17 +496,16 @@ def _boundary_walk(k, f, u, tol):
     coords = [np.zeros((0, cols))]
     prim = np.zeros((k.vertex_count, n, cols))
     for cycle in k.boundary_components:
+        steps = [_step(k, f, w, v, ei) for v, ei in zip(cycle["vertices"], cycle["edges"])]
         rho, z = np.eye(n), np.zeros((n, cols))
-        for v, ei in zip(cycle["vertices"], cycle["edges"]):
-            t, s = _step(k, f, w, v, ei)
+        for t, s in steps:
             rho, z = t @ rho, t @ z + s
         left, sigma, right = np.linalg.svd(np.eye(n) - rho)
         r = int(np.sum(sigma > tol.rank_tol * max(sigma[0], 1.0)))
         coords.append(left[:, r:].T @ z)
         a = right[:r].T @ ((left[:, :r].T @ z) / sigma[:r, None])
-        for v, ei in zip(cycle["vertices"], cycle["edges"]):
+        for v, (t, s) in zip(cycle["vertices"], steps):
             prim[v] = a
-            t, s = _step(k, f, w, v, ei)
             a = t @ a + s
     return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
 

@@ -61,6 +61,11 @@ def build(vertex_count, triangles):
     k.tri_edges = np.array(
         [(k.edge_index[(w0, w1)], k.edge_index[(w0, w2)], k.edge_index[(w1, w2)])
          for w0, w1, w2 in map(sorted, tris)], dtype=int).reshape(-1, 3)
+    # each edge's positions in the flattened table, -1 for a missing second
+    slots = [[] for _ in order]
+    for pos, ei in enumerate(k.tri_edges.ravel().tolist()):
+        slots[ei].append(pos)
+    k.edge_slots = np.array([s + [-1] * (2 - len(s)) for s in slots], dtype=int).reshape(-1, 2)
     k.sorted_sign = np.array([_parity(t) for t in tris], dtype=int)
 
     k.boundary_edge_indices = sorted(

@@ -269,7 +269,7 @@ def _assert_class_contract(k, f, got, want, exact, case=None):
     assert numlin.rank(both, scale=1.0) == got.dim + r, case
     loose, _, cocycles = twisted._tree_and_flat_sections(
         k, f, got.flavor, numlin.DEFAULT_TOL)
-    dofs = np.repeat(twisted._cotree(k, loose)[2], f.fiber_dim)
+    dofs = np.repeat(twisted._cotree(k, loose)[3], f.fiber_dim)
     y = got.reps[dofs]
     assert np.abs(y.T @ y - np.eye(got.dim)).max(initial=0) < 1e-9, case
     assert np.abs(y.T @ cocycles[dofs]).max(initial=0) < 1e-9, case
@@ -329,10 +329,10 @@ def test_boundary_walk_matches_the_dense_boundary_route():
     assert bounded == 25
 
 
-def _oracle_cases():
+def _oracle_cases(sizes=(3, 6)):
     rng = np.random.default_rng(62)
     for name in ("torus", "annulus", "disk", "genus11", "pants", "sphere"):
-        for m in (3, 6):
+        for m in sizes:
             k, h, loops = cli._EXAMPLES[name](m)
             yield f"{name}{m}/R", k, localsys.trivial_system(k, 1)
             yield f"{name}{m}/R3", k, localsys.trivial_system(k, 3)
