@@ -223,7 +223,7 @@ def _verify_case(k, h, f, tol, rng):
 def cmd_verify(args):
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
-    if args.refine:
+    if args.refine is not None:
         if args.mesh or args.system:
             raise ParhodgeError("--refine refines a builtin --example; it takes "
                                 "no --mesh or --system")

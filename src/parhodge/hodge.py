@@ -228,7 +228,7 @@ def harmonic_spaces(mc, bases=None):
     m1 = functools.partial(m1_apply, mc)
     h_n = numlin.orthonormalize(harmonic_representative(mc, h1.reps, h1.h0), m1, tol)
     # d0 of the unit 0-cochains on the boundary-vertex dofs, edgewise
-    boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative").dof_mask)
+    boundary = np.flatnonzero(~twisted.cochain_space(k, f, 0, "relative"))
     if h1_rel is h1:
         h_d, extensions = h_n, np.zeros((h_n.shape[0], 0))
     else:
@@ -263,7 +263,7 @@ def harmonic_representative(mc, u, h0=None):
     k, f = mc.k, mc.f
     if h0 is None:
         h0 = twisted.cohomology(k, f, 0, "absolute", mc.tol)
-    mask = twisted.cochain_space(k, f, 0, h0.flavor).dof_mask
+    mask = twisted.cochain_space(k, f, 0, h0.flavor)
     flat = h0.reps[mask]
     cols = u if np.ndim(u) == 2 else np.reshape(u, (-1, 1))
     # L0 is copied only where the relative flavor cuts it, and S S^T formed

@@ -204,13 +204,12 @@ def gauge_transform(k, system, gauges, tol=DEFAULT_TOL):
     """Conjugate the system by per-vertex orthogonal matrices
     (P_e -> g_tail P_e g_head^T); yields an isomorphic flat system."""
     n = system.fiber_dim
-    gs = [
+    gs = np.array([
         _check_orthogonal(g, n, tol, f"gauge at vertex {v}")
         for v, g in enumerate(gauges)
-    ]
-    arr = np.empty_like(system.transports)
-    for ei, (a, b) in enumerate(k.edges):
-        arr[ei] = gs[a] @ system.transports[ei] @ gs[b].T
+    ])
+    tail, head = k.ends.T
+    arr = gs[tail] @ system.transports @ gs[head].transpose(0, 2, 1)
     out = FlatLocalSystem(fiber_dim=n, transports=arr)
     out.flat_residual = _flat_residual(k, out)
     return out

@@ -135,10 +135,13 @@ def build(vertex_count, triangles):
     edge in three triangles, or in two that traverse it the same way, is
     caught at the lowest such edge.  Only
     the boundary edges are walked, into cycles.  Invalid input raises on
-    the first offending triangle or edge.
+    the first offending triangle, vertex or edge.
     """
     nv = int(vertex_count)
     tri = _triangle_table(nv, triangles)
+    bare = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)
+    if bare.size:
+        raise InvalidParameter(f"vertex {bare[0]} lies in no triangle")
     k = SurfaceComplex(vertex_count=nv, triangles=list(map(tuple, tri.tolist())))
 
     # the sides ab, bc, ca of each stored triangle, as low * n_V + high keys
@@ -316,15 +319,6 @@ def _heron(a, b, c):
     s = 0.5 * (a + b + c)
     val = s * (s - a) * (s - b) * (s - c)
     return np.sqrt(np.maximum(val, 0.0))
-
-
-def triangle_area(k, h, ti):
-    t = k.triangles[ti]
-    return _heron(
-        h.lengths[k.edge_id(t[0], t[1])],
-        h.lengths[k.edge_id(t[1], t[2])],
-        h.lengths[k.edge_id(t[0], t[2])],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,26 +18,31 @@ the coboundaries:
     (all edges; in the relative flavor the interior ones, with every
     boundary vertex pinned to one merged root).  Components without a
     pinned vertex get a free root, and the tree transport G_v carries the
-    root fiber to each vertex.  The queue walk is integer bookkeeping on
-    Python lists; the transports go down the forest one depth at a time,
-    one batched product per depth.  The flat sections (H^0) are the G c
-    whose defect P G_b c - G_a c vanishes on the non-tree edges.
-    H^2 = coker d1 is the same construction on the dual graph: triangles
-    joined across interior edges, pinned by boundary edges in the absolute
-    flavor.
+    root fiber to each vertex.  One queue walk, `_breadth_first`, labels
+    the nodes of this forest, of the dual forest below and of the cotree
+    with the arc and node that reached them, their depth and their walk,
+    as integer bookkeeping on Python lists; the transports go down the
+    forest one depth at a time, one batched product per depth.  The flat
+    sections (H^0) are the G c whose defect P G_b c - G_a c vanishes on the
+    non-tree edges.  H^2 = coker d1 is the same construction on the dual
+    graph: triangles joined across interior edges, pinned by boundary edges
+    in the absolute flavor.
   * cotree: a breadth-first spanning forest of the dual graph (triangles,
     joined across active non-tree edges, and to the outside across active
     non-tree boundary edges, so the outside roots every component with
-    boundary).  Walked leaves first, each triangle equation of d1 solves
-    its parent dual edge exactly (the coefficient is +-I or P, so no rank
-    decision is made); the values on the loop edges L outside both forests
-    are free, and the root-triangle equations C (n rows per root triangle,
-    which only closed components and the relative flavor have; n|L|
-    columns) are what is left.  Their kernel, from a small SVD, gives the
-    closed cochains Z_T vanishing on the tree.  A triangle's equation is
-    exactly zero unless its subtree holds a triangle with a loop edge, so
-    only those live triangles, the cotree paths from the loop edges up to
-    the roots, are eliminated: O(|L| x cotree depth) work, not O(n_T).
+    boundary), walked by the same routine from the triangles on those
+    boundary edges, one at a time in edge order; both dual graphs read their
+    arcs from `edge_slots` alike.  Walked leaves first, each triangle
+    equation of d1 solves its parent dual edge exactly (the coefficient is
+    +-I or P, so no rank decision is made); the values on the loop edges L
+    outside both forests are free, and the root-triangle equations C (n
+    rows per root triangle, which only closed components and the relative
+    flavor have; n|L| columns) are what is left.  Their kernel, from a
+    small SVD, gives the closed cochains Z_T vanishing on the tree.  A
+    triangle's equation is exactly zero unless its subtree holds a triangle
+    with a loop edge, so only those live triangles, the cotree paths from
+    the loop edges up to the roots, are eliminated: O(|L| x cotree depth)
+    work, not O(n_T).
   * classes: Z_T meets the exact cochains exactly in the d0 of parallel
     sections over free roots, the free-root defects.  A cocycle in Z_T is
     fixed by its loop-edge values (n 2g of them on a closed component,
@@ -77,37 +82,21 @@ from .errors import NoConvergence, NotClosed
 from .numlin import DEFAULT_TOL
 
 
-@dataclass
-class TwistedCochainSpace:
-    """Coordinate description of one cochain degree and flavor.
-
-    `dof_mask` marks the coordinates of the absolute space that the flavor
-    keeps (the relative flavor zeroes boundary-supported blocks); `dim` is
-    the dimension of the flavor's own coordinate space.
-    """
-
-    degree: int
-    flavor: str
-    fiber_dim: int
-    dim: int
-    dof_mask: np.ndarray
-
-
 def cochain_space(k, f, degree, flavor="absolute"):
+    """The mask of the coordinates of the absolute degree-`degree` cochains
+    that the flavor keeps: all of them, or in the relative flavor those off
+    the boundary-supported blocks."""
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     n = f.fiber_dim
     counts = [k.vertex_count, k.n_edges, k.n_triangles]
     if flavor == "absolute":
-        mask = np.ones(n * counts[degree], dtype=bool)
-    elif flavor == "relative":
+        return np.ones(n * counts[degree], dtype=bool)
+    if flavor == "relative":
         masks = [interior_vertex_mask(k), interior_edge_mask(k),
                  np.ones(k.n_triangles, dtype=bool)]
-        mask = _expand(masks[degree], n)
-    else:
-        raise ValueError("flavor must be 'absolute' or 'relative'")
-    return TwistedCochainSpace(degree=degree, flavor=flavor, fiber_dim=n,
-                               dim=int(mask.sum()), dof_mask=mask)
+        return _expand(masks[degree], n)
+    raise ValueError("flavor must be 'absolute' or 'relative'")
 
 
 @dataclass
@@ -143,7 +132,7 @@ def _blocks(a, n):
 
 def coboundaries(k, f):
     """Twisted coboundary matrices (d0, d1) in absolute coordinates; the
-    relative flavor's are the restrictions to `cochain_space(...).dof_mask`.
+    relative flavor's are the restrictions to the `cochain_space` masks.
     The dense reference the tests compare against: no src path calls it.
 
     (d0 a)(u -> v) = P_uv a(v) - a(u) on canonical edges; (d1 w) on a
@@ -223,6 +212,49 @@ def _tree_and_flat_sections(k, f, flavor, tol):
     return loose, flat, exact.reshape(n * k.n_edges, -1)
 
 
+def _breadth_first(nodes, ends, seeds):
+    """Breadth-first labelling of the graph on `nodes` nodes whose arc i
+    joins ends[i].  Walks start from each group of `seeds` in turn, with the
+    group's unreached nodes at depth 0, then from each node still unreached,
+    in id order; a node takes its arcs in arc order.  Returns the visiting
+    order and, per node, the arc and the node that reached it (-1 where a
+    walk starts), its depth and its walk, numbered in the order the walks
+    start (a seed group already reached keeps its number, with no nodes).
+    """
+    # per node, its arcs in arc order: arc i sits at 2 i and 2 i + 1
+    at = ends.ravel()
+    by_node = np.argsort(at, kind="stable")
+    start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
+    far = ends[:, ::-1].ravel()[by_node].tolist()
+    arc_at = (by_node // 2).tolist()
+    arc, up, depth, walk = [-1] * nodes, [-1] * nodes, [0] * nodes, [-1] * nodes
+    order = []
+
+    def grow(queue, w):
+        for v in queue:
+            walk[v] = w
+        for a in queue:
+            d = depth[a] + 1
+            for i in range(start[a], start[a + 1]):
+                b = far[i]
+                if walk[b] < 0:
+                    walk[b] = w
+                    arc[b] = arc_at[i]
+                    up[b] = a
+                    depth[b] = d
+                    queue.append(b)
+        order.extend(queue)
+
+    for w, group in enumerate(seeds):
+        grow([v for v in group if walk[v] < 0], w)
+    w = len(seeds)
+    for v in range(nodes):
+        if walk[v] < 0:
+            grow([v], w)
+            w += 1
+    return (order, *(np.array(labels, dtype=int) for labels in (arc, up, depth, walk)))
+
+
 def _flat_forest(nodes, ends, transports, pinned, tol):
     """Breadth-first spanning forest of a graph whose arcs carry orthogonal
     transports, and its flat sections.
@@ -236,43 +268,13 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
     of G c for c spanning the complement of the flat directions.
 
-    The queue walk only labels the nodes, each with its depth and the arc
-    that reached it; the transports then go down one depth at a time, each
-    depth one batched product G_child = P G_parent over all components.
+    `_breadth_first` labels the nodes, the pinned ones as walk 0 and each
+    free root's component as a walk of its own; the transports then go down
+    one depth at a time, each depth one batched product G_child = P G_parent
+    over all components.
     """
     n = transports.shape[1]
-    # per node, in arc order: (neighbour, arc), from nbrs[start[v]] on
-    a_end, b_end = ends.T
-    arcs = np.arange(len(ends))
-    at, arc = np.concatenate([a_end, b_end]), np.concatenate([arcs, arcs])
-    by_node = np.lexsort((arc, at))
-    nbrs = list(zip(np.concatenate([b_end, a_end])[by_node].tolist(), arc[by_node].tolist()))
-    start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
-    root = [-2] * nodes  # -2 unseen, -1 pinned root, else free root
-    depth = [0] * nodes
-    via = [-1] * nodes  # the tree arc that reached the node
-
-    def grow(seed, label):
-        for v in seed:
-            root[v] = label
-        queue = list(seed)
-        for a in queue:
-            d = depth[a] + 1
-            for b, ei in nbrs[start[a]:start[a + 1]]:
-                if root[b] == -2:
-                    root[b] = label
-                    depth[b] = d
-                    via[b] = ei
-                    queue.append(b)
-
-    grow(np.flatnonzero(pinned).tolist(), -1)
-    free_roots = []
-    for v in range(nodes):
-        if root[v] == -2:
-            free_roots.append(v)
-            grow([v], v)
-
-    via, depth = np.array(via), np.array(depth)
+    _, via, up, depth, walk = _breadth_first(nodes, ends, [np.flatnonzero(pinned).tolist()])
     child = np.flatnonzero(via >= 0)
     child = child[np.argsort(depth[child], kind="stable")]
     tree_arc = via[child]
@@ -280,27 +282,26 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     in_tree[tree_arc] = True
     # the section is flat across each tree arc, x_a = P x_b for ends (a, b)
     down = ends[tree_arc, 1] == child
-    up = np.where(down, ends[tree_arc, 0], ends[tree_arc, 1])
     p = transports[tree_arc]
     p = np.where(down[:, None, None], p.transpose(0, 2, 1), p)
+    up = up[child]
     g = np.tile(np.eye(n), (nodes, 1, 1))
     cuts = np.flatnonzero(np.diff(depth[child], prepend=-1, append=-1)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         g[child[lo:hi]] = p[lo:hi] @ g[up[lo:hi]]
 
-    root = np.array(root)
     loose = ~in_tree
     defect = np.einsum("eij,ejk->eik", transports[loose], g[ends[loose, 1]]) \
         - g[ends[loose, 0]]
-    loose_root = root[ends[loose, 0]]
+    loose_walk = walk[ends[loose, 0]]
     flat = np.zeros((n * nodes, 0))
     exact = np.zeros((len(ends), n, 0))
-    for r in free_roots:
-        mine = loose_root == r
+    for r in range(1, walk.max(initial=0) + 1):
+        mine = loose_walk == r
         # the R factor has the singular values of the tall system
         c = numlin.nullspace_basis(np.linalg.qr(defect[mine].reshape(-1, n), mode="r"),
                                    tol, scale=1.0)
-        verts = np.flatnonzero(root == r)
+        verts = np.flatnonzero(walk == r)
         sections = np.zeros((nodes, n, c.shape[1]))
         sections[verts] = g[verts] @ c / np.sqrt(len(verts))
         flat = np.hstack([flat, sections.reshape(n * nodes, -1)])
@@ -309,6 +310,16 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
         cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
     return loose, flat, exact
+
+
+def _dual_arcs(k, edges):
+    """The dual graph across the masked `edges`: the ids of those with two
+    triangles and their `edge_slots` rows, whose // 3 are the triangles an
+    arc joins, and the ids of those on the boundary with their one slot."""
+    first, second = k.edge_slots.T
+    joined = np.flatnonzero(edges & (second >= 0))
+    lone = np.flatnonzero(edges & (second < 0))
+    return joined, k.edge_slots[joined], lone, first[lone]
 
 
 def _flat_triangle_sections(k, f, flavor, tol):
@@ -323,62 +334,31 @@ def _flat_triangle_sections(k, f, flavor, tol):
     coef[:, 1] = -np.eye(n)
     coef[:, 2] = f.transports[te[:, 0]]
     coef = coef.reshape(3 * nt, n, n)
-    # the (triangle, slot) occurrences of each edge, edge by edge
-    s1, s2 = k.edge_slots.T
-    inner = s2 >= 0
-    s1, s2, lone = s1[inner], s2[inner], s1[~inner]
+    _, slots, _, lone = _dual_arcs(k, np.ones(k.n_edges, dtype=bool))
     pinned = np.zeros(nt, dtype=bool)
     pinned[lone // 3] = flavor == "absolute"
-    return _flat_forest(nt, np.stack([s1 // 3, s2 // 3], axis=1),
-                        -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[1]
+    s1, s2 = slots.T
+    return _flat_forest(nt, slots // 3, -coef[s1] @ coef[s2].transpose(0, 2, 1), pinned, tol)[1]
 
 
 def _cotree(k, dual):
     """Breadth-first spanning forest of the triangles joined across the
     `dual` edges.  A dual edge on the boundary joins its triangle to the
-    outside, which roots every component it reaches.  Returns the visiting
-    order, each triangle's parent edge (-1 at a root triangle) and parent
-    triangle (-1 also below the outside) and the mask of loop edges, the
-    dual edges outside the forest."""
-    nt = k.n_triangles
-    # across every (triangle, slot) position, the other triangle on that
-    # slot's edge, -1 where the edge is not a dual edge between two
-    first, second = k.edge_slots.T
-    joined = np.flatnonzero(dual & (second >= 0))
-    mate = np.full(3 * nt, -1)
-    mate[first[joined]] = second[joined] // 3
-    mate[second[joined]] = first[joined] // 3
-    across = mate.reshape(nt, 3).tolist()
-    tris = k.tri_edges.tolist()
-    outside = np.flatnonzero(dual & (second < 0))
-    parent = [-1] * nt
-    up = [-1] * nt
-    seen = [False] * nt
-    order = []
-
-    def grow(start, edge):
-        seen[start] = True
-        parent[start] = edge
-        queue = [start]
-        for t in queue:
-            for s, e in zip(across[t], tris[t]):
-                if s >= 0 and not seen[s]:
-                    seen[s] = True
-                    parent[s] = e
-                    up[s] = t
-                    queue.append(s)
-        order.extend(queue)
-
-    for t, edge in zip((first[outside] // 3).tolist(), outside.tolist()):
-        if not seen[t]:
-            grow(t, edge)
-    for t in range(nt):
-        if not seen[t]:
-            grow(t, -1)
-    parent = np.array(parent, dtype=int)
+    outside, which roots every component it reaches: those triangles start
+    the walks, one at a time in edge order.  Returns the visiting order,
+    each triangle's parent edge (-1 at a root triangle) and parent triangle
+    (-1 also below the outside) and the mask of loop edges, the dual edges
+    outside the forest."""
+    joined, slots, outside, lone = _dual_arcs(k, dual)
+    order, arc, up, _, walk = _breadth_first(
+        k.n_triangles, slots // 3, [[t] for t in (lone // 3).tolist()])
+    parent = np.append(joined, -1)[arc]
+    # walk j starts below the outside edge outside[j]
+    below = (arc < 0) & (walk < len(outside))
+    parent[below] = outside[walk[below]]
     loops = dual.copy()
     loops[parent[parent >= 0]] = False
-    return order, parent, up, loops
+    return order, parent, up.tolist(), loops
 
 
 def _live_triangles(k, up, loops):

@@ -37,8 +37,7 @@ def hodge_decomposition(mc, bases=None):
     """
     m1 = mass_matrix(mc)
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
-    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
-                    for p in (0, 1))
+    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative") for p in (0, 1))
     tol = mc.tol
     harm = hodge.harmonic_spaces(mc, bases)
     ccc = harm.ccc

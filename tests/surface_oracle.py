@@ -28,6 +28,10 @@ def build(vertex_count, triangles):
         if min(t) < 0 or max(t) >= vertex_count:
             raise InvalidParameter(f"triangle {t} references invalid vertices")
         tris.append(t)
+    used = {v for t in tris for v in t}
+    for v in range(vertex_count):
+        if v not in used:
+            raise InvalidParameter(f"vertex {v} lies in no triangle")
     k = surface.SurfaceComplex(vertex_count=int(vertex_count), triangles=tris)
 
     edge_set = {}

@@ -390,6 +390,14 @@ def _triangle(edge_lengths):
     return {"vertices": 3, "triangles": [[0, 1, 2]], "edge_lengths": edge_lengths}
 
 
+_BARE_VERTEX = {"vertices": [[0, 0], [1, 0], [0, 1], [5, 5]], "triangles": [[0, 1, 2]]}
+# the reason an error line names, where a case pins one
+_MALFORMED_REASONS = {
+    "star-vertex-in-no-triangle": "error: InvalidParameter: vertex 3 lies in no triangle\n",
+    "verify-vertex-in-no-triangle": "error: InvalidParameter: vertex 3 lies in no triangle\n",
+}
+
+
 @pytest.mark.parametrize("argv, files", [
     (["verify", "--example", "foo", "--refine", "4"], {}),
     (["verify", "--mesh", "{mesh}", "--refine", "4"], {"mesh": {}}),
@@ -411,12 +419,16 @@ def _triangle(edge_lengths):
     (["star", "--mesh", "{mesh}"],
      {"mesh": _triangle([[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0], [0, 1, 1.01]])}),
     (["star", "--mesh", "{mesh}"], {"mesh": _triangle([[0, 1], [0, 2, 1.0], [1, 2, 1.0]])}),
+    (["star", "--mesh", "{mesh}"], {"mesh": _BARE_VERTEX}),
+    (["verify", "--mesh", "{mesh}"], {"mesh": _BARE_VERTEX}),
+    (["verify", "--refine", ""], {}),
 ], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
         "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
         "transports-number", "edge-length-fractional-id", "edge-length-twice",
-        "edge-length-short-row"])
-def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, files):
+        "edge-length-short-row", "star-vertex-in-no-triangle", "verify-vertex-in-no-triangle",
+        "refine-empty"])
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, request, argv, files):
     paths = {}
     for name, content in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -424,6 +436,7 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, file
     code = run([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
+    assert _MALFORMED_REASONS.get(request.node.callspec.id, "") in err, err
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -424,7 +424,7 @@ def _complement_route(mc):
     of [M1^-1 d1^T, d0[:, interior]], and the diagnostics through J_h^2 and
     the n_E x n_E projectors."""
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
-    vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative").dof_mask
+    vmask = twisted.cochain_space(mc.k, mc.f, 0, "relative")
     m1 = mass_matrix(mc)
     m1_inv = np.linalg.inv(m1)
     both = np.hstack([numlin.orthonormalize(m1_inv @ d1.T, m1.__matmul__),
@@ -468,8 +468,7 @@ def _kernel_route(mc):
     """The former route, kept here as a reference: H_N, H_D and CcC from the
     SVD kernel of d1, with rank cutoffs on their M1-pairings with d0."""
     d0, d1 = twisted.coboundaries(mc.k, mc.f)
-    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative").dof_mask
-                    for p in (0, 1))
+    vmask, emask = (twisted.cochain_space(mc.k, mc.f, p, "relative") for p in (0, 1))
     m1 = mass_matrix(mc)
     scale = float(np.abs(m1).max())
     kernel = numlin.nullspace_basis(d1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parhodge import localsys, surface
+from parhodge import cli, localsys, surface
 from parhodge.errors import NotFlat, NotOrthogonal, NotUnit, RelationViolated
 
 
@@ -137,6 +137,29 @@ def test_gauge_invariance_of_flatness():
     gauges = [localsys.random_rotation(rng, 3) for _ in range(k.vertex_count)]
     g = localsys.gauge_transform(k, f, gauges)
     assert g.flat_residual < 1e-12
+
+
+def _gauge_transform_loop(k, system, gauges):
+    """`localsys.gauge_transform` one edge at a time: the oracle."""
+    arr = np.empty_like(system.transports)
+    for ei, (a, b) in enumerate(k.edges):
+        arr[ei] = gauges[a] @ system.transports[ei] @ gauges[b].T
+    return arr
+
+
+def test_gauge_transform_matches_the_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for name in ("torus", "genus11", "pants", "annulus", "disk"):
+        k, _, loops = cli._EXAMPLES[name](6)
+        for n in (1, 2, 3):
+            f = localsys.random_flat_system(k, loops, n, rng)
+            gauges = [localsys.random_rotation(rng, n) for _ in range(k.vertex_count)]
+            got = localsys.gauge_transform(k, f, gauges).transports
+            want = _gauge_transform_loop(k, f, gauges)
+            assert got.tobytes() == want.tobytes(), (name, n)
+    gauges[3] = 2.0 * gauges[3]
+    with pytest.raises(NotOrthogonal, match="gauge at vertex 3 "):
+        localsys.gauge_transform(k, f, gauges)
 
 
 def test_from_representation_deterministic():

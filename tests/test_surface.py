@@ -146,7 +146,9 @@ def test_metric_validation():
     with pytest.raises(DegenerateMetric):
         surface.metric_from_lengths(k, [1.0, -1.0, 1.0])
     h = surface.metric_from_lengths(k, [1.0, 1.0, 1.0])
-    assert surface.triangle_area(k, h, 0) == pytest.approx(np.sqrt(3) / 4)
+    # the area as `hodge.metric_complex` takes it
+    area = surface._heron(*h.lengths[surface.opposite_edges(k)[0]])
+    assert area == pytest.approx(np.sqrt(3) / 4)
 
 
 def _reference_quadrature(f, order=40):
@@ -248,7 +250,9 @@ def test_mesh_from_json_roundtrip():
         "edge_lengths": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]],
     }
     k2, h2 = surface.mesh_from_json(data2)
-    assert surface.triangle_area(k2, h2, 0) == pytest.approx(np.sqrt(3) / 4)
+    # the area as `hodge.metric_complex` takes it
+    area = surface._heron(*h2.lengths[surface.opposite_edges(k2)[0]])
+    assert area == pytest.approx(np.sqrt(3) / 4)
     with pytest.raises(InvalidParameter):
         surface.mesh_from_json({"vertices": 3, "triangles": [[0, 1, 2]]})
 
@@ -326,6 +330,7 @@ _INVALID_MESHES = [
     (6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (0, 1, 3)]),
     (5, [(0, 1, 2), (0, 3, 4)]),
     (6, [(0, 1, 2), (3, 4, 5), (2, 1, 3)]),
+    (5, [(0, 1, 2), (2, 1, 4)]),
 ]
 
 

@@ -77,6 +77,49 @@ def _live_cases():
     yield "torus24/SO3", k, localsys.random_flat_system(k, loops, 3, np.random.default_rng(81))
 
 
+def _forest_calls(k, f, flavor):
+    """The arguments of every `_flat_forest` call that cutting the flavor's
+    H^0 and H^2 makes: the vertex graph's and the dual graph's."""
+    calls = []
+    forest = twisted._flat_forest
+
+    def record(*args):
+        calls.append(args)
+        return forest(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twisted, "_flat_forest", record)
+        twisted.cohomology(k, f, 0, flavor)
+        twisted.cohomology(k, f, 2, flavor)
+    return calls
+
+
+def test_walks_match_their_queue_oracles():
+    labels = set()
+    for label, k, f in _live_cases():
+        labels.add(label)
+        duals = {flavor: twisted._tree_and_flat_sections(k, f, flavor, numlin.DEFAULT_TOL)[0]
+                 for flavor in ("absolute", "relative")}
+        # every edge dual: a corner triangle of pants then lies on two
+        # outside edges, and its second one starts no walk
+        duals["all"] = np.ones(k.n_edges, dtype=bool)
+        for name, dual in duals.items():
+            case = (label, name)
+            order, parent, up, loops = twisted._cotree(k, dual)
+            want = walk_oracle._cotree(k, dual)
+            assert order == want[0] and up == want[2], case
+            assert np.array_equal(parent, want[1]) and np.array_equal(loops, want[3]), case
+        for flavor in ("absolute", "relative"):
+            case = (label, flavor)
+            calls = _forest_calls(k, f, flavor)
+            assert len(calls) == 2, case
+            for args in calls:
+                got, want = twisted._flat_forest(*args), walk_oracle._flat_forest(*args)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
+    assert {"pants3/SO3", "pants6/SO3", "union"} <= labels
+
+
 def test_live_set_is_where_the_elimination_is_nonzero():
     for label, k, f in _live_cases():
         for flavor in ("absolute", "relative"):

@@ -4,8 +4,11 @@ at a time: the oracles that `twisted._flat_forest`, `twisted._cotree`,
 `twisted._cocycles_off_tree` and `hodge._triangle_apply` /
 `hodge._edge_sums` must match bit for bit.
 
-`_flat_forest` transports each vertex as the queue reaches it;
-`_cotree` counts each edge's triangles with `bincount`, and records the
+`twisted` labels the spanning forest, the dual forest and the cotree with
+one breadth-first routine, `_breadth_first`; here each keeps a queue walk
+of its own.  `_flat_forest` (for the vertex and the dual graph) transports
+each node as its queue reaches it; `_cotree` finds each edge's triangles
+from `tri_edges` with `bincount`, not from `edge_slots`, and records the
 parent triangle only because `_cocycles_off_tree` takes it;
 `_cocycles_off_tree` eliminates every cotree triangle, live or not.
 """
