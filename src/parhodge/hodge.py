@@ -12,17 +12,20 @@ Orthogonal transports preserve the fiber inner product, so for a trivial
 system the matrices reduce to the scalar ones tensored with the fiber
 identity.
 
-`MetricComplex` is a plain record of L0 and the local blocks and keeps
-nothing between calls.  `m1_apply` applies M1 per triangle (gather the
-three edge values by `tri_edges`, multiply by the local block, and sum
-the results back onto each edge by two gathers through
-`SurfaceComplex.edge_slots`, its first triangle then its second, onto
-zeros: np.add.at's summation bit for bit, in about half the time),
+`MetricComplex` is a plain record of the local blocks and keeps nothing
+between calls; no matrix is assembled from them.  `m1_apply` applies M1
+per triangle (gather the three edge values by `tri_edges`, multiply by the
+local block, and sum the results back onto each edge by two gathers
+through `SurfaceComplex.edge_slots`, its first triangle then its second,
+onto zeros: np.add.at's summation bit for bit, in about half the time),
 `galerkin_apply` applies W1^T the same way from the metric-free wedge
 blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
-d0^T edgewise, so harmonic representatives, their Gram matrices, the
-decomposition that `verify` reports and the Galerkin diagnostics form no
-n_E-sized matrix.
+d0^T edgewise.  `harmonic_representative` solves with L0 by block
+Cholesky elimination over the breadth-first levels of the spanning-tree
+walk (`_level_solve`), where L0 is block tridiagonal, so its largest
+matrix is the Schur complement of one level.  Harmonic representatives,
+their Gram matrices, the decomposition that `verify` reports and the
+Galerkin diagnostics thus form no n_E- or n n_V-sized matrix.
 
 Neumann boundary conditions are encoded as absence of constraint (the
 M-adjoint on absolute cochains is the natural condition), Dirichlet as
@@ -58,7 +61,10 @@ class MetricComplex:
     k: object
     h: object
     f: object
-    l0: np.ndarray  # twisted cotan Laplacian, dense n n_V square
+    # (n_T, 3, 3, n, n) over the sorted vertices w0 < w1 < w2 of each
+    # triangle: the local blocks (area g)_ij rho_i^T rho_j of the twisted
+    # cotan Laplacian, which no src path assembles
+    l0: np.ndarray
     # (n_T, 3, 3, n, n) over the table edges of each triangle: the local M1
     # blocks, and the products rho_a^T rho_b of the transports that carry
     # the edge values into the fiber at w0
@@ -100,12 +106,9 @@ _WEDGE = _whitney_pairs(_lambda_products(0.5), _WEDGE_E)
 
 
 def metric_complex(k, h, f, tol=DEFAULT_TOL):
-    """The local M1 blocks and the assembled cotan Laplacian L0 for
-    (complex, metric, system), all triangles at once."""
-    n = f.fiber_dim
-    nv, nt = k.n_vertices, k.n_triangles
-    te = k.tri_edges
-    verts = np.sort(np.asarray(k.triangles, dtype=int).reshape(-1, 3), axis=1)
+    """The local M1 and L0 blocks for (complex, metric, system), all
+    triangles at once."""
+    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
     # side[:, i] is opposite w_i; Heron takes the sides in the triangle's
     # stored order, which fixes the rounding of the area
     side = h.lengths[te[:, ::-1]]
@@ -127,12 +130,7 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     pair = rho.transpose(0, 1, 3, 2)[:, :, None] @ rho[:, None]
     pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
 
-    # np.add.at adds in index order, so each entry sums its triangles in
-    # stored order; g and the products rho_i^T rho_j are bitwise symmetric,
-    # so L0 is too
-    l0 = np.zeros((n * nv, n * nv))
-    np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]),
-              (area[:, None, None] * g)[..., None, None] * pair)
+    l0 = (area[:, None, None] * g)[..., None, None] * pair
     m1_blocks = _whitney_pairs(_lambda_products(area), g)[..., None, None] * pair_e
     return MetricComplex(k=k, h=h, f=f, l0=l0, m1_blocks=m1_blocks, pairs=pair_e,
                          tol=tol)
@@ -256,26 +254,108 @@ def harmonic_representative(mc, u, h0=None):
     it is not given.
 
     a solves L0 a = d0^T M1 u, both cut to those dofs, with M1 applied per
-    triangle and d0, d0^T edgewise.  The flat sections S of `h0` span the
-    kernel and the right side is orthogonal to them, so
-    (L0 + S S^T) a = d0^T M1 u is SPD with the same solution.
+    triangle and d0, d0^T edgewise, by block elimination over the
+    breadth-first levels of the walk that cut `h0` (`_level_solve`).
     """
     k, f = mc.k, mc.f
     if h0 is None:
         h0 = twisted.cohomology(k, f, 0, "absolute", mc.tol)
-    mask = twisted.cochain_space(k, f, 0, h0.flavor)
-    flat = h0.reps[mask]
     cols = u if np.ndim(u) == 2 else np.reshape(u, (-1, 1))
-    # L0 is copied only where the relative flavor cuts it, and S S^T formed
-    # only when there are flat sections: the sum goes into the cut copy, or
-    # into S S^T so that L0 stays as it is (addition commutes bitwise)
-    lap = mc.l0 if mask.all() else mc.l0[np.ix_(mask, mask)]
-    if flat.shape[1]:
-        ss = flat @ flat.T
-        lap = np.add(lap, ss, out=ss if lap is mc.l0 else lap)
-    a = np.zeros((mask.size, cols.shape[1]))
-    a[mask] = np.linalg.solve(lap, twisted._d0_adjoint(k, f, m1_apply(mc, cols))[mask])
+    a = _level_solve(mc, h0, twisted._d0_adjoint(k, f, m1_apply(mc, cols)))
     return (cols - twisted._d0_apply(k, f, a)).reshape(np.shape(u))
+
+
+# the row and the column vertex of the local L0 blocks (i, j) in C order
+_ROW, _COL = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+
+
+def _levels(kept, depth, n):
+    """The `kept` vertices in level order (by depth, then by id), and per
+    vertex its level (-1 off `kept`) and its position in the level, and
+    the level sizes.  A level is a run of consecutive depths, merged while
+    its n dofs per vertex fit `numlin.BASE_ROWS`: below that, a level's
+    numpy calls cost more than its flops."""
+    order = np.flatnonzero(kept)
+    order = order[np.argsort(depth[order], kind="stable")]
+    at = depth[order] - depth[order[0]]
+    starts, rows = [], 0
+    for d, size in enumerate((n * np.bincount(at)).tolist()):
+        if not starts or rows + size > numlin.BASE_ROWS:
+            starts.append(d)
+            rows = 0
+        rows += size
+    at = np.searchsorted(starts, at, side="right") - 1
+    sizes = np.bincount(at)
+    level = np.full(depth.size, -1)
+    level[order] = at
+    pos = np.zeros(depth.size, dtype=int)
+    pos[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[at]
+    return order, level, pos, sizes
+
+
+def _level_solve(mc, h0, rhs):
+    """Solve L0 a = rhs on the vertex dofs of the flavor of `h0`, zero off
+    them, for 0-cochain columns rhs orthogonal to the flat sections.
+
+    The kept vertices go in breadth-first levels, from their depths in the
+    walk that cut `h0` (`_levels`): each component's root at depth 0 in
+    the absolute flavor; in the relative flavor the pinned boundary (depth
+    0) is dropped, so its levels start at depth 1 unless a closed
+    component has a free root.  A walk's edges join one depth or two
+    adjacent ones, so L0 is block tridiagonal over the levels (Cuthill &
+    McKee 1969): one array pass finds each triangle block's place in the
+    diagonal block D_l or the subdiagonal block B_l of its lower level, and
+    each level's blocks are summed by one bincount when
+    `numlin.block_tridiagonal_solve` asks for them.  A target entry sums
+    its triangles in stored order, the order of an np.add.at scatter of the
+    blocks.
+
+    The flat sections span the kernel.  A flat section is fixed by its
+    values at the roots, so with c an orthonormal basis of those values,
+    L0 + c c^T (c on the roots' dofs, which lead level 0) is SPD, and since
+    the right side is orthogonal to the flat sections it has the same
+    solution.
+    """
+    k, n = mc.k, mc.f.fiber_dim
+    kept = twisted.cochain_space(k, mc.f, 0, h0.flavor)[::n]
+    a = np.zeros(rhs.shape)
+    if not kept.any():
+        return a
+    order, level, pos, sizes = _levels(kept, h0.depth, n)
+    dofs = (n * order[:, None] + np.arange(n)).ravel()
+    # the flat sections live on components with a free root, which leads
+    # level 0
+    roots = dofs[:n * np.count_nonzero(h0.depth[order] == 0)] if h0.dim else dofs[:0]
+    # each triangle block (t, i, j) goes to the level of its row vertex i,
+    # into D there or, one level below, into B; the rest is the transpose
+    verts = k.ends[k.tri_edges[:, [0, 0, 2]], [0, 1, 1]]
+    row, col = verts[:, _ROW].ravel(), verts[:, _COL].ravel()
+    row_level, col_level = level[row], level[col]
+    take = np.flatnonzero((col_level >= 0) & (row_level >= col_level))
+    take = take[np.argsort(row_level[take], kind="stable")]
+    row, col, at = row[take], col[take], row_level[take]
+    sub = at != col_level[take]
+    dim = n * sizes
+    width = np.where(sub, dim[at - 1], dim[at])
+    corner = np.where(sub, dim[at] ** 2, 0) + n * (pos[row] * width + pos[col])
+    cuts = np.searchsorted(at, np.arange(sizes.size + 1)).tolist()
+    fiber = np.arange(n)
+    blocks = mc.l0.reshape(-1, n, n)
+
+    def levels():
+        for lv, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            m, below = dim[lv], dim[lv - 1] if lv else 0
+            index = corner[lo:hi, None, None] + fiber[:, None] * width[lo:hi, None, None] + fiber
+            entries = np.bincount(index.ravel(), blocks[take[lo:hi]].ravel(),
+                                  minlength=m * (m + below))
+            d, b = entries[:m * m].reshape(m, m), entries[m * m:].reshape(m, below)
+            if lv == 0 and roots.size:
+                c = np.linalg.qr(h0.reps[roots])[0]
+                d[:roots.size, :roots.size] += c @ c.T
+            yield d, b
+
+    a[dofs] = numlin.block_tridiagonal_solve(levels(), dim, rhs[dofs])
+    return a
 
 
 def hodge_decomposition(mc, bases=None):

@@ -1,9 +1,12 @@
 """Real linear-algebra kernels used by every other module.
 
 All operations are pure functions of immutable inputs and deterministic
-for identical input.  The factorizations (SVD, `eigh`) are dense and sized
-for the small matrices they meet (class coordinates, Gram matrices, root
-kernels).  `pcg` solves with an SPD operator given only as an apply
+for identical input.  The SVD and `eigh` factorizations are dense and
+sized for the small matrices they meet (class coordinates, Gram matrices,
+root kernels).  `block_tridiagonal_solve` factors an SPD matrix given one
+level of blocks at a time, each level by a dense Cholesky factorization
+of its Schur complement, so no matrix larger than two adjacent levels is
+formed.  `pcg` solves with an SPD operator given only as an apply
 function, and `orthonormalize` takes its metric the same way, so a caller
 never has to form an n_E-sized matrix.  Rank decisions are made relative
 to the largest singular/eigen value; assertion thresholds are absolute
@@ -217,4 +220,96 @@ def pcg(apply, b, precond):
         keep = ~(np.linalg.norm(r, axis=0) <= target[live])
         if not keep.all():
             live, r, p, rz = live[keep], r[:, keep], p[:, keep], rz[keep]
+    return x
+
+
+# a level of at most this many rows applies S_l^{-1} by one LU solve, and
+# a triangular solve splits its rows in halves down to blocks this small
+BASE_ROWS = 96
+
+
+def _triangular_solve(t, b, lower):
+    """Overwrite b with t^{-1} b for a lower or upper triangular t.  numpy
+    has no triangular solve, so the rows split in halves down to
+    `BASE_ROWS`, the off-diagonal block goes through matmul, and each base
+    block is inverted whole (an LU solve of a triangular block is twice as
+    slow for wide b): about n^2 flops per column."""
+    n = t.shape[0]
+    if n <= BASE_ROWS:
+        b[...] = np.linalg.inv(t) @ b
+        return
+    h = n // 2
+    first, second = (slice(0, h), slice(h, n)) if lower else (slice(h, n), slice(0, h))
+    _triangular_solve(t[first, first], b[first], lower)
+    b[second] -= t[second, first] @ b[first]
+    _triangular_solve(t[second, second], b[second], lower)
+
+
+def block_tridiagonal_solve(levels, sizes, rhs):
+    """Solve A X = R for an SPD block tridiagonal A with levels of the
+    given row counts, whose blocks come one level at a time from the
+    iterable `levels` as pairs (D_l, B_l): the diagonal block of level l
+    and the block of its rows against the columns of level l - 1 (no
+    columns at level 0).  The rows of the right side R, `rhs`, are in
+    level order.
+
+    Block Cholesky elimination (George & Liu 1981, ch. 4): the Schur
+    complements S_0 = D_0 and S_l = D_l - B_l W_{l-1}, with
+    W_l = S_l^{-1} B_{l+1}^T, factor as S_l = L_l L_l^T, which fails, and
+    raises NotPositiveDefinite naming the level, unless S_l is SPD.  The
+    forward sweep y_l = S_l^{-1} (R_l - B_l y_{l-1}) rides along with the
+    factorization, and the back sweep is x_l = y_l - W_l x_{l+1}.  Only
+    [W_l | y_l] outlives its level, solved in place in one buffer that
+    holds them all; D_l, B_l and L_l are dropped once the next level's
+    Schur complement is formed.  A level of more than `BASE_ROWS` rows
+    solves with L_l and then L_l^T (`_triangular_solve`), and the first
+    gives V_l = L_l^{-1} B_{l+1}^T, so that B_{l+1} W_l = V_l^T V_l costs
+    half a product; a smaller level takes [W_l | y_l] from one LU solve.
+    """
+    rhs = as_matrix(rhs, "R")
+    sizes = [int(s) for s in sizes]
+    cols = rhs.shape[1]
+    widths = [s + cols for s in sizes[1:] + [0]]
+    ends = np.cumsum([0] + [s * w for s, w in zip(sizes, widths)]).tolist()
+    store = np.empty(ends[-1])
+    levels = iter(levels)
+    ahead = next(levels, None)
+    back, lo = [], 0
+    z = rhs[:sizes[0]] if sizes else None
+    for lv, (size, width) in enumerate(zip(sizes, widths)):
+        d = ahead[0]
+        try:
+            chol = np.linalg.cholesky(d)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                f"block elimination: the Schur complement of level {lv} "
+                f"({size} rows) is not positive definite") from None
+        small = size <= BASE_ROWS
+        if not small:
+            del d  # only the factor is read from here on
+        vw = store[ends[lv]:ends[lv + 1]].reshape(size, width)
+        v, w = vw[:, :width - cols], vw[:, width - cols:]
+        w[...] = z
+        lo += size
+        ahead = next(levels, None)
+        if ahead is not None:
+            v[...] = ahead[1].T
+        if small:
+            vw[...] = np.linalg.solve(d, vw)
+            if ahead is not None:
+                ahead[0][...] -= ahead[1] @ v
+                z = rhs[lo:lo + sizes[lv + 1]] - ahead[1] @ w
+        else:
+            _triangular_solve(chol, vw, lower=True)
+            if ahead is not None:
+                ahead[0][...] -= v.T @ v
+                z = rhs[lo:lo + sizes[lv + 1]] - v.T @ w
+            _triangular_solve(chol.T, vw, lower=False)
+        back.append((v, w))
+    x = np.empty(rhs.shape)
+    below = np.zeros((0, cols))
+    for v, w in reversed(back):
+        rows = slice(lo - w.shape[0], lo)
+        x[rows] = w - v @ below
+        below, lo = x[rows], rows.start
     return x

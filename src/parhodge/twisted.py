@@ -107,6 +107,9 @@ class CohomologyBasis:
     dim: int
     # degree 1: the degree-0 basis of the same flavor from the same walk
     h0: CohomologyBasis | None = None
+    # degree 0: per vertex, its breadth-first depth in the walk that cut the
+    # basis, which `hodge.harmonic_representative` solves level by level
+    depth: np.ndarray | None = None
 
 
 def interior_edge_mask(k):
@@ -173,8 +176,9 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         reps = _flat_triangle_sections(k, f, flavor, tol)
         return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
 
-    loose, flat, exact = _tree_and_flat_sections(k, f, flavor, tol)
-    h0 = CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1])
+    loose, flat, exact, depth = _tree_and_flat_sections(k, f, flavor, tol)
+    h0 = CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1],
+                         depth=depth)
     if degree == 0:
         return h0
 
@@ -195,21 +199,21 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
 def _tree_and_flat_sections(k, f, flavor, tol):
     """`_flat_forest` on the vertices joined across the flavor's active
     edges, the boundary pinned in the relative flavor: the mask of
-    non-tree active edges, the flat sections as 0-cochains, and the exact
-    cocycles d0 G c as 1-cochains."""
+    non-tree active edges, the flat sections as 0-cochains, the exact
+    cocycles d0 G c as 1-cochains and each vertex's depth in the walk."""
     n = f.fiber_dim
     if flavor == "relative":
         active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
     else:
         active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(k.vertex_count, dtype=bool)
     act = np.flatnonzero(active)
-    loose_arcs, flat, defects = _flat_forest(
+    loose_arcs, flat, defects, depth = _flat_forest(
         k.vertex_count, k.ends[act], f.transports[act], pinned, tol)
     loose = active.copy()
     loose[act] = loose_arcs
     exact = np.zeros((k.n_edges, n, defects.shape[2]))
     exact[act] = defects
-    return loose, flat, exact.reshape(n * k.n_edges, -1)
+    return loose, flat, exact.reshape(n * k.n_edges, -1), depth
 
 
 def _breadth_first(nodes, ends, seeds):
@@ -265,8 +269,9 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     transport G = identity.  A parallel section G c, c in the root fiber,
     is flat on the tree, and its defect on a non-tree arc is P G_b c - G_a c.
     Returns the mask of non-tree arcs, the flat sections (zero defect) as
-    Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
-    of G c for c spanning the complement of the flat directions.
+    Euclidean-orthonormal columns, per arc the defects (arcs, n, cols)
+    of G c for c spanning the complement of the flat directions, and each
+    node's depth.
 
     `_breadth_first` labels the nodes, the pinned ones as walk 0 and each
     free root's component as a walk of its own; the transports then go down
@@ -309,7 +314,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
         cocycles = np.zeros((len(ends), n, moving.shape[1]))
         cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
-    return loose, flat, exact
+    return loose, flat, exact, depth
 
 
 def _dual_arcs(k, edges):

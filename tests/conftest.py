@@ -43,6 +43,19 @@ def wedge_matrix(mc):
     return w1
 
 
+def laplacian_matrix(mc):
+    """The dense twisted cotan Laplacian L0, n n_V square, scattered from
+    the per-triangle blocks over each triangle's sorted vertices; np.add.at
+    sums each entry's triangles in stored order, and the blocks are bitwise
+    symmetric, so L0 is too.  The oracle for `hodge.harmonic_representative`,
+    which solves with the blocks level by level."""
+    n, k = mc.f.fiber_dim, mc.k
+    verts = np.sort(np.asarray(k.triangles, dtype=int).reshape(-1, 3), axis=1)
+    l0 = np.zeros((n * k.vertex_count, n * k.vertex_count))
+    np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]), mc.l0)
+    return l0
+
+
 def galerkin_star(m1, w1):
     """The dense Galerkin star J_h = M1^{-1} W1^T from the dense M1 and
     W1: M1-skew exactly, and -I when squared only in the mesh limit."""

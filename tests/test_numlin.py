@@ -145,3 +145,47 @@ def test_empty_shapes_flow_through():
     assert w.shape == (0,) and v.shape == (0, 0)
     assert numlin.nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
 
+
+
+def _block_tridiagonal(rng, sizes, shift):
+    """A random block tridiagonal matrix over levels of the given sizes,
+    SPD when `shift` is large enough, and its (D_l, B_l) blocks."""
+    starts = np.cumsum([0] + sizes)
+    a = np.zeros((starts[-1], starts[-1]))
+    for lv, size in enumerate(sizes):
+        rows = slice(starts[lv], starts[lv + 1])
+        g = rng.standard_normal((size, size))
+        a[rows, rows] = g @ g.T / size + shift[lv] * np.eye(size)
+        if lv:
+            below = slice(starts[lv - 1], starts[lv])
+            a[rows, below] = rng.standard_normal((size, sizes[lv - 1])) \
+                / (4 * np.sqrt(max(sizes)))
+            a[below, rows] = a[rows, below].T
+    levels = [(a[starts[lv]:starts[lv + 1], starts[lv]:starts[lv + 1]].copy(),
+               a[starts[lv]:starts[lv + 1], starts[max(lv - 1, 0)]:starts[lv]].copy()
+               if lv else np.zeros((size, 0)))
+              for lv, size in enumerate(sizes)]
+    return a, levels
+
+
+@pytest.mark.parametrize("sizes", [[7], [3, 5, 2], [40, 130, 250, 97, 5], [200, 1]])
+def test_block_tridiagonal_solve_matches_the_dense_solve(sizes):
+    # levels on both sides of BASE_ROWS: one LU solve, or the triangular
+    # sweeps down to base blocks
+    rng = np.random.default_rng(sum(sizes))
+    a, levels = _block_tridiagonal(rng, sizes, [2.0] * len(sizes))
+    b = rng.standard_normal((a.shape[0], 3))
+    x = numlin.block_tridiagonal_solve(iter(levels), sizes, b)
+    want = np.linalg.solve(a, b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    assert numlin.block_tridiagonal_solve(iter([]), [], np.zeros((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("sizes,bad", [([4, 5, 6, 3], 2), ([110, 120, 100], 1)])
+def test_block_tridiagonal_solve_names_the_level_without_a_cholesky_factor(sizes, bad):
+    rng = np.random.default_rng(7)
+    shift = [2.0] * len(sizes)
+    shift[bad] = -50.0
+    a, levels = _block_tridiagonal(rng, sizes, shift)
+    with pytest.raises(NotPositiveDefinite, match=f"level {bad} "):
+        numlin.block_tridiagonal_solve(iter(levels), sizes, np.ones((a.shape[0], 1)))

@@ -242,8 +242,9 @@ def test_star_and_moduli_form_no_edge_sized_matrix(monkeypatch):
         acs = moduli.moduli_acs(moduli.sample_point(g, kk, angles, seed=7))
         assert acs["dim_H1_par"] == 6 * g - 6 + 2 * kk
 
-    # an n_E x n_V or n_E x n_E matrix would dwarf the one dense n_V x n_V
-    # matrix a report needs, the cotan Laplacian L0 that it solves with
+    # L0 is solved level by level, so a report forms no matrix of its size:
+    # an n_E x n_V or n_E x n_E matrix, or the dense n n_V square L0 itself,
+    # would break a bound of 1.5 times the bytes of that L0
     k, h, loops = surface.torus(16)
     f = localsys.random_flat_system(k, loops, 3, rng)
     l0_bytes = (3 * k.n_vertices) ** 2 * 8
@@ -254,7 +255,7 @@ def test_star_and_moduli_form_no_edge_sized_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.theorem_residuals_ok()
-    assert peak < 3 * l0_bytes, peak / l0_bytes
+    assert peak < 1.5 * l0_bytes, peak / l0_bytes
 
 
 @pytest.mark.parametrize("mesh", [(surface.torus, (16,)), (surface.genus_k, (1, 1, 5))],
@@ -290,7 +291,7 @@ def test_verify_case_forms_no_edge_sized_matrix(monkeypatch, mesh):
         tracemalloc.stop()
     assert case["ok"], case
     assert not large, large
-    assert peak < 3 * l0_bytes, peak / l0_bytes
+    assert peak < 1.5 * l0_bytes, peak / l0_bytes
 
 
 def test_ambient_route_forms_each_dense_piece_once(monkeypatch):
@@ -463,15 +464,38 @@ def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
 
 
 def test_star_command_imports_no_scipy():
+    # the level solve factors and sweeps with numpy alone, on the star,
+    # verify and moduli paths
     code = ("import contextlib, io, sys\n"
             "from parhodge import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['star', '--example', 'genus11', '--m', '3',"
-            " '--fiber', '3'])\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+            "codes = []\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv.split()))\n"
+            "print(*codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(parastar.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.split() == ["0", "[]"], out.stdout + out.stderr
+    out = subprocess.run([sys.executable, "-c", code,
+                          "star --example genus11 --m 3 --fiber 3",
+                          "verify --example genus11 --m 3",
+                          "moduli --sample 1 1 --angles 3.0"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["0", "0", "0", "[]"], out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("mesh", [(surface.torus, (48,)), (surface.genus_k, (1, 1, 16))],
+                         ids=["torus48", "genus11_16"])
+def test_star_report_holds_on_the_largest_meshes(mesh):
+    # 1-cochain dimension 20 736 at fiber 3: the meshes where the dense L0
+    # solve took 7 s and 0.8 to 1.2 GiB
+    gen, args = mesh
+    k, h, loops = gen(*args)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(93))
+    rep = parastar.parabolic_star(k, h, f)
+    res = rep.residuals
+    assert rep.dim_h1_par == 2
+    assert max(res[key] for key in ("jpar_sq", "omega_invariance", "metric_isometry",
+                                    "omega_rep_independence")) <= 1e-9, res
+    assert res["taming_min_eigenvalue"] > 0
+    assert res["parabolic_exactness"] == 1.0

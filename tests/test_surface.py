@@ -15,7 +15,7 @@ from parhodge.errors import (
 )
 
 import surface_oracle
-from conftest import mass_matrix, wedge_matrix
+from conftest import laplacian_matrix, mass_matrix, wedge_matrix
 
 
 def test_build_square_disk():
@@ -168,7 +168,7 @@ def _reference_quadrature(f, order=40):
 def _whitney(k, h):
     """Scalar Whitney matrices: the assembly on the trivial line system."""
     mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
-    return mass_matrix(mc), wedge_matrix(mc), mc.l0
+    return mass_matrix(mc), wedge_matrix(mc), laplacian_matrix(mc)
 
 
 def test_single_triangle_wedge_is_one_sixth():

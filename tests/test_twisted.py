@@ -267,7 +267,7 @@ def _assert_class_contract(k, f, got, want, exact, case=None):
     assert numlin.rank(np.hstack([got.reps, exact]), scale=1.0) == got.dim + r, case
     both = np.hstack([got.reps, want.reps, exact])
     assert numlin.rank(both, scale=1.0) == got.dim + r, case
-    loose, _, cocycles = twisted._tree_and_flat_sections(
+    loose, _, cocycles, _ = twisted._tree_and_flat_sections(
         k, f, got.flavor, numlin.DEFAULT_TOL)
     dofs = np.repeat(twisted._cotree(k, loose)[3], f.fiber_dim)
     y = got.reps[dofs]

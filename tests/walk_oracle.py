@@ -19,8 +19,9 @@ from parhodge import numlin
 
 
 def _flat_forest(nodes, ends, transports, pinned, tol):
-    """Breadth-first spanning forest with transports, its flat sections
-    and the defects of the parallel sections (`twisted._flat_forest`)."""
+    """Breadth-first spanning forest with transports, its flat sections,
+    the defects of the parallel sections and each node's depth
+    (`twisted._flat_forest`)."""
     n = transports.shape[1]
     a_end, b_end = ends.T
     arcs = np.arange(len(ends))
@@ -32,6 +33,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
     root = np.full(nodes, -2)  # -2 unseen, -1 pinned root, else free root
     g = np.tile(np.eye(n), (nodes, 1, 1))
     in_tree = np.zeros(len(ends), dtype=bool)
+    depth = np.zeros(nodes, dtype=int)
 
     def grow(seed, label):
         root[seed] = label
@@ -44,6 +46,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
                 in_tree[ei] = True
                 p = transports[ei]
                 g[b] = (p.T if first else p) @ g[a]
+                depth[b] = depth[a] + 1
                 queue.append(b)
 
     grow(list(np.flatnonzero(pinned)), -1)
@@ -71,7 +74,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
         cocycles = np.zeros((len(ends), n, moving.shape[1]))
         cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
-    return loose, flat, exact
+    return loose, flat, exact, depth
 
 
 def _cotree(k, dual):
