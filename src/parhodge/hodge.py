@@ -15,9 +15,10 @@ identity.
 `MetricComplex` is a plain record of the local blocks and keeps nothing
 between calls; no matrix is assembled from them.  `m1_apply` applies M1
 per triangle (gather the three edge values by `tri_edges`, multiply by the
-local block, and sum the results back onto each edge by two gathers
-through `SurfaceComplex.edge_slots`, its first triangle then its second,
-onto zeros: np.add.at's summation bit for bit, in about half the time),
+local 3n x 3n block, which `metric_complex` stores in that layout, and sum
+the results back onto each edge by two gathers through
+`SurfaceComplex.edge_slots`, its first triangle then its second, onto
+zeros: np.add.at's summation bit for bit, in about half the time),
 `galerkin_apply` applies W1^T the same way from the metric-free wedge
 blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
 d0^T edgewise.  `harmonic_representative` solves with L0 by block
@@ -65,10 +66,12 @@ class MetricComplex:
     # triangle: the local blocks (area g)_ij rho_i^T rho_j of the twisted
     # cotan Laplacian, which no src path assembles
     l0: np.ndarray
-    # (n_T, 3, 3, n, n) over the table edges of each triangle: the local M1
-    # blocks, and the products rho_a^T rho_b of the transports that carry
-    # the edge values into the fiber at w0
-    m1_blocks: np.ndarray
+    # (n_T, 3n, 3n) over the (table edge, fiber) values of each triangle:
+    # the local M1 block, in the layout `_triangle_apply` multiplies with
+    m1: np.ndarray
+    # (n_T, 3, 3, n, n) over the table edges of each triangle: the products
+    # rho_a^T rho_b of the transports that carry the edge values into the
+    # fiber at w0
     pairs: np.ndarray
     tol: object = DEFAULT_TOL
 
@@ -123,29 +126,36 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     g = np.where(np.eye(3, dtype=bool), sq[:, :, None] / (4.0 * a2),
                  -(sq[:, :, None] + sq[:, None, :] - third) / (8.0 * a2))
     # pullbacks rho_i of the vertex fibers into the fiber at w0, and the
-    # products rho_i^T rho_j; an edge cochain's value lives at its low vertex
-    rho = np.empty((nt, 3, n, n))
-    rho[:, 0] = np.eye(n)
-    rho[:, 1:] = f.transports[te[:, :2]]
-    pair = rho.transpose(0, 1, 3, 2)[:, :, None] @ rho[:, None]
+    # products rho_i^T rho_j; an edge cochain's value lives at its low vertex.
+    # rho_0 = I, so only the pairs of rho_1 = P_w0w1 and rho_2 = P_w0w2 are
+    # products
+    rho = f.transports[te[:, :2]]
+    # gathered from the transposed transports, so the product's left
+    # operand is contiguous
+    rho_t = f.transports.transpose(0, 2, 1)[te[:, :2]]
+    pair = np.empty((nt, 3, 3, n, n))
+    pair[:, 0, 0] = np.eye(n)
+    pair[:, 0, 1:] = rho
+    pair[:, 1:, 0] = rho_t
+    pair[:, 1:, 1:] = rho_t[:, :, None] @ rho[:, None]
     pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
 
     l0 = (area[:, None, None] * g)[..., None, None] * pair
-    m1_blocks = _whitney_pairs(_lambda_products(area), g)[..., None, None] * pair_e
-    return MetricComplex(k=k, h=h, f=f, l0=l0, m1_blocks=m1_blocks, pairs=pair_e,
-                         tol=tol)
+    # M1's local blocks (a, b, i, j) go to row a n + i, column b n + j
+    m1 = np.empty((nt, 3 * n, 3 * n))
+    np.multiply(_whitney_pairs(_lambda_products(area), g)[:, :, None, :, None],
+                pair_e.transpose(0, 1, 3, 2, 4), out=m1.reshape(nt, 3, n, 3, n))
+    return MetricComplex(k=k, h=h, f=f, l0=l0, m1=m1, pairs=pair_e, tol=tol)
 
 
-def _triangle_apply(mc, blocks, u):
-    """Sum over triangles of the local (3, 3, n, n) `blocks` over the table
-    edges applied to u, a one-cochain or columns of them: gather the values
-    on each triangle's table edges, apply its block, and sum the results
-    back per edge (`_edge_sums`)."""
+def _triangle_apply(mc, local, u):
+    """Sum over triangles of the `local` (n_T, 3n, 3n) blocks on the
+    (table edge, fiber) values applied to u, a one-cochain or columns of
+    them: gather the values on each triangle's table edges, apply its
+    block, and sum the results back per edge (`_edge_sums`)."""
     n, te = mc.f.fiber_dim, mc.k.tri_edges
     nt, cols = len(te), int(np.prod(np.shape(u)[1:]))
     x = np.reshape(u, (mc.k.n_edges, n, cols))
-    # each local block as one 3n x 3n matrix on the (edge, fiber) values
-    local = blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 3 * n, 3 * n)
     y = np.empty((3 * nt + 1, n, cols))
     y[-1] = 0.0
     np.matmul(local, x[te].reshape(nt, 3 * n, cols), out=y[:-1].reshape(nt, 3 * n, cols))
@@ -168,7 +178,7 @@ def _edge_sums(k, y):
 
 def m1_apply(mc, u):
     """M1 @ u per triangle, for a one-cochain or columns of them."""
-    return _triangle_apply(mc, mc.m1_blocks, u)
+    return _triangle_apply(mc, mc.m1, u)
 
 
 def galerkin_apply(mc, x):
@@ -182,11 +192,14 @@ def galerkin_apply(mc, x):
     equivalent to its diagonal on shape-regular meshes (Wathen 1987), so
     the iteration count does not grow under refinement.
     """
-    n, ne = mc.f.fiber_dim, mc.k.n_edges
+    n, ne, nt = mc.f.fiber_dim, mc.k.n_edges, mc.k.n_triangles
     wedge = (mc.k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * mc.pairs
-    rhs = np.reshape(_triangle_apply(mc, wedge.transpose(0, 2, 1, 4, 3), x),
-                     (n * ne, int(np.prod(np.shape(x)[1:]))))
-    diag = mc.m1_blocks[:, [0, 1, 2], [0, 1, 2]].reshape(3 * mc.k.n_triangles, n, n)
+    # W1^T's local block (a, b, i, j) is the wedge block (b, a, j, i), at
+    # row a n + i and column b n + j
+    w1_t = wedge.transpose(0, 2, 4, 1, 3).reshape(nt, 3 * n, 3 * n)
+    rhs = np.reshape(_triangle_apply(mc, w1_t, x), (n * ne, int(np.prod(np.shape(x)[1:]))))
+    diag = mc.m1.reshape(nt, 3, n, 3, n).diagonal(axis1=1, axis2=3)
+    diag = diag.transpose(0, 3, 1, 2).reshape(3 * nt, n, n)
     diag_inv = np.linalg.inv(_edge_sums(mc.k, np.concatenate([diag, np.zeros((1, n, n))])))
 
     def precond(r):

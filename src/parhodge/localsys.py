@@ -72,7 +72,7 @@ def _check_orthogonal(p, n, tol, what):
 def _flat_residual(k, system):
     """Largest entry of hol - I over the triangles, hol the transport
     around each stored triangle (a, b, c), P_ab P_bc P_ca, all at once."""
-    tri = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
+    tri = k.tri_vertices
     opposite = opposite_edges(k)
     p = system.transports
 

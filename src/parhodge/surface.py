@@ -2,7 +2,8 @@
 piecewise flat metrics and the builtin meshes.
 
 A `SurfaceComplex` stores orientation-bearing triangles over integer vertex
-ids and derives everything else: canonical edges (low id -> high id, in
+ids, as a list of tuples and as the (n_T, 3) array `tri_vertices`, and
+derives everything else: canonical edges (low id -> high id, in
 lexicographic order, also as the (n_E, 2) array `ends`), the
 triangle-edge table `tri_edges` (per triangle with sorted vertices
 w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), its inverse `edge_slots`
@@ -53,6 +54,7 @@ from .numlin import DEFAULT_TOL
 class SurfaceComplex:
     vertex_count: int
     triangles: list
+    tri_vertices: np.ndarray | None = None  # (n_T, 3) the stored triangles
     edges: list = field(default_factory=list)
     edge_index: dict = field(default_factory=dict)
     tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
@@ -142,7 +144,8 @@ def build(vertex_count, triangles):
     bare = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)
     if bare.size:
         raise InvalidParameter(f"vertex {bare[0]} lies in no triangle")
-    k = SurfaceComplex(vertex_count=nv, triangles=list(map(tuple, tri.tolist())))
+    k = SurfaceComplex(vertex_count=nv, triangles=list(map(tuple, tri.tolist())),
+                       tri_vertices=tri)
 
     # the sides ab, bc, ca of each stored triangle, as low * n_V + high keys
     tail, head = tri, tri[:, [1, 2, 0]]
@@ -309,8 +312,7 @@ def opposite_edges(k):
     """Ids of the edges opposite the vertices t0, t1, t2 of each stored
     triangle (t1t2, t0t2, t0t1): for a vertex of sorted rank r that is
     column 2 - r of `tri_edges`."""
-    tri = np.asarray(k.triangles, dtype=int).reshape(-1, 3)
-    rank = tri.argsort(axis=1).argsort(axis=1)
+    rank = k.tri_vertices.argsort(axis=1).argsort(axis=1)
     return np.take_along_axis(k.tri_edges, 2 - rank, axis=1)
 
 

@@ -63,6 +63,10 @@ Degree-1 columns are closed, zero off the flavor's degrees of freedom and
 orthonormal in class coordinates: their loop-edge values are orthonormal
 and orthogonal to the defects; they are not orthogonal to the
 coboundaries.  The transports are orthogonal (P^-1 = P^T) throughout.
+Every contraction of the transports with cochain values (d0, d0^T, d1,
+the forest's defects and the cup pairing) is a stacked matrix product
+over the edges or triangles, P @ x or P^T @ x; the cup pairing then sums
+over the triangles with one product over their n n_T rows.
 
 The symplectic pairing comes from the simplicial cup product evaluated on
 the fundamental 2-cycle and is metric-free.  On closed one-cochains the
@@ -296,8 +300,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
         g[child[lo:hi]] = p[lo:hi] @ g[up[lo:hi]]
 
     loose = ~in_tree
-    defect = np.einsum("eij,ejk->eik", transports[loose], g[ends[loose, 1]]) \
-        - g[ends[loose, 0]]
+    defect = transports[loose] @ g[ends[loose, 1]] - g[ends[loose, 0]]
     loose_walk = walk[ends[loose, 0]]
     flat = np.zeros((n * nodes, 0))
     exact = np.zeros((len(ends), n, 0))
@@ -425,7 +428,7 @@ def _d0_apply(k, f, a):
     """d0 @ a edgewise, for 0-cochain columns a."""
     n, cols, ends = f.fiber_dim, a.shape[1], k.ends
     x = a.reshape(k.vertex_count, n, cols)
-    out = np.einsum("eij,ejr->eir", f.transports, x[ends[:, 1]]) - x[ends[:, 0]]
+    out = f.transports @ x[ends[:, 1]] - x[ends[:, 0]]
     return out.reshape(n * k.n_edges, cols)
 
 
@@ -435,7 +438,7 @@ def _d0_adjoint(k, f, w):
     n, cols, ends = f.fiber_dim, w.shape[1], k.ends
     x = w.reshape(k.n_edges, n, cols)
     out = np.zeros((k.vertex_count, n, cols))
-    np.add.at(out, ends[:, 1], np.einsum("eji,ejr->eir", f.transports, x))
+    np.add.at(out, ends[:, 1], f.transports.transpose(0, 2, 1) @ x)
     np.add.at(out, ends[:, 0], -x)
     return out.reshape(n * k.vertex_count, cols)
 
@@ -549,7 +552,7 @@ def _d1_apply(k, f, u):
     """d1 @ u triangle by triangle, for 1-cochain columns u."""
     w = u.reshape(k.n_edges, f.fiber_dim, u.shape[1])
     e01, e02, e12 = k.tri_edges.T
-    d1w = np.einsum("tij,tjr->tir", f.transports[e01], w[e12]) - w[e02] + w[e01]
+    d1w = f.transports[e01] @ w[e12] - w[e02] + w[e01]
     return d1w.reshape(f.fiber_dim * k.n_triangles, u.shape[1])
 
 
@@ -577,10 +580,14 @@ def cup_omega(k, f, u_basis, tol=DEFAULT_TOL):
 
 
 def _cup_raw(k, f, u_basis, v_basis):
-    n, e01, e12 = f.fiber_dim, k.tri_edges[:, 0], k.tri_edges[:, 2]
-    u = u_basis.reshape(k.n_edges, n, u_basis.shape[1])[e01]
-    v = v_basis.reshape(k.n_edges, n, v_basis.shape[1])[e12]
-    return np.einsum("t,tir,tij,tjs->rs", k.sorted_sign, u, f.transports[e01], v)
+    """The raw cup pairing U^T V of the columns: the sum over triangles of
+    sorted_sign u(w0 w1)^T P_w0w1 v(w1 w2), as the stacked products
+    P_w0w1 v(w1 w2) and then one product over the n n_T rows."""
+    n, nt, e01, e12 = f.fiber_dim, k.n_triangles, k.tri_edges[:, 0], k.tri_edges[:, 2]
+    r, s = u_basis.shape[1], v_basis.shape[1]
+    u = u_basis.reshape(k.n_edges, n, r)[e01] * k.sorted_sign[:, None, None]
+    pv = f.transports[e01] @ v_basis.reshape(k.n_edges, n, s)[e12]
+    return u.reshape(n * nt, r).T @ pv.reshape(n * nt, s)
 
 
 def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):

@@ -15,8 +15,9 @@ def _silence_disconnected():
 
 
 def _scatter(mc, local):
-    """Dense n n_E square matrix of per-triangle blocks over the table
-    edges; np.add.at sums each entry's triangles in stored order."""
+    """Dense n n_E square matrix of per-triangle (n_T, 3, 3, n, n) blocks
+    over the table edges; np.add.at sums each entry's triangles in stored
+    order."""
     n, te = mc.f.fiber_dim, mc.k.tri_edges
     out = np.zeros((n * mc.k.n_edges, n * mc.k.n_edges))
     np.add.at(twisted._blocks(out, n), (te[:, :, None], te[:, None, :]), local)
@@ -26,7 +27,8 @@ def _scatter(mc, local):
 def mass_matrix(mc):
     """The dense Whitney mass matrix M1, scattered from the per-triangle
     blocks; the oracle for `hodge.m1_apply`."""
-    m1 = _scatter(mc, mc.m1_blocks)
+    n = mc.f.fiber_dim
+    m1 = _scatter(mc, mc.m1.reshape(-1, 3, n, 3, n).transpose(0, 1, 3, 2, 4))
     m1 += m1.T
     m1 *= 0.5
     return m1
@@ -50,7 +52,7 @@ def laplacian_matrix(mc):
     symmetric, so L0 is too.  The oracle for `hodge.harmonic_representative`,
     which solves with the blocks level by level."""
     n, k = mc.f.fiber_dim, mc.k
-    verts = np.sort(np.asarray(k.triangles, dtype=int).reshape(-1, 3), axis=1)
+    verts = np.sort(k.tri_vertices, axis=1)
     l0 = np.zeros((n * k.vertex_count, n * k.vertex_count))
     np.add.at(twisted._blocks(l0, n), (verts[:, :, None], verts[:, None, :]), mc.l0)
     return l0

@@ -32,7 +32,8 @@ def build(vertex_count, triangles):
     for v in range(vertex_count):
         if v not in used:
             raise InvalidParameter(f"vertex {v} lies in no triangle")
-    k = surface.SurfaceComplex(vertex_count=int(vertex_count), triangles=tris)
+    k = surface.SurfaceComplex(vertex_count=int(vertex_count), triangles=tris,
+                               tri_vertices=np.array(tris, dtype=np.int64).reshape(-1, 3))
 
     edge_set = {}
     # per canonical edge: list of (triangle index, +1 if traversed low->high)

@@ -4,6 +4,7 @@ import pytest
 from parhodge import cli, hodge, localsys, moduli, numlin, parastar, surface, twisted
 from parhodge.errors import NoConvergence, NotClosed
 
+import contraction_oracle
 from conftest import torus_grid_cochain, union_with_metric_and_system, wedge_matrix
 
 
@@ -343,6 +344,37 @@ def _oracle_cases(sizes=(3, 6)):
         k1, h1, localsys.random_flat_system(k1, l1, 3, rng),
         k2, h2, localsys.random_flat_system(k2, l2, 3, rng))
     yield "union", ku, fu
+
+
+@pytest.mark.parametrize("cols", [0, 1, 40])
+def test_stacked_contractions_match_the_dense_coboundaries_and_einsum(cols):
+    # every transport contraction against the dense matrices and the
+    # batched einsum it replaced, to 1e-14 of the reference's largest entry
+    rng = np.random.default_rng(91 + cols)
+    fibers, labels = set(), set()
+    for label, k, f in _oracle_cases():
+        n = f.fiber_dim
+        d0, d1 = twisted.coboundaries(k, f)
+        cup = contraction_oracle.cup_matrix(k, f)
+        a = rng.standard_normal((n * k.vertex_count, cols))
+        w = rng.standard_normal((n * k.n_edges, cols))
+        v = rng.standard_normal((n * k.n_edges, 3))
+        checks = [
+            (twisted._d0_apply(k, f, a), d0 @ a, contraction_oracle.d0_apply(k, f, a)),
+            (twisted._d0_adjoint(k, f, w), d0.T @ w, contraction_oracle.d0_adjoint(k, f, w)),
+            (twisted._d1_apply(k, f, w), d1 @ w, contraction_oracle.d1_apply(k, f, w)),
+            (twisted._cup_raw(k, f, w, v), w.T @ cup @ v, contraction_oracle.cup_raw(k, f, w, v)),
+            (twisted._cup_raw(k, f, v, w), v.T @ cup @ w, contraction_oracle.cup_raw(k, f, v, w)),
+        ]
+        for i, (got, *wants) in enumerate(checks):
+            for want in wants:
+                assert got.shape == want.shape, (label, i)
+                err = np.abs(got - want).max(initial=0.0)
+                assert err <= 1e-14 * np.abs(want).max(initial=0.0), (label, i, err)
+        fibers.add(n)
+        labels.add(label)
+    assert fibers == {1, 3}
+    assert {"torus3/R", "pants6/SO3", "union"} <= labels
 
 
 def test_tree_cotree_matches_dense_oracle():

@@ -10,7 +10,10 @@ of its own.  `_flat_forest` (for the vertex and the dual graph) transports
 each node as its queue reaches it; `_cotree` finds each edge's triangles
 from `tri_edges` with `bincount`, not from `edge_slots`, and records the
 parent triangle only because `_cocycles_off_tree` takes it;
-`_cocycles_off_tree` eliminates every cotree triangle, live or not.
+`_cocycles_off_tree` eliminates every cotree triangle, live or not.  The
+walks are what these oracles check, the queue order and the depths; the
+forest's defects are the same stacked product P @ G as in `twisted`, so
+the comparisons stay bit for bit.
 """
 
 import numpy as np
@@ -57,8 +60,7 @@ def _flat_forest(nodes, ends, transports, pinned, tol):
             grow([v], v)
 
     loose = ~in_tree
-    defect = np.einsum("eij,ejk->eik", transports[loose], g[ends[loose, 1]]) \
-        - g[ends[loose, 0]]
+    defect = transports[loose] @ g[ends[loose, 1]] - g[ends[loose, 0]]
     loose_root = root[ends[loose, 0]]
     flat = np.zeros((n * nodes, 0))
     exact = np.zeros((len(ends), n, 0))
@@ -149,13 +151,12 @@ def eliminate(k, f, order, parent, loops):
     return values, np.vstack(root_rows)
 
 
-def _triangle_apply(mc, blocks, u):
-    """Per-triangle `blocks` applied to u and scattered back by
-    `np.add.at` (`hodge._triangle_apply`)."""
+def _triangle_apply(mc, local, u):
+    """Per-triangle (n_T, 3n, 3n) `local` blocks applied to u and scattered
+    back by `np.add.at` (`hodge._triangle_apply`)."""
     n, te = mc.f.fiber_dim, mc.k.tri_edges
     nt, cols = len(te), int(np.prod(np.shape(u)[1:]))
     x = np.reshape(u, (mc.k.n_edges, n, cols))
-    local = blocks.transpose(0, 1, 3, 2, 4).reshape(nt, 3 * n, 3 * n)
     out = np.zeros(x.shape)
     np.add.at(out, te, (local @ x[te].reshape(nt, 3 * n, cols)).reshape(nt, 3, n, cols))
     return out.reshape(np.shape(u))
