@@ -10,7 +10,7 @@ the symplectic form omega(u, v) = (J u, v).
 
 Everything here is dense linear algebra over a chosen basis of U, with Q
 applied as a function (columns x -> Q x) where V is a large cochain space
-(`subspace_transfer`, `subspace_angle`):
+(`subspace_transfer`, `subspace_angle`, `orthonormal_angle`):
   M[i,j]     = (u_i, u_j)          (Gram matrix, SPD)
   Omega[i,j] = omega(u_i, u_j)     (skew, nondegenerate iff the condition holds)
   G          = -M^{-1} Omega       (matrix of the compression, columns = images)
@@ -294,8 +294,13 @@ def subspace_angle(a, b, q, tol=DEFAULT_TOL):
     `numlin.orthonormalize`); for unequal dimensions, the angle of the
     smaller span against the larger.  Computed through the sine (projection
     residual), which stays accurate near zero.  Empty spans give 0."""
-    oa = numlin.orthonormalize(a, q, tol)
-    ob = numlin.orthonormalize(b, q, tol)
+    return orthonormal_angle(numlin.orthonormalize(a, q, tol),
+                             numlin.orthonormalize(b, q, tol), q, tol)
+
+
+def orthonormal_angle(oa, ob, q, tol=DEFAULT_TOL):
+    """`subspace_angle` for bases oa, ob that are already Q-orthonormal,
+    which it takes as given."""
     if oa.shape[1] == 0 or ob.shape[1] == 0:
         return 0.0
     if ob.shape[1] < oa.shape[1]:

@@ -19,7 +19,7 @@ local 3n x 3n block, which `metric_complex` stores in that layout, and sum
 the results back onto each edge by two gathers through
 `SurfaceComplex.edge_slots`, its first triangle then its second, onto
 zeros: np.add.at's summation bit for bit, in about half the time),
-`galerkin_apply` applies W1^T the same way from the metric-free wedge
+`galerkin_operator` applies W1^T the same way from the metric-free wedge
 blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
 d0^T edgewise.  `harmonic_representative` solves with L0 by block
 Cholesky elimination over the breadth-first levels of the spanning-tree
@@ -41,8 +41,12 @@ reported rather than assumed.
 The Galerkin star J_h = M1^{-1} W1^T (weak form of the metric star on
 Whitney one-forms) is a diagnostic only: it is M1-skew but squares to -I
 only in the mesh limit, and nothing downstream depends on it.
-`galerkin_apply` applies it to the few columns the diagnostics read, by
-block-Jacobi preconditioned CG on M1 (`numlin.pcg`); J_h is never formed.
+`galerkin_operator` builds it once per metric complex as one operator,
+W1^T per triangle and then block-Jacobi preconditioned CG on M1
+(`numlin.pcg`); J_h is never formed as a matrix.  `galerkin_residuals`
+applies it twice, to an M1-orthonormal basis C of CcC and to J_h C, and
+reads J_h on H_N and on the projections of C onto H_D off J_h C, since
+both harmonic spaces lie in CcC.
 """
 
 from __future__ import annotations
@@ -181,32 +185,44 @@ def m1_apply(mc, u):
     return _triangle_apply(mc, mc.m1, u)
 
 
-def galerkin_apply(mc, x):
-    """J_h x = M1^{-1} W1^T x, the Galerkin star of a one-cochain or of
-    columns of them, with no n_E-sized matrix.
+def galerkin_operator(mc):
+    """The Galerkin star J_h = M1^{-1} W1^T of `mc` as one operator
+    x -> J_h x on one-cochains or columns of them, with no n_E-sized
+    matrix; build it once and apply it as often as needed.
 
-    W1^T is applied per triangle from the metric-free wedge blocks
-    sorted_sign * _WEDGE * pairs (transposed), and M1 y = W1^T x is solved
-    by `numlin.pcg` with `m1_apply` and the n x n diagonal blocks of M1 per
-    edge as a block-Jacobi preconditioner.  A mass matrix is spectrally
-    equivalent to its diagonal on shape-regular meshes (Wathen 1987), so
-    the iteration count does not grow under refinement.
+    It holds W1^T's local (n_T, 3n, 3n) blocks, from the metric-free wedge
+    blocks sorted_sign * _WEDGE * pairs (transposed), and the inverses of
+    M1's n x n diagonal blocks per edge.  An apply takes W1^T x per
+    triangle and solves M1 y = W1^T x by `numlin.pcg` with `m1_apply` and
+    those inverses as a block-Jacobi preconditioner.  A mass matrix is
+    spectrally equivalent to its diagonal on shape-regular meshes (Wathen
+    1987), so the iteration count does not grow under refinement.
     """
     n, ne, nt = mc.f.fiber_dim, mc.k.n_edges, mc.k.n_triangles
     wedge = (mc.k.sorted_sign[:, None, None] * _WEDGE)[..., None, None] * mc.pairs
     # W1^T's local block (a, b, i, j) is the wedge block (b, a, j, i), at
     # row a n + i and column b n + j
     w1_t = wedge.transpose(0, 2, 4, 1, 3).reshape(nt, 3 * n, 3 * n)
-    rhs = np.reshape(_triangle_apply(mc, w1_t, x), (n * ne, int(np.prod(np.shape(x)[1:]))))
     diag = mc.m1.reshape(nt, 3, n, 3, n).diagonal(axis1=1, axis2=3)
     diag = diag.transpose(0, 3, 1, 2).reshape(3 * nt, n, n)
     diag_inv = np.linalg.inv(_edge_sums(mc.k, np.concatenate([diag, np.zeros((1, n, n))])))
+    m1 = functools.partial(m1_apply, mc)
 
     def precond(r):
         return (diag_inv @ r.reshape(ne, n, -1)).reshape(r.shape)
 
-    y = numlin.pcg(functools.partial(m1_apply, mc), rhs, precond)
-    return y.reshape(np.shape(x))
+    def apply(x):
+        cols = int(np.prod(np.shape(x)[1:]))
+        rhs = np.reshape(_triangle_apply(mc, w1_t, x), (n * ne, cols))
+        return numlin.pcg(m1, rhs, precond).reshape(np.shape(x))
+
+    return apply
+
+
+def galerkin_apply(mc, x):
+    """J_h x = M1^{-1} W1^T x, the Galerkin star of a one-cochain or of
+    columns of them: `galerkin_operator(mc)` applied once."""
+    return galerkin_operator(mc)(x)
 
 
 @dataclass
@@ -230,7 +246,8 @@ def harmonic_spaces(mc, bases=None):
     one solve serves both.  CcC is H_N plus d0 Psi, Psi the discrete
     harmonic extensions of boundary-vertex values (the relative harmonic
     representatives of d0 on the boundary vertices, solved with the
-    relative classes); its kept count must equal
+    relative classes), orthonormalized together; without boundary there
+    are no extensions, and CcC is H_N itself.  Its kept count must equal
     dim H^1 + n #boundary vertices - dim H^0 + dim H^0_rel, else
     NoConvergence.
     """
@@ -249,7 +266,8 @@ def harmonic_spaces(mc, bases=None):
             mc, np.hstack([h1_rel.reps, twisted._d0_apply(k, f, unit)]), h1_rel.h0)
         h_d = numlin.orthonormalize(rel[:, :h1_rel.dim], m1, tol)
         extensions = rel[:, h1_rel.dim:]
-    ccc = numlin.orthonormalize(np.hstack([h_n, extensions]), m1, tol)
+    # H_N is M1-orthonormal already, so without extensions it is CcC
+    ccc = numlin.orthonormalize(np.hstack([h_n, extensions]), m1, tol) if boundary.size else h_n
     count = h1.dim + boundary.size - h1.h0.dim + h1_rel.h0.dim
     if ccc.shape[1] != count:
         raise NoConvergence(f"CcC: kept {ccc.shape[1]} cochains, but the exact "
@@ -435,23 +453,31 @@ def galerkin_residuals(mc, harm):
     the skew residual max |C^T M1 (J_h C) + (J_h C)^T M1 C| on CcC's
     columns C, for the harmonic spaces `harm`.
 
-    J_h acts by `galerkin_apply` on the columns of CcC, H_N and P_D CcC
-    (then once more on J_h CcC) and the M1-orthogonal projections
-    P = B B^T M1 by `m1_apply`.  W1 is exactly skew, so the skew residual
-    is the backward error of the M1 solves in the directions read here.
+    J_h is built once (`galerkin_operator`) and applied twice: to C and to
+    J_h C.  H_N and H_D lie in CcC, so their images are read off J_h C in
+    C's M1-orthonormal coordinates, with M1 C formed once:
+    J_h H_N = (J_h C)(C^T M1 H_N) and, for P_D = H_D H_D^T M1,
+    J_h P_D C = (J_h C) D D^T with D = C^T M1 H_D.  The projections and the
+    Gram matrices take M1 through `m1_apply`.  W1 is exactly skew, so the
+    skew residual is the backward error of the M1 solves in the directions
+    read here.
     """
     from . import compat
 
     m1 = functools.partial(m1_apply, mc)
+    jh = galerkin_operator(mc)
     ccc, h_n, h_d = harm.ccc, harm.h_n, harm.h_d
-    p_d = h_d @ (h_d.T @ m1(ccc))
-    j = galerkin_apply(mc, np.hstack([ccc, h_n, p_d]))
-    j_ccc, j_hn, j_pd = np.split(j, np.cumsum([ccc.shape[1], h_n.shape[1]]), axis=1)
+    j_ccc = jh(ccc)
+    m1_ccc = m1(ccc)
+    j_hn = j_ccc @ (m1_ccc.T @ h_n)
+    h_d_coords = m1_ccc.T @ h_d
+    j_pd = j_ccc @ (h_d_coords @ h_d_coords.T)
     m1_j_ccc = m1(j_ccc)
     skew = ccc.T @ m1_j_ccc
     return {
         "skew_residual": float(np.abs(skew + skew.T).max(initial=0.0)),
-        "jsq_on_ccc": float(np.linalg.norm(galerkin_apply(mc, j_ccc) + ccc, 2)),
-        "angle_j_hn_vs_hd": compat.subspace_angle(j_hn, h_d, m1, mc.tol),
+        "jsq_on_ccc": float(np.linalg.norm(jh(j_ccc) + ccc, 2)),
+        "angle_j_hn_vs_hd": compat.orthonormal_angle(
+            numlin.orthonormalize(j_hn, m1, mc.tol), h_d, m1, mc.tol),
         "p38_residual": float(np.linalg.norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd, 2)),
     }

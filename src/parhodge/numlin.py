@@ -191,16 +191,18 @@ def pcg(apply, b, precond):
     A is SPD and given by `apply` (columns x -> A x), the preconditioner by
     `precond` (residual columns r -> P^{-1} r, P SPD).  A column stops when
     its residual norm is at most `_PCG_RTOL` times the norm of its right
-    side, and leaves the block, so the applies shrink with it.  Raises
-    NoConvergence when `_PCG_MAX_ITER` iterations leave a column above
-    that (a breakdown's non-finite residual included), rather than return
-    an unconverged solution.
+    side, and leaves the block, so the applies shrink with it: the live
+    columns' iterate is one contiguous array, and a column is written into
+    X once, when it leaves.  Raises NoConvergence when `_PCG_MAX_ITER`
+    iterations leave a column above that (a breakdown's non-finite
+    residual included), rather than return an unconverged solution.
     """
     b = as_matrix(b, "B")
     x = np.zeros(b.shape)
     target = _PCG_RTOL * np.linalg.norm(b, axis=0)
     live = np.flatnonzero(target > 0)  # a zero column is solved by zero
     r = b[:, live]
+    x_live = np.zeros(r.shape)
     p = rz = None
     iterations = 0
     while live.size:
@@ -215,11 +217,13 @@ def pcg(apply, b, precond):
         rz = rz_next
         q = apply(p)
         alpha = rz / np.einsum("ij,ij->j", p, q)
-        x[:, live] += alpha * p
+        x_live += alpha * p
         r = r - alpha * q
         keep = ~(np.linalg.norm(r, axis=0) <= target[live])
         if not keep.all():
-            live, r, p, rz = live[keep], r[:, keep], p[:, keep], rz[keep]
+            x[:, live[~keep]] = x_live[:, ~keep]
+            live, x_live, r, p, rz = (live[keep], x_live[:, keep], r[:, keep],
+                                      p[:, keep], rz[keep])
     return x
 
 

@@ -434,13 +434,17 @@ def _d0_apply(k, f, a):
 
 def _d0_adjoint(k, f, w):
     """d0^T @ w edgewise, for 1-cochain columns w: each edge u -> v sends
-    P^T w to v and -w to u."""
+    P^T w to v and -w to u.  One bincount sums the heads' values in edge
+    order and then the tails', the order of two np.add.at scatters, so
+    the sums are theirs bit for bit."""
     n, cols, ends = f.fiber_dim, w.shape[1], k.ends
     x = w.reshape(k.n_edges, n, cols)
-    out = np.zeros((k.vertex_count, n, cols))
-    np.add.at(out, ends[:, 1], f.transports.transpose(0, 2, 1) @ x)
-    np.add.at(out, ends[:, 0], -x)
-    return out.reshape(n * k.vertex_count, cols)
+    values = np.concatenate([f.transports.transpose(0, 2, 1) @ x, -x])
+    width = n * cols
+    index = np.concatenate([ends[:, 1], ends[:, 0]])[:, None] * width + np.arange(width)
+    # bincount of no weights counts in int, hence the cast at zero columns
+    out = np.bincount(index.ravel(), values.ravel(), minlength=k.vertex_count * width)
+    return out.astype(float, copy=False).reshape(n * k.vertex_count, cols)
 
 
 def _step(k, f, w, tail, ei):

@@ -532,6 +532,74 @@ def test_ccc_and_diagnostics_match_the_complement_route(k, h, f):
         assert abs(diag[key] - ref[key]) < 1e-12, (key, diag[key], ref[key])
 
 
+def _three_block_route(mc, harm):
+    """The former `galerkin_residuals`, kept here as a reference: a fresh
+    `galerkin_apply` per call, J_h applied to [C | H_N | P_D C] and then to
+    J_h C, and the angle through `compat.subspace_angle`, which
+    orthonormalizes H_D again."""
+    m1 = functools.partial(hodge.m1_apply, mc)
+    ccc, h_n, h_d = harm.ccc, harm.h_n, harm.h_d
+    p_d = h_d @ (h_d.T @ m1(ccc))
+    j = hodge.galerkin_apply(mc, np.hstack([ccc, h_n, p_d]))
+    j_ccc, j_hn, j_pd = np.split(j, np.cumsum([ccc.shape[1], h_n.shape[1]]), axis=1)
+    m1_j_ccc = m1(j_ccc)
+    skew = ccc.T @ m1_j_ccc
+    return {
+        "skew_residual": float(np.abs(skew + skew.T).max(initial=0.0)),
+        "jsq_on_ccc": float(np.linalg.norm(hodge.galerkin_apply(mc, j_ccc) + ccc, 2)),
+        "angle_j_hn_vs_hd": compat.subspace_angle(j_hn, h_d, m1, mc.tol),
+        "p38_residual": float(np.linalg.norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd, 2)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("m", [3, 6, 12])
+@pytest.mark.parametrize("name", ["torus", "annulus", "pants", "genus11"])
+def test_galerkin_residuals_match_the_three_block_route(name, m, n):
+    # the refinement table's cases: a builtin example with a trivial system
+    k, h, _ = cli._EXAMPLES[name](m)
+    mc = hodge.metric_complex(k, h, localsys.trivial_system(k, n))
+    harm = hodge.harmonic_spaces(mc)
+    if name == "torus":
+        # no boundary: no extensions, and CcC is H_N itself
+        assert harm.ccc is harm.h_n and harm.h_d is harm.h_n
+    else:
+        # J_h H_D is read off J_h C: H_D must lie in CcC
+        m1 = functools.partial(hodge.m1_apply, mc)
+        assert np.abs(harm.ccc @ (harm.ccc.T @ m1(harm.h_d)) - harm.h_d).max() <= 1e-12
+    got, want = hodge.galerkin_residuals(mc, harm), _three_block_route(mc, harm)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        if ref > 1e-9:
+            assert abs(got[key] - ref) <= 1e-12 * ref, (key, got[key], ref)
+        else:
+            assert max(got[key], ref) <= 1e-12, (key, got[key], ref)
+
+
+@pytest.mark.parametrize("name", ["torus", "pants"])
+def test_galerkin_residuals_build_j_h_once_and_solve_twice_on_ccc(name, monkeypatch):
+    k, h, loops = cli._EXAMPLES[name](6)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(75))
+    mc = hodge.metric_complex(k, h, f)
+    harm = hodge.harmonic_spaces(mc)
+    builds, solves = [], []
+    operator, pcg = hodge.galerkin_operator, numlin.pcg
+
+    def counting_operator(mc):
+        builds.append(mc)
+        return operator(mc)
+
+    def counting_pcg(apply, b, precond):
+        solves.append(np.shape(b))
+        return pcg(apply, b, precond)
+
+    monkeypatch.setattr(hodge, "galerkin_operator", counting_operator)
+    monkeypatch.setattr(numlin, "pcg", counting_pcg)
+    hodge.galerkin_residuals(mc, harm)
+    assert len(builds) == 1
+    assert solves == [harm.ccc.shape] * 2
+
+
 @pytest.mark.parametrize("k,h,f", list(_reference_cases()))
 def test_pcg_matches_the_dense_solve_with_m1(k, h, f):
     mc = hodge.metric_complex(k, h, f)

@@ -140,6 +140,71 @@ def test_pcg_raises_rather_than_return_an_unconverged_solution(monkeypatch):
         numlin.pcg(np.zeros_like, b, lambda r: r)
 
 
+def _scatter_pcg(apply, b, precond):
+    """`numlin.pcg` as it was before it kept the live columns' iterate in
+    one array: every iteration adds into X through the live columns' index
+    list.  The oracle for the column handling."""
+    b = numlin.as_matrix(b, "B")
+    x = np.zeros(b.shape)
+    target = numlin._PCG_RTOL * np.linalg.norm(b, axis=0)
+    live = np.flatnonzero(target > 0)
+    r = b[:, live]
+    p = rz = None
+    iterations = 0
+    while live.size:
+        if iterations == numlin._PCG_MAX_ITER:
+            raise NoConvergence(f"PCG: {live.size} of {b.shape[1]} columns above "
+                                f"a relative residual of {numlin._PCG_RTOL:.0e} after "
+                                f"{numlin._PCG_MAX_ITER} iterations")
+        iterations += 1
+        z = precond(r)
+        rz_next = np.einsum("ij,ij->j", r, z)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        q = apply(p)
+        alpha = rz / np.einsum("ij,ij->j", p, q)
+        x[:, live] += alpha * p
+        r = r - alpha * q
+        keep = ~(np.linalg.norm(r, axis=0) <= target[live])
+        if not keep.all():
+            live, r, p, rz = live[keep], r[:, keep], p[:, keep], rz[keep]
+    return x
+
+
+def test_pcg_matches_the_scatter_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(9)
+    # a diagonal operator with a few distinct eigenvalues: CG ends a column
+    # after as many iterations as the eigenvalues its right side touches
+    eig = np.repeat([1.0, 2.0, 3.5, 5.0, 8.0, 13.0], 10)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    a = (q * eig) @ q.T
+    b = q @ rng.standard_normal((60, 6))
+    for col, touched in enumerate([1, 2, 3, 4, 6]):
+        b[:, col] = q[:, :10 * touched] @ rng.standard_normal(10 * touched)
+    b[:, 5] = 0.0
+    iterations = []
+
+    def apply(p):
+        iterations.append(p.shape[1])
+        return a @ p
+
+    def precond(r):
+        return 0.5 * r
+
+    got = numlin.pcg(apply, b, precond)
+    # the zero column never enters; the others leave after 1, 2, 3, 4 and 6
+    assert iterations == [5, 4, 3, 2, 1, 1], iterations
+    want = _scatter_pcg(a.__matmul__, b, precond)
+    assert got.tobytes() == want.tobytes()
+    assert not got[:, 5].any()
+    monkeypatch.setattr(numlin, "_PCG_MAX_ITER", 3)
+    with pytest.raises(NoConvergence) as got_error:
+        numlin.pcg(apply, b, precond)
+    with pytest.raises(NoConvergence) as want_error:
+        _scatter_pcg(apply, b, precond)
+    assert str(got_error.value) == str(want_error.value)
+
+
 def test_empty_shapes_flow_through():
     w, v = numlin.sym_eig(np.zeros((0, 0)))
     assert w.shape == (0,) and v.shape == (0, 0)

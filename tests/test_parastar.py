@@ -465,7 +465,9 @@ def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
 
 def test_star_command_imports_no_scipy():
     # the level solve factors and sweeps with numpy alone, on the star,
-    # verify and moduli paths
+    # verify and moduli paths, and the Galerkin diagnostics of the
+    # refinement table solve by PCG: importing scipy.linalg would cost
+    # more than a benchmarked command's set-up
     code = ("import contextlib, io, sys\n"
             "from parhodge import cli\n"
             "codes = []\n"
@@ -479,9 +481,10 @@ def test_star_command_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code,
                           "star --example genus11 --m 3 --fiber 3",
                           "verify --example genus11 --m 3",
-                          "moduli --sample 1 1 --angles 3.0"],
+                          "moduli --sample 1 1 --angles 3.0",
+                          "verify --example torus --refine 4,6"],
                          capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["0", "0", "0", "[]"], out.stdout + out.stderr
+    assert out.stdout.split() == ["0", "0", "0", "0", "[]"], out.stdout + out.stderr
 
 
 @pytest.mark.parametrize("mesh", [(surface.torus, (48,)), (surface.genus_k, (1, 1, 16))],

@@ -14,7 +14,7 @@ from test_twisted import _oracle_cases
 
 
 def _use_oracles(monkeypatch):
-    for name in ("_flat_forest", "_cotree", "_cocycles_off_tree"):
+    for name in ("_flat_forest", "_cotree", "_cocycles_off_tree", "_d0_adjoint"):
         monkeypatch.setattr(twisted, name, getattr(walk_oracle, name))
     for name in ("_triangle_apply", "_edge_sums"):
         monkeypatch.setattr(hodge, name, getattr(walk_oracle, name))
@@ -61,14 +61,17 @@ def test_gathers_match_the_add_at_scatter_bit_for_bit(monkeypatch):
         y[-1] = 0.0
         got = [hodge.m1_apply(mc, x), hodge.m1_apply(mc, x[:, 0]),
                hodge.galerkin_apply(mc, x), hodge.galerkin_apply(mc, x[:, :1]),
-               hodge._edge_sums(mc.k, y)]
+               hodge._edge_sums(mc.k, y), twisted._d0_adjoint(mc.k, mc.f, x),
+               twisted._d0_adjoint(mc.k, mc.f, x[:, :0])]
         with monkeypatch.context() as mp:
             _use_oracles(mp)
             want = [hodge.m1_apply(mc, x), hodge.m1_apply(mc, x[:, 0]),
                     hodge.galerkin_apply(mc, x), hodge.galerkin_apply(mc, x[:, :1]),
-                    hodge._edge_sums(mc.k, y)]
+                    hodge._edge_sums(mc.k, y), twisted._d0_adjoint(mc.k, mc.f, x),
+                    twisted._d0_adjoint(mc.k, mc.f, x[:, :0])]
         for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), label
+            assert a.shape == b.shape and a.dtype == b.dtype, label
+            assert a.tobytes() == b.tobytes(), label
 
 
 def _live_cases():

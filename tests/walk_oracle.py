@@ -1,8 +1,8 @@
 """The queue walks of the tree-cotree elimination and the `np.add.at`
-scatter of the per-triangle applies, one node, one triangle and one index
-at a time: the oracles that `twisted._flat_forest`, `twisted._cotree`,
-`twisted._cocycles_off_tree` and `hodge._triangle_apply` /
-`hodge._edge_sums` must match bit for bit.
+scatters of the per-triangle applies and of d0^T, one node, one triangle
+and one index at a time: the oracles that `twisted._flat_forest`,
+`twisted._cotree`, `twisted._cocycles_off_tree`, `twisted._d0_adjoint` and
+`hodge._triangle_apply` / `hodge._edge_sums` must match bit for bit.
 
 `twisted` labels the spanning forest, the dual forest and the cotree with
 one breadth-first routine, `_breadth_first`; here each keeps a queue walk
@@ -168,3 +168,14 @@ def _edge_sums(k, y):
     out = np.zeros((k.n_edges,) + y.shape[1:])
     np.add.at(out, k.tri_edges.ravel(), y[:-1])
     return out
+
+
+def _d0_adjoint(k, f, w):
+    """d0^T @ w by two `np.add.at` scatters onto the vertices, the heads'
+    P^T w and then the tails' -w (`twisted._d0_adjoint`)."""
+    n, cols, ends = f.fiber_dim, w.shape[1], k.ends
+    x = w.reshape(k.n_edges, n, cols)
+    out = np.zeros((k.vertex_count, n, cols))
+    np.add.at(out, ends[:, 1], f.transports.transpose(0, 2, 1) @ x)
+    np.add.at(out, ends[:, 0], -x)
+    return out.reshape(n * k.vertex_count, cols)
