@@ -24,7 +24,12 @@ blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
 d0^T edgewise.  `harmonic_representative` solves with L0 by block
 Cholesky elimination over the breadth-first levels of the spanning-tree
 walk (`_level_solve`), where L0 is block tridiagonal, so its largest
-matrix is the Schur complement of one level.  Harmonic representatives,
+matrix is the Schur complement of one level.  A level may merge several
+depths, and only its first depth meets the level before, so each
+subdiagonal block holds just those rows, and the elimination updates
+and keeps only that many columns per level.  Every gather of rows of an
+array with trailing axes is `ndarray.take(index, axis=0)`, the same bytes
+as fancy indexing in less time.  Harmonic representatives,
 their Gram matrices, the decomposition that `verify` reports and the
 Galerkin diagnostics thus form no n_E- or n n_V-sized matrix.
 
@@ -133,10 +138,10 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     # products rho_i^T rho_j; an edge cochain's value lives at its low vertex.
     # rho_0 = I, so only the pairs of rho_1 = P_w0w1 and rho_2 = P_w0w2 are
     # products
-    rho = f.transports[te[:, :2]]
+    rho = f.transports.take(te[:, :2], axis=0)
     # gathered from the transposed transports, so the product's left
     # operand is contiguous
-    rho_t = f.transports.transpose(0, 2, 1)[te[:, :2]]
+    rho_t = f.transports.transpose(0, 2, 1).take(te[:, :2], axis=0)
     pair = np.empty((nt, 3, 3, n, n))
     pair[:, 0, 0] = np.eye(n)
     pair[:, 0, 1:] = rho
@@ -162,7 +167,8 @@ def _triangle_apply(mc, local, u):
     x = np.reshape(u, (mc.k.n_edges, n, cols))
     y = np.empty((3 * nt + 1, n, cols))
     y[-1] = 0.0
-    np.matmul(local, x[te].reshape(nt, 3 * n, cols), out=y[:-1].reshape(nt, 3 * n, cols))
+    np.matmul(local, x.take(te, axis=0).reshape(nt, 3 * n, cols),
+              out=y[:-1].reshape(nt, 3 * n, cols))
     return _edge_sums(mc.k, y).reshape(np.shape(u))
 
 
@@ -175,8 +181,8 @@ def _edge_sums(k, y):
     bit."""
     first, second = k.edge_slots.T
     out = np.zeros((k.n_edges,) + y.shape[1:])
-    out += y[first]
-    out += y[second]
+    out += y.take(first, axis=0)
+    out += y.take(second, axis=0)
     return out
 
 
@@ -303,25 +309,29 @@ _ROW, _COL = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
 def _levels(kept, depth, n):
     """The `kept` vertices in level order (by depth, then by id), and per
     vertex its level (-1 off `kept`) and its position in the level, and
-    the level sizes.  A level is a run of consecutive depths, merged while
-    its n dofs per vertex fit `numlin.BASE_ROWS`: below that, a level's
-    numpy calls cost more than its flops."""
+    per level its vertex count and the count of its first depth.  A level
+    is a run of consecutive depths, merged while its n dofs per vertex fit
+    `numlin.BASE_ROWS`: below that, a level's numpy calls cost more than
+    its flops.  A walk's edges join one depth or two adjacent ones, so only
+    a level's first depth, its leading vertices, meets the level before."""
     order = np.flatnonzero(kept)
     order = order[np.argsort(depth[order], kind="stable")]
     at = depth[order] - depth[order[0]]
+    counts = np.bincount(at)
     starts, rows = [], 0
-    for d, size in enumerate((n * np.bincount(at)).tolist()):
+    for d, size in enumerate((n * counts).tolist()):
         if not starts or rows + size > numlin.BASE_ROWS:
             starts.append(d)
             rows = 0
         rows += size
+    firsts = counts[starts]
     at = np.searchsorted(starts, at, side="right") - 1
     sizes = np.bincount(at)
     level = np.full(depth.size, -1)
     level[order] = at
     pos = np.zeros(depth.size, dtype=int)
     pos[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[at]
-    return order, level, pos, sizes
+    return order, level, pos, sizes, firsts
 
 
 def _level_solve(mc, h0, rhs):
@@ -337,9 +347,11 @@ def _level_solve(mc, h0, rhs):
     McKee 1969): one array pass finds each triangle block's place in the
     diagonal block D_l or the subdiagonal block B_l of its lower level, and
     each level's blocks are summed by one bincount when
-    `numlin.block_tridiagonal_solve` asks for them.  A target entry sums
-    its triangles in stored order, the order of an np.add.at scatter of the
-    blocks.
+    `numlin.block_tridiagonal_solve` asks for them.  B_l holds only the
+    rows of level l's first depth, the only ones that meet level l - 1, so
+    it is n f_l x n m_{l-1} for f_l first-depth and m_{l-1} lower-level
+    vertices.  A target entry sums its triangles in stored order, the order
+    of an np.add.at scatter of the blocks.
 
     The flat sections span the kernel.  A flat section is fixed by its
     values at the roots, so with c an orthonormal basis of those values,
@@ -352,21 +364,22 @@ def _level_solve(mc, h0, rhs):
     a = np.zeros(rhs.shape)
     if not kept.any():
         return a
-    order, level, pos, sizes = _levels(kept, h0.depth, n)
+    order, level, pos, sizes, firsts = _levels(kept, h0.depth, n)
     dofs = (n * order[:, None] + np.arange(n)).ravel()
     # the flat sections live on components with a free root, which leads
     # level 0
     roots = dofs[:n * np.count_nonzero(h0.depth[order] == 0)] if h0.dim else dofs[:0]
     # each triangle block (t, i, j) goes to the level of its row vertex i,
-    # into D there or, one level below, into B; the rest is the transpose
+    # into D there or, one level below, into B; the rest is the transpose.
+    # A B row vertex is at its level's first depth, so it leads the level
     verts = k.ends[k.tri_edges[:, [0, 0, 2]], [0, 1, 1]]
     row, col = verts[:, _ROW].ravel(), verts[:, _COL].ravel()
     row_level, col_level = level[row], level[col]
-    take = np.flatnonzero((col_level >= 0) & (row_level >= col_level))
-    take = take[np.argsort(row_level[take], kind="stable")]
-    row, col, at = row[take], col[take], row_level[take]
-    sub = at != col_level[take]
-    dim = n * sizes
+    placed = np.flatnonzero((col_level >= 0) & (row_level >= col_level))
+    placed = placed[np.argsort(row_level[placed], kind="stable")]
+    row, col, at = row[placed], col[placed], row_level[placed]
+    sub = at != col_level[placed]
+    dim, first = n * sizes, n * firsts
     width = np.where(sub, dim[at - 1], dim[at])
     corner = np.where(sub, dim[at] ** 2, 0) + n * (pos[row] * width + pos[col])
     cuts = np.searchsorted(at, np.arange(sizes.size + 1)).tolist()
@@ -375,17 +388,17 @@ def _level_solve(mc, h0, rhs):
 
     def levels():
         for lv, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            m, below = dim[lv], dim[lv - 1] if lv else 0
+            m, f, below = dim[lv], first[lv], dim[lv - 1] if lv else 0
             index = corner[lo:hi, None, None] + fiber[:, None] * width[lo:hi, None, None] + fiber
-            entries = np.bincount(index.ravel(), blocks[take[lo:hi]].ravel(),
-                                  minlength=m * (m + below))
-            d, b = entries[:m * m].reshape(m, m), entries[m * m:].reshape(m, below)
+            values = blocks.take(placed[lo:hi], axis=0)
+            entries = np.bincount(index.ravel(), values.ravel(), minlength=m * m + f * below)
+            d, b = entries[:m * m].reshape(m, m), entries[m * m:].reshape(f, below)
             if lv == 0 and roots.size:
                 c = np.linalg.qr(h0.reps[roots])[0]
                 d[:roots.size, :roots.size] += c @ c.T
             yield d, b
 
-    a[dofs] = numlin.block_tridiagonal_solve(levels(), dim, rhs[dofs])
+    a[dofs] = numlin.block_tridiagonal_solve(levels(), dim, rhs.take(dofs, axis=0))
     return a
 
 
@@ -443,7 +456,7 @@ def hodge_decomposition(mc, bases=None):
 def galerkin_diagnostics(mc):
     """Convergence diagnostics of the Galerkin star (`galerkin_residuals`)
     on the harmonic spaces of `mc`; forms no n_E-sized matrix."""
-    return galerkin_residuals(mc, harmonic_spaces(mc))
+    return galerkin_residuals(mc, harmonic_spaces(mc))[0]
 
 
 def galerkin_residuals(mc, harm):
@@ -451,7 +464,8 @@ def galerkin_residuals(mc, harm):
     the principal angle between J_h(H_N) and H_D, the
     projector-intertwining residual || P_N J_h - J_h P_D || on CcC, and
     the skew residual max |C^T M1 (J_h C) + (J_h C)^T M1 C| on CcC's
-    columns C, for the harmonic spaces `harm`.
+    columns C, for the harmonic spaces `harm`, as a dict; and, as the
+    second of the pair returned, the image J_h H_N itself.
 
     J_h is built once (`galerkin_operator`) and applied twice: to C and to
     J_h C.  H_N and H_D lie in CcC, so their images are read off J_h C in
@@ -480,4 +494,4 @@ def galerkin_residuals(mc, harm):
         "angle_j_hn_vs_hd": compat.orthonormal_angle(
             numlin.orthonormalize(j_hn, m1, mc.tol), h_d, m1, mc.tol),
         "p38_residual": float(np.linalg.norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd, 2)),
-    }
+    }, j_hn

@@ -113,16 +113,34 @@ def spd_functions(a, tol=DEFAULT_TOL):
 
 
 def _svd(a, compute_uv=True):
-    """SVD with a fallback to the slower, more robust LAPACK driver when
-    the default divide-and-conquer one fails to converge."""
+    """Full SVD by LAPACK's divide-and-conquer driver (gesdd).  When that
+    does not converge, it is tried once more on the square triangular
+    factor of a QR decomposition (`_svd_of_r`); raises NoConvergence, which
+    the CLI reports as a validation error (exit 2), when that fails too."""
     try:
         return np.linalg.svd(a, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        import scipy.linalg
+        pass
+    try:
+        return _svd_of_r(a, compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from None
 
-        return scipy.linalg.svd(a, full_matrices=True,
-                                compute_uv=compute_uv,
-                                lapack_driver="gesvd")
+
+def _svd_of_r(a, compute_uv):
+    """Full SVD of A from the SVD of R in A = Q R, with R the k x k leading
+    block of the complete QR of A (of A^T when A is wide, k its column
+    count): A = Q diag(U_R, I) (S V^T), so U is Q's first k columns times
+    U_R, followed by Q's other columns."""
+    wide = a.shape[0] < a.shape[1]
+    t = a.T if wide else a
+    q, r = np.linalg.qr(t, mode="complete")
+    k = t.shape[1]
+    if not compute_uv:
+        return np.linalg.svd(r[:k], compute_uv=False)
+    u_r, s, vt = np.linalg.svd(r[:k])
+    u = np.hstack([q[:, :k] @ u_r, q[:, k:]])
+    return (vt.T, s, u.T) if wide else (u, s, vt)
 
 
 def nullspace_basis(a, tol=DEFAULT_TOL, scale=None):
@@ -253,8 +271,9 @@ def block_tridiagonal_solve(levels, sizes, rhs):
     """Solve A X = R for an SPD block tridiagonal A with levels of the
     given row counts, whose blocks come one level at a time from the
     iterable `levels` as pairs (D_l, B_l): the diagonal block of level l
-    and the block of its rows against the columns of level l - 1 (no
-    columns at level 0).  The rows of the right side R, `rhs`, are in
+    and the block of its leading f_l <= m_l rows against the columns of
+    level l - 1 (no columns at level 0), its other rows being zero; f_l is
+    read off B_l's shape.  The rows of the right side R, `rhs`, are in
     level order.
 
     Block Cholesky elimination (George & Liu 1981, ch. 4): the Schur
@@ -262,25 +281,27 @@ def block_tridiagonal_solve(levels, sizes, rhs):
     W_l = S_l^{-1} B_{l+1}^T, factor as S_l = L_l L_l^T, which fails, and
     raises NotPositiveDefinite naming the level, unless S_l is SPD.  The
     forward sweep y_l = S_l^{-1} (R_l - B_l y_{l-1}) rides along with the
-    factorization, and the back sweep is x_l = y_l - W_l x_{l+1}.  Only
-    [W_l | y_l] outlives its level, solved in place in one buffer that
-    holds them all; D_l, B_l and L_l are dropped once the next level's
-    Schur complement is formed.  A level of more than `BASE_ROWS` rows
-    solves with L_l and then L_l^T (`_triangular_solve`), and the first
-    gives V_l = L_l^{-1} B_{l+1}^T, so that B_{l+1} W_l = V_l^T V_l costs
-    half a product; a smaller level takes [W_l | y_l] from one LU solve.
+    factorization, and the back sweep is x_l = y_l - W_l x_{l+1}.  Since
+    B_{l+1} has f_{l+1} rows, W_l has f_{l+1} columns, and the Schur update
+    and the forward sweep change only the leading f_{l+1} rows of the next
+    level (and columns, in D), and W_l reads only the leading f_{l+1} rows
+    of x_{l+1}.  Only [W_l | y_l], m_l x (f_{l+1} + cols), outlives its
+    level, solved in place in an array allocated once B_{l+1} has given
+    f_{l+1}, so the back sweep keeps sum_l m_l (f_{l+1} + cols) floats;
+    D_l, B_l and L_l are dropped once the next level's Schur complement is
+    formed.  A level of more than `BASE_ROWS` rows solves with L_l and then
+    L_l^T (`_triangular_solve`), and the first gives
+    V_l = L_l^{-1} B_{l+1}^T, so that B_{l+1} W_l = V_l^T V_l costs half a
+    product; a smaller level takes [W_l | y_l] from one LU solve.
     """
     rhs = as_matrix(rhs, "R")
     sizes = [int(s) for s in sizes]
     cols = rhs.shape[1]
-    widths = [s + cols for s in sizes[1:] + [0]]
-    ends = np.cumsum([0] + [s * w for s, w in zip(sizes, widths)]).tolist()
-    store = np.empty(ends[-1])
     levels = iter(levels)
     ahead = next(levels, None)
     back, lo = [], 0
     z = rhs[:sizes[0]] if sizes else None
-    for lv, (size, width) in enumerate(zip(sizes, widths)):
+    for lv, size in enumerate(sizes):
         d = ahead[0]
         try:
             chol = np.linalg.cholesky(d)
@@ -291,29 +312,30 @@ def block_tridiagonal_solve(levels, sizes, rhs):
         small = size <= BASE_ROWS
         if not small:
             del d  # only the factor is read from here on
-        vw = store[ends[lv]:ends[lv + 1]].reshape(size, width)
-        v, w = vw[:, :width - cols], vw[:, width - cols:]
-        w[...] = z
         lo += size
         ahead = next(levels, None)
-        if ahead is not None:
-            v[...] = ahead[1].T
+        b = np.zeros((0, size)) if ahead is None else ahead[1]
+        first = b.shape[0]
+        vw = np.empty((size, first + cols))
+        v, w = vw[:, :first], vw[:, first:]
+        v[...] = b.T
+        w[...] = z
         if small:
             vw[...] = np.linalg.solve(d, vw)
-            if ahead is not None:
-                ahead[0][...] -= ahead[1] @ v
-                z = rhs[lo:lo + sizes[lv + 1]] - ahead[1] @ w
+            update, forward = b @ v, b @ w
         else:
             _triangular_solve(chol, vw, lower=True)
-            if ahead is not None:
-                ahead[0][...] -= v.T @ v
-                z = rhs[lo:lo + sizes[lv + 1]] - v.T @ w
+            update, forward = v.T @ v, v.T @ w
             _triangular_solve(chol.T, vw, lower=False)
+        if ahead is not None:
+            ahead[0][:first, :first] -= update
+            z = rhs[lo:lo + sizes[lv + 1]].copy()
+            z[:first] -= forward
         back.append((v, w))
     x = np.empty(rhs.shape)
     below = np.zeros((0, cols))
     for v, w in reversed(back):
         rows = slice(lo - w.shape[0], lo)
-        x[rows] = w - v @ below
+        x[rows] = w - v @ below[:v.shape[1]]
         below, lo = x[rows], rows.start
     return x

@@ -188,7 +188,9 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     representatives.  Approximate numbers: the Galerkin-star residuals.
     Each flavor is walked once, by `restriction_and_parabolic`; the
     harmonic spaces are formed once, from its H^1 bases.  M1 is applied by
-    `hodge.m1_apply` and J_h by `hodge.galerkin_apply`.
+    `hodge.m1_apply`, and J_h is built once, by `hodge.galerkin_residuals`:
+    U lies in H_N, so J_h U is read off J_h H_N in H_N's M1-orthonormal
+    coordinates, J_h U = (J_h H_N)(H_N^T M1 U).
     """
     rp = twisted.restriction_and_parabolic(k, f, tol)
     mc = hodge.metric_complex(k, h, f, tol)
@@ -207,7 +209,8 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
     angle = compat.subspace_angle(u_amb, par_harm, m1, tol)
     same_dim = numlin.rank(par_harm, tol) == u_amb.shape[1]
 
-    gal = hodge.galerkin_residuals(mc, harm)
+    gal, j_hn = hodge.galerkin_residuals(mc, harm)
+    j_u = j_hn @ (harm.h_n.T @ m1(u_amb))
     return {
         "kernel_check": out["kernel_check"],
         "rank_equal": out["rank_equal"],
@@ -215,7 +218,6 @@ def ambient_route_diagnostic(k, h, f, tol=DEFAULT_TOL):
         "span_agrees_with_parabolic": bool(same_dim),
         "span_angle": angle,
         "p38_residual": gal["p38_residual"],
-        "angle_j_u_vs_t": compat.subspace_angle(hodge.galerkin_apply(mc, u_amb),
-                                                t_amb, m1, tol),
+        "angle_j_u_vs_t": compat.subspace_angle(j_u, t_amb, m1, tol),
         "jsq_on_ccc": gal["jsq_on_ccc"],
     }

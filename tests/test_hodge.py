@@ -567,7 +567,10 @@ def test_galerkin_residuals_match_the_three_block_route(name, m, n):
         # J_h H_D is read off J_h C: H_D must lie in CcC
         m1 = functools.partial(hodge.m1_apply, mc)
         assert np.abs(harm.ccc @ (harm.ccc.T @ m1(harm.h_d)) - harm.h_d).max() <= 1e-12
-    got, want = hodge.galerkin_residuals(mc, harm), _three_block_route(mc, harm)
+    (got, j_hn), want = hodge.galerkin_residuals(mc, harm), _three_block_route(mc, harm)
+    # J_h H_N, read off J_h C, is J_h applied to H_N itself
+    ref = hodge.galerkin_apply(mc, harm.h_n)
+    assert np.abs(j_hn - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
     assert got.keys() == want.keys()
     for key, ref in want.items():
         if ref > 1e-9:
@@ -696,6 +699,14 @@ def _level_solve_cases():
         yield f"{name}/R", k, h, localsys.trivial_system(k, 1)
         yield f"{name}/R3", k, h, localsys.trivial_system(k, 3)
         yield f"{name}/SO3", k, h, localsys.random_flat_system(k, loops, 3, rng)
+    # fiber 1 on finer meshes: at the default BASE_ROWS several depths share
+    # a level, and only the level's first depth meets the level before
+    # (torus(20): levels of 91, 78, 48, 54, 57 and 72 vertices, of which
+    # the first depth holds 1, 36, 48, 54, 57 and 42)
+    for name, m in (("torus", 20), ("pants", 12)):
+        k, h, _ = cli._EXAMPLES[name](m)
+        yield f"{name}{m}/R", k, surface.perturbed_metric(k, h, rng, amplitude=0.2), \
+            localsys.trivial_system(k, 1)
     # a closed component next to one with boundary: in the relative flavor
     # the torus keeps its free root at level 0 beside the pinned boundary
     k1, h1, l1 = surface.torus(4)
@@ -744,7 +755,78 @@ def test_level_solve_matches_the_dense_laplacian_solve(monkeypatch, base_rows):
             got = u - hodge.harmonic_representative(mc, u, h0)
             scale = max(np.abs(want).max(initial=0.0), 1e-300)
             assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, case
-    assert {"pants/SO3", "disk/R3", "sphere/R", "union/R", "union/SO3"} <= labels
+    assert {"pants/SO3", "disk/R3", "sphere/R", "torus20/R", "pants12/R", "union/R",
+            "union/SO3"} <= labels
+
+
+class _RecordingNumpy:
+    """numpy as a module that calls it sees it, with the shapes that the
+    module allocates by `np.empty` recorded."""
+
+    def __init__(self):
+        self.empty_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.empty_shapes.append(tuple(np.atleast_1d(shape).tolist()))
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("base_rows", [numlin.BASE_ROWS, 4], ids=["default", "base4"])
+def test_level_solve_hands_on_first_depth_b_blocks(monkeypatch, base_rows):
+    # B_l has exactly the dofs of level l's first depth as rows, and the
+    # back sweep keeps sum_l m_l (f_{l+1} + cols) floats: one m_l x
+    # (f_{l+1} + cols) block per level, then the m x cols solution
+    monkeypatch.setattr(numlin, "BASE_ROWS", base_rows)
+    solve, recorder, calls = numlin.block_tridiagonal_solve, _RecordingNumpy(), []
+
+    def recording(levels, sizes, rhs):
+        call = {"sizes": list(sizes), "b_rows": []}
+        calls.append(call)
+
+        def watched():
+            for d, b in levels:
+                assert d.shape == (call["sizes"][len(call["b_rows"])],) * 2
+                call["b_rows"].append(b.shape[0])
+                yield d, b
+
+        before = len(recorder.empty_shapes)
+        x = solve(watched(), sizes, rhs)
+        call["empty"] = recorder.empty_shapes[before:]
+        return x
+
+    monkeypatch.setattr(numlin, "block_tridiagonal_solve", recording)
+    monkeypatch.setattr(numlin, "np", recorder)
+    rng = np.random.default_rng(93)
+    short = set()
+    for label, k, h, f in _level_solve_cases():
+        n = f.fiber_dim
+        mc = hodge.metric_complex(k, h, f)
+        u = rng.standard_normal((n * k.n_edges, 2))
+        for flavor in ("absolute", "relative"):
+            case = (label, flavor)
+            h0 = twisted.cohomology(k, f, 0, flavor)
+            kept = twisted.cochain_space(k, f, 0, flavor)[::n]
+            calls.clear()
+            hodge.harmonic_representative(mc, u, h0)
+            if not kept.any():
+                assert not calls, case
+                continue
+            _, _, _, sizes, firsts = hodge._levels(kept, h0.depth, n)
+            dim, first = (n * sizes).tolist(), (n * firsts).tolist()
+            (call,) = calls
+            assert call["sizes"] == dim and call["b_rows"] == first, case
+            after = first[1:] + [0]
+            assert call["empty"] == [(m, fm + 2) for m, fm in zip(dim, after)] \
+                + [(sum(dim), 2)], case
+            if any(f_l < m_l for f_l, m_l in zip(first[1:], dim[1:])):
+                short.add(case)
+    if base_rows != 4:
+        # merged depths give short B blocks in both flavors
+        assert {("torus20/R", "absolute"), ("torus20/R", "relative"),
+                ("pants12/R", "absolute"), ("pants12/R", "relative")} <= short, short
 
 
 def test_a_non_positive_pivot_raises_naming_its_level(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parhodge import numlin
+from parhodge import cli, numlin
 from parhodge.errors import NoConvergence, NotPositiveDefinite, NotSymmetric
 from parhodge.numlin import Tolerance
 
@@ -246,6 +246,32 @@ def test_block_tridiagonal_solve_matches_the_dense_solve(sizes):
     assert numlin.block_tridiagonal_solve(iter([]), [], np.zeros((0, 2))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("sizes,firsts", [
+    ([7, 5], [7, 1]),
+    ([3, 5, 2, 9], [3, 1, 2, 4]),
+    ([40, 130, 250, 97, 5], [40, 1, 60, 97, 2]),
+    ([200, 120, 1], [200, 1, 1]),
+])
+def test_block_tridiagonal_solve_takes_b_blocks_of_the_leading_rows(sizes, firsts):
+    # B_l with f_l < m_l rows: the rest of the level is zero against the
+    # level before, so the solve must match the dense solve of the matrix
+    # with those rows zero-padded, on both sides of BASE_ROWS
+    rng = np.random.default_rng(sum(sizes) + sum(firsts))
+    a, levels = _block_tridiagonal(rng, sizes, [2.0] * len(sizes))
+    starts = np.cumsum([0] + sizes)
+    short = []
+    for lv, ((d, b), f) in enumerate(zip(levels, firsts)):
+        if lv:
+            rows = slice(starts[lv] + f, starts[lv + 1])
+            a[rows, starts[lv - 1]:starts[lv]] = 0.0
+            a[starts[lv - 1]:starts[lv], rows] = 0.0
+        short.append((d, b[:f]))
+    b = rng.standard_normal((a.shape[0], 3))
+    x = numlin.block_tridiagonal_solve(iter(short), sizes, b)
+    want = np.linalg.solve(a, b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("sizes,bad", [([4, 5, 6, 3], 2), ([110, 120, 100], 1)])
 def test_block_tridiagonal_solve_names_the_level_without_a_cholesky_factor(sizes, bad):
     rng = np.random.default_rng(7)
@@ -254,3 +280,65 @@ def test_block_tridiagonal_solve_names_the_level_without_a_cholesky_factor(sizes
     a, levels = _block_tridiagonal(rng, sizes, shift)
     with pytest.raises(NotPositiveDefinite, match=f"level {bad} "):
         numlin.block_tridiagonal_solve(iter(levels), sizes, np.ones((a.shape[0], 1)))
+
+
+def _failing_svd(monkeypatch, times):
+    """Patch np.linalg.svd to raise LinAlgError on its next `times` calls;
+    returns the list of shapes it failed on."""
+    svd, failures = np.linalg.svd, []
+
+    def failing(*args, **kwargs):
+        if len(failures) < times:
+            failures.append(np.shape(args[0]))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    return failures
+
+
+_RANK_TWO = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0], [0.0, 1.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4), (5, 1), (0, 3)])
+def test_an_svd_that_does_not_converge_once_is_retried_on_the_qr_factor(monkeypatch, shape):
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    if min(shape) > 1:
+        a[:, 0] = a[:, 1]
+    want_u, want_s, want_vt = np.linalg.svd(a)
+    failures = _failing_svd(monkeypatch, 1)
+    u, s, vt = numlin._svd(a)
+    assert failures == [shape]
+    assert u.shape == want_u.shape and vt.shape == want_vt.shape
+    assert np.abs(s - want_s).max(initial=0.0) <= 1e-14 * max(1.0, want_s.max(initial=0.0))
+    full = np.zeros(shape)
+    full[:s.size, :s.size] = np.diag(s)
+    assert np.abs(u @ full @ vt - a).max(initial=0.0) <= 1e-14
+    assert np.abs(u.T @ u - np.eye(shape[0])).max(initial=0.0) <= 1e-14
+    assert np.abs(vt @ vt.T - np.eye(shape[1])).max(initial=0.0) <= 1e-14
+    failures.clear()
+    assert np.abs(numlin._svd(a, compute_uv=False) - want_s).max(initial=0.0) <= 1e-14 * max(
+        1.0, want_s.max(initial=0.0))
+    failures.clear()
+    kernel = numlin.nullspace_basis(_RANK_TWO)
+    assert kernel.shape == (4, 2) and np.abs(_RANK_TWO @ kernel).max() <= 1e-14
+    failures.clear()
+    assert numlin.rank(_RANK_TWO) == 2
+
+
+def test_an_svd_that_does_not_converge_twice_raises_no_convergence(monkeypatch, capsys):
+    # divide and conquer fails on A and then on R: NoConvergence, which
+    # the CLI reports as a validation error
+    failures = _failing_svd(monkeypatch, 2)
+    with pytest.raises(NoConvergence, match="SVD of a 3x4 matrix: SVD did not converge"):
+        numlin.nullspace_basis(_RANK_TWO)
+    assert failures == [(3, 4), (3, 3)]  # A, then R of A^T = Q R
+    assert numlin.nullspace_basis(_RANK_TWO).shape == (4, 2)
+    failures.clear()
+    with pytest.raises(NoConvergence, match="SVD of a 3x4 matrix"):
+        numlin.rank(_RANK_TWO)
+    failures.clear()
+    assert cli.main(["star", "--example", "torus", "--m", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NoConvergence: SVD of a "), err
+    assert len(failures) == 2

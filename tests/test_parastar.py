@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -502,3 +503,42 @@ def test_star_report_holds_on_the_largest_meshes(mesh):
                                     "omega_rep_independence")) <= 1e-9, res
     assert res["taming_min_eigenvalue"] > 0
     assert res["parabolic_exactness"] == 1.0
+
+
+def _angle_j_u_vs_t_by_a_second_operator(k, h, f):
+    """`angle_j_u_vs_t` as `ambient_route_diagnostic` took it before it
+    read J_h U off J_h H_N: through a second J_h, applied to U itself."""
+    rp = twisted.restriction_and_parabolic(k, f)
+    mc = hodge.metric_complex(k, h, f)
+    harm = hodge.harmonic_spaces(mc, (rp["h1"], rp["h1_rel"]))
+    m1 = functools.partial(hodge.m1_apply, mc)
+    out = compat.subspace_transfer(m1, harm.h_n, harm.h_d)
+    return compat.subspace_angle(hodge.galerkin_apply(mc, out["U_basis"]),
+                                 out["T_basis"], m1)
+
+
+def _ambient_case(label):
+    name, system = label.split("/")
+    k, h, loops = surface.genus_k(1, 1, 2) if name == "genus11" else cli._EXAMPLES[name](6)
+    f = localsys.trivial_system(k, 1) if system == "R" \
+        else localsys.random_flat_system(k, loops, 3, np.random.default_rng(46))
+    return k, h, f
+
+
+# U and T are empty on pants, where only the build count says anything
+@pytest.mark.parametrize("label", ["genus11/SO3", "genus11/R", "pants/R", "pants/SO3"])
+def test_ambient_route_builds_j_h_once_and_reads_j_u_off_j_hn(label, monkeypatch):
+    k, h, f = _ambient_case(label)
+    builds = []
+    galerkin_operator = hodge.galerkin_operator
+
+    def counting(mc):
+        builds.append(mc)
+        return galerkin_operator(mc)
+
+    monkeypatch.setattr(hodge, "galerkin_operator", counting)
+    out = parastar.ambient_route_diagnostic(k, h, f)
+    assert len(builds) == 1, label
+    monkeypatch.setattr(hodge, "galerkin_operator", galerkin_operator)
+    want = _angle_j_u_vs_t_by_a_second_operator(k, h, f)
+    assert abs(out["angle_j_u_vs_t"] - want) <= 1e-12, (label, out["angle_j_u_vs_t"], want)
