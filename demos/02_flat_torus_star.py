@@ -18,7 +18,7 @@ from parhodge import hodge, localsys, parastar, surface, twisted
 
 def grid_cochain(k, m, dx, dy):
     u = np.zeros(k.n_edges)
-    for ei, (a, b) in enumerate(k.edges):
+    for ei, (a, b) in enumerate(k.ends.tolist()):
         ia, ja = divmod(a, m)
         ib, jb = divmod(b, m)
         di = (ib - ia) % m

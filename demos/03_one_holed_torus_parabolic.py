@@ -81,7 +81,7 @@ def main():
 
         def grid(dx, dy):
             u = np.zeros(kk.n_edges)
-            for ei, (x, y) in enumerate(kk.edges):
+            for ei, (x, y) in enumerate(kk.ends.tolist()):
                 ia, ja = divmod(x, mm)
                 ib, jb = divmod(y, mm)
                 di = (ib - ia) % mm

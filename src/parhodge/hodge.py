@@ -225,12 +225,6 @@ def galerkin_operator(mc):
     return apply
 
 
-def galerkin_apply(mc, x):
-    """J_h x = M1^{-1} W1^T x, the Galerkin star of a one-cochain or of
-    columns of them: `galerkin_operator(mc)` applied once."""
-    return galerkin_operator(mc)(x)
-
-
 @dataclass
 class HarmonicSpaces:
     h_n: np.ndarray  # M1-orthonormal basis, absolute harmonic fields

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .numlin import DEFAULT_TOL
 # GeneratorLoops is re-exported
-from .surface import GeneratorLoops, is_json_array, opposite_edges
+from .surface import GeneratorLoops, edge_ids, is_json_array, opposite_edges
 
 __all__ = [
     "FlatLocalSystem",
@@ -46,17 +46,16 @@ class FlatLocalSystem:
     transports: np.ndarray  # (n_edges, n, n), pullback head -> tail
     flat_residual: float = 0.0
 
-    def transport(self, k, u, v):
-        """Pullback matrix of the traversal u -> v along the edge {u, v}."""
-        p = self.transports[k.edge_id(u, v)]
-        return p if u < v else p.T
-
     def path_transport(self, k, path):
         """Composite pullback along a vertex path (value at the end of the
-        path expressed at its start); the holonomy, for a closed path."""
+        path expressed at its start); the holonomy, for a closed path.
+        A step u -> v pulls back by P_uv, read backwards as P^T."""
+        ids = edge_ids(k, path[:-1], path[1:])
+        if (ids < 0).any():
+            raise InvalidParameter("path steps off the edges of the complex")
         out = np.eye(self.fiber_dim)
-        for u, v in zip(path, path[1:]):
-            out = out @ self.transport(k, u, v)
+        for p, u, v in zip(self.transports[ids], path, path[1:]):
+            out = out @ (p if u < v else p.T)
         return out
 
 
@@ -110,14 +109,13 @@ def from_edge_transports(k, fiber_dim, transports, tol=DEFAULT_TOL):
     n = _fiber_dim(fiber_dim)
     arr = np.zeros((k.n_edges, n, n))
     seen = set()
-    for (u, v), p in transports.items():
-        key = (u, v) if u < v else (v, u)
-        if key not in k.edge_index:
+    ids = edge_ids(k, [u for u, _ in transports], [v for _, v in transports]).tolist()
+    for ((u, v), p), ei in zip(transports.items(), ids):
+        if ei < 0:
             raise InvalidParameter(f"({u}, {v}) is not an edge of the complex")
         p = _check_orthogonal(p, n, tol, f"transport on ({u}, {v})")
-        ei = k.edge_index[key]
         if ei in seen:
-            raise InvalidParameter(f"edge {key} assigned twice")
+            raise InvalidParameter(f"edge {tuple(k.ends[ei].tolist())} assigned twice")
         seen.add(ei)
         arr[ei] = p if u < v else p.T
     if len(seen) != k.n_edges:

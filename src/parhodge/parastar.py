@@ -91,7 +91,7 @@ def _hash_array(a):
 
 def input_hashes(k, h, f):
     mesh = hashlib.sha256(
-        repr((k.vertex_count, tuple(k.triangles))).encode()
+        repr((k.vertex_count, tuple(map(tuple, k.tri_vertices.tolist())))).encode()
     ).hexdigest()[:16]
     return {
         "mesh_id": mesh,
@@ -159,8 +159,8 @@ def _component(k, component):
     """One component as its own complex, and the id in `k` of each of its
     edges; the vertex map is monotone, so canonical directions agree."""
     sub, vmap = surface.subcomplex(k, component)
-    old = sorted(vmap)
-    return sub, np.array([k.edge_index[old[a], old[b]] for a, b in sub.edges], dtype=int)
+    old = np.array(sorted(vmap))
+    return sub, surface.edge_ids(k, old[sub.ends[:, 0]], old[sub.ends[:, 1]])
 
 
 def _component_split(k, h, f, tol):

@@ -2,18 +2,18 @@
 piecewise flat metrics and the builtin meshes.
 
 A `SurfaceComplex` stores orientation-bearing triangles over integer vertex
-ids, as a list of tuples and as the (n_T, 3) array `tri_vertices`, and
-derives everything else: canonical edges (low id -> high id, in
-lexicographic order, also as the (n_E, 2) array `ends`), the
-triangle-edge table `tri_edges` (per triangle with sorted vertices
-w0 < w1 < w2, the ids of w0w1, w0w2 and w1w2), its inverse `edge_slots`
-(per edge, the positions 3 t + j where it occurs in `tri_edges.ravel()`,
-in stored order, with -1 for the missing second triangle of a boundary
-edge), boundary cycles, connected components, and the parity
-`sorted_sign` relating each stored triangle orientation to its sorted
-vertex order (the fundamental 2-cycle is the sum of all triangles with
-sign +1 in stored order).  `build` derives them with array operations
-over all triangles, walking only the boundary edges;
+ids as the (n_T, 3) array `tri_vertices`, and derives everything else as
+arrays: the canonical edges (low id -> high id, in lexicographic order) as
+the (n_E, 2) array `ends`, the triangle-edge table `tri_edges` (per
+triangle with sorted vertices w0 < w1 < w2, the ids of w0w1, w0w2 and
+w1w2), its inverse `edge_slots` (per edge, the positions 3 t + j where it
+occurs in `tri_edges.ravel()`, in stored order, with -1 for the missing
+second triangle of a boundary edge), boundary cycles, connected
+components, and the parity `sorted_sign` relating each stored triangle
+orientation to its sorted vertex order (the fundamental 2-cycle is the sum
+of all triangles with sign +1 in stored order).  `build` derives them with
+array operations over all triangles, walking only the boundary edges;
+`edge_ids` looks edges up by their ends, in either order;
 `metric_from_lengths` validates every triangle at once from `tri_edges`.
 The Whitney matrices are assembled from this table in `hodge`, which sums
 per-triangle results back onto the edges through `edge_slots`, as do the
@@ -53,15 +53,13 @@ from .numlin import DEFAULT_TOL
 @dataclass
 class SurfaceComplex:
     vertex_count: int
-    triangles: list
-    tri_vertices: np.ndarray | None = None  # (n_T, 3) the stored triangles
-    edges: list = field(default_factory=list)
-    edge_index: dict = field(default_factory=dict)
+    tri_vertices: np.ndarray  # (n_T, 3) the stored triangles
     tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
     # (n_E, 2) positions 3 t + j of each edge in tri_edges.ravel(), in
     # stored order; -1 second on a boundary edge
     edge_slots: np.ndarray | None = None
-    ends: np.ndarray | None = None  # (n_E, 2) low and high vertex of each edge
+    # (n_E, 2) low and high vertex of each edge, in lexicographic order
+    ends: np.ndarray | None = None
     sorted_sign: np.ndarray | None = None
     boundary_edge_indices: list = field(default_factory=list)
     boundary_vertices: list = field(default_factory=list)
@@ -70,34 +68,24 @@ class SurfaceComplex:
     n_components: int = 0
 
     @property
-    def n_vertices(self):
-        return self.vertex_count
-
-    @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def n_triangles(self):
-        return len(self.triangles)
+        return len(self.tri_vertices)
 
     @property
     def euler_characteristic(self):
         return self.vertex_count - self.n_edges + self.n_triangles
 
-    def edge_id(self, u, v):
-        return self.edge_index[(u, v) if u < v else (v, u)]
-
 
 @dataclass
 class PLMetric:
-    """Edge lengths (aligned with `SurfaceComplex.edges`) of a piecewise
+    """Edge lengths (aligned with `SurfaceComplex.ends`) of a piecewise
     flat metric; validated against strict triangle inequalities."""
 
     lengths: np.ndarray
-
-    def length(self, complex_, u, v):
-        return float(self.lengths[complex_.edge_id(u, v)])
 
 
 @dataclass
@@ -144,8 +132,7 @@ def build(vertex_count, triangles):
     bare = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)
     if bare.size:
         raise InvalidParameter(f"vertex {bare[0]} lies in no triangle")
-    k = SurfaceComplex(vertex_count=nv, triangles=list(map(tuple, tri.tolist())),
-                       tri_vertices=tri)
+    k = SurfaceComplex(vertex_count=nv, tri_vertices=tri)
 
     # the sides ab, bc, ca of each stored triangle, as low * n_V + high keys
     tail, head = tri, tri[:, [1, 2, 0]]
@@ -153,21 +140,21 @@ def build(vertex_count, triangles):
     edge_keys, side_edge = np.unique(keys, return_inverse=True)
     side_edge = side_edge.reshape(-1, 3)
     k.ends = np.stack(np.divmod(edge_keys, max(nv, 1)), axis=1).reshape(-1, 2)
-    k.edges = list(map(tuple, k.ends.tolist()))
-    k.edge_index = dict(zip(k.edges, range(len(k.edges))))
+    ne = len(k.ends)
 
     # per edge: the triangles on it, and how many run it low -> high,
     # which is 1 for a consistently oriented pair
     sides = side_edge.ravel()
-    count = np.bincount(sides, minlength=len(k.edges))
-    forward = np.bincount(sides, weights=(tail < head).ravel(), minlength=len(k.edges))
+    count = np.bincount(sides, minlength=ne)
+    forward = np.bincount(sides, weights=(tail < head).ravel(), minlength=ne)
     bad = (count > 2) | ((count == 2) & (forward != 1))
     if bad.any():
         ei = int(np.argmax(bad))
+        edge = tuple(k.ends[ei].tolist())
         if count[ei] > 2:
-            raise NonManifold(f"edge {k.edges[ei]} lies in {count[ei]} triangles")
+            raise NonManifold(f"edge {edge} lies in {count[ei]} triangles")
         raise InconsistentOrientation(
-            f"edge {k.edges[ei]} is traversed twice in the same direction")
+            f"edge {edge} is traversed twice in the same direction")
 
     w = np.sort(tri, axis=1)
     k.tri_edges = np.searchsorted(
@@ -183,7 +170,7 @@ def build(vertex_count, triangles):
 
     k.boundary_edge_indices = np.flatnonzero(count == 1).tolist()
     # a boundary edge runs the way its one side does
-    side_of = np.empty(len(k.edges), dtype=int)
+    side_of = np.empty(ne, dtype=int)
     side_of[sides] = np.arange(sides.size)
     on_boundary = side_of[k.boundary_edge_indices]
     tails = tail.ravel()[on_boundary]
@@ -198,6 +185,26 @@ def build(vertex_count, triangles):
             stacklevel=2,
         )
     return k
+
+
+def edge_ids(k, u, v):
+    """Id of the edge {u, v} of `k` for each pair of vertex ids, given in
+    either order, or -1 where {u, v} is not an edge: an id outside
+    [0, n_V), equal ends, or no such edge.  Searches the low * n_V + high
+    keys of `ends`, which are sorted since `ends` is; ids beyond int64 are
+    out of range, not an overflow."""
+    nv = k.vertex_count
+    u, v = np.asarray(u), np.asarray(v)
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    # an id out of range would alias a real key, or overflow int64, so it
+    # becomes 0 and misses, as equal ends do: (0, 0) is no edge
+    valid = (low >= 0) & (high < nv)
+    low, high = (np.where(valid, x, 0).astype(np.int64, copy=False) for x in (low, high))
+    key = low * nv + high
+    # every key is below the sentinel n_V^2, so each search lands in range
+    keys = np.concatenate([k.ends @ (nv, 1), [nv * nv]])
+    at = np.searchsorted(keys, key)
+    return np.where(keys[at] == key, at, -1)
 
 
 def _triangle_table(nv, triangles):
@@ -292,7 +299,7 @@ def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
     thin = _heron(l01, l12, l02) <= tol.rank_tol * np.float_power(longest, 2)
     bad = np.flatnonzero(unequal | thin)
     if bad.size:
-        t = k.triangles[bad[0]]
+        t = tuple(k.tri_vertices[bad[0]].tolist())
         if unequal[bad[0]]:
             raise DegenerateMetric(f"triangle inequality fails on {t}")
         raise DegenerateMetric(f"triangle {t} is degenerate")
@@ -354,14 +361,14 @@ def _square_torus(m, removed=()):
     less the triangles in `removed`; the seams carry a1 and b1."""
     ids = (np.arange(m + 1) % m)[:, None] * m + np.arange(m + 1) % m
     seam = range(m + 1)
-    tris, words = _grid(ids, {(m - 1, j): _word(("a1", 1)) for j in seam},
-                        {(i, m - 1): _word(("b1", 1)) for i in seam}, removed)
+    tris, arcs = _grid(ids, {(m - 1, j): _word(("a1", 1)) for j in seam},
+                       {(i, m - 1): _word(("b1", 1)) for i in seam}, removed)
     complex_ = build(m * m, tris)
     # grid edges join vertices that share a row or a column, diagonals none
     i, j = np.divmod(complex_.ends, m)
     across = (i[:, 0] != i[:, 1]) & (j[:, 0] != j[:, 1])
     metric = metric_from_lengths(complex_, np.where(across, np.sqrt(2.0) / m, 1.0 / m))
-    return complex_, metric, _index_words(complex_, words)
+    return complex_, metric, _index_words(complex_, arcs)
 
 
 def _grid(ids, steps_i, steps_j, removed=()):
@@ -374,8 +381,7 @@ def _grid(ids, steps_i, steps_j, removed=()):
     to the word of the step to (i + 1, j) and to (i, j + 1), absent ones
     being empty; a diagonal reads the two steps around the first kept
     triangle of its cell.  Returns the kept triangles as an (n_T, 3) array
-    and the nonempty words of the canonical edges, read low -> high and
-    keyed (low, high).
+    and the arcs (u, v, the word read along u -> v) whose word is nonempty.
     """
     v00, v10, v11, v01 = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
@@ -397,16 +403,18 @@ def _grid(ids, steps_i, steps_j, removed=()):
         else:
             word = steps_j.get((i, j), ()) + steps_i.get((i, j + 1), ())
         arcs.append((at[i][j], at[i + 1][j + 1], word))
-    return tris[kept], {(u, v) if u < v else (v, u): w if u < v else _invert(w)
-                        for u, v, w in arcs if w}
+    return tris[kept], [arc for arc in arcs if arc[2]]
 
 
 def _invert(word):
     return tuple((n, -e) for n, e in reversed(word))
 
 
-def _index_words(k, words):
-    return {k.edge_index[e]: w for e, w in words.items() if w}
+def _index_words(k, arcs):
+    """The words of `arcs` (u, v, word read u -> v) by edge id, read low ->
+    high; a later arc on the same edge wins."""
+    ids = edge_ids(k, [u for u, _, _ in arcs], [v for _, v, _ in arcs]).tolist()
+    return {ei: w if u < v else _invert(w) for ei, (u, v, w) in zip(ids, arcs)}
 
 
 def annulus(m, n):
@@ -422,7 +430,7 @@ def annulus(m, n):
 
     # the seam between angular columns m - 1 and 0 carries c1
     ids = np.arange(n + 1) * m + (np.arange(m + 1) % m)[:, None]
-    tris, words = _grid(ids, {(m - 1, j): _word(("c1", 1)) for j in range(n + 1)}, {})
+    tris, arcs = _grid(ids, {(m - 1, j): _word(("c1", 1)) for j in range(n + 1)}, {})
     complex_ = build(m * (n + 1), tris)
     positions = np.array([pos(v % m, v // m) for v in range(m * (n + 1))])
     metric = metric_from_positions(complex_, positions)
@@ -436,7 +444,7 @@ def annulus(m, n):
         base_vertex=0,
         loops=[("c1", c1), ("c2", c2)],
         relation=_word(("c1", 1), ("c2", 1)),
-        edge_words=_index_words(complex_, words),
+        edge_words=_index_words(complex_, arcs),
     )
     return complex_, metric, loops
 
@@ -561,7 +569,7 @@ def _punctured_rectangle(k, subdiv):
     # the cut from the hole in column x runs straight down, crossing the
     # steps from column x to x + 1 in the rows up to the hole's
     ids = np.arange((width + 1) * (height + 1)).reshape(width + 1, height + 1)
-    tris, words = _grid(
+    tris, arcs = _grid(
         ids, {(x, j): _word((hole_letter[x], 1)) for x, y in holes for j in range(y + 1)}, {},
         [(vid(x, y), vid(x + 1, y), vid(x + 1, y + 1)) for x, y in holes])
     complex_ = build((width + 1) * (height + 1), tris)
@@ -589,7 +597,7 @@ def _punctured_rectangle(k, subdiv):
         base_vertex=base,
         loops=loop_list,
         relation=_word(*[("c%d" % (j + 1), 1) for j in range(k)]),
-        edge_words=_index_words(complex_, words),
+        edge_words=_index_words(complex_, arcs),
     )
     return complex_, metric, loops
 
@@ -646,14 +654,16 @@ def mesh_from_json(data):
     if "edge_lengths" in data:
         lengths = np.zeros(k.n_edges)
         seen = np.zeros(k.n_edges, dtype=bool)
-        for i, j, length in entries:
-            key = (i, j) if i < j else (j, i)
-            if key not in k.edge_index:
-                raise InvalidParameter(f"edge_lengths entry {key} is not an edge")
-            if seen[k.edge_index[key]]:
-                raise InvalidParameter(f"edge_lengths entry {key} given twice")
-            lengths[k.edge_index[key]] = float(length)
-            seen[k.edge_index[key]] = True
+        ids = edge_ids(k, [e[0] for e in entries], [e[1] for e in entries]).tolist()
+        for (i, j, length), ei in zip(entries, ids):
+            if ei < 0:
+                raise InvalidParameter(f"edge_lengths entry {(min(i, j), max(i, j))} "
+                                       "is not an edge")
+            if seen[ei]:
+                raise InvalidParameter(f"edge_lengths entry {tuple(k.ends[ei].tolist())} "
+                                       "given twice")
+            lengths[ei] = float(length)
+            seen[ei] = True
         if not seen.all():
             raise InvalidParameter("edge_lengths misses some edges")
         return k, metric_from_lengths(k, lengths)
@@ -666,9 +676,7 @@ def mesh_from_json(data):
 def disjoint_union(k1, k2):
     """Disjoint union of two complexes; second block of vertices is offset."""
     offset = k1.vertex_count
-    tris = list(k1.triangles) + [
-        (a + offset, b + offset, c + offset) for a, b, c in k2.triangles
-    ]
+    tris = np.concatenate([k1.tri_vertices, k2.tri_vertices + offset])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConnectedWarning)
         k = build(k1.vertex_count + k2.vertex_count, tris)
@@ -677,11 +685,11 @@ def disjoint_union(k1, k2):
 
 def subcomplex(k, component):
     """Extract one connected component; returns (complex, vertex map old->new)."""
-    verts = sorted(np.flatnonzero(k.component_of == component))
-    vmap = {v: i for i, v in enumerate(verts)}
-    tris = [tuple(vmap[v] for v in t) for t in k.triangles
-            if k.component_of[t[0]] == component]
+    inside = k.component_of == component
+    verts = np.flatnonzero(inside).tolist()
+    new_id = np.cumsum(inside) - 1
+    tris = new_id[k.tri_vertices[inside[k.tri_vertices[:, 0]]]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConnectedWarning)
         sub = build(len(verts), tris)
-    return sub, vmap
+    return sub, dict(zip(verts, range(len(verts))))

@@ -457,7 +457,7 @@ def _step(k, f, w, tail, ei):
     shaped (edges, n, columns)) obeys a(head) = T a(tail) + s across edge
     ei walked from `tail`: (d0 a)(lo -> hi) = P a(hi) - a(lo)."""
     p = f.transports[ei]
-    return (p.T, p.T @ w[ei]) if tail == k.edges[ei][0] else (p, -w[ei])
+    return (p.T, p.T @ w[ei]) if tail == k.ends[ei, 0] else (p, -w[ei])
 
 
 def _class_coordinates(k, f, h1, h1_rel, u):

@@ -14,6 +14,12 @@ def _silence_disconnected():
         yield
 
 
+def edge_index(k):
+    """The (low, high) -> id dict of a built complex's edges, read off
+    `ends`: the lookup that oracles use in place of `surface.edge_ids`."""
+    return {e: i for i, e in enumerate(map(tuple, k.ends.tolist()))}
+
+
 def _scatter(mc, local):
     """Dense n n_E square matrix of per-triangle (n_T, 3, 3, n, n) blocks
     over the table edges; np.add.at sums each entry's triangles in stored
@@ -36,7 +42,7 @@ def mass_matrix(mc):
 
 def wedge_matrix(mc):
     """The dense wedge matrix W1 (metric-free), scattered from the
-    per-triangle wedge blocks; the oracle for `hodge.galerkin_apply` and
+    per-triangle wedge blocks; the oracle for `hodge.galerkin_operator` and
     for the cup pairing."""
     w1 = _scatter(mc, (mc.k.sorted_sign[:, None, None] * hodge._WEDGE)
                   [..., None, None] * mc.pairs)
@@ -67,7 +73,7 @@ def galerkin_star(m1, w1):
 def torus_grid_cochain(k, m, dx, dy):
     """Closed cochain on the m x m torus grid with periods (dx, dy)."""
     u = np.zeros(k.n_edges)
-    for ei, (a, b) in enumerate(k.edges):
+    for ei, (a, b) in enumerate(k.ends.tolist()):
         ia, ja = divmod(a, m)
         ib, jb = divmod(b, m)
         di = (ib - ia) % m
@@ -99,13 +105,14 @@ def union_with_metric_and_system(k1, h1, f1, k2, h2, f2):
     lengths = np.empty(ku.n_edges)
     n = f1.fiber_dim
     transports = np.empty((ku.n_edges, n, n))
-    for ei, (a, b) in enumerate(ku.edges):
+    index1, index2 = edge_index(k1), edge_index(k2)
+    for ei, (a, b) in enumerate(ku.ends.tolist()):
         if a < offset:
-            orig = k1.edge_id(a, b)
+            orig = index1[a, b]
             lengths[ei] = h1.lengths[orig]
             transports[ei] = f1.transports[orig]
         else:
-            orig = k2.edge_id(a - offset, b - offset)
+            orig = index2[a - offset, b - offset]
             lengths[ei] = h2.lengths[orig]
             transports[ei] = f2.transports[orig]
     hu = surface.metric_from_lengths(ku, lengths)

@@ -8,6 +8,8 @@ from parhodge import localsys, surface
 from parhodge.numlin import DEFAULT_TOL
 from parhodge.parastar import _component, parabolic_star
 
+from conftest import edge_index
+
 
 def disconnected_split(k, h, f, tol=DEFAULT_TOL):
     """Per-component reports plus the direct-sum consistency check.
@@ -55,9 +57,10 @@ def _cochain_pullback(k_old, k_new, f_old, perm, n):
     original coordinates (per-edge permutation, with a fiber transport when
     the canonical direction flips)."""
     p = np.zeros((n * k_old.n_edges, n * k_old.n_edges))
-    for ei, (a, b) in enumerate(k_old.edges):
+    index = edge_index(k_new)
+    for ei, (a, b) in enumerate(k_old.ends.tolist()):
         na, nb = perm[a], perm[b]
-        nei = k_new.edge_id(na, nb)
+        nei = index[min(na, nb), max(na, nb)]
         if na < nb:
             block = np.eye(n)
         else:
@@ -71,13 +74,14 @@ def _cochain_pullback(k_old, k_new, f_old, perm, n):
 def relabel(k, h, f, perm):
     """Apply a vertex permutation to complex, metric and system."""
     perm = list(perm)
-    tris = [tuple(perm[v] for v in t) for t in k.triangles]
+    tris = [tuple(perm[v] for v in t) for t in k.tri_vertices.tolist()]
     k_new = surface.build(k.vertex_count, tris)
     lengths = np.empty(k_new.n_edges)
     transports = np.empty_like(f.transports)
-    for ei, (a, b) in enumerate(k.edges):
+    index = edge_index(k_new)
+    for ei, (a, b) in enumerate(k.ends.tolist()):
         na, nb = perm[a], perm[b]
-        nei = k_new.edge_id(na, nb)
+        nei = index[min(na, nb), max(na, nb)]
         lengths[nei] = h.lengths[ei]
         transports[nei] = f.transports[ei] if na < nb else f.transports[ei].T
     h_new = surface.metric_from_lengths(k_new, lengths)
@@ -90,7 +94,7 @@ def relabel(k, h, f, perm):
 
 def orientation_flip(k):
     """Same complex with every triangle orientation reversed."""
-    return surface.build(k.vertex_count, [(a, c, b) for a, b, c in k.triangles])
+    return surface.build(k.vertex_count, [(a, c, b) for a, b, c in k.tri_vertices.tolist()])
 
 
 def determinism_check(k, h, f, rng=None, tol=DEFAULT_TOL):

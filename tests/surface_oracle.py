@@ -17,6 +17,8 @@ from parhodge.errors import (
 )
 from parhodge.numlin import DEFAULT_TOL
 
+from conftest import edge_index
+
 
 def build(vertex_count, triangles):
     """Validate triangles and derive the full combinatorial structure."""
@@ -32,7 +34,7 @@ def build(vertex_count, triangles):
     for v in range(vertex_count):
         if v not in used:
             raise InvalidParameter(f"vertex {v} lies in no triangle")
-    k = surface.SurfaceComplex(vertex_count=int(vertex_count), triangles=tris,
+    k = surface.SurfaceComplex(vertex_count=int(vertex_count),
                                tri_vertices=np.array(tris, dtype=np.int64).reshape(-1, 3))
 
     edge_set = {}
@@ -47,24 +49,23 @@ def build(vertex_count, triangles):
             edge_tris[edge_set[key]].append((ti, 1 if u < v else -1))
 
     order = sorted(edge_set, key=lambda e: e)
-    k.edges = order
     k.ends = np.array(order, dtype=int).reshape(-1, 2)
-    k.edge_index = {e: i for i, e in enumerate(order)}
-    remap = {edge_set[e]: k.edge_index[e] for e in edge_set}
+    index = {e: i for i, e in enumerate(order)}
+    remap = {edge_set[e]: index[e] for e in edge_set}
     by_edge = [None] * len(order)
     for old, new in remap.items():
         by_edge[new] = edge_tris[old]
 
     for ei, incident in enumerate(by_edge):
         if len(incident) > 2:
-            raise NonManifold(f"edge {k.edges[ei]} lies in {len(incident)} triangles")
+            raise NonManifold(f"edge {order[ei]} lies in {len(incident)} triangles")
         if len(incident) == 2 and incident[0][1] == incident[1][1]:
             raise InconsistentOrientation(
-                f"edge {k.edges[ei]} is traversed twice in the same direction"
+                f"edge {order[ei]} is traversed twice in the same direction"
             )
 
     k.tri_edges = np.array(
-        [(k.edge_index[(w0, w1)], k.edge_index[(w0, w2)], k.edge_index[(w1, w2)])
+        [(index[(w0, w1)], index[(w0, w2)], index[(w1, w2)])
          for w0, w1, w2 in map(sorted, tris)], dtype=int).reshape(-1, 3)
     # each edge's positions in the flattened table, -1 for a missing second
     slots = [[] for _ in order]
@@ -76,13 +77,13 @@ def build(vertex_count, triangles):
     k.boundary_edge_indices = sorted(
         ei for ei, incident in enumerate(by_edge) if len(incident) == 1
     )
-    k.boundary_components = _boundary_cycles(k, by_edge)
+    k.boundary_components = _boundary_cycles(order, by_edge)
     bverts = set()
     for comp in k.boundary_components:
         bverts.update(comp["vertices"])
     k.boundary_vertices = sorted(bverts)
 
-    k.component_of, k.n_components = _components(k)
+    k.component_of, k.n_components = _components(int(vertex_count), order)
     if k.n_components > 1:
         warnings.warn(
             f"complex has {k.n_components} components", NotConnectedWarning,
@@ -98,12 +99,12 @@ def _parity(t):
     return 1 if inversions % 2 == 0 else -1
 
 
-def _boundary_cycles(k, by_edge):
+def _boundary_cycles(edges, by_edge):
     """Walk boundary edges into cycles following the induced orientation
     (each boundary edge is traversed the way its one triangle traverses it)."""
     outgoing = {}
     for ei in (i for i, inc in enumerate(by_edge) if len(inc) == 1):
-        a, b = k.edges[ei]
+        a, b = edges[ei]
         ti, sign = by_edge[ei][0]
         tail, head = (a, b) if sign == 1 else (b, a)
         if tail in outgoing:
@@ -131,8 +132,8 @@ def _boundary_cycles(k, by_edge):
     return cycles
 
 
-def _components(k):
-    parent = list(range(k.vertex_count))
+def _components(vertex_count, edges):
+    parent = list(range(vertex_count))
 
     def find(x):
         while parent[x] != x:
@@ -140,18 +141,18 @@ def _components(k):
             x = parent[x]
         return x
 
-    for a, b in k.edges:
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     roots = {}
-    comp = np.zeros(k.vertex_count, dtype=int)
-    for v in range(k.vertex_count):
+    comp = np.zeros(vertex_count, dtype=int)
+    for v in range(vertex_count):
         r = find(v)
         if r not in roots:
             roots[r] = len(roots)
         comp[v] = roots[r]
-    return comp, len(roots) if k.vertex_count else 0
+    return comp, len(roots) if vertex_count else 0
 
 
 def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
@@ -163,10 +164,11 @@ def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
         )
     if not np.isfinite(lengths).all() or (lengths <= 0).any():
         raise DegenerateMetric("edge lengths must be positive and finite")
-    for t in k.triangles:
-        l01 = lengths[k.edge_id(t[0], t[1])]
-        l12 = lengths[k.edge_id(t[1], t[2])]
-        l02 = lengths[k.edge_id(t[0], t[2])]
+    index = edge_index(k)
+    for t in map(tuple, k.tri_vertices.tolist()):
+        l01 = lengths[index[min(t[0], t[1]), max(t[0], t[1])]]
+        l12 = lengths[index[min(t[1], t[2]), max(t[1], t[2])]]
+        l02 = lengths[index[min(t[0], t[2]), max(t[0], t[2])]]
         if not (l01 < l12 + l02 and l12 < l01 + l02 and l02 < l01 + l12):
             raise DegenerateMetric(f"triangle inequality fails on {t}")
         if surface._heron(l01, l12, l02) <= tol.rank_tol * max(l01, l12, l02) ** 2:
@@ -176,18 +178,20 @@ def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
 
 def metric_from_positions(k, positions, tol=DEFAULT_TOL):
     pos = np.asarray(positions, dtype=float)
-    lengths = np.array([np.linalg.norm(pos[a] - pos[b]) for a, b in k.edges])
+    lengths = np.array([np.linalg.norm(pos[a] - pos[b]) for a, b in k.ends.tolist()])
     return metric_from_lengths(k, lengths, tol)
 
 
 def flat_residual(k, system):
+    index = edge_index(k)
+
+    def transport(u, v):
+        p = system.transports[index[min(u, v), max(u, v)]]
+        return p if u < v else p.T
+
     worst = 0.0
     eye = np.eye(system.fiber_dim)
-    for a, b, c in k.triangles:
-        hol = (
-            system.transport(k, a, b)
-            @ system.transport(k, b, c)
-            @ system.transport(k, c, a)
-        )
+    for a, b, c in k.tri_vertices.tolist():
+        hol = transport(a, b) @ transport(b, c) @ transport(c, a)
         worst = max(worst, float(np.abs(hol - eye).max()))
     return worst

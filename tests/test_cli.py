@@ -138,9 +138,9 @@ def test_star_mesh_and_system_files(tmp_path):
     inv = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
     mesh = {
         "vertices": k.vertex_count,
-        "triangles": [list(t) for t in k.triangles],
+        "triangles": k.tri_vertices.tolist(),
         "edge_lengths": [[a, b, float(h.lengths[ei])]
-                         for ei, (a, b) in enumerate(k.edges)],
+                         for ei, (a, b) in enumerate(k.ends.tolist())],
     }
     f = localsys.from_representation(
         k, loops, {"c1": np.array(rot), "c2": np.array(inv)})
@@ -148,7 +148,7 @@ def test_star_mesh_and_system_files(tmp_path):
         "fiber_dim": 2,
         "transports": [
             {"tail": a, "head": b, "matrix": f.transports[ei].tolist()}
-            for ei, (a, b) in enumerate(k.edges)
+            for ei, (a, b) in enumerate(k.ends.tolist())
         ],
     }
     mesh_file, system_file = tmp_path / "mesh.json", tmp_path / "system.json"
@@ -166,13 +166,13 @@ def test_star_broken_transport_exit_2(tmp_path, capsys):
     k, h, loops = surface.disk(4)
     mesh = {
         "vertices": k.vertex_count,
-        "triangles": [list(t) for t in k.triangles],
+        "triangles": k.tri_vertices.tolist(),
         "edge_lengths": [[a, b, float(h.lengths[ei])]
-                         for ei, (a, b) in enumerate(k.edges)],
+                         for ei, (a, b) in enumerate(k.ends.tolist())],
     }
     transports = [
         {"tail": a, "head": b, "matrix": np.eye(2).tolist()}
-        for a, b in k.edges
+        for a, b in k.ends.tolist()
     ]
     transports[0]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]  # breaks flatness
     mesh_file, system_file = tmp_path / "m.json", tmp_path / "s.json"
@@ -187,13 +187,13 @@ def test_verify_broken_transport_names_invariant(tmp_path, capsys):
     k, h, _ = surface.disk(4)
     mesh = {
         "vertices": k.vertex_count,
-        "triangles": [list(t) for t in k.triangles],
+        "triangles": k.tri_vertices.tolist(),
         "edge_lengths": [[a, b, float(h.lengths[ei])]
-                         for ei, (a, b) in enumerate(k.edges)],
+                         for ei, (a, b) in enumerate(k.ends.tolist())],
     }
     transports = [
         {"tail": a, "head": b, "matrix": np.eye(2).tolist()}
-        for a, b in k.edges
+        for a, b in k.ends.tolist()
     ]
     transports[2]["matrix"] = [[0.0, -1.0], [1.0, 0.0]]
     mesh_file, system_file = tmp_path / "m.json", tmp_path / "s.json"
@@ -395,6 +395,15 @@ _BARE_VERTEX = {"vertices": [[0, 0], [1, 0], [0, 1], [5, 5]], "triangles": [[0, 
 _MALFORMED_REASONS = {
     "star-vertex-in-no-triangle": "error: InvalidParameter: vertex 3 lies in no triangle\n",
     "verify-vertex-in-no-triangle": "error: InvalidParameter: vertex 3 lies in no triangle\n",
+    # an id beyond int64 is no edge, not an OverflowError; the entry is
+    # named low end first
+    "edge-length-id-beyond-int64": "error: InvalidParameter: edge_lengths entry "
+                                   f"(0, {10 ** 30}) is not an edge\n",
+    "edge-length-negative-id": "error: InvalidParameter: edge_lengths entry (-1, 3) "
+                               "is not an edge\n",
+    "transport-id-beyond-int64": "error: InvalidParameter: "
+                                 f"(0, {10 ** 30}) is not an edge of the complex\n",
+    "transport-equal-ends": "error: InvalidParameter: (4, 4) is not an edge of the complex\n",
 }
 
 
@@ -422,12 +431,22 @@ _MALFORMED_REASONS = {
     (["star", "--mesh", "{mesh}"], {"mesh": _BARE_VERTEX}),
     (["verify", "--mesh", "{mesh}"], {"mesh": _BARE_VERTEX}),
     (["verify", "--refine", ""], {}),
+    (["star", "--mesh", "{mesh}"],
+     {"mesh": _triangle([[10 ** 30, 0, 1.0], [0, 2, 1.0], [1, 2, 1.0]])}),
+    (["star", "--mesh", "{mesh}"],
+     {"mesh": _triangle([[-1, 3, 1.0], [0, 2, 1.0], [1, 2, 1.0]])}),
+    (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
+     {"system": {"fiber_dim": 1, "transports": [
+         {"tail": 0, "head": 10 ** 30, "matrix": [[1.0]]}]}}),
+    (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
+     {"system": {"fiber_dim": 1, "transports": [{"tail": 4, "head": 4, "matrix": [[1.0]]}]}}),
 ], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
         "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
         "transports-number", "edge-length-fractional-id", "edge-length-twice",
         "edge-length-short-row", "star-vertex-in-no-triangle", "verify-vertex-in-no-triangle",
-        "refine-empty"])
+        "refine-empty", "edge-length-id-beyond-int64", "edge-length-negative-id",
+        "transport-id-beyond-int64", "transport-equal-ends"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, request, argv, files):
     paths = {}
     for name, content in files.items():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parhodge import cli, localsys, surface
-from parhodge.errors import NotFlat, NotOrthogonal, NotUnit, RelationViolated
+from parhodge.errors import InvalidParameter, NotFlat, NotOrthogonal, NotUnit, RelationViolated
 
 
 def rotation2(theta):
@@ -16,6 +16,9 @@ def test_trivial_system():
     assert f.flat_residual == 0.0
     cycle = [0, 1, 2, 3, 0]
     assert np.array_equal(f.path_transport(k, cycle), np.eye(3))
+    # a step that is no edge raises, rather than reading some edge's transport
+    with pytest.raises(InvalidParameter, match="path steps off the edges"):
+        f.path_transport(k, [0, 1, 10, 0])
 
 
 def test_from_edge_transports_accepts_gauged_trivial():
@@ -25,7 +28,7 @@ def test_from_edge_transports_accepts_gauged_trivial():
     gauges = [localsys.random_rotation(rng, 2) for _ in range(k.vertex_count)]
     gauged = localsys.gauge_transform(k, base, gauges)
     table = {
-        (a, b): gauged.transports[ei] for ei, (a, b) in enumerate(k.edges)
+        (a, b): gauged.transports[ei] for ei, (a, b) in enumerate(k.ends.tolist())
     }
     rebuilt = localsys.from_edge_transports(k, 2, table)
     assert rebuilt.flat_residual < 1e-12
@@ -46,16 +49,16 @@ def test_from_edge_transports_seam_rotation_annulus():
 
 def test_from_edge_transports_rejects_non_orthogonal():
     k, _, _ = surface.disk(4)
-    table = {(a, b): np.eye(2) for a, b in k.edges}
-    table[k.edges[0]] = np.array([[1.0, 1.0], [0.0, 1.0]])
+    table = {(a, b): np.eye(2) for a, b in k.ends.tolist()}
+    table[tuple(k.ends[0].tolist())] = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotOrthogonal):
         localsys.from_edge_transports(k, 2, table)
 
 
 def test_from_edge_transports_rejects_non_flat():
     k, _, _ = surface.disk(4)
-    table = {(a, b): np.eye(2) for a, b in k.edges}
-    table[k.edges[0]] = rotation2(0.3)
+    table = {(a, b): np.eye(2) for a, b in k.ends.tolist()}
+    table[tuple(k.ends[0].tolist())] = rotation2(0.3)
     with pytest.raises(NotFlat):
         localsys.from_edge_transports(k, 2, table)
 
@@ -142,7 +145,7 @@ def test_gauge_invariance_of_flatness():
 def _gauge_transform_loop(k, system, gauges):
     """`localsys.gauge_transform` one edge at a time: the oracle."""
     arr = np.empty_like(system.transports)
-    for ei, (a, b) in enumerate(k.edges):
+    for ei, (a, b) in enumerate(k.ends.tolist()):
         arr[ei] = gauges[a] @ system.transports[ei] @ gauges[b].T
     return arr
 
@@ -205,7 +208,7 @@ def test_system_from_json_transports_and_representation():
     assert f.fiber_dim == 2
     table = {"fiber_dim": 2, "transports": [
         {"tail": a, "head": b, "matrix": f.transports[ei].tolist()}
-        for ei, (a, b) in enumerate(k.edges)
+        for ei, (a, b) in enumerate(k.ends.tolist())
     ]}
     f2 = localsys.system_from_json(k, table)
     assert np.allclose(f.transports, f2.transports)

@@ -248,7 +248,7 @@ def test_star_and_moduli_form_no_edge_sized_matrix(monkeypatch):
     # would break a bound of 1.5 times the bytes of that L0
     k, h, loops = surface.torus(16)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    l0_bytes = (3 * k.n_vertices) ** 2 * 8
+    l0_bytes = (3 * k.vertex_count) ** 2 * 8
     tracemalloc.start()
     try:
         rep = parastar.parabolic_star(k, h, f)
@@ -283,7 +283,7 @@ def test_verify_case_forms_no_edge_sized_matrix(monkeypatch, mesh):
     k, h, loops = gen(*args)
     rng = np.random.default_rng(69)
     f = localsys.random_flat_system(k, loops, 3, rng)
-    l0_bytes = (3 * k.n_vertices) ** 2 * 8
+    l0_bytes = (3 * k.vertex_count) ** 2 * 8
     tracemalloc.start()
     try:
         case = cli._verify_case(k, h, f, numlin.DEFAULT_TOL, rng)
@@ -452,16 +452,21 @@ def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
     k, h, loops = surface.torus(12)
     f = localsys.random_flat_system(k, loops, 3, rng)
     lookups = []
-    edge_id = surface.SurfaceComplex.edge_id
+    edge_ids = surface.edge_ids
 
-    def counting_edge_id(self, u, v):
+    def counting_edge_ids(k, u, v):
         lookups.append((u, v))
-        return edge_id(self, u, v)
+        return edge_ids(k, u, v)
 
-    monkeypatch.setattr(surface.SurfaceComplex, "edge_id", counting_edge_id)
+    # localsys imports the function by name
+    for module in (surface, localsys):
+        monkeypatch.setattr(module, "edge_ids", counting_edge_ids)
     hodge.metric_complex(k, h, f)
     twisted.coboundaries(k, f)
     assert not lookups
+    # the counter sees a lookup where there is one
+    f.path_transport(k, loops.path("a1"))
+    assert len(lookups) == 1
 
 
 def test_star_command_imports_no_scipy():
@@ -513,7 +518,7 @@ def _angle_j_u_vs_t_by_a_second_operator(k, h, f):
     harm = hodge.harmonic_spaces(mc, (rp["h1"], rp["h1_rel"]))
     m1 = functools.partial(hodge.m1_apply, mc)
     out = compat.subspace_transfer(m1, harm.h_n, harm.h_d)
-    return compat.subspace_angle(hodge.galerkin_apply(mc, out["U_basis"]),
+    return compat.subspace_angle(hodge.galerkin_operator(mc)(out["U_basis"]),
                                  out["T_basis"], m1)
 
 

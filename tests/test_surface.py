@@ -15,7 +15,7 @@ from parhodge.errors import (
 )
 
 import surface_oracle
-from conftest import laplacian_matrix, mass_matrix, wedge_matrix
+from conftest import edge_index, laplacian_matrix, mass_matrix, wedge_matrix
 
 
 def test_build_square_disk():
@@ -54,10 +54,11 @@ def test_tri_edges_table(name):
     # w0w1 - w0w2 + w1w2; sorted_sign turns it into the stored direction
     sorted_dir = np.array([1, -1, 1])
     net = np.zeros(k.n_edges, dtype=int)
-    for t, row, sign in zip(k.triangles, k.tri_edges, k.sorted_sign):
+    index = edge_index(k)
+    for t, row, sign in zip(map(tuple, k.tri_vertices.tolist()), k.tri_edges, k.sorted_sign):
         w0, w1, w2 = sorted(t)
-        assert row.tolist() == [k.edge_id(w0, w1), k.edge_id(w0, w2), k.edge_id(w1, w2)]
-        stored = {k.edge_id(u, v): 1 if u < v else -1
+        assert row.tolist() == [index[w0, w1], index[w0, w2], index[w1, w2]]
+        stored = {index[min(u, v), max(u, v)]: 1 if u < v else -1
                   for u, v in zip(t, t[1:] + t[:1])}
         assert [stored[e] for e in row] == (sign * sorted_dir).tolist()
         net[row] += sign * sorted_dir
@@ -68,13 +69,40 @@ def test_tri_edges_table(name):
     assert (net[interior] == 0).all()
 
 
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+@pytest.mark.parametrize("m", [3, 9, 12])
+def test_edge_ids_match_a_dict_lookup(name, m):
+    k, _, _ = cli._EXAMPLES[name](m)
+    index, nv = edge_index(k), k.vertex_count
+    rng = np.random.default_rng(m)
+    lo, hi = k.ends.T
+    # random pairs with negative ids, ids >= n_V and equal ends; every edge
+    # both ways; and (lo - 1, hi + n_V), whose low * n_V + high is the key
+    # of the edge (lo, hi)
+    u = np.concatenate([rng.integers(-3, nv + 3, 5000), lo, hi, lo - 1, hi + nv])
+    v = np.concatenate([rng.integers(-3, nv + 3, 5000), hi, lo, hi + nv, lo - 1])
+    v[:500] = u[:500]
+    want = [index.get((min(a, b), max(a, b)), -1) for a, b in zip(u.tolist(), v.tolist())]
+    got = surface.edge_ids(k, u, v)
+    assert got.tolist() == want
+    assert (got >= 0).sum() == 2 * k.n_edges + sum(w >= 0 for w in want[:5000])
+    assert surface.edge_ids(k, u.reshape(2, -1), v.reshape(2, -1)).tolist() == \
+        got.reshape(2, -1).tolist()
+    # ids beyond int64, alone or beside small ones, are no edge
+    big = [10 ** 30, -10 ** 30, 2 ** 63, 2 ** 64]
+    assert surface.edge_ids(k, [0] * 4, big).tolist() == [-1] * 4
+    assert surface.edge_ids(k, big, [0] * 4).tolist() == [-1] * 4
+    assert surface.edge_ids(k, [lo[0], 0], [hi[0], 2 ** 63]).tolist() == [0, -1]
+    assert surface.edge_ids(k, hi[-1], lo[-1]) == k.n_edges - 1
+
+
 def test_torus_counts():
     k, h, loops = surface.torus(4)
-    assert (k.n_vertices, k.n_edges, k.n_triangles) == (16, 48, 32)
+    assert (k.vertex_count, k.n_edges, k.n_triangles) == (16, 48, 32)
     assert k.euler_characteristic == 0
     assert not k.boundary_components
     # revalidates cleanly
-    surface.build(k.vertex_count, k.triangles)
+    surface.build(k.vertex_count, k.tri_vertices.tolist())
 
 
 def test_annulus_counts():
@@ -109,8 +137,9 @@ def test_genus_k_refinement_keeps_topology():
 
 # sha256 of each builtin generator's triangles, edges, length bytes, sorted
 # edge words, loops, relation and base vertex, as the per-cell loops built
-# them: `from_representation` accepts any consistent word table, so nothing
-# else pins these
+# them, the triangles and edges as the lists of tuples that the complex
+# once kept: `from_representation` accepts any consistent word table, so
+# nothing else pins these
 _GENERATOR_DIGESTS = [
     ("torus", (3,), "017f8cb772459d1624b845d812456b64f2216ad73e69877115a11af43659efb3"),
     ("torus", (8,), "ff634ad1f5ab744f032b2f6304e334461595d4e04510708f2442c684fa6e5aa2"),
@@ -127,7 +156,8 @@ _GENERATOR_DIGESTS = [
 @pytest.mark.parametrize("name,args,digest", _GENERATOR_DIGESTS)
 def test_builtin_generators_keep_their_tables(name, args, digest):
     k, h, loops = getattr(surface, name)(*args)
-    data = repr((k.triangles, k.edges, sorted(loops.edge_words.items()), loops.loops,
+    data = repr((list(map(tuple, k.tri_vertices.tolist())), list(map(tuple, k.ends.tolist())),
+                 sorted(loops.edge_words.items()), loops.loops,
                  tuple(loops.relation), loops.base_vertex))
     assert hashlib.sha256(data.encode() + h.lengths.tobytes()).hexdigest() == digest
 
@@ -179,7 +209,7 @@ def test_single_triangle_wedge_is_one_sixth():
     k = surface.build(3, [(0, 1, 2)])
     h = surface.metric_from_lengths(k, np.ones(3))
     _, w1, _ = _whitney(k, h)
-    e01, e12, e02 = k.edge_id(0, 1), k.edge_id(1, 2), k.edge_id(0, 2)
+    e01, e12, e02 = surface.edge_ids(k, [0, 1, 0], [1, 2, 2]).tolist()
     assert w1[e01, e12] == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert w1[e12, e01] == pytest.approx(-1.0 / 6.0, abs=1e-12)
     assert abs(w1[e01, e02]) == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -243,7 +273,7 @@ def test_mesh_from_json_roundtrip():
     }
     k, h = surface.mesh_from_json(data)
     assert k.euler_characteristic == 1
-    assert h.length(k, 0, 1) == pytest.approx(1.0)
+    assert h.lengths[surface.edge_ids(k, 0, 1)] == pytest.approx(1.0)
     data2 = {
         "vertices": 3,
         "triangles": [[0, 1, 2]],
@@ -268,8 +298,8 @@ def test_subcomplex_and_union():
 
 
 def _assert_same_complex(got, want):
-    """Every `SurfaceComplex` field equal, with the same types: edges and
-    triangles as tuples of ints, arrays with the same dtype."""
+    """Every `SurfaceComplex` field equal, with the same types: arrays with
+    the same dtype, boundary cycles as lists of ints."""
     for name in surface.SurfaceComplex.__dataclass_fields__:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
@@ -283,7 +313,7 @@ def _assert_same_complex(got, want):
 @pytest.mark.parametrize("m", [3, 9])
 def test_build_matches_the_loop_oracle(name, m):
     k, h, _ = cli._EXAMPLES[name](m)
-    tris = k.triangles
+    tris = list(map(tuple, k.tri_vertices.tolist()))
     _assert_same_complex(k, surface_oracle.build(k.vertex_count, tris))
     perm = np.random.default_rng(m).permutation(k.vertex_count).tolist()
     for variant in ([(a, c, b) for a, b, c in tris],            # orientation flip

@@ -12,7 +12,7 @@ def test_d0_rank_on_disk():
     k, _, _ = surface.disk(6)
     f = localsys.trivial_system(k, 1)
     d0, d1 = twisted.coboundaries(k, f)
-    assert numlin.rank(d0) == k.n_vertices - 1
+    assert numlin.rank(d0) == k.vertex_count - 1
 
 
 def test_torus_betti_via_coboundaries():

@@ -60,13 +60,13 @@ def test_gathers_match_the_add_at_scatter_bit_for_bit(monkeypatch):
         y[rng.random(y.shape) < 0.3] = -0.0
         y[-1] = 0.0
         got = [hodge.m1_apply(mc, x), hodge.m1_apply(mc, x[:, 0]),
-               hodge.galerkin_apply(mc, x), hodge.galerkin_apply(mc, x[:, :1]),
+               hodge.galerkin_operator(mc)(x), hodge.galerkin_operator(mc)(x[:, :1]),
                hodge._edge_sums(mc.k, y), twisted._d0_adjoint(mc.k, mc.f, x),
                twisted._d0_adjoint(mc.k, mc.f, x[:, :0])]
         with monkeypatch.context() as mp:
             _use_oracles(mp)
             want = [hodge.m1_apply(mc, x), hodge.m1_apply(mc, x[:, 0]),
-                    hodge.galerkin_apply(mc, x), hodge.galerkin_apply(mc, x[:, :1]),
+                    hodge.galerkin_operator(mc)(x), hodge.galerkin_operator(mc)(x[:, :1]),
                     hodge._edge_sums(mc.k, y), twisted._d0_adjoint(mc.k, mc.f, x),
                     twisted._d0_adjoint(mc.k, mc.f, x[:, :0])]
         for a, b in zip(got, want):
