@@ -176,8 +176,6 @@ def compatible_complex_structure(m, omega, tol=DEFAULT_TOL):
     j = m_inv_sqrt @ w_mat @ m_sqrt
 
     eye = np.eye(k)
-    residuals["g_skew"] = float(np.abs(m @ g + g.T @ m).max())
-    residuals["g_commutes_r"] = float(np.abs(g @ r - r @ g).max())
     residuals["jsq"] = float(np.abs(j @ j + eye).max())
     residuals["isometry"] = float(np.abs(j.T @ m @ j - m).max())
     residuals["omega_invariance"] = float(np.abs(j.T @ omega @ j - omega).max())

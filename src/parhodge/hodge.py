@@ -69,7 +69,6 @@ from .numlin import DEFAULT_TOL
 @dataclass
 class MetricComplex:
     k: object
-    h: object
     f: object
     # (n_T, 3, 3, n, n) over the sorted vertices w0 < w1 < w2 of each
     # triangle: the local blocks (area g)_ij rho_i^T rho_j of the twisted
@@ -154,7 +153,7 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     m1 = np.empty((nt, 3 * n, 3 * n))
     np.multiply(_whitney_pairs(_lambda_products(area), g)[:, :, None, :, None],
                 pair_e.transpose(0, 1, 3, 2, 4), out=m1.reshape(nt, 3, n, 3, n))
-    return MetricComplex(k=k, h=h, f=f, l0=l0, m1=m1, pairs=pair_e, tol=tol)
+    return MetricComplex(k=k, f=f, l0=l0, m1=m1, pairs=pair_e, tol=tol)
 
 
 def _triangle_apply(mc, local, u):

@@ -14,6 +14,7 @@ relation, and the holonomy of each generator loop reproduces its image.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,25 @@ class FlatLocalSystem:
         """Composite pullback along a vertex path (value at the end of the
         path expressed at its start); the holonomy, for a closed path.
         A step u -> v pulls back by P_uv, read backwards as P^T."""
-        ids = edge_ids(k, path[:-1], path[1:])
-        if (ids < 0).any():
-            raise InvalidParameter("path steps off the edges of the complex")
-        out = np.eye(self.fiber_dim)
-        for p, u, v in zip(self.transports[ids], path, path[1:]):
-            out = out @ (p if u < v else p.T)
-        return out
+        return _path_transports(k, self.transports, [path])[0]
+
+
+def _path_transports(k, transports, paths):
+    """`path_transport` along each path, with one `edge_ids` search."""
+    tails = [u for path in paths for u in path[:-1]]
+    heads = [v for path in paths for v in path[1:]]
+    ids = edge_ids(k, tails, heads)
+    if (ids < 0).any():
+        raise InvalidParameter("path steps off the edges of the complex")
+    cuts = np.cumsum([len(path[1:]) for path in paths])[:-1]
+    return list(map(_fold, np.split(transports.take(ids, axis=0), cuts),
+                    np.split(np.less(tails, heads), cuts)))
+
+
+def _fold(p, forward):
+    """The product of a path's transports `p`, P^T on a step high -> low."""
+    return functools.reduce(np.matmul, [q if fw else q.T for q, fw in zip(p, forward)],
+                            np.eye(p.shape[1]))
 
 
 def _check_orthogonal(p, n, tol, what):
@@ -168,9 +181,11 @@ def from_representation(k, loops, images, tol=DEFAULT_TOL):
             residual=rel_residual,
         )
 
+    # many edges carry the same word: evaluate each once
+    words = {word: word_matrix(imgs, word, n) for word in set(loops.edge_words.values())}
     arr = np.tile(np.eye(n), (k.n_edges, 1, 1))
     for ei, word in loops.edge_words.items():
-        arr[ei] = word_matrix(imgs, word, n)
+        arr[ei] = words[word]
     system = FlatLocalSystem(fiber_dim=n, transports=arr)
     system.flat_residual = _flat_residual(k, system)
     if system.flat_residual > tol.residual_tol:
@@ -179,23 +194,17 @@ def from_representation(k, loops, images, tol=DEFAULT_TOL):
             "edge-word table inconsistent with the relation",
             residual=system.flat_residual,
         )
-    for name, path in loops.loops:
-        hol = system.path_transport(k, path)
+    for name, hol in zip(names, _path_transports(k, arr, [p for _, p in loops.loops])):
         if np.abs(hol - imgs[name]).max() > tol.residual_tol:
-            raise RelationViolated(
-                f"holonomy of loop {name} does not reproduce its image"
-            )
+            raise RelationViolated(f"holonomy of loop {name} does not reproduce its image")
     return system
 
 
 def boundary_monodromies(k, system):
-    """Holonomy around each boundary component (induced orientation, based
-    at the component's stored start vertex); defined up to conjugacy."""
-    out = []
-    for comp in k.boundary_components:
-        path = comp["vertices"] + [comp["vertices"][0]]
-        out.append(system.path_transport(k, path))
-    return out
+    """Holonomy around each boundary cycle (induced orientation, based at its
+    stored start vertex; defined up to conjugacy), read off its stored steps."""
+    return [_fold(system.transports.take(c["edges"], axis=0), c["forward"])
+            for c in k.boundary_components]
 
 
 def gauge_transform(k, system, gauges, tol=DEFAULT_TOL):
@@ -286,7 +295,8 @@ def quat_from_axis_angle(axis, angle):
 
 def quat_angle(q):
     """Rotation angle in [0, 2*pi) carried by a unit quaternion."""
-    return float(2.0 * np.arctan2(np.linalg.norm(q[1:]), q[0])) % (2.0 * np.pi)
+    # the sqrt of the dot is what np.linalg.norm takes of a float vector
+    return float(2.0 * np.arctan2(np.sqrt(q[1:].dot(q[1:])), q[0])) % (2.0 * np.pi)
 
 
 def random_unit_quaternion(rng):

@@ -8,7 +8,8 @@ the (n_E, 2) array `ends`, the triangle-edge table `tri_edges` (per
 triangle with sorted vertices w0 < w1 < w2, the ids of w0w1, w0w2 and
 w1w2), its inverse `edge_slots` (per edge, the positions 3 t + j where it
 occurs in `tri_edges.ravel()`, in stored order, with -1 for the missing
-second triangle of a boundary edge), boundary cycles, connected
+second triangle of a boundary edge, which makes it the one boundary
+test), the boundary cycles with each step's edge and direction, connected
 components, and the parity `sorted_sign` relating each stored triangle
 orientation to its sorted vertex order (the fundamental 2-cycle is the sum
 of all triangles with sign +1 in stored order).  `build` derives them with
@@ -61,8 +62,8 @@ class SurfaceComplex:
     # (n_E, 2) low and high vertex of each edge, in lexicographic order
     ends: np.ndarray | None = None
     sorted_sign: np.ndarray | None = None
-    boundary_edge_indices: list = field(default_factory=list)
-    boundary_vertices: list = field(default_factory=list)
+    # per boundary cycle, its vertices in the induced orientation from the
+    # lowest, and per step its edge and whether it runs low -> high
     boundary_components: list = field(default_factory=list)
     component_of: np.ndarray | None = None
     n_components: int = 0
@@ -168,15 +169,13 @@ def build(vertex_count, triangles):
     k.edge_slots = np.stack(
         [slots[first], np.where(count == 2, slots[first + count - 1], -1)], axis=1)
 
-    k.boundary_edge_indices = np.flatnonzero(count == 1).tolist()
     # a boundary edge runs the way its one side does
+    rim = np.flatnonzero(count == 1)
     side_of = np.empty(ne, dtype=int)
     side_of[sides] = np.arange(sides.size)
-    on_boundary = side_of[k.boundary_edge_indices]
-    tails = tail.ravel()[on_boundary]
+    on_rim = side_of[rim]
     k.boundary_components = _boundary_cycles(
-        tails.tolist(), head.ravel()[on_boundary].tolist(), k.boundary_edge_indices)
-    k.boundary_vertices = np.sort(tails).tolist()
+        tail.ravel()[on_rim].tolist(), head.ravel()[on_rim].tolist(), rim.tolist())
 
     k.component_of, k.n_components = _components(nv, k.ends)
     if k.n_components > 1:
@@ -239,7 +238,8 @@ def _check_triangles(nv, triangles, tri):
 def _boundary_cycles(tails, heads, edges):
     """Walk the boundary edges, given as tail -> head in edge order, into
     cycles; each starts at its lowest vertex, and they come in that
-    vertex's order."""
+    vertex's order.  Each step records its edge and whether it runs
+    low -> high, the one place that decides a boundary step's direction."""
     outgoing = {}
     for tail, head, ei in zip(tails, heads, edges):
         if tail in outgoing:
@@ -247,17 +247,17 @@ def _boundary_cycles(tails, heads, edges):
         outgoing[tail] = (head, ei)
     cycles = []
     for start in sorted(outgoing):
-        verts, eids = [], []
+        steps = []
         v = start
         while v in outgoing:
             head, ei = outgoing.pop(v)
-            verts.append(v)
-            eids.append(ei)
+            steps.append((v, ei, v < head))
             v = head
-        if verts and v != start:
+        if steps and v != start:
             raise NonManifold("boundary walk does not close into a cycle")
-        if verts:
-            cycles.append({"vertices": verts, "edges": eids})
+        if steps:
+            verts, eids, forward = map(list, zip(*steps))
+            cycles.append({"vertices": verts, "edges": eids, "forward": forward})
     return cycles
 
 

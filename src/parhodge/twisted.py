@@ -57,7 +57,8 @@ the coboundaries:
   * boundary: one walk around each boundary cycle integrates a closed
     cochain to z_j; it is exact there iff z_j lies in im(1 - rho_j), rho_j
     the holonomy (Goldman 1984), and the walk yields the primitive that
-    lifts a parabolic class to a relative one.
+    lifts a parabolic class to a relative one.  Each step's edge and
+    direction come from the cycle that `surface.build` stores.
 
 Degree-1 columns are closed, zero off the flavor's degrees of freedom and
 orthonormal in class coordinates: their loop-edge values are orthonormal
@@ -102,13 +103,12 @@ def cochain_space(k, f, degree, flavor="absolute"):
     if flavor == "relative":
         masks = [interior_vertex_mask(k), interior_edge_mask(k),
                  np.ones(k.n_triangles, dtype=bool)]
-        return _expand(masks[degree], n)
+        return np.repeat(masks[degree], n)
     raise ValueError("flavor must be 'absolute' or 'relative'")
 
 
 @dataclass
 class CohomologyBasis:
-    degree: int
     flavor: str
     reps: np.ndarray  # columns are cocycles in absolute coordinates
     dim: int
@@ -120,19 +120,15 @@ class CohomologyBasis:
 
 
 def interior_edge_mask(k):
-    mask = np.ones(k.n_edges, dtype=bool)
-    mask[k.boundary_edge_indices] = False
-    return mask
+    """The edges with a second triangle."""
+    return k.edge_slots[:, 1] >= 0
 
 
 def interior_vertex_mask(k):
+    """The vertices on no boundary edge."""
     mask = np.ones(k.vertex_count, dtype=bool)
-    mask[k.boundary_vertices] = False
+    mask[k.ends[~interior_edge_mask(k)]] = False
     return mask
-
-
-def _expand(mask, n):
-    return np.repeat(mask, n)
 
 
 def _blocks(a, n):
@@ -181,17 +177,16 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         raise ValueError("flavor must be 'absolute' or 'relative'")
     if degree == 2:
         reps = _flat_triangle_sections(k, f, flavor, tol)
-        return CohomologyBasis(degree=2, flavor=flavor, reps=reps, dim=reps.shape[1])
+        return CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1])
 
     loose, flat, exact, depth = _tree_and_flat_sections(k, f, flavor, tol)
-    h0 = CohomologyBasis(degree=0, flavor=flavor, reps=flat, dim=flat.shape[1],
-                         depth=depth)
+    h0 = CohomologyBasis(flavor=flavor, reps=flat, dim=flat.shape[1], depth=depth)
     if degree == 0:
         return h0
 
     order, parent, up, loops = _cotree(k, loose)
     z = _cocycles_off_tree(k, f, order, parent, up, loops, tol)
-    dofs = _expand(loops, f.fiber_dim)
+    dofs = np.repeat(loops, f.fiber_dim)
     # z[dofs] is orthonormal, and its span holds the loop-edge values of the
     # exact cochains in Z_T; keep the complement of those
     keep = numlin.nullspace_basis(exact[dofs].T @ z[dofs], tol, scale=1.0)
@@ -200,7 +195,7 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
             f"{flavor} H^1: kept {keep.shape[1]} classes, but the tree-cotree "
             f"count is {z.shape[1]} - {exact.shape[1]}")
     reps = z @ keep
-    return CohomologyBasis(degree=1, flavor=flavor, reps=reps, dim=reps.shape[1], h0=h0)
+    return CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1], h0=h0)
 
 
 def _tree_and_flat_sections(k, f, flavor, tol):
@@ -452,14 +447,6 @@ def _d0_adjoint(k, f, w):
     return out.astype(float, copy=False).reshape(n * k.vertex_count, cols)
 
 
-def _step(k, f, w, tail, ei):
-    """(T, s) such that a primitive a of the 1-cochain columns w (d0 a = w,
-    shaped (edges, n, columns)) obeys a(head) = T a(tail) + s across edge
-    ei walked from `tail`: (d0 a)(lo -> hi) = P a(hi) - a(lo)."""
-    p = f.transports[ei]
-    return (p.T, p.T @ w[ei]) if tail == k.ends[ei, 0] else (p, -w[ei])
-
-
 def _class_coordinates(k, f, h1, h1_rel, u):
     """Coordinates C of the classes of closed columns `u` in the absolute
     basis `h1`, read off the raw cup pairing with the relative basis
@@ -481,8 +468,10 @@ def _boundary_walk(k, f, u, tol):
     """Integrate closed columns `u` around each stored boundary cycle.
 
     Along a cycle v_0 -> v_1 -> ... -> v_m = v_0 a primitive a of u obeys
-    a(v_i+1) = T_i a(v_i) + s_i, with T_i the transport from v_i to v_i+1;
-    going round gives (1 - rho) a(v_0) = z with rho the holonomy.  So u is
+    a(v_i+1) = T_i a(v_i) + s_i: as (d0 a)(lo -> hi) = P a(hi) - a(lo),
+    (T_i, s_i) is (P^T, P^T u) on a step that the cycle stores as low ->
+    high and (P, -u) on one back.  Going round gives (1 - rho) a(v_0) = z
+    with rho the holonomy.  So u is
     exact on the cycle iff z lies in im(1 - rho), and N^T z, for N a basis
     of coker(1 - rho), are its coordinates in the cycle's H^1.  Returns
     those coordinates stacked over the cycles, and the primitive from the
@@ -493,7 +482,11 @@ def _boundary_walk(k, f, u, tol):
     coords = [np.zeros((0, cols))]
     prim = np.zeros((k.vertex_count, n, cols))
     for cycle in k.boundary_components:
-        steps = [_step(k, f, w, v, ei) for v, ei in zip(cycle["vertices"], cycle["edges"])]
+        forward = np.array(cycle["forward"])
+        p, x = f.transports.take(cycle["edges"], axis=0), w.take(cycle["edges"], axis=0)
+        # P^T as a transposed view: the layout whose products keep their bits
+        steps = list(zip([q.T if fw else q for q, fw in zip(p, forward)],
+                         np.where(forward[:, None, None], p.transpose(0, 2, 1) @ x, -x)))
         rho, z = np.eye(n), np.zeros((n, cols))
         for t, s in steps:
             rho, z = t @ rho, t @ z + s
@@ -520,7 +513,7 @@ def h1_flavors(k, f, tol=DEFAULT_TOL):
     once.
     """
     h1 = cohomology(k, f, 1, "absolute", tol)
-    if not k.boundary_edge_indices:
+    if interior_edge_mask(k).all():
         return h1, h1
     return h1, cohomology(k, f, 1, "relative", tol)
 
@@ -550,8 +543,7 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
         "h1": h1,
         "h1_rel": h1_rel,
         "parabolic_basis": CohomologyBasis(
-            degree=1, flavor="parabolic", reps=par_reps, dim=par_reps.shape[1]
-        ),
+            flavor="parabolic", reps=par_reps, dim=par_reps.shape[1]),
         "boundary_h1_dim": r_star.shape[0],
         "exactness_check": bool(same),
     }

@@ -74,14 +74,7 @@ def build(vertex_count, triangles):
     k.edge_slots = np.array([s + [-1] * (2 - len(s)) for s in slots], dtype=int).reshape(-1, 2)
     k.sorted_sign = np.array([_parity(t) for t in tris], dtype=int)
 
-    k.boundary_edge_indices = sorted(
-        ei for ei, incident in enumerate(by_edge) if len(incident) == 1
-    )
     k.boundary_components = _boundary_cycles(order, by_edge)
-    bverts = set()
-    for comp in k.boundary_components:
-        bverts.update(comp["vertices"])
-    k.boundary_vertices = sorted(bverts)
 
     k.component_of, k.n_components = _components(int(vertex_count), order)
     if k.n_components > 1:
@@ -101,7 +94,8 @@ def _parity(t):
 
 def _boundary_cycles(edges, by_edge):
     """Walk boundary edges into cycles following the induced orientation
-    (each boundary edge is traversed the way its one triangle traverses it)."""
+    (each boundary edge is traversed the way its one triangle traverses it,
+    low -> high where that triangle's sign on it is +1)."""
     outgoing = {}
     for ei in (i for i, inc in enumerate(by_edge) if len(inc) == 1):
         a, b = edges[ei]
@@ -109,26 +103,27 @@ def _boundary_cycles(edges, by_edge):
         tail, head = (a, b) if sign == 1 else (b, a)
         if tail in outgoing:
             raise NonManifold(f"boundary vertex {tail} has several outgoing edges")
-        outgoing[tail] = (head, ei)
+        outgoing[tail] = (head, ei, sign == 1)
 
     cycles = []
     seen = set()
     for start in sorted(outgoing):
         if start in seen:
             continue
-        verts, eids = [start], []
+        verts, eids, forward = [start], [], []
         v = start
         while True:
             seen.add(v)
-            head, ei = outgoing[v]
+            head, ei, low_to_high = outgoing[v]
             eids.append(ei)
+            forward.append(low_to_high)
             if head == start:
                 break
             if head in seen or head not in outgoing:
                 raise NonManifold("boundary walk does not close into a cycle")
             verts.append(head)
             v = head
-        cycles.append({"vertices": verts, "edges": eids})
+        cycles.append({"vertices": verts, "edges": eids, "forward": forward})
     return cycles
 
 

@@ -213,7 +213,8 @@ def test_harmonic_dims_match_cohomology_twisted():
             assert harm.dim_n == dims["absolute"][1]
             assert harm.dim_d == dims["relative"][1]
             assert harm.ccc.shape[1] == dims["absolute"][1] \
-                + n * len(k.boundary_vertices) - dims["absolute"][0] \
+                + n * sum(len(c["vertices"]) for c in k.boundary_components) \
+                - dims["absolute"][0] \
                 + dims["relative"][0], (k.n_edges, n)
 
 

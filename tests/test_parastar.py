@@ -1,3 +1,4 @@
+import ast
 import functools
 import os
 import subprocess
@@ -467,6 +468,16 @@ def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
     # the counter sees a lookup where there is one
     f.path_transport(k, loops.path("a1"))
     assert len(lookups) == 1
+    # compiling images makes one search for all of its generator loops; the
+    # boundary walk and the monodromies read the stored cycles
+    kb, _, lb = surface.genus_k(0, 4, 1)
+    images = localsys.random_images(lb, 3, rng)
+    lookups.clear()
+    fb = localsys.from_representation(kb, lb, images)
+    assert len(lookups) == 1 and len(lookups[0][0]) == sum(len(p) - 1 for _, p in lb.loops)
+    twisted.restriction_and_parabolic(kb, fb)
+    localsys.boundary_monodromies(kb, fb)
+    assert len(lookups) == 1
 
 
 def test_star_command_imports_no_scipy():
@@ -491,6 +502,28 @@ def test_star_command_imports_no_scipy():
                           "verify --example torus --refine 4,6"],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["0", "0", "0", "0", "[]"], out.stdout + out.stderr
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # every command, not only the ones run above, and every path, taken
+    # or not: the package's only dependency is numpy
+    sources = sorted(Path(parastar.__file__).parent.glob("*.py"))
+    assert Path(parastar.__file__) in sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [m.split(".")[0] for m in _imported_modules(tree)]
+        assert "scipy" not in imported, path.name
+    found = list(_imported_modules(ast.parse("import os, scipy.linalg as sl\n"
+                                             "from scipy import sparse\n")))
+    assert [m.split(".")[0] == "scipy" for m in found] == [False, True, True]
 
 
 @pytest.mark.parametrize("mesh", [(surface.torus, (48,)), (surface.genus_k, (1, 1, 16))],

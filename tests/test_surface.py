@@ -64,7 +64,7 @@ def test_tri_edges_table(name):
         net[row] += sign * sorted_dir
     count = np.bincount(k.tri_edges.ravel(), minlength=k.n_edges)
     interior = np.ones(k.n_edges, dtype=bool)
-    interior[k.boundary_edge_indices] = False
+    interior[[e for c in k.boundary_components for e in c["edges"]]] = False
     assert (count[interior] == 2).all() and (count[~interior] == 1).all()
     assert (net[interior] == 0).all()
 

@@ -213,7 +213,7 @@ def test_cochain_space_dimensions():
     abs1 = twisted.cochain_space(k, f, 1, "absolute")
     rel1 = twisted.cochain_space(k, f, 1, "relative")
     assert abs1.sum() == 3 * k.n_edges
-    assert rel1.sum() == 3 * (k.n_edges - len(k.boundary_edge_indices))
+    assert rel1.sum() == 3 * (k.n_edges - sum(len(c["edges"]) for c in k.boundary_components))
     # only the middle ring of the annulus grid is interior
     rel0 = twisted.cochain_space(k, f, 0, "relative")
     assert rel0.sum() == 3 * 6
@@ -247,16 +247,14 @@ def _dense_cohomology(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
     ds = (d0[np.ix_(emask, vmask)], d1[:, emask])
     if degree == 2:
         reps = numlin.nullspace_basis(ds[1].T, tol)
-        return twisted.CohomologyBasis(degree=2, flavor=flavor, reps=reps,
-                                       dim=reps.shape[1])
+        return twisted.CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1])
     kernel = numlin.nullspace_basis(ds[degree], tol)
     if degree == 1:
         kernel = kernel @ numlin.nullspace_basis(ds[0].T @ kernel, tol)
     mask = (vmask, emask)[degree]
     reps = np.zeros((mask.size, kernel.shape[1]))
     reps[mask] = kernel
-    return twisted.CohomologyBasis(degree=degree, flavor=flavor, reps=reps,
-                                   dim=reps.shape[1])
+    return twisted.CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1])
 
 
 def _assert_class_contract(k, f, got, want, exact, case=None):
@@ -283,8 +281,10 @@ def _dense_boundary_route(k, f, h1, h1_rel, tol=numlin.DEFAULT_TOL):
     Euclidean bases orthogonal to the coboundaries (`_dense_cohomology`)."""
     n = f.fiber_dim
     d0, _ = twisted.coboundaries(k, f)
-    rows = np.repeat(np.isin(np.arange(k.n_edges), k.boundary_edge_indices), n)
-    cols = np.repeat(np.isin(np.arange(k.vertex_count), k.boundary_vertices), n)
+    cycles = k.boundary_components
+    rows = np.repeat(np.isin(np.arange(k.n_edges), [e for c in cycles for e in c["edges"]]), n)
+    cols = np.repeat(np.isin(np.arange(k.vertex_count),
+                             [v for c in cycles for v in c["vertices"]]), n)
     d0b = d0[np.ix_(rows, cols)]
     z = numlin.nullspace_basis(d0b.T, tol)
     par = h1.reps @ numlin.nullspace_basis(z.T @ h1.reps[rows], tol, scale=1.0)
@@ -519,7 +519,7 @@ def test_h1_flavors_share_the_basis_only_without_boundary():
     for k, h, loops in (surface.torus(5), surface.genus_k(1, 1, 1), surface.sphere(2)):
         f = localsys.random_flat_system(k, loops, 3, rng)
         h1, h1_rel = twisted.h1_flavors(k, f)
-        assert (h1_rel is h1) == (not k.boundary_edge_indices)
+        assert (h1_rel is h1) == (not k.boundary_components)
         # the shared basis is what the relative walk would cut, bit for bit
         rel = twisted.cohomology(k, f, 1, "relative")
         assert np.array_equal(rel.reps, h1_rel.reps)

@@ -1,6 +1,8 @@
-"""The level-batched forest, the live-set cotree elimination and the
-edge-slot gathers against their queue and `np.add.at` oracles
-(`walk_oracle`): equal bit for bit, down to the report bytes."""
+"""The level-batched forest, the live-set cotree elimination, the
+edge-slot gathers, the boundary walk on stored step directions, the masks
+read off `edge_slots` and the one-search path transports against their
+queue, `np.add.at`, step-by-step and per-path oracles (`walk_oracle`):
+equal bit for bit, down to the report bytes."""
 
 import json
 
@@ -14,10 +16,13 @@ from test_twisted import _oracle_cases
 
 
 def _use_oracles(monkeypatch):
-    for name in ("_flat_forest", "_cotree", "_cocycles_off_tree", "_d0_adjoint"):
+    for name in ("_flat_forest", "_cotree", "_cocycles_off_tree", "_d0_adjoint",
+                 "_boundary_walk", "interior_edge_mask", "interior_vertex_mask"):
         monkeypatch.setattr(twisted, name, getattr(walk_oracle, name))
     for name in ("_triangle_apply", "_edge_sums"):
         monkeypatch.setattr(hodge, name, getattr(walk_oracle, name))
+    for name in ("_path_transports", "boundary_monodromies"):
+        monkeypatch.setattr(localsys, name, getattr(walk_oracle, name))
 
 
 def _bases(k, f):
@@ -72,6 +77,50 @@ def test_gathers_match_the_add_at_scatter_bit_for_bit(monkeypatch):
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype, label
             assert a.tobytes() == b.tobytes(), label
+
+
+def _boundary_cases(rng):
+    for name in ("annulus", "disk", "genus11", "pants"):
+        for m in (3, 6, 12):
+            k, _, loops = cli._EXAMPLES[name](m)
+            for n in (1, 3):
+                yield f"{name}{m}/{n}", k, loops, localsys.random_flat_system(k, loops, n, rng)
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_boundary_walk_and_holonomies_match_their_oracles_bit_for_bit(monkeypatch):
+    tol, rng = numlin.DEFAULT_TOL, np.random.default_rng(84)
+    for label, k, loops, f in _boundary_cases(rng):
+        n = f.fiber_dim
+        assert twisted.interior_edge_mask(k).tobytes() == \
+            walk_oracle.interior_edge_mask(k).tobytes(), label
+        assert twisted.interior_vertex_mask(k).tobytes() == \
+            walk_oracle.interior_vertex_mask(k).tobytes(), label
+        x = rng.standard_normal((n * k.n_edges, 5))
+        for u in (twisted.cohomology(k, f, 1).reps, x, x[:, :1], x[:, :0]):
+            assert _same_bits(twisted._boundary_walk(k, f, u, tol),
+                              walk_oracle._boundary_walk(k, f, u, tol)), label
+        assert _same_bits(localsys.boundary_monodromies(k, f),
+                          walk_oracle.boundary_monodromies(k, f)), label
+        # the holonomies that compiling the images checks, with its own
+        # transports and generator loops
+        calls = []
+        transports = localsys._path_transports
+
+        def record(*args):
+            calls.append((args, transports(*args)))
+            return calls[-1][1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(localsys, "_path_transports", record)
+            localsys.from_representation(k, loops, localsys.random_images(loops, n, rng))
+        (args, got), = calls
+        assert len(args[2]) == len(loops.loops) > 0, label
+        assert _same_bits(got, walk_oracle._path_transports(*args)), label
 
 
 def _live_cases():

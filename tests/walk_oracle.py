@@ -2,7 +2,14 @@
 scatters of the per-triangle applies and of d0^T, one node, one triangle
 and one index at a time: the oracles that `twisted._flat_forest`,
 `twisted._cotree`, `twisted._cocycles_off_tree`, `twisted._d0_adjoint` and
-`hodge._triangle_apply` / `hodge._edge_sums` must match bit for bit.
+`hodge._triangle_apply` / `hodge._edge_sums` must match bit for bit.  The
+boundary walk steps one edge at a time and reads each step's direction
+off `ends`; the interior masks clear lists of the boundary edges and
+vertices; and each path's transport makes its own edge search and reads
+its steps' directions off the path: the oracles of `twisted._boundary_walk`,
+`twisted.interior_edge_mask` / `interior_vertex_mask` and
+`localsys._path_transports` / `boundary_monodromies`, which read the
+directions that `surface.build` stores with each boundary cycle.
 
 `twisted` labels the spanning forest, the dual forest and the cotree with
 one breadth-first routine, `_breadth_first`; here each keeps a queue walk
@@ -18,7 +25,8 @@ the comparisons stay bit for bit.
 
 import numpy as np
 
-from parhodge import numlin
+from parhodge import numlin, surface
+from parhodge.errors import InvalidParameter
 
 
 def _flat_forest(nodes, ends, transports, pinned, tol):
@@ -179,3 +187,73 @@ def _d0_adjoint(k, f, w):
     np.add.at(out, ends[:, 1], f.transports.transpose(0, 2, 1) @ x)
     np.add.at(out, ends[:, 0], -x)
     return out.reshape(n * k.vertex_count, cols)
+
+
+def interior_edge_mask(k):
+    """The edges off the list of those in one triangle
+    (`twisted.interior_edge_mask`)."""
+    lone = np.bincount(k.tri_edges.ravel(), minlength=k.n_edges) == 1
+    mask = np.ones(k.n_edges, dtype=bool)
+    mask[np.flatnonzero(lone).tolist()] = False
+    return mask
+
+
+def interior_vertex_mask(k):
+    """The vertices off the sorted list of the boundary cycles' vertices
+    (`twisted.interior_vertex_mask`)."""
+    mask = np.ones(k.vertex_count, dtype=bool)
+    mask[sorted(v for c in k.boundary_components for v in c["vertices"])] = False
+    return mask
+
+
+def _step(k, f, w, tail, ei):
+    """(T, s) such that a primitive a of the 1-cochain columns w (d0 a = w,
+    shaped (edges, n, columns)) obeys a(head) = T a(tail) + s across edge
+    ei walked from `tail`: (d0 a)(lo -> hi) = P a(hi) - a(lo)."""
+    p = f.transports[ei]
+    return (p.T, p.T @ w[ei]) if tail == k.ends[ei, 0] else (p, -w[ei])
+
+
+def _boundary_walk(k, f, u, tol):
+    """The boundary coordinates and primitive of closed columns `u`, one
+    `_step` at a time (`twisted._boundary_walk`)."""
+    n, cols = f.fiber_dim, u.shape[1]
+    w = u.reshape(k.n_edges, n, cols)
+    coords = [np.zeros((0, cols))]
+    prim = np.zeros((k.vertex_count, n, cols))
+    for cycle in k.boundary_components:
+        steps = [_step(k, f, w, v, ei) for v, ei in zip(cycle["vertices"], cycle["edges"])]
+        rho, z = np.eye(n), np.zeros((n, cols))
+        for t, s in steps:
+            rho, z = t @ rho, t @ z + s
+        left, sigma, right = np.linalg.svd(np.eye(n) - rho)
+        r = int(np.sum(sigma > tol.rank_tol * max(sigma[0], 1.0)))
+        coords.append(left[:, r:].T @ z)
+        a = right[:r].T @ ((left[:, :r].T @ z) / sigma[:r, None])
+        for v, (t, s) in zip(cycle["vertices"], steps):
+            prim[v] = a
+            a = t @ a + s
+    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
+
+
+def path_transport(k, transports, path):
+    """The pullback along one vertex path, with an edge search of its own
+    (`localsys._path_transports`)."""
+    ids = surface.edge_ids(k, path[:-1], path[1:])
+    if (ids < 0).any():
+        raise InvalidParameter("path steps off the edges of the complex")
+    out = np.eye(transports.shape[1])
+    for p, u, v in zip(transports[ids], path, path[1:]):
+        out = out @ (p if u < v else p.T)
+    return out
+
+
+def _path_transports(k, transports, paths):
+    return [path_transport(k, transports, path) for path in paths]
+
+
+def boundary_monodromies(k, system):
+    """The transport once round each boundary cycle from its stored start
+    vertex, as a closed vertex path (`localsys.boundary_monodromies`)."""
+    return [path_transport(k, system.transports, c["vertices"] + c["vertices"][:1])
+            for c in k.boundary_components]
