@@ -27,7 +27,11 @@ walk (`_level_solve`), where L0 is block tridiagonal, so its largest
 matrix is the Schur complement of one level.  A level may merge several
 depths, and only its first depth meets the level before, so each
 subdiagonal block holds just those rows, and the elimination updates
-and keeps only that many columns per level.  Every gather of rows of an
+and keeps only that many columns per level.  The levels and the place
+of every triangle block in them depend on the mesh and the walk alone,
+so they are planned once per mesh, flavor, fiber dimension and
+`numlin.BASE_ROWS` (`_plan_levels`) and kept with the mesh
+(`surface.SurfaceComplex.plan`).  Every gather of rows of an
 array with trailing axes is `ndarray.take(index, axis=0)`, the same bytes
 as fancy indexing in less time.  Harmonic representatives,
 their Gram matrices, the decomposition that `verify` reports and the
@@ -56,6 +60,7 @@ both harmonic spaces lie in CcC.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -327,19 +332,63 @@ def _levels(kept, depth, n):
     return order, level, pos, sizes, firsts
 
 
+# Where `_level_solve` puts each triangle block, for one flavor's walk on
+# one mesh at fiber dimension n and one `numlin.BASE_ROWS` (`_plan_levels`)
+_LevelPlan = collections.namedtuple("_LevelPlan", [
+    "dofs",  # the kept vertex dofs in level order
+    "roots",  # how many of them are at depth 0, where free roots are
+    "placed",  # the (t, i, j) blocks placed, by level
+    "corner",  # each block's first entry in its level's D then B
+    "width",  # the row length there
+    "cuts",  # where each level starts in `placed`, and the end
+    "dim", "first",  # per level its dofs, and those of its first depth
+])
+
+
+def _plan_levels(k, flavor, n):
+    """The `_LevelPlan` of the flavor's walk on `k`, or None when the
+    flavor keeps no vertex."""
+    kept = np.ones(k.vertex_count, dtype=bool) if flavor == "absolute" \
+        else twisted.interior_vertex_mask(k)
+    if not kept.any():
+        return None
+    depth = twisted._walk(k, flavor).forest.depth
+    order, level, pos, sizes, firsts = _levels(kept, depth, n)
+    dofs = (n * order[:, None] + np.arange(n)).ravel()
+    # each triangle block (t, i, j) goes to the level of its row vertex i,
+    # into D there or, one level below, into B; the rest is the transpose.
+    # A B row vertex is at its level's first depth, so it leads the level
+    verts = k.ends[k.tri_edges[:, [0, 0, 2]], [0, 1, 1]]
+    row, col = verts[:, _ROW].ravel(), verts[:, _COL].ravel()
+    row_level, col_level = level[row], level[col]
+    placed = np.flatnonzero((col_level >= 0) & (row_level >= col_level))
+    placed = placed[np.argsort(row_level[placed], kind="stable")]
+    row, col, at = row[placed], col[placed], row_level[placed]
+    sub = at != col_level[placed]
+    dim = n * sizes
+    width = np.where(sub, dim[at - 1], dim[at])
+    return _LevelPlan(
+        dofs=dofs, roots=n * np.count_nonzero(depth[order] == 0), placed=placed,
+        corner=np.where(sub, dim[at] ** 2, 0) + n * (pos[row] * width + pos[col]),
+        width=width, cuts=np.searchsorted(at, np.arange(sizes.size + 1)).tolist(),
+        dim=dim, first=n * firsts)
+
+
 def _level_solve(mc, h0, rhs):
     """Solve L0 a = rhs on the vertex dofs of the flavor of `h0`, zero off
     them, for 0-cochain columns rhs orthogonal to the flat sections.
 
     The kept vertices go in breadth-first levels, from their depths in the
-    walk that cut `h0` (`_levels`): each component's root at depth 0 in
-    the absolute flavor; in the relative flavor the pinned boundary (depth
-    0) is dropped, so its levels start at depth 1 unless a closed
-    component has a free root.  A walk's edges join one depth or two
-    adjacent ones, so L0 is block tridiagonal over the levels (Cuthill &
-    McKee 1969): one array pass finds each triangle block's place in the
-    diagonal block D_l or the subdiagonal block B_l of its lower level, and
-    each level's blocks are summed by one bincount when
+    flavor's walk that cut `h0` (`_levels`): each component's root at
+    depth 0 in the absolute flavor; in the relative flavor the pinned
+    boundary (depth 0) is dropped, so its levels start at depth 1 unless a
+    closed component has a free root.  A walk's edges join one depth or
+    two adjacent ones, so L0 is block tridiagonal over the levels (Cuthill
+    & McKee 1969).  Where each triangle block goes, into the diagonal
+    block D_l or the subdiagonal block B_l of its lower level, depends on
+    the mesh and the walk alone, so it is planned once per mesh, flavor,
+    fiber dimension and `numlin.BASE_ROWS` (`_plan_levels`); each call
+    sums each level's blocks by one bincount when
     `numlin.block_tridiagonal_solve` asks for them.  B_l holds only the
     rows of level l's first depth, the only ones that meet level l - 1, so
     it is n f_l x n m_{l-1} for f_l first-depth and m_{l-1} lower-level
@@ -353,29 +402,15 @@ def _level_solve(mc, h0, rhs):
     solution.
     """
     k, n = mc.k, mc.f.fiber_dim
-    kept = twisted.cochain_space(k, mc.f, 0, h0.flavor)[::n]
+    plan = k.plan(("levels", h0.flavor, n, numlin.BASE_ROWS),
+                  lambda: _plan_levels(k, h0.flavor, n))
     a = np.zeros(rhs.shape)
-    if not kept.any():
+    if plan is None:
         return a
-    order, level, pos, sizes, firsts = _levels(kept, h0.depth, n)
-    dofs = (n * order[:, None] + np.arange(n)).ravel()
+    dofs, roots, placed, corner, width, cuts, dim, first = plan
     # the flat sections live on components with a free root, which leads
     # level 0
-    roots = dofs[:n * np.count_nonzero(h0.depth[order] == 0)] if h0.dim else dofs[:0]
-    # each triangle block (t, i, j) goes to the level of its row vertex i,
-    # into D there or, one level below, into B; the rest is the transpose.
-    # A B row vertex is at its level's first depth, so it leads the level
-    verts = k.ends[k.tri_edges[:, [0, 0, 2]], [0, 1, 1]]
-    row, col = verts[:, _ROW].ravel(), verts[:, _COL].ravel()
-    row_level, col_level = level[row], level[col]
-    placed = np.flatnonzero((col_level >= 0) & (row_level >= col_level))
-    placed = placed[np.argsort(row_level[placed], kind="stable")]
-    row, col, at = row[placed], col[placed], row_level[placed]
-    sub = at != col_level[placed]
-    dim, first = n * sizes, n * firsts
-    width = np.where(sub, dim[at - 1], dim[at])
-    corner = np.where(sub, dim[at] ** 2, 0) + n * (pos[row] * width + pos[col])
-    cuts = np.searchsorted(at, np.arange(sizes.size + 1)).tolist()
+    roots = dofs[:roots] if h0.dim else dofs[:0]
     fiber = np.arange(n)
     blocks = mc.l0.reshape(-1, n, n)
 
@@ -413,7 +448,7 @@ def hodge_decomposition(mc, bases=None):
     """
     k, f, tol = mc.k, mc.f, mc.tol
     # the transports of each triangle's edges e01, e02, e12
-    n, p = f.fiber_dim, f.transports[k.tri_edges]
+    n, p = f.fiber_dim, f.transports.take(k.tri_edges, axis=0)
     h1, h1_rel = bases or twisted.h1_flavors(k, f, tol)
     harm = harmonic_spaces(mc, (h1, h1_rel))
     ccc = harm.ccc

@@ -216,7 +216,7 @@ def gauge_transform(k, system, gauges, tol=DEFAULT_TOL):
         for v, g in enumerate(gauges)
     ])
     tail, head = k.ends.T
-    arr = gs[tail] @ system.transports @ gs[head].transpose(0, 2, 1)
+    arr = gs.take(tail, axis=0) @ system.transports @ gs.take(head, axis=0).transpose(0, 2, 1)
     out = FlatLocalSystem(fiber_dim=n, transports=arr)
     out.flat_residual = _flat_residual(k, out)
     return out

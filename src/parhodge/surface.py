@@ -20,8 +20,14 @@ The Whitney matrices are assembled from this table in `hodge`, which sums
 per-triangle results back onto the edges through `edge_slots`, as do the
 dual-graph walks in `twisted`.
 
+A complex also keeps, by key, the plans that the walks in `twisted` and
+the level solve in `hodge` derive from it alone (`SurfaceComplex.plan`),
+so that every system on one mesh reuses them; they go with the mesh.
+
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
-sphere, one-holed torus and the round sphere) together with
+sphere, one-holed torus and the round sphere), each built once per
+argument tuple and shared read-only among the most recent (`_shared`),
+together with
   * a `PLMetric` from the generating embedding, and
   * `GeneratorLoops`: based edge loops for the surface-group generators,
     the group relation they satisfy, and a per-edge word table that lets a
@@ -36,6 +42,7 @@ sphere, one-holed torus and the round sphere) together with
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,6 +74,17 @@ class SurfaceComplex:
     boundary_components: list = field(default_factory=list)
     component_of: np.ndarray | None = None
     n_components: int = 0
+    # what the walks and solves derive from this mesh alone, by key
+    # (`plan`); freed with the mesh
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def plan(self, key, make):
+        """The plan `key` of this mesh, from `make()` the first time it is
+        asked for and kept with the mesh: integer bookkeeping that depends
+        on the mesh alone, never on lengths or transports."""
+        if key not in self._plans:
+            self._plans[key] = make()
+        return self._plans[key]
 
     @property
     def n_edges(self):
@@ -339,8 +357,31 @@ def _word(*letters):
     return tuple((n, e) for n, e in letters if e != 0)
 
 
+# how many builtin meshes `_shared` keeps, the most recently used
+_SHARED_MESHES = 8
+
+
+@functools.lru_cache(maxsize=_SHARED_MESHES)
+def _shared(make, *args):
+    """`make(*args)`, the (complex, metric, loops) of a builtin mesh, built
+    once per argument tuple and handed to every caller: a sweep asks for
+    the same few surfaces again and again, and a shared complex keeps its
+    plans (`SurfaceComplex.plan`).  Every array of the complex and of the
+    metric is made read-only; the boundary cycles and the loops are shared
+    as well, and no caller changes them."""
+    k, h, loops = make(*args)
+    for a in (*vars(k).values(), *vars(h).values()):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return k, h, loops
+
+
 def torus(m):
-    """Flat unit-square torus on an m x m grid (m >= 3)."""
+    """Flat unit-square torus on an m x m grid (m >= 3); shared (`_shared`)."""
+    return _shared(_torus, m)
+
+
+def _torus(m):
     if m < 3:
         raise InvalidParameter("torus grid needs m >= 3")
     complex_, metric, words = _square_torus(m)
@@ -418,7 +459,12 @@ def _index_words(k, arcs):
 
 
 def annulus(m, n):
-    """Planar annulus (radii 1..2) on an m x (n+1) cylinder grid."""
+    """Planar annulus (radii 1..2) on an m x (n+1) cylinder grid; shared
+    (`_shared`)."""
+    return _shared(_annulus, m, n)
+
+
+def _annulus(m, n):
     if m < 3 or n < 1:
         raise InvalidParameter("annulus needs m >= 3 angular and n >= 1 radial")
     vid = lambda i, j: j * m + (i % m)
@@ -450,7 +496,12 @@ def annulus(m, n):
 
 
 def disk(m):
-    """Regular m-gon fanned from its barycenter; trivial surface group."""
+    """Regular m-gon fanned from its barycenter; trivial surface group;
+    shared (`_shared`)."""
+    return _shared(_disk, m)
+
+
+def _disk(m):
     if m < 3:
         raise InvalidParameter("disk needs m >= 3 boundary vertices")
     center = m
@@ -471,7 +522,12 @@ def disk(m):
 
 
 def sphere(subdiv=1):
-    """Octahedron refined `subdiv - 1` times, vertices on the unit sphere."""
+    """Octahedron refined `subdiv - 1` times, vertices on the unit sphere;
+    shared (`_shared`)."""
+    return _shared(_sphere, subdiv)
+
+
+def _sphere(subdiv):
     positions = [
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
     ]
@@ -508,8 +564,13 @@ def genus_k(g, k, subdiv=1):
     Supported meshes: the sphere (0,0), punctured spheres (0,k) built from a
     rectangle grid with k-1 triangular holes and vertical cuts to the bottom
     edge, the torus (1,0) and the one-holed torus (1,1) with the grid corner
-    triangle removed.  Higher genus grids are not implemented.
+    triangle removed.  Higher genus grids are not implemented.  Shared
+    (`_shared`).
     """
+    return _shared(_genus_k, g, k, subdiv)
+
+
+def _genus_k(g, k, subdiv):
     if g < 0 or k < 0 or subdiv < 1:
         raise InvalidParameter("need g >= 0, k >= 0, subdiv >= 1")
     if g == 0 and k == 0:

@@ -21,7 +21,10 @@ the coboundaries:
     root fiber to each vertex.  One queue walk, `_breadth_first`, labels
     the nodes of this forest, of the dual forest below and of the cotree
     with the arc and node that reached them, their depth and their walk,
-    as integer bookkeeping on Python lists; the transports go down the
+    as integer bookkeeping on Python lists.  That bookkeeping depends on
+    the mesh and the flavor alone, so it is planned once per mesh
+    (`_plan_walk`, `_plan_dual`) and kept with it
+    (`surface.SurfaceComplex.plan`); per system the transports go down the
     forest one depth at a time, one batched product per depth.  The flat
     sections (H^0) are the G c whose defect P G_b c - G_a c vanishes on the
     non-tree edges.  H^2 = coker d1 is the same construction on the dual
@@ -42,7 +45,9 @@ the coboundaries:
     triangle's equation is exactly zero unless its subtree holds a triangle
     with a loop edge, so only those live triangles, the cotree paths from
     the loop edges up to the roots, are eliminated: O(|L| x cotree depth)
-    work, not O(n_T).
+    work, not O(n_T).  The cotree, its live triangles and their edges are
+    in the walk plan too, so a system pays only the elimination's
+    arithmetic.
   * classes: Z_T meets the exact cochains exactly in the d0 of parallel
     sections over free roots, the free-root defects.  A cocycle in Z_T is
     fixed by its loop-edge values (n 2g of them on a closed component,
@@ -81,6 +86,7 @@ against the metric module.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +120,6 @@ class CohomologyBasis:
     dim: int
     # degree 1: the degree-0 basis of the same flavor from the same walk
     h0: CohomologyBasis | None = None
-    # degree 0: per vertex, its breadth-first depth in the walk that cut the
-    # basis, which `hodge.harmonic_representative` solves level by level
-    depth: np.ndarray | None = None
 
 
 def interior_edge_mask(k):
@@ -179,14 +182,14 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
         reps = _flat_triangle_sections(k, f, flavor, tol)
         return CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1])
 
-    loose, flat, exact, depth = _tree_and_flat_sections(k, f, flavor, tol)
-    h0 = CohomologyBasis(flavor=flavor, reps=flat, dim=flat.shape[1], depth=depth)
+    walk = _walk(k, flavor)
+    flat, exact = _tree_and_flat_sections(k, f, walk, tol)
+    h0 = CohomologyBasis(flavor=flavor, reps=flat, dim=flat.shape[1])
     if degree == 0:
         return h0
 
-    order, parent, up, loops = _cotree(k, loose)
-    z = _cocycles_off_tree(k, f, order, parent, up, loops, tol)
-    dofs = np.repeat(loops, f.fiber_dim)
+    z = _cocycles_off_tree(k, f, walk, tol)
+    dofs = np.repeat(walk.loops, f.fiber_dim)
     # z[dofs] is orthonormal, and its span holds the loop-edge values of the
     # exact cochains in Z_T; keep the complement of those
     keep = numlin.nullspace_basis(exact[dofs].T @ z[dofs], tol, scale=1.0)
@@ -198,25 +201,73 @@ def cohomology(k, f, degree, flavor="absolute", tol=DEFAULT_TOL):
     return CohomologyBasis(flavor=flavor, reps=reps, dim=reps.shape[1], h0=h0)
 
 
-def _tree_and_flat_sections(k, f, flavor, tol):
-    """`_flat_forest` on the vertices joined across the flavor's active
-    edges, the boundary pinned in the relative flavor: the mask of
-    non-tree active edges, the flat sections as 0-cochains, the exact
-    cocycles d0 G c as 1-cochains and each vertex's depth in the walk."""
-    n = f.fiber_dim
+# A breadth-first spanning forest of a graph (`_forest`): the graph, and
+# what `_flat_forest` reads of the walk, which depends on the graph alone
+_Forest = collections.namedtuple("_Forest", [
+    "nodes", "ends", "pinned",  # node count, arc ends, the merged root's nodes
+    "child",  # the nodes below a root, in depth order
+    "up",  # their parents
+    "tree_arc",  # the arcs that reached them
+    "down",  # whether that arc runs parent -> child as (a, b) = ends
+    "cuts",  # where each depth starts in `child`, and the end
+    "loose",  # the mask of non-tree arcs
+    "loose_arcs", "tails", "heads",  # their ids, and their ends a and b
+    # per free root: the positions of its loose arcs among `loose_arcs`,
+    # their ids, and the nodes of its walk
+    "free_roots",
+    "depth",  # per node, its depth in the walk
+])
+
+# The walks of one flavor on one mesh (`_plan_walk`), kept with the mesh
+_Walk = collections.namedtuple("_Walk", [
+    "act",  # the flavor's active edges,
+    "forest",  # the arcs of the vertex forest
+    "loose",  # the mask of non-tree active edges
+    "loops",  # the loop edges of their cotree (`_cotree`)
+    # per live triangle, leaves first, its parent edge and its table edges
+    # e01, e02, e12, and None per root triangle that is not live: the
+    # elimination steps of `_cocycles_off_tree`
+    "steps",
+])
+
+
+def _walk(k, flavor):
+    """The flavor's `_Walk` on `k`, planned on the first call."""
+    return k.plan(("walk", flavor), lambda: _plan_walk(k, flavor))
+
+
+def _plan_walk(k, flavor):
+    """Walk the spanning forest of the vertices joined across the flavor's
+    active edges, the boundary pinned in the relative flavor, and the
+    cotree of the triangles across its non-tree active edges."""
     if flavor == "relative":
         active, pinned = interior_edge_mask(k), ~interior_vertex_mask(k)
     else:
         active, pinned = np.ones(k.n_edges, dtype=bool), np.zeros(k.vertex_count, dtype=bool)
     act = np.flatnonzero(active)
-    loose_arcs, flat, defects, depth = _flat_forest(
-        k.vertex_count, k.ends.take(act, axis=0), f.transports.take(act, axis=0),
-        pinned, tol)
+    forest = _forest(k.vertex_count, k.ends.take(act, axis=0), pinned)
     loose = active.copy()
-    loose[act] = loose_arcs
+    loose[act] = forest.loose
+    order, parent, up, loops = _cotree(k, loose)
+    live = _live_triangles(k, up, loops)
+    tris = k.tri_edges.tolist()
+    steps, back = [], order[::-1]
+    for t, e in zip(back, parent[back].tolist()):
+        if live[t]:
+            steps.append((e, *tris[t]))
+        elif e < 0:
+            steps.append(None)
+    return _Walk(act=act, forest=forest, loose=loose, loops=loops, steps=steps)
+
+
+def _tree_and_flat_sections(k, f, walk, tol):
+    """`_flat_forest` on the `walk`'s vertex forest: the flat sections as
+    0-cochains and the exact cocycles d0 G c as 1-cochains."""
+    n = f.fiber_dim
+    flat, defects = _flat_forest(walk.forest, f.transports.take(walk.act, axis=0), tol)
     exact = np.zeros((k.n_edges, n, defects.shape[2]))
-    exact[act] = defects
-    return loose, flat, exact.reshape(n * k.n_edges, -1), depth
+    exact[walk.act] = defects
+    return flat, exact.reshape(n * k.n_edges, -1)
 
 
 def _breadth_first(nodes, ends, seeds):
@@ -262,61 +313,78 @@ def _breadth_first(nodes, ends, seeds):
     return (order, *(np.array(labels, dtype=int) for labels in (arc, up, depth, walk)))
 
 
-def _flat_forest(nodes, ends, transports, pinned, tol):
-    """Breadth-first spanning forest of a graph whose arcs carry orthogonal
-    transports, and its flat sections.
-
-    A section x, a fiber vector per node, is flat across arc i, ends[i] =
-    (a, b), when x_a = P_i x_b.  Pinned nodes are one merged root where
-    sections vanish; every other component gets a free root with tree
-    transport G = identity.  A parallel section G c, c in the root fiber,
-    is flat on the tree, and its defect on a non-tree arc is P G_b c - G_a c.
-    Returns the mask of non-tree arcs, the flat sections (zero defect) as
-    Euclidean-orthonormal columns, per arc the defects (arcs, n, cols)
-    of G c for c spanning the complement of the flat directions, and each
-    node's depth.
+def _forest(nodes, ends, pinned):
+    """Breadth-first spanning forest of the graph on `nodes` nodes whose
+    arc i joins ends[i], with the `pinned` nodes one merged root and a free
+    root for every other component, as a `_Forest`.
 
     `_breadth_first` labels the nodes, the pinned ones as walk 0 and each
-    free root's component as a walk of its own; the transports then go down
-    one depth at a time, each depth one batched product G_child = P G_parent
-    over all components.
+    free root's component as a walk of its own; the children are sorted by
+    depth, so that `_flat_forest` takes one depth at a time.
     """
-    n = transports.shape[1]
     _, via, up, depth, walk = _breadth_first(nodes, ends, [np.flatnonzero(pinned).tolist()])
     child = np.flatnonzero(via >= 0)
     child = child[np.argsort(depth[child], kind="stable")]
     tree_arc = via[child]
-    in_tree = np.zeros(len(ends), dtype=bool)
-    in_tree[tree_arc] = True
+    loose = np.ones(len(ends), dtype=bool)
+    loose[tree_arc] = False
+    loose_arcs = np.flatnonzero(loose)
+    tails, heads = ends.take(loose_arcs, axis=0).T
+    loose_walk = walk[tails]
+    free_roots = []
+    for r in range(1, walk.max(initial=0) + 1):
+        mine = np.flatnonzero(loose_walk == r)
+        free_roots.append((mine, loose_arcs[mine], np.flatnonzero(walk == r)))
+    return _Forest(
+        nodes=nodes, ends=ends, pinned=pinned, child=child, up=up[child],
+        tree_arc=tree_arc, down=ends[tree_arc, 1] == child,
+        cuts=np.flatnonzero(np.diff(depth[child], prepend=-1, append=-1)).tolist(),
+        loose=loose, loose_arcs=loose_arcs, tails=tails, heads=heads, free_roots=free_roots,
+        depth=depth)
+
+
+def _flat_forest(forest, transports, tol):
+    """The flat sections of a `_Forest` whose arcs carry orthogonal
+    transports.
+
+    A section x, a fiber vector per node, is flat across arc i, ends[i] =
+    (a, b), when x_a = P_i x_b.  Sections vanish on the pinned root; every
+    free root has tree transport G = identity.  A parallel section G c, c
+    in the root fiber, is flat on the tree, and its defect on a non-tree
+    arc is P G_b c - G_a c.  Returns the flat sections (zero defect) as
+    Euclidean-orthonormal columns, and per arc the defects (arcs, n, cols)
+    of G c for c spanning the complement of the flat directions.
+
+    The walk is the forest's; here the transports go down it one depth at
+    a time, each depth one batched product G_child = P G_parent over all
+    components, and then come the defects and one small SVD per free root.
+    """
+    n, nodes = transports.shape[1], forest.nodes
     # the section is flat across each tree arc, x_a = P x_b for ends (a, b)
-    down = ends[tree_arc, 1] == child
-    p = transports.take(tree_arc, axis=0)
-    p = np.where(down[:, None, None], p.transpose(0, 2, 1), p)
-    up = up[child]
+    p = transports.take(forest.tree_arc, axis=0)
+    p = np.where(forest.down[:, None, None], p.transpose(0, 2, 1), p)
+    child, up, cuts = forest.child, forest.up, forest.cuts
     g = np.tile(np.eye(n), (nodes, 1, 1))
-    cuts = np.flatnonzero(np.diff(depth[child], prepend=-1, append=-1)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         g[child[lo:hi]] = p[lo:hi] @ g.take(up[lo:hi], axis=0)
 
-    loose = ~in_tree
-    defect = transports[loose] @ g.take(ends[loose, 1], axis=0) - g.take(ends[loose, 0], axis=0)
-    loose_walk = walk[ends[loose, 0]]
+    defect = (transports.take(forest.loose_arcs, axis=0) @ g.take(forest.heads, axis=0)
+              - g.take(forest.tails, axis=0))
     flat = np.zeros((n * nodes, 0))
-    exact = np.zeros((len(ends), n, 0))
-    for r in range(1, walk.max(initial=0) + 1):
-        mine = loose_walk == r
+    exact = np.zeros((len(forest.ends), n, 0))
+    for at, arcs, verts in forest.free_roots:
+        mine = defect.take(at, axis=0)
         # the R factor has the singular values of the tall system
-        c = numlin.nullspace_basis(np.linalg.qr(defect[mine].reshape(-1, n), mode="r"),
+        c = numlin.nullspace_basis(np.linalg.qr(mine.reshape(-1, n), mode="r"),
                                    tol, scale=1.0)
-        verts = np.flatnonzero(walk == r)
         sections = np.zeros((nodes, n, c.shape[1]))
-        sections[verts] = g[verts] @ c / np.sqrt(len(verts))
+        sections[verts] = g.take(verts, axis=0) @ c / np.sqrt(len(verts))
         flat = np.hstack([flat, sections.reshape(n * nodes, -1)])
         moving = numlin.nullspace_basis(c.T, tol, scale=1.0)
-        cocycles = np.zeros((len(ends), n, moving.shape[1]))
-        cocycles[np.flatnonzero(loose)[mine]] = defect[mine] @ moving
+        cocycles = np.zeros((len(forest.ends), n, moving.shape[1]))
+        cocycles[arcs] = mine @ moving
         exact = np.concatenate([exact, cocycles], axis=2)
-    return loose, flat, exact, depth
+    return flat, exact
 
 
 def _dual_arcs(k, edges):
@@ -335,18 +403,25 @@ def _flat_triangle_sections(k, f, flavor, tol):
     row of d1, d1^T y = 0 reads y_1 = -c_1 c_2^T y_2 across an interior
     edge of triangles t_1, t_2, and c_t^T y_t = 0 on a boundary edge, which
     pins its triangle in the absolute flavor."""
-    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
+    n, nt = f.fiber_dim, k.n_triangles
     coef = np.empty((nt, 3, n, n))
     coef[:, 0] = np.eye(n)
     coef[:, 1] = -np.eye(n)
-    coef[:, 2] = f.transports[te[:, 0]]
+    coef[:, 2] = f.transports.take(k.tri_edges[:, 0], axis=0)
     coef = coef.reshape(3 * nt, n, n)
-    _, slots, _, lone = _dual_arcs(k, np.ones(k.n_edges, dtype=bool))
-    pinned = np.zeros(nt, dtype=bool)
-    pinned[lone // 3] = flavor == "absolute"
+    slots, forest = k.plan(("dual", flavor), lambda: _plan_dual(k, flavor))
     s1, s2 = slots.T
     arcs = -coef.take(s1, axis=0) @ coef.take(s2, axis=0).transpose(0, 2, 1)
-    return _flat_forest(nt, slots // 3, arcs, pinned, tol)[1]
+    return _flat_forest(forest, arcs, tol)[0]
+
+
+def _plan_dual(k, flavor):
+    """The dual graph's slot pairs and its `_Forest`, the triangles on a
+    boundary edge pinned in the absolute flavor."""
+    _, slots, _, lone = _dual_arcs(k, np.ones(k.n_edges, dtype=bool))
+    pinned = np.zeros(k.n_triangles, dtype=bool)
+    pinned[lone // 3] = flavor == "absolute"
+    return slots, _forest(k.n_triangles, slots // 3, pinned)
 
 
 def _cotree(k, dual):
@@ -382,33 +457,30 @@ def _live_triangles(k, up, loops):
     return live
 
 
-def _cocycles_off_tree(k, f, order, parent, up, loops, tol):
+def _cocycles_off_tree(k, f, walk, tol):
     """Basis (absolute coordinates) of the closed 1-cochains that vanish
-    off the loop edges and the cotree, orthonormal on the loop edges.
+    off the loop edges and the cotree of `walk`, orthonormal on the loop
+    edges.
 
     Walked leaves first, every non-root triangle equation fixes the value
     on its parent dual edge, whose coefficient is +-I or P, so the values
     on the loop edges parametrize everything; the root triangle equations
     C are what is left, and the cocycles are ker C.  Outside the live
     triangles (`_live_triangles`) every value is zero, so only those are
-    eliminated, and a root triangle that is not live adds zero rows.
+    eliminated, and a root triangle that is not live adds zero rows: the
+    `walk`'s steps.
     """
     n = f.fiber_dim
-    tris = k.tri_edges.tolist()
-    n_loops = int(loops.sum())
+    n_loops = int(walk.loops.sum())
     m = n * n_loops
     values = np.zeros((k.n_edges, n, m))
-    values[loops] = np.eye(m).reshape(n_loops, n, m)
-    live = _live_triangles(k, up, loops)
-    parent = parent.tolist()
+    values[walk.loops] = np.eye(m).reshape(n_loops, n, m)
     root_rows = [np.zeros((0, m))]
-    for t in reversed(order):
-        e = parent[t]
-        if not live[t]:
-            if e < 0:
-                root_rows.append(np.zeros((n, m)))
+    for step in walk.steps:
+        if step is None:
+            root_rows.append(np.zeros((n, m)))
             continue
-        e01, e02, e12 = tris[t]
+        e, e01, e02, e12 = step
         p = f.transports[e01]
         # (d1 w)_t = P w(e12) - w(e02) + w(e01); the parent edge is still 0
         rest = p @ values[e12] - values[e02] + values[e01]

@@ -14,6 +14,13 @@ def _silence_disconnected():
         yield
 
 
+@pytest.fixture(autouse=True)
+def _cold_meshes():
+    """Every test starts with no builtin mesh shared, so its meshes walk
+    afresh."""
+    surface._shared.cache_clear()
+
+
 def edge_index(k):
     """The (low, high) -> id dict of a built complex's edges, read off
     `ends`: the lookup that oracles use in place of `surface.edge_ids`."""

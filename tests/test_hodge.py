@@ -229,7 +229,7 @@ def test_harmonic_spaces_walk_each_class_once_and_build_no_coboundaries(monkeypa
             return fn(*args, **kwargs)
         monkeypatch.setattr(twisted, name, wrapped)
 
-    for name in ("coboundaries", "cohomology", "_tree_and_flat_sections", "_cotree"):
+    for name in ("coboundaries", "cohomology", "_plan_walk", "_cotree"):
         counting(name, getattr(twisted, name))
     harm = hodge.harmonic_spaces(mc)
     assert harm.dim_n > 0 and harm.dim_d > 0
@@ -239,7 +239,7 @@ def test_harmonic_spaces_walk_each_class_once_and_build_no_coboundaries(monkeypa
     # spanning trees and two cotrees
     walks = [key for name, key in calls if name == "cohomology"]
     assert sorted(walks) == [(1, "absolute"), (1, "relative")]
-    assert names.count("_tree_and_flat_sections") == 2
+    assert names.count("_plan_walk") == 2
     assert names.count("_cotree") == 2
 
 
@@ -745,14 +745,15 @@ def test_level_solve_matches_the_dense_laplacian_solve(monkeypatch, base_rows):
         for flavor in ("absolute", "relative"):
             case = (label, flavor)
             h0 = twisted.cohomology(k, f, 0, flavor)
+            depth = twisted._walk(k, flavor).forest.depth
             mask = twisted.cochain_space(k, f, 0, flavor)
             kept = mask[::n]
             # every edge between kept vertices joins one depth or two
             # adjacent ones, and so one level or two adjacent ones
             a, b = k.ends[kept[k.ends].all(axis=1)].T
-            assert np.abs(h0.depth[a] - h0.depth[b]).max(initial=0) <= 1, case
+            assert np.abs(depth[a] - depth[b]).max(initial=0) <= 1, case
             if kept.any():
-                level = hodge._levels(kept, h0.depth, n)[1]
+                level = hodge._levels(kept, depth, n)[1]
                 assert (level[kept] >= 0).all() and (level[~kept] == -1).all(), case
                 assert np.abs(level[a] - level[b]).max(initial=0) <= 1, case
             flat = h0.reps[mask]
@@ -821,7 +822,8 @@ def test_level_solve_hands_on_first_depth_b_blocks(monkeypatch, base_rows):
             if not kept.any():
                 assert not calls, case
                 continue
-            _, _, _, sizes, firsts = hodge._levels(kept, h0.depth, n)
+            _, _, _, sizes, firsts = hodge._levels(
+                kept, twisted._walk(k, flavor).forest.depth, n)
             dim, first = (n * sizes).tolist(), (n * firsts).tolist()
             (call,) = calls
             assert call["sizes"] == dim and call["b_rows"] == first, case

@@ -266,9 +266,9 @@ def _assert_class_contract(k, f, got, want, exact, case=None):
     assert numlin.rank(np.hstack([got.reps, exact]), scale=1.0) == got.dim + r, case
     both = np.hstack([got.reps, want.reps, exact])
     assert numlin.rank(both, scale=1.0) == got.dim + r, case
-    loose, _, cocycles, _ = twisted._tree_and_flat_sections(
-        k, f, got.flavor, numlin.DEFAULT_TOL)
-    dofs = np.repeat(twisted._cotree(k, loose)[3], f.fiber_dim)
+    walk = twisted._walk(k, got.flavor)
+    cocycles = twisted._tree_and_flat_sections(k, f, walk, numlin.DEFAULT_TOL)[1]
+    dofs = np.repeat(twisted._cotree(k, walk.loose)[3], f.fiber_dim)
     y = got.reps[dofs]
     assert np.abs(y.T @ y - np.eye(got.dim)).max(initial=0) < 1e-9, case
     assert np.abs(y.T @ cocycles[dofs]).max(initial=0) < 1e-9, case
@@ -475,7 +475,7 @@ def _entry_point(case):
         assert twisted.euler_characteristic_dims(k, f) == [0, 3, 0]
 
 
-# (spanning trees, cotrees) walked per call
+# (spanning trees, cotrees) walked per call on a cold mesh
 _WALKS = {
     "restriction_and_parabolic": (2, 2),
     "parabolic_star": (2, 2),
@@ -485,22 +485,23 @@ _WALKS = {
     "harmonic_spaces": (2, 2),
     "ambient_route_diagnostic": (2, 2),
     "euler_characteristic_dims": (1, 1),
-    # each flavor of the system and of its gauge transform, once
-    "verify_case": (4, 4),
+    # the gauge transform of the system shares its mesh's walks
+    "verify_case": (2, 2),
     # a closed surface's relative flavor is its absolute one
     "restriction_and_parabolic-torus": (1, 1),
     "parabolic_star-torus": (1, 1),
     "harmonic_spaces-torus": (1, 1),
     "ambient_route_diagnostic-torus": (1, 1),
-    "verify_case-torus": (2, 2),
+    "verify_case-torus": (1, 1),
 }
 
 
 @pytest.mark.parametrize("name", _WALKS)
 def test_entry_points_walk_each_flavor_once(monkeypatch, name):
     # a degree-1 basis carries its flat sections (for the harmonic solve),
-    # so nothing walks a flavor again
-    counts = dict.fromkeys(("_tree_and_flat_sections", "_cotree"), 0)
+    # and a mesh keeps its walks, so nothing walks a flavor again: once on
+    # a cold mesh, and not at all on a warm one
+    counts = dict.fromkeys(("_plan_walk", "_cotree"), 0)
 
     def counting(fn_name, fn):
         def wrapped(*args):
@@ -511,7 +512,9 @@ def test_entry_points_walk_each_flavor_once(monkeypatch, name):
     for fn_name in counts:
         monkeypatch.setattr(twisted, fn_name, counting(fn_name, getattr(twisted, fn_name)))
     _entry_point(name)
-    assert (counts["_tree_and_flat_sections"], counts["_cotree"]) == _WALKS[name]
+    assert (counts["_plan_walk"], counts["_cotree"]) == _WALKS[name]
+    _entry_point(name)
+    assert (counts["_plan_walk"], counts["_cotree"]) == _WALKS[name]
 
 
 def test_h1_flavors_share_the_basis_only_without_boundary():

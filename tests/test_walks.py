@@ -2,8 +2,10 @@
 edge-slot gathers, the boundary walk on stored step directions, the masks
 read off `edge_slots` and the one-search path transports against their
 queue, `np.add.at`, step-by-step and per-path oracles (`walk_oracle`):
-equal bit for bit, down to the report bytes."""
+equal bit for bit, down to the report bytes.  A mesh keeps its walks, so
+every oracle pass runs on fresh meshes."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -14,15 +16,41 @@ from parhodge import cli, hodge, localsys, numlin, surface, twisted
 import walk_oracle
 from test_twisted import _oracle_cases
 
+_WALKS = ("_flat_forest", "_cotree", "_cocycles_off_tree", "_boundary_walk")
+
 
 def _use_oracles(monkeypatch):
+    """Swap in every oracle; returns the set that collects the names of
+    the walks (`_WALKS`) that ran."""
+    called = set()
+
+    def counted(name, oracle):
+        def wrapped(*args):
+            called.add(name)
+            return oracle(*args)
+        return wrapped
+
     for name in ("_flat_forest", "_cotree", "_cocycles_off_tree", "_d0_adjoint",
                  "_boundary_walk", "interior_edge_mask", "interior_vertex_mask"):
-        monkeypatch.setattr(twisted, name, getattr(walk_oracle, name))
+        oracle = getattr(walk_oracle, name)
+        monkeypatch.setattr(twisted, name, counted(name, oracle) if name in _WALKS else oracle)
     for name in ("_triangle_apply", "_edge_sums"):
         monkeypatch.setattr(hodge, name, getattr(walk_oracle, name))
     for name in ("_path_transports", "boundary_monodromies"):
         monkeypatch.setattr(localsys, name, getattr(walk_oracle, name))
+    return called
+
+
+@contextlib.contextmanager
+def _oracle_pass(walks=_WALKS):
+    """The oracles swapped in on cold meshes, checking on the way out that
+    each of `walks` ran: a mesh keeps its walks, so on a warm one the
+    oracles would read the fast walks' plans and test nothing."""
+    surface._shared.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        called = _use_oracles(mp)
+        yield
+    assert set(walks) <= called, set(walks) - called
 
 
 def _bases(k, f):
@@ -37,12 +65,11 @@ def _bases(k, f):
 
 
 def test_cohomology_matches_the_queue_walks_bit_for_bit():
-    cases = list(_oracle_cases((3, 6, 12)))
-    got = [_bases(k, f) for _, k, f in cases]
-    with pytest.MonkeyPatch.context() as mp:
-        _use_oracles(mp)
-        for (label, k, f), bases in zip(cases, got):
-            assert _bases(k, f) == bases, label
+    got = [(label, _bases(k, f)) for label, k, f in _oracle_cases((3, 6, 12))]
+    with _oracle_pass(_WALKS[:3]):
+        # the same cases on fresh meshes
+        for (label, k, f), (want_label, bases) in zip(_oracle_cases((3, 6, 12)), got):
+            assert label == want_label and _bases(k, f) == bases, label
 
 
 def _apply_cases(rng):
@@ -69,6 +96,7 @@ def test_gathers_match_the_add_at_scatter_bit_for_bit(monkeypatch):
                hodge._edge_sums(mc.k, y), twisted._d0_adjoint(mc.k, mc.f, x),
                twisted._d0_adjoint(mc.k, mc.f, x[:, :0])]
         with monkeypatch.context() as mp:
+            # the applies walk nothing, so no walk needs to run here
             _use_oracles(mp)
             want = [hodge.m1_apply(mc, x), hodge.m1_apply(mc, x[:, 0]),
                     hodge.galerkin_operator(mc)(x), hodge.galerkin_operator(mc)(x[:, :1]),
@@ -150,8 +178,8 @@ def test_walks_match_their_queue_oracles():
     labels = set()
     for label, k, f in _live_cases():
         labels.add(label)
-        duals = {flavor: twisted._tree_and_flat_sections(k, f, flavor, numlin.DEFAULT_TOL)[0]
-                 for flavor in ("absolute", "relative")}
+        walks = {flavor: twisted._walk(k, flavor) for flavor in ("absolute", "relative")}
+        duals = {flavor: walk.loose for flavor, walk in walks.items()}
         # every edge dual: a corner triangle of pants then lies on two
         # outside edges, and its second one starts no walk
         duals["all"] = np.ones(k.n_edges, dtype=bool)
@@ -163,11 +191,22 @@ def test_walks_match_their_queue_oracles():
             assert np.array_equal(parent, want[1]) and np.array_equal(loops, want[3]), case
         for flavor in ("absolute", "relative"):
             case = (label, flavor)
+            # the vertex forest spans the flavor's active edges, with the
+            # boundary pinned in the relative flavor
+            forest = walks[flavor].forest
+            relative = flavor == "relative"
+            active = walk_oracle.interior_edge_mask(k) | (not relative)
+            assert np.array_equal(forest.ends, k.ends[active]), case
+            assert np.array_equal(forest.pinned, ~walk_oracle.interior_vertex_mask(k)
+                                  & relative), case
             calls = _forest_calls(k, f, flavor)
             assert len(calls) == 2, case
-            for args in calls:
-                got, want = twisted._flat_forest(*args), walk_oracle._flat_forest(*args)
-                for a, b in zip(got, want):
+            for forest, transports, tol in calls:
+                got = (forest.loose, *twisted._flat_forest(forest, transports, tol),
+                       forest.depth)
+                want = walk_oracle.queue_forest(
+                    forest.nodes, forest.ends, transports, forest.pinned, tol)
+                for a, b in zip(got, want, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
     assert {"pants3/SO3", "pants6/SO3", "union"} <= labels
 
@@ -176,9 +215,14 @@ def test_live_set_is_where_the_elimination_is_nonzero():
     for label, k, f in _live_cases():
         for flavor in ("absolute", "relative"):
             case = (label, flavor)
-            loose = twisted._tree_and_flat_sections(k, f, flavor, numlin.DEFAULT_TOL)[0]
-            order, parent, up, loops = twisted._cotree(k, loose)
+            walk = twisted._walk(k, flavor)
+            order, parent, up, loops = twisted._cotree(k, walk.loose)
             live = np.array(twisted._live_triangles(k, up, loops), dtype=bool)
+            # the elimination steps through the live triangles, and past
+            # every root triangle
+            steps = [s for s in walk.steps if s is not None]
+            assert len(steps) == live.sum(), case
+            assert len(walk.steps) - len(steps) == (~live & (parent < 0)).sum(), case
             up = np.array(up)
             # closed under the cotree parent
             assert live[up[live & (up >= 0)]].all(), case
@@ -203,7 +247,9 @@ def test_live_set_is_where_the_elimination_is_nonzero():
     ["moduli", "--sample", "0", "4", "--angles", "2.0,2.5,3.0,3.5"],
     ["verify", "--example", "torus", "--refine", "4,6"],
 ])
-def test_reports_are_byte_identical_with_the_walk_oracles(tmp_path, monkeypatch, capsys, argv):
+def test_reports_are_byte_identical_with_the_walk_oracles(tmp_path, capsys, argv):
+    # a refinement table integrates round no boundary
+    walks = _WALKS[:3] if "--refine" in argv else _WALKS
     if "SYSTEM" in argv:
         _, _, loops = cli._EXAMPLES[argv[2]](6)
         images = localsys.random_images(loops, 3, np.random.default_rng(82))
@@ -213,6 +259,6 @@ def test_reports_are_byte_identical_with_the_walk_oracles(tmp_path, monkeypatch,
         argv = [str(system) if a == "SYSTEM" else a for a in argv]
     assert cli.main(argv) == 0
     batched = capsys.readouterr().out
-    _use_oracles(monkeypatch)
-    assert cli.main(argv) == 0
+    with _oracle_pass(walks):
+        assert cli.main(argv) == 0
     assert capsys.readouterr().out == batched

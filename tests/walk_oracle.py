@@ -12,15 +12,16 @@ its steps' directions off the path: the oracles of `twisted._boundary_walk`,
 directions that `surface.build` stores with each boundary cycle.
 
 `twisted` labels the spanning forest, the dual forest and the cotree with
-one breadth-first routine, `_breadth_first`; here each keeps a queue walk
-of its own.  `_flat_forest` (for the vertex and the dual graph) transports
-each node as its queue reaches it; `_cotree` finds each edge's triangles
-from `tri_edges` with `bincount`, not from `edge_slots`, and records the
-parent triangle only because `_cocycles_off_tree` takes it;
-`_cocycles_off_tree` eliminates every cotree triangle, live or not.  The
-walks are what these oracles check, the queue order and the depths; the
-forest's defects are the same stacked product P @ G as in `twisted`, so
-the comparisons stay bit for bit.
+one breadth-first routine, `_breadth_first`, and keeps what it finds with
+the mesh; here each keeps a queue walk of its own, on every call.
+`_flat_forest` (for the vertex and the dual graph) walks the graph of the
+forest it is handed, reading none of its labels, and transports each node
+as its queue reaches it; `_cotree` finds each edge's triangles from
+`tri_edges` with `bincount`, not from `edge_slots`, and records the parent
+triangle; `_cocycles_off_tree` walks a cotree of its own and eliminates
+every triangle, live or not.  The walks are what these oracles check, the queue
+order and the depths; the forest's defects are the same stacked product
+P @ G as in `twisted`, so the comparisons stay bit for bit.
 """
 
 import numpy as np
@@ -29,10 +30,17 @@ from parhodge import numlin, surface
 from parhodge.errors import InvalidParameter
 
 
-def _flat_forest(nodes, ends, transports, pinned, tol):
-    """Breadth-first spanning forest with transports, its flat sections,
-    the defects of the parallel sections and each node's depth
-    (`twisted._flat_forest`)."""
+def _flat_forest(forest, transports, tol):
+    """The flat sections and the defects of the parallel sections
+    (`twisted._flat_forest`), from a queue walk of the forest's graph that
+    reads none of the forest's labels."""
+    return queue_forest(forest.nodes, forest.ends, transports, forest.pinned, tol)[1:3]
+
+
+def queue_forest(nodes, ends, transports, pinned, tol):
+    """Breadth-first spanning forest with transports: the mask of non-tree
+    arcs, the flat sections, the defects of the parallel sections and each
+    node's depth (`twisted._forest` and `twisted._flat_forest`)."""
     n = transports.shape[1]
     a_end, b_end = ends.T
     arcs = np.arange(len(ends))
@@ -124,9 +132,11 @@ def _cotree(k, dual):
     return order, parent, up, loops
 
 
-def _cocycles_off_tree(k, f, order, parent, up, loops, tol):
+def _cocycles_off_tree(k, f, walk, tol):
     """The closed 1-cochains off the tree (`twisted._cocycles_off_tree`),
-    eliminating every triangle leaves first."""
+    eliminating every triangle leaves first, on a cotree of its own across
+    the walk's non-tree edges."""
+    order, parent, _, loops = _cotree(k, walk.loose)
     values, root_rows = eliminate(k, f, order, parent, loops)
     kernel = numlin.nullspace_basis(root_rows, tol, scale=1.0)
     return values.reshape(f.fiber_dim * k.n_edges, root_rows.shape[1]) @ kernel
