@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .errors import ConditionFailed, DegenerateInput, DimensionMismatch
+from .errors import ConditionFailed, DegenerateInput, DimensionMismatch, NoConvergence
 from .numlin import DEFAULT_TOL, Tolerance, as_matrix
 
 
@@ -66,10 +66,8 @@ class Subspace:
     def __post_init__(self):
         b = as_matrix(self.basis, "basis")
         object.__setattr__(self, "basis", b)
-        if b.shape[1] > 0:
-            s = np.linalg.svd(b, compute_uv=False)
-            if s[-1] <= self.tol.rank_tol * s[0]:
-                raise DegenerateInput("basis columns are numerically dependent")
+        if numlin.rank(b, self.tol) < b.shape[1]:
+            raise DegenerateInput("basis columns are numerically dependent")
 
     @property
     def ambient_dim(self):
@@ -120,17 +118,11 @@ def check_condition(space, sub, tol=DEFAULT_TOL):
     """
     _check_dims(space, sub)
     _, omega = gram_and_omega(space, sub)
-    if omega.shape[0] == 0:
-        return {"condition_2_1": True, "totally_real": True,
-                "min_omega_singular_value": float("inf")}
-    s = np.linalg.svd(omega, compute_uv=False)
-    sigma_min = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    nondegenerate = sigma_min > tol.rank_tol
+    sigma_min, nondegenerate = numlin.sigma_ratio(omega, tol)
     stacked = np.hstack([sub.basis, space.j @ sub.basis])
-    totally_real = numlin.rank(stacked, tol) == 2 * sub.dim
     return {
         "condition_2_1": bool(nondegenerate),
-        "totally_real": bool(totally_real),
+        "totally_real": numlin.rank(stacked, tol) == 2 * sub.dim,
         "min_omega_singular_value": sigma_min,
     }
 
@@ -153,10 +145,9 @@ def compatible_complex_structure(m, omega, tol=DEFAULT_TOL):
         empty = np.zeros((0, 0))
         return CompatibleStructureResult(m, omega, empty, empty, empty, residuals)
 
-    s = np.linalg.svd(omega, compute_uv=False)
-    sigma = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    sigma, nondegenerate = numlin.sigma_ratio(omega, tol)
     residuals["condition_sigma_min"] = sigma
-    if sigma <= tol.rank_tol:
+    if not nondegenerate:
         raise ConditionFailed(
             f"Omega numerically singular (relative sigma_min = {sigma:.3e})"
         )
@@ -188,8 +179,6 @@ def compatible_complex_structure(m, omega, tol=DEFAULT_TOL):
 def _skew_polar(s, tol, max_iter=100):
     """Orthogonal polar factor of a nonsingular skew matrix via the scaled
     Newton iteration W <- (g W + (g W)^{-T}) / 2."""
-    from .errors import NoConvergence
-
     norm = np.abs(s).max()
     w = s / norm
     for _ in range(max_iter):
@@ -343,7 +332,6 @@ def random_instance(rng, dim, sub_dim, tol=DEFAULT_TOL, max_tries=50, min_sigma=
             # the eigenvalues of R), so require a margin there
             m, omega = gram_and_omega(space, sub)
             _, m_inv_sqrt, _ = numlin.spd_functions(m, tol)
-            s = np.linalg.svd(m_inv_sqrt @ omega @ m_inv_sqrt, compute_uv=False)
-            if s[0] > 0 and s[-1] / s[0] > min_sigma:
+            if numlin.sigma_ratio(m_inv_sqrt @ omega @ m_inv_sqrt, tol)[0] > min_sigma:
                 return space, sub
     raise DegenerateInput("failed to sample a nondegenerate instance")

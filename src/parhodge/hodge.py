@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numlin, surface, twisted
+from . import compat, numlin, surface, twisted
 from .errors import NoConvergence
 from .numlin import DEFAULT_TOL
 
@@ -504,8 +504,6 @@ def galerkin_residuals(mc, harm):
     skew residual is the backward error of the M1 solves in the directions
     read here.
     """
-    from . import compat
-
     m1 = functools.partial(m1_apply, mc)
     jh = galerkin_operator(mc)
     ccc, h_n, h_d = harm.ccc, harm.h_n, harm.h_d
@@ -518,8 +516,8 @@ def galerkin_residuals(mc, harm):
     skew = ccc.T @ m1_j_ccc
     return {
         "skew_residual": float(np.abs(skew + skew.T).max(initial=0.0)),
-        "jsq_on_ccc": float(np.linalg.norm(jh(j_ccc) + ccc, 2)),
+        "jsq_on_ccc": numlin.spectral_norm(jh(j_ccc) + ccc),
         "angle_j_hn_vs_hd": compat.orthonormal_angle(
             numlin.orthonormalize(j_hn, m1, mc.tol), h_d, m1, mc.tol),
-        "p38_residual": float(np.linalg.norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd, 2)),
+        "p38_residual": numlin.spectral_norm(h_n @ (h_n.T @ m1_j_ccc) - j_pd),
     }, j_hn

@@ -90,7 +90,7 @@ def _flat_residual(k, system):
 
     def transport(i, j):
         # edge t_i t_j is opposite the third vertex; P read backwards is P^T
-        forward = p[opposite[:, 3 - i - j]]
+        forward = p.take(opposite[:, 3 - i - j], axis=0)
         return np.where((tri[:, i] < tri[:, j])[:, None, None], forward,
                         forward.transpose(0, 2, 1))
 

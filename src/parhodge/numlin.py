@@ -8,9 +8,12 @@ level of blocks at a time, each level by a dense Cholesky factorization
 of its Schur complement, so no matrix larger than two adjacent levels is
 formed.  `pcg` solves with an SPD operator given only as an apply
 function, and `orthonormalize` takes its metric the same way, so a caller
-never has to form an n_E-sized matrix.  Rank decisions are made relative
-to the largest singular/eigen value; assertion thresholds are absolute
-residuals.
+never has to form an n_E-sized matrix.  This module owns every rank,
+definiteness and nondegeneracy decision, and every SVD (`_svd`): a rank
+counts the singular/eigen values above `rank_tol` times the largest one,
+floored per caller (`_count_above`), and nondegeneracy compares
+sigma_min / sigma_max with `rank_tol` (`sigma_ratio`).  Assertion
+thresholds are absolute residuals.
 """
 
 from __future__ import annotations
@@ -97,10 +100,7 @@ def spd_functions(a, tol=DEFAULT_TOL):
     symmetrized exactly.
     """
     w, v = sym_eig(a, tol)
-    if w.size == 0:
-        z = np.zeros((0, 0))
-        return z, z, z
-    if w[-1] <= tol.rank_tol * max(w[0], 0.0):
+    if _count_above(w, tol, 0.0) < w.size:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {w[-1]:.3e} below cutoff", smallest_eigenvalue=w[-1]
         )
@@ -110,6 +110,34 @@ def spd_functions(a, tol=DEFAULT_TOL):
         return 0.5 * (m + m.T)
 
     return apply(np.sqrt), apply(lambda x: 1.0 / np.sqrt(x)), apply(lambda x: 1.0 / x)
+
+
+def _count_above(values, tol, floor):
+    """How many of `values` exceed `rank_tol * max(largest, floor)`, the
+    cutoff of every rank and definiteness decision: strictly, so a value at
+    the cutoff is dropped, and `floor` keeps pure noise from counting."""
+    return int(np.count_nonzero(values > tol.rank_tol * values.max(initial=floor)))
+
+
+def sigma_ratio(a, tol):
+    """sigma_min / sigma_max of a square matrix (0 when it is zero, inf when
+    empty) and the nondegeneracy verdict: whether it exceeds `rank_tol`."""
+    s = _svd(as_matrix(a, "A"), compute_uv=False)
+    if not s.size:
+        return float("inf"), True
+    ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    return ratio, ratio > tol.rank_tol
+
+
+def spectral_norm(a):
+    """The 2-norm of a matrix, its largest singular value (0 when empty)."""
+    return float(_svd(as_matrix(a, "A"), compute_uv=False).max(initial=0.0))
+
+
+def svd_rank(a, tol, floor):
+    """Full SVD U, s, V^T of `a` (`_svd`) and its rank (`_count_above`)."""
+    u, s, vt = _svd(a)
+    return u, s, vt, _count_above(s, tol, floor)
 
 
 def _svd(a, compute_uv=True):
@@ -144,35 +172,21 @@ def _svd_of_r(a, compute_uv):
 
 
 def nullspace_basis(a, tol=DEFAULT_TOL, scale=None):
-    """Orthonormal basis (columns) of the numerical kernel of `a`.
-
-    The rank cutoff is `rank_tol` relative to the largest singular value;
-    passing `scale` floors that reference, so matrices that are pure noise
-    below `rank_tol * scale` count as zero.
-    """
+    """Orthonormal basis (columns) of the numerical kernel of `a`, its rank
+    decided by `_count_above` with `scale` as the floor, so that a matrix
+    of pure noise below `rank_tol * scale` counts as zero."""
     a = as_matrix(a, "A")
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0:
-        return np.eye(cols)
-    _, s, vt = _svd(a)
-    ref = max(s[0] if s.size else 0.0, scale or 0.0)
-    r = int(np.sum(s > tol.rank_tol * ref))
+    if a.shape[0] == 0:  # the whole space, without an SVD and a sign fix
+        return np.eye(a.shape[1])
+    _, _, vt, r = svd_rank(a, tol, scale or 0.0)
     return _fix_column_signs(vt[r:].T)
 
 
 def rank(a, tol=DEFAULT_TOL, scale=None):
     """Numerical rank with the relative cutoff of `tol` (see nullspace_basis
     for the meaning of `scale`)."""
-    a = as_matrix(a, "A")
-    if a.size == 0:
-        return 0
-    s = _svd(a, compute_uv=False)
-    if not s.size:
-        return 0
-    ref = max(s[0], scale or 0.0)
-    return int(np.sum(s > tol.rank_tol * ref))
+    s = _svd(as_matrix(a, "A"), compute_uv=False)
+    return _count_above(s, tol, scale or 0.0)
 
 
 def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
@@ -189,11 +203,10 @@ def orthonormalize(basis, m, tol=DEFAULT_TOL, scale=None):
         return b.copy()
     gram = b.T @ m(b)
     w, v = sym_eig(0.5 * (gram + gram.T), tol)
-    ref = max(w[0] if w.size else 0.0, (scale or 0.0) ** 2)
-    keep = w > tol.rank_tol * ref
-    if not keep.any():
-        return np.zeros((b.shape[0], 0))
-    return b @ (v[:, keep] / np.sqrt(w[keep]))
+    r = _count_above(w, tol, (scale or 0.0) ** 2)
+    # the eigenvalues descend, so the kept ones lead; column-major is the
+    # layout whose product keeps its bits
+    return b @ (np.asfortranarray(v[:, :r]) / np.sqrt(w[:r]))
 
 
 # A PCG column stops at this residual relative to its right side; a solve

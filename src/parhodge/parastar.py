@@ -171,7 +171,7 @@ def _component_split(k, h, f, tol):
     for c in range(k.n_components):
         sub, edges = _component(k, c)
         sub_f = localsys.FlatLocalSystem(
-            fiber_dim=f.fiber_dim, transports=f.transports[edges],
+            fiber_dim=f.fiber_dim, transports=f.transports.take(edges, axis=0),
             flat_residual=f.flat_residual)
         reports.append(parabolic_star(
             sub, surface.metric_from_lengths(sub, h.lengths[edges]), sub_f, tol))

@@ -43,6 +43,7 @@ together with
 from __future__ import annotations
 
 import functools
+import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -376,12 +377,25 @@ def _shared(make, *args):
     return k, h, loops
 
 
+def _builtin(make):
+    """The generator `make`, shared (`_shared`) under itself and its
+    arguments, defaults filled in; a plain function, as perfbench traces."""
+    signature = inspect.signature(make)
+
+    @functools.wraps(make)
+    def shared(*args, **kwargs):
+        if kwargs or len(args) < len(signature.parameters):  # binding takes 7 us
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        return _shared(make, *args)
+
+    return shared
+
+
+@_builtin
 def torus(m):
     """Flat unit-square torus on an m x m grid (m >= 3); shared (`_shared`)."""
-    return _shared(_torus, m)
-
-
-def _torus(m):
     if m < 3:
         raise InvalidParameter("torus grid needs m >= 3")
     complex_, metric, words = _square_torus(m)
@@ -458,13 +472,10 @@ def _index_words(k, arcs):
     return {ei: w if u < v else _invert(w) for ei, (u, v, w) in zip(ids, arcs)}
 
 
+@_builtin
 def annulus(m, n):
     """Planar annulus (radii 1..2) on an m x (n+1) cylinder grid; shared
     (`_shared`)."""
-    return _shared(_annulus, m, n)
-
-
-def _annulus(m, n):
     if m < 3 or n < 1:
         raise InvalidParameter("annulus needs m >= 3 angular and n >= 1 radial")
     vid = lambda i, j: j * m + (i % m)
@@ -495,13 +506,10 @@ def _annulus(m, n):
     return complex_, metric, loops
 
 
+@_builtin
 def disk(m):
     """Regular m-gon fanned from its barycenter; trivial surface group;
     shared (`_shared`)."""
-    return _shared(_disk, m)
-
-
-def _disk(m):
     if m < 3:
         raise InvalidParameter("disk needs m >= 3 boundary vertices")
     center = m
@@ -521,13 +529,10 @@ def _disk(m):
     return complex_, metric, loops
 
 
+@_builtin
 def sphere(subdiv=1):
     """Octahedron refined `subdiv - 1` times, vertices on the unit sphere;
     shared (`_shared`)."""
-    return _shared(_sphere, subdiv)
-
-
-def _sphere(subdiv):
     positions = [
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
     ]
@@ -558,6 +563,7 @@ def _sphere(subdiv):
     return complex_, metric, loops
 
 
+@_builtin
 def genus_k(g, k, subdiv=1):
     """Genus-g surface with k boundary components and its generator loops.
 
@@ -567,10 +573,6 @@ def genus_k(g, k, subdiv=1):
     triangle removed.  Higher genus grids are not implemented.  Shared
     (`_shared`).
     """
-    return _shared(_genus_k, g, k, subdiv)
-
-
-def _genus_k(g, k, subdiv):
     if g < 0 or k < 0 or subdiv < 1:
         raise InvalidParameter("need g >= 0, k >= 0, subdiv >= 1")
     if g == 0 and k == 0:

@@ -562,8 +562,7 @@ def _boundary_walk(k, f, u, tol):
         rho, z = np.eye(n), np.zeros((n, cols))
         for t, s in steps:
             rho, z = t @ rho, t @ z + s
-        left, sigma, right = np.linalg.svd(np.eye(n) - rho)
-        r = int(np.sum(sigma > tol.rank_tol * max(sigma[0], 1.0)))
+        left, sigma, right, r = numlin.svd_rank(np.eye(n) - rho, tol, 1.0)
         coords.append(left[:, r:].T @ z)
         a = right[:r].T @ ((left[:, :r].T @ z) / sigma[:r, None])
         for v, (t, s) in zip(cycle["vertices"], steps):

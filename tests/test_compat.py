@@ -200,6 +200,18 @@ def test_subspace_transfer_rejects_dependent():
         compat.subspace_transfer(np.eye(5).__matmul__, n, np.eye(5)[:, :2])
 
 
+def test_subspace_rejects_more_columns_than_rows():
+    # three columns in a 2-dimensional space: both singular values of the
+    # wide basis are 1 and sqrt(3), but its rank is 2, short of 3 columns
+    with pytest.raises(DegenerateInput, match="numerically dependent"):
+        compat.Subspace(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    # square and tall bases are decided as before
+    assert compat.Subspace(np.eye(2)).dim == 2
+    assert compat.Subspace(np.ones((3, 1))).dim == 1
+    with pytest.raises(DegenerateInput):
+        compat.Subspace(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+
+
 def test_near_degenerate_omega_flagged_not_rejected():
     eps = 5e-10  # inside [rank_tol, 100 * rank_tol] relative to sigma_max = 1
     omega = np.array([

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,68 @@ def test_an_svd_that_does_not_converge_twice_raises_no_convergence(monkeypatch, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: NoConvergence: SVD of a "), err
     assert len(failures) == 2
+
+
+def test_the_cutoff_rule_counts_strictly_above_rank_tol_times_the_reference():
+    # rank_tol and every value a power of two, so each cutoff is exact
+    tol = Tolerance(rank_tol=0.25)
+    values = np.array([4.0, 2.0, 1.5, 0.5])
+    assert numlin._count_above(np.zeros(0), tol, 0.0) == 0
+    assert numlin._count_above(np.zeros(3), tol, 0.0) == 0
+    assert numlin._count_above(values, tol, 0.0) == 3  # cutoff 0.25 * 4 = 1
+    assert numlin._count_above(values, tol, 2.0) == 3  # a floor below the largest
+    # a floor above the largest value sets the cutoff, here 0.25 * 8 = 2,
+    # and 2.0 itself, at the cutoff, is dropped
+    assert numlin._count_above(values, tol, 8.0) == 1
+    # every decision reads the same rule: 1 sits exactly at 0.25 * 4
+    at_cutoff = np.diag([4.0, 1.0])
+    assert numlin.rank(at_cutoff, tol) == 1
+    assert numlin.rank(at_cutoff, tol, scale=32.0) == 0
+    assert numlin.nullspace_basis(at_cutoff, tol).tolist() == [[0.0], [1.0]]
+    assert numlin.orthonormalize(np.diag([2.0, 1.0]), np.eye(2).__matmul__, tol).shape == (2, 1)
+    with pytest.raises(NotPositiveDefinite):
+        numlin.spd_functions(at_cutoff, tol)
+    assert numlin.svd_rank(np.zeros((2, 2)), tol, 1.0)[3] == 0
+    assert numlin.sigma_ratio(at_cutoff, tol) == (0.25, False)
+    assert numlin.sigma_ratio(np.zeros((2, 2)), tol) == (0.0, False)
+    assert numlin.sigma_ratio(np.zeros((0, 0)), tol) == (float("inf"), True)
+
+
+def _svd_failing_off_the_triangle(monkeypatch):
+    """Patch np.linalg.svd to raise LinAlgError on every matrix that is not
+    upper triangular, as a LAPACK whose divide and conquer fails on A but
+    not on the R of its QR factorization would; returns the failed shapes."""
+    svd, failures = np.linalg.svd, []
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) == 2 and np.tril(a, -1).any():
+            failures.append(np.shape(a))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    return failures
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--example", "genus11", "--m", "6"],
+    ["moduli", "--sample", "0", "4", "--angles", "2.0,2.5,3.0,3.5", "--seed", "3"],
+    ["moduli", "--sample", "1", "1", "--angles", "3.0", "--seed", "3"],
+    ["verify", "--example", "genus11", "--m", "3"],
+], ids=["star-genus11", "moduli-0-4", "moduli-1-1", "verify-genus11"])
+def test_every_svd_of_a_command_is_retried_on_its_qr_factor(monkeypatch, capsys, argv):
+    # the boundary walk's 1 - rho_j and compat's Omega take their SVDs
+    # through numlin._svd too, so each command still certifies its report
+    failures = _svd_failing_off_the_triangle(monkeypatch)
+    assert cli.main(argv) == 0
+    assert failures
+    report = json.loads(capsys.readouterr().out)
+    if argv[0] == "verify":
+        assert report["case"]["theorem_ok"] and report["case"]["ok"]
+        return
+    res = report["residuals"] if argv[0] == "star" else report["compatibility_residuals"]
+    assert res.pop("taming_min_eigenvalue") > 0
+    if argv[0] == "star":
+        assert res.pop("parabolic_exactness") == 1.0
+        assert res.pop("condition_sigma_min") > TOL.rank_tol
+    assert max(res.values()) <= 1e-9, res

@@ -526,6 +526,52 @@ def test_no_module_of_the_package_imports_scipy():
     assert [m.split(".")[0] == "scipy" for m in found] == [False, True, True]
 
 
+_SVD_BASED = {"svd", "matrix_rank", "pinv", "lstsq", "cond"}
+
+
+def _svd_order(node):
+    """A `norm` order that takes an SVD, or that may: one that is not a
+    literal cannot be ruled out."""
+    try:
+        return ast.literal_eval(node) in (2, -2, "nuc")
+    except ValueError:
+        return True
+
+
+def _svd_based_calls(tree):
+    """The names of the SVD-based `numpy.linalg` functions that `tree`
+    calls as `<...>.linalg.<name>` or `linalg.<name>`: the ones above, and
+    `norm` of order 2, -2 or "nuc"."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if getattr(owner, "attr", getattr(owner, "id", None)) != "linalg":
+            continue
+        order = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        if node.func.attr in _SVD_BASED or (node.func.attr == "norm" and order
+                                            and _svd_order(order[0])):
+            yield node.func.attr
+
+
+def test_no_module_but_numlin_takes_an_svd():
+    # numlin owns every SVD, through `numlin._svd`, which retries on a QR
+    # factor and raises NoConvergence, and every rank decision made from one
+    sources = sorted(Path(parastar.__file__).parent.glob("*.py"))
+    assert Path(numlin.__file__) in sources
+    for path in sources:
+        if path != Path(numlin.__file__):
+            calls = list(_svd_based_calls(ast.parse(path.read_text(), filename=str(path))))
+            assert not calls, (path.name, calls)
+    found = _svd_based_calls(ast.parse(
+        "np.linalg.svd(a)\nnumpy.linalg.pinv(a)\nlinalg.lstsq(a, b)\n"
+        "np.linalg.matrix_rank(a)\nnp.linalg.cond(a)\nnp.linalg.norm(a, 2)\n"
+        "np.linalg.norm(a, ord=-2)\nnp.linalg.norm(a, 'nuc')\nnp.linalg.norm(a, p)\n"
+        "np.linalg.norm(a)\nnp.linalg.norm(a, axis=0)\nnp.linalg.norm(a, 'fro')\n"
+        "np.linalg.qr(a)\nnp.linalg.cholesky(a)\nnumlin.svd_rank(a, tol, 1.0)\n"))
+    assert list(found) == ["svd", "pinv", "lstsq", "matrix_rank", "cond"] + ["norm"] * 4
+
+
 @pytest.mark.parametrize("mesh", [(surface.torus, (48,)), (surface.genus_k, (1, 1, 16))],
                          ids=["torus48", "genus11_16"])
 def test_star_report_holds_on_the_largest_meshes(mesh):
