@@ -143,15 +143,13 @@ def cmd_moduli(args):
         "tangent": acs["tangent"],
     }
     for key in ("goldman_omega", "acs"):
-        payload[key] = np.atleast_2d(acs[key]).astype(float).tolist() if acs[key].size else []
+        payload[key] = parastar._matrix_list(acs[key])
     payload["compatibility_residuals"] = {
         key: float(v) for key, v in acs["compatibility_residuals"].items()
     }
     _emit(args, payload)
-    ok = all(
-        v > 0 if key == "taming_min_eigenvalue" else v < tol.residual_tol
-        for key, v in acs["compatibility_residuals"].items()
-    )
+    # the pair's residuals are the star's, so the star's verdict is theirs
+    ok = acs["parastar_report"].theorem_residuals_ok(tol)
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -202,8 +200,7 @@ def _verify_case(k, h, f, tol, rng):
     out["dim_H1_par"] = star.dim_h1_par
     out["parabolic_even"] = star.dim_h1_par % 2 == 0
     out["exactness_ok"] = bool(star.residuals["parabolic_exactness"])
-    gauges = [localsys.random_rotation(rng, n) for _ in range(k.vertex_count)]
-    gauged = localsys.gauge_transform(k, f, gauges)
+    gauged = localsys.gauge_transform(k, f, localsys._random_rotations(rng, k.vertex_count, n))
     gauged_bases = twisted.h1_flavors(k, gauged, tol)
     rp2 = twisted.restriction_and_parabolic(k, gauged, tol, gauged_bases)
     out["gauge_dims_ok"] = (

@@ -125,11 +125,11 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     """The local M1 and L0 blocks for (complex, metric, system), all
     triangles at once."""
     n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
-    # side[:, i] is opposite w_i; Heron takes the sides in the triangle's
-    # stored order, which fixes the rounding of the area
+    # side[:, i] is opposite w_i; Heron takes the sides opposite t0, t1
+    # and t2 of the stored triangle, which fixes the rounding of the area
     side = h.lengths[te[:, ::-1]]
-    stored = h.lengths[surface.opposite_edges(k)]
-    area = surface._heron(stored[:, 0], stored[:, 1], stored[:, 2])
+    stored = h.lengths[k.side_edge]
+    area = surface._heron(stored[:, 1], stored[:, 2], stored[:, 0])
     # gradient pairings: |dl_i|^2 = l_i^2 / (4 A^2) and, with k the third
     # vertex, <dl_i, dl_j> = -(l_i^2 + l_j^2 - l_k^2) / (8 A^2); float_power
     # squares through libm pow, which side * side can miss in the last bit

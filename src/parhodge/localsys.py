@@ -28,7 +28,7 @@ from .errors import (
 )
 from .numlin import DEFAULT_TOL
 # GeneratorLoops is re-exported
-from .surface import GeneratorLoops, edge_ids, is_json_array, opposite_edges
+from .surface import GeneratorLoops, _path_steps, edge_ids, is_json_array
 
 __all__ = [
     "FlatLocalSystem",
@@ -50,20 +50,10 @@ class FlatLocalSystem:
     def path_transport(self, k, path):
         """Composite pullback along a vertex path (value at the end of the
         path expressed at its start); the holonomy, for a closed path.
-        A step u -> v pulls back by P_uv, read backwards as P^T."""
-        return _path_transports(k, self.transports, [path])[0]
-
-
-def _path_transports(k, transports, paths):
-    """`path_transport` along each path, with one `edge_ids` search."""
-    tails = [u for path in paths for u in path[:-1]]
-    heads = [v for path in paths for v in path[1:]]
-    ids = edge_ids(k, tails, heads)
-    if (ids < 0).any():
-        raise InvalidParameter("path steps off the edges of the complex")
-    cuts = np.cumsum([len(path[1:]) for path in paths])[:-1]
-    return list(map(_fold, np.split(transports.take(ids, axis=0), cuts),
-                    np.split(np.less(tails, heads), cuts)))
+        A step u -> v pulls back by P_uv, read backwards as P^T; the steps
+        are looked up with one `edge_ids` search."""
+        ids, forward = _path_steps(k, path)
+        return _fold(self.transports.take(ids, axis=0), forward)
 
 
 def _fold(p, forward):
@@ -83,18 +73,12 @@ def _check_orthogonal(p, n, tol, what):
 
 def _flat_residual(k, system):
     """Largest entry of hol - I over the triangles, hol the transport
-    around each stored triangle (a, b, c), P_ab P_bc P_ca, all at once."""
+    around each stored triangle (a, b, c), P_ab P_bc P_ca, all at once;
+    side i runs t_i -> t_i+1, and P read backwards is P^T."""
     tri = k.tri_vertices
-    opposite = opposite_edges(k)
-    p = system.transports
-
-    def transport(i, j):
-        # edge t_i t_j is opposite the third vertex; P read backwards is P^T
-        forward = p.take(opposite[:, 3 - i - j], axis=0)
-        return np.where((tri[:, i] < tri[:, j])[:, None, None], forward,
-                        forward.transpose(0, 2, 1))
-
-    hol = transport(0, 1) @ transport(1, 2) @ transport(2, 0)
+    p = system.transports.take(k.side_edge, axis=0)
+    p = np.where((tri < tri[:, [1, 2, 0]])[..., None, None], p, p.swapaxes(2, 3))
+    hol = p[:, 0] @ p[:, 1] @ p[:, 2]
     return float(np.abs(hol - np.eye(system.fiber_dim)).max(initial=0.0))
 
 
@@ -194,7 +178,9 @@ def from_representation(k, loops, images, tol=DEFAULT_TOL):
             "edge-word table inconsistent with the relation",
             residual=system.flat_residual,
         )
-    for name, hol in zip(names, _path_transports(k, arr, [p for _, p in loops.loops])):
+    # each loop's steps were looked up with the mesh
+    for name, steps in zip(names, loops.steps):
+        hol = _fold(arr.take(steps["edges"], axis=0), steps["forward"])
         if np.abs(hol - imgs[name]).max() > tol.residual_tol:
             raise RelationViolated(f"holonomy of loop {name} does not reproduce its image")
     return system
@@ -326,11 +312,18 @@ def su2_adjoint(q, tol=DEFAULT_TOL):
 
 def random_rotation(rng, n):
     """Haar-ish random special orthogonal matrix (deterministic per rng)."""
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    return _random_rotations(rng, 1, n)[0]
+
+
+def _random_rotations(rng, count, n):
+    """`count` random rotations from one normal draw and one stacked QR:
+    the bits, and the rng stream, of `count` n x n draws each taken through
+    its own QR.  R's diagonal fixes the column signs (np.sign is 0 on an
+    exact zero), and a negative determinant flips the first column."""
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
     return q
 
 
@@ -375,6 +368,5 @@ def random_flat_system(k, loops, n, rng, gauge=True):
     else:
         system = trivial_system(k, n)
     if gauge:
-        gauges = [random_rotation(rng, n) for _ in range(k.vertex_count)]
-        system = gauge_transform(k, system, gauges)
+        system = gauge_transform(k, system, _random_rotations(rng, k.vertex_count, n))
     return system

@@ -126,6 +126,8 @@ def sample_point(g, k, boundary_classes, seed, subdiv=1, max_attempts=1000):
     seed: the point is a function of the seed bit for bit, and costs about
     one batched scan per attempt plus one bisection.
     """
+    if g < 0 or k < 0:
+        raise InvalidParameter("need g >= 0 and k >= 0")
     if not ((2 * g - 2 + k > 0) or (g, k) == (1, 0)):
         raise InvalidParameter("surface group is not hyperbolic-like: need "
                                "2g - 2 + k > 0 or (g, k) = (1, 0)")

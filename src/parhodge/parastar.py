@@ -45,9 +45,6 @@ class ParabolicStarReport:
 
     def to_dict(self):
         """JSON-ready dictionary with a stable field order."""
-        def mat(a):
-            return np.atleast_2d(a).astype(float).tolist() if a.size else []
-
         res = {}
         for key in ("jpar_sq", "omega_invariance", "taming_min_eigenvalue",
                     "condition_sigma_min"):
@@ -62,12 +59,12 @@ class ParabolicStarReport:
             "dim_H1": self.dim_h1,
             "dim_H1_rel": self.dim_h1_rel,
             "dim_H1_par": self.dim_h1_par,
-            "U_basis": mat(self.u_basis),
-            "M_U": mat(self.m_u),
-            "Omega_U": mat(self.omega_u),
-            "G": mat(self.g),
-            "R": mat(self.r),
-            "J_par": mat(self.j_par),
+            "U_basis": _matrix_list(self.u_basis),
+            "M_U": _matrix_list(self.m_u),
+            "Omega_U": _matrix_list(self.omega_u),
+            "G": _matrix_list(self.g),
+            "R": _matrix_list(self.r),
+            "J_par": _matrix_list(self.j_par),
             "residuals": res,
             "component_split": None if self.component_split is None
             else [c.to_dict() for c in self.component_split],
@@ -85,14 +82,20 @@ class ParabolicStarReport:
         )
 
 
+def _matrix_list(a):
+    """A report matrix as a list of float rows, [] when it is empty."""
+    return np.atleast_2d(a).astype(float).tolist() if a.size else []
+
+
 def _hash_array(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()[:16]
 
 
 def input_hashes(k, h, f):
-    mesh = hashlib.sha256(
+    # the triangle list is hashed once per mesh and kept with it
+    mesh = k.plan("mesh_id", lambda: hashlib.sha256(
         repr((k.vertex_count, tuple(map(tuple, k.tri_vertices.tolist())))).encode()
-    ).hexdigest()[:16]
+    ).hexdigest()[:16])
     return {
         "mesh_id": mesh,
         "metric_hash": _hash_array(h.lengths),

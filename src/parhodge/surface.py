@@ -9,35 +9,38 @@ triangle with sorted vertices w0 < w1 < w2, the ids of w0w1, w0w2 and
 w1w2), its inverse `edge_slots` (per edge, the positions 3 t + j where it
 occurs in `tri_edges.ravel()`, in stored order, with -1 for the missing
 second triangle of a boundary edge, which makes it the one boundary
-test), the boundary cycles with each step's edge and direction, connected
-components, and the parity `sorted_sign` relating each stored triangle
-orientation to its sorted vertex order (the fundamental 2-cycle is the sum
-of all triangles with sign +1 in stored order).  `build` derives them with
-array operations over all triangles, walking only the boundary edges;
-`edge_ids` looks edges up by their ends, in either order;
-`metric_from_lengths` validates every triangle at once from `tri_edges`.
-The Whitney matrices are assembled from this table in `hodge`, which sums
-per-triangle results back onto the edges through `edge_slots`, as do the
-dual-graph walks in `twisted`.
+test), the sides `side_edge` (per stored triangle t0 t1 t2, the ids of
+t0t1, t1t2 and t2t0), the boundary cycles with each step's edge and
+direction, connected components, and the parity `sorted_sign` relating
+each stored triangle orientation to its sorted vertex order (the
+fundamental 2-cycle is the sum of all triangles with sign +1 in stored
+order).  `build` derives them with array operations over all triangles,
+walking only the boundary edges, and is the one place that decides which
+edge a triangle side or a boundary step takes; `edge_ids` looks edges up
+by their ends, in either order.  Triangle sides are gathered through
+`side_edge`; the Whitney matrices are assembled from `tri_edges` in
+`hodge`, which sums per-triangle results back onto the edges through
+`edge_slots`, as do the dual-graph walks in `twisted`.
 
-A complex also keeps, by key, the plans that the walks in `twisted` and
-the level solve in `hodge` derive from it alone (`SurfaceComplex.plan`),
-so that every system on one mesh reuses them; they go with the mesh.
+A complex also keeps, by key, what the walks in `twisted`, the level
+solve in `hodge` and the report's `mesh_id` derive from it alone
+(`SurfaceComplex.plan`); every system on one mesh reuses them.
 
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
 sphere, one-holed torus and the round sphere), each built once per
 argument tuple and shared read-only among the most recent (`_shared`),
 together with
   * a `PLMetric` from the generating embedding, and
-  * `GeneratorLoops`: based edge loops for the surface-group generators,
-    the group relation they satisfy, and a per-edge word table that lets a
-    representation of the surface group be compiled into exact edge
-    transports (see `localsys.from_representation`).  The grid surfaces
-    (torus, one-holed torus, annulus, punctured sphere) come from one array
-    of vertex ids (`_grid`): each grid step carries the word of the seam or
-    cut it crosses, and each diagonal the two steps around its cell's first
-    kept triangle, so triangle holonomy words reduce to the identity freely
-    (or to the group relation on the one removed relator triangle).
+  * `GeneratorLoops`: based edge loops for the surface-group generators
+    with their steps' edges and directions, the group relation they
+    satisfy, and a per-edge word table that compiles a representation of
+    the surface group into exact edge transports
+    (`localsys.from_representation`).  The grid surfaces (torus, one-holed
+    torus, annulus, punctured sphere) come from one array of vertex ids
+    (`_grid`): each grid step carries the word of the seam or cut it
+    crosses, and each diagonal the two steps around its cell's first kept
+    triangle, so triangle holonomy words reduce to the identity freely (or
+    to the group relation on the one removed relator triangle).
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class SurfaceComplex:
     vertex_count: int
     tri_vertices: np.ndarray  # (n_T, 3) the stored triangles
     tri_edges: np.ndarray | None = None  # (n_T, 3) ids of w0w1, w0w2, w1w2
+    # (n_T, 3) ids of the sides t0t1, t1t2, t2t0 of each stored triangle
+    side_edge: np.ndarray | None = None
     # (n_E, 2) positions 3 t + j of each edge in tri_edges.ravel(), in
     # stored order; -1 second on a boundary edge
     edge_slots: np.ndarray | None = None
@@ -81,8 +86,8 @@ class SurfaceComplex:
 
     def plan(self, key, make):
         """The plan `key` of this mesh, from `make()` the first time it is
-        asked for and kept with the mesh: integer bookkeeping that depends
-        on the mesh alone, never on lengths or transports."""
+        asked for and kept with the mesh: bookkeeping that depends on the
+        mesh alone, never on lengths or transports."""
         if key not in self._plans:
             self._plans[key] = make()
         return self._plans[key]
@@ -117,13 +122,15 @@ class GeneratorLoops:
     `relation` (a word in those names) is nullhomotopic.  `edge_words` maps
     a canonical edge index to the group word picked up when traversing the
     edge from its low vertex to its high vertex; absent indices carry the
-    empty word.
+    empty word.  `steps` holds each loop's steps as `build` stores a
+    boundary cycle's: per step its edge and whether it runs low -> high.
     """
 
     base_vertex: int
     loops: list
     relation: list
-    edge_words: dict = field(default_factory=dict)
+    edge_words: dict
+    steps: list
 
     def names(self):
         return [name for name, _ in self.loops]
@@ -158,13 +165,13 @@ def build(vertex_count, triangles):
     tail, head = tri, tri[:, [1, 2, 0]]
     keys = np.minimum(tail, head) * nv + np.maximum(tail, head)
     edge_keys, side_edge = np.unique(keys, return_inverse=True)
-    side_edge = side_edge.reshape(-1, 3)
+    k.side_edge = side_edge.reshape(-1, 3)
     k.ends = np.stack(np.divmod(edge_keys, max(nv, 1)), axis=1).reshape(-1, 2)
     ne = len(k.ends)
 
     # per edge: the triangles on it, and how many run it low -> high,
     # which is 1 for a consistently oriented pair
-    sides = side_edge.ravel()
+    sides = k.side_edge.ravel()
     count = np.bincount(sides, minlength=ne)
     forward = np.bincount(sides, weights=(tail < head).ravel(), minlength=ne)
     bad = (count > 2) | ((count == 2) & (forward != 1))
@@ -223,6 +230,16 @@ def edge_ids(k, u, v):
     keys = np.concatenate([k.ends @ (nv, 1), [nv * nv]])
     at = np.searchsorted(keys, key)
     return np.where(keys[at] == key, at, -1)
+
+
+def _path_steps(k, path):
+    """The edge id of each step of a vertex path, with one `edge_ids`
+    search, and whether the step runs low -> high; raises InvalidParameter
+    when a step is not an edge."""
+    ids = edge_ids(k, path[:-1], path[1:])
+    if (ids < 0).any():
+        raise InvalidParameter("path steps off the edges of the complex")
+    return ids, np.less(path[:-1], path[1:])
 
 
 def _triangle_table(nv, triangles):
@@ -311,7 +328,7 @@ def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
         )
     if not np.isfinite(lengths).all() or (lengths <= 0).any():
         raise DegenerateMetric("edge lengths must be positive and finite")
-    l12, l02, l01 = lengths[opposite_edges(k)].T
+    l01, l12, l02 = lengths[k.side_edge].T
     unequal = ~((l01 < l12 + l02) & (l12 < l01 + l02) & (l02 < l01 + l12))
     # float_power squares through libm pow, as a float's ** 2 does
     longest = np.maximum(np.maximum(l01, l12), l02)
@@ -334,14 +351,6 @@ def metric_from_positions(k, positions, tol=DEFAULT_TOL):
     return metric_from_lengths(k, lengths, tol)
 
 
-def opposite_edges(k):
-    """Ids of the edges opposite the vertices t0, t1, t2 of each stored
-    triangle (t1t2, t0t2, t0t1): for a vertex of sorted rank r that is
-    column 2 - r of `tri_edges`."""
-    rank = k.tri_vertices.argsort(axis=1).argsort(axis=1)
-    return np.take_along_axis(k.tri_edges, 2 - rank, axis=1)
-
-
 def _heron(a, b, c):
     """Area from the side lengths; elementwise on arrays."""
     s = 0.5 * (a + b + c)
@@ -356,6 +365,17 @@ def _heron(a, b, c):
 def _word(*letters):
     """Normalize a word given as (name, exponent) pairs, dropping zeros."""
     return tuple((n, e) for n, e in letters if e != 0)
+
+
+def _generator_loops(k, base_vertex, loops, relation, edge_words):
+    """The `GeneratorLoops` of a builtin mesh `k`, with the steps of each
+    loop (`_path_steps`); a loop that steps off the edges raises here,
+    when the mesh is made."""
+    steps = []
+    for _, path in loops:
+        edges, forward = _path_steps(k, path)
+        steps.append({"edges": edges.tolist(), "forward": forward.tolist()})
+    return GeneratorLoops(base_vertex, loops, relation, edge_words, steps)
 
 
 # how many builtin meshes `_shared` keeps, the most recently used
@@ -402,12 +422,9 @@ def torus(m):
     vid = lambda i, j: (i % m) * m + (j % m)
     a_path = [vid(i, 0) for i in range(m)] + [vid(0, 0)]
     b_path = [vid(0, j) for j in range(m)] + [vid(0, 0)]
-    loops = GeneratorLoops(
-        base_vertex=0,
-        loops=[("a1", a_path), ("b1", b_path)],
-        relation=_word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)),
-        edge_words=words,
-    )
+    loops = _generator_loops(
+        complex_, 0, [("a1", a_path), ("b1", b_path)],
+        _word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)), words)
     return complex_, metric, loops
 
 
@@ -497,12 +514,8 @@ def annulus(m, n):
         + [vid(m - 1 - i, n) for i in range(m)]
         + [vid(0, n - j) for j in range(1, n + 1)]
     )
-    loops = GeneratorLoops(
-        base_vertex=0,
-        loops=[("c1", c1), ("c2", c2)],
-        relation=_word(("c1", 1), ("c2", 1)),
-        edge_words=_index_words(complex_, arcs),
-    )
+    loops = _generator_loops(complex_, 0, [("c1", c1), ("c2", c2)],
+                             _word(("c1", 1), ("c2", 1)), _index_words(complex_, arcs))
     return complex_, metric, loops
 
 
@@ -520,12 +533,7 @@ def disk(m):
         [[0.0, 0.0]],
     ])
     metric = metric_from_positions(complex_, positions)
-    loops = GeneratorLoops(
-        base_vertex=0,
-        loops=[("c1", list(range(m)) + [0])],
-        relation=_word(("c1", 1)),
-        edge_words={},
-    )
+    loops = _generator_loops(complex_, 0, [("c1", list(range(m)) + [0])], _word(("c1", 1)), {})
     return complex_, metric, loops
 
 
@@ -559,7 +567,7 @@ def sphere(subdiv=1):
         tris = new_tris
     complex_ = build(len(positions), tris)
     metric = metric_from_positions(complex_, np.array(positions))
-    loops = GeneratorLoops(base_vertex=0, loops=[], relation=(), edge_words={})
+    loops = _generator_loops(complex_, 0, [], (), {})
     return complex_, metric, loops
 
 
@@ -598,12 +606,9 @@ def _one_holed_torus(m):
     # relation [a1, b1] c1 = 1 holds on the nose
     hole = [vid(0, 0), vid(m - 1, m - 1), vid(m - 1, 0), vid(0, 0)]
     c_path = _concat(a_path, b_path, hole, _reverse(b_path), _reverse(a_path))
-    loops = GeneratorLoops(
-        base_vertex=0,
-        loops=[("a1", a_path), ("b1", b_path), ("c1", c_path)],
-        relation=_word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1), ("c1", 1)),
-        edge_words=words,
-    )
+    loops = _generator_loops(
+        complex_, 0, [("a1", a_path), ("b1", b_path), ("c1", c_path)],
+        _word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1), ("c1", 1)), words)
     return complex_, metric, loops
 
 
@@ -656,12 +661,9 @@ def _punctured_rectangle(k, subdiv):
         + [vid(0, j) for j in range(1, height + 1)]
     )
     loop_list.append(("c%d" % k, outer))
-    loops = GeneratorLoops(
-        base_vertex=base,
-        loops=loop_list,
-        relation=_word(*[("c%d" % (j + 1), 1) for j in range(k)]),
-        edge_words=_index_words(complex_, arcs),
-    )
+    loops = _generator_loops(complex_, base, loop_list,
+                             _word(*[("c%d" % (j + 1), 1) for j in range(k)]),
+                             _index_words(complex_, arcs))
     return complex_, metric, loops
 
 

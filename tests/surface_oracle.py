@@ -67,6 +67,9 @@ def build(vertex_count, triangles):
     k.tri_edges = np.array(
         [(index[(w0, w1)], index[(w0, w2)], index[(w1, w2)])
          for w0, w1, w2 in map(sorted, tris)], dtype=int).reshape(-1, 3)
+    k.side_edge = np.array(
+        [[index[(min(u, v), max(u, v))] for u, v in ((a, b), (b, c), (c, a))]
+         for a, b, c in tris], dtype=int).reshape(-1, 3)
     # each edge's positions in the flattened table, -1 for a missing second
     slots = [[] for _ in order]
     for pos, ei in enumerate(k.tri_edges.ravel().tolist()):

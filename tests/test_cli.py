@@ -386,6 +386,17 @@ def test_tolerance_env_and_flag(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_rank_tolerance_flag(capsys):
+    star = ["star", "--example", "torus", "--m", "6"]
+    assert run(star + ["--rank-tolerance", "0"]) == 2
+    assert capsys.readouterr().err == "error: ValueError: tolerances must be strictly positive\n"
+    # the default, given explicitly, changes nothing
+    assert run(star) == 0
+    default = capsys.readouterr().out
+    assert run(star + ["--rank-tolerance", "1e-10"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def _triangle(edge_lengths):
     return {"vertices": 3, "triangles": [[0, 1, 2]], "edge_lengths": edge_lengths}
 
@@ -404,6 +415,8 @@ _MALFORMED_REASONS = {
     "transport-id-beyond-int64": "error: InvalidParameter: "
                                  f"(0, {10 ** 30}) is not an edge of the complex\n",
     "transport-equal-ends": "error: InvalidParameter: (4, 4) is not an edge of the complex\n",
+    # refused before the sampler draws anything
+    "sample-negative-genus": "error: InvalidParameter: need g >= 0 and k >= 0\n",
 }
 
 
@@ -440,13 +453,14 @@ _MALFORMED_REASONS = {
          {"tail": 0, "head": 10 ** 30, "matrix": [[1.0]]}]}}),
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
      {"system": {"fiber_dim": 1, "transports": [{"tail": 4, "head": 4, "matrix": [[1.0]]}]}}),
+    (["moduli", "--sample", "-1", "5", "--angles", "1,1,1,1,1"], {}),
 ], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
         "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
         "transports-number", "edge-length-fractional-id", "edge-length-twice",
         "edge-length-short-row", "star-vertex-in-no-triangle", "verify-vertex-in-no-triangle",
         "refine-empty", "edge-length-id-beyond-int64", "edge-length-negative-id",
-        "transport-id-beyond-int64", "transport-equal-ends"])
+        "transport-id-beyond-int64", "transport-equal-ends", "sample-negative-genus"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, request, argv, files):
     paths = {}
     for name, content in files.items():

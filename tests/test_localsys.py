@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,51 @@ def test_system_from_json_transports_and_representation():
     ]}
     f2 = localsys.system_from_json(k, table)
     assert np.allclose(f.transports, f2.transports)
+
+
+def _rotation_one_at_a_time(rng, n):
+    """One Haar-ish draw as `random_rotation` took it before the draws were
+    stacked: the oracle of `localsys._random_rotations`."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+class _FixedNormal:
+    """An rng whose normal draws are copies of one matrix."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.a, shape).copy()
+
+
+def test_stacked_rotations_are_the_draws_one_at_a_time():
+    for n in (1, 2, 3, 4):
+        for seed in (1, 7):
+            stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = localsys._random_rotations(stacked, 300, n)
+            want = np.array([_rotation_one_at_a_time(single, n) for _ in range(300)])
+            assert got.tobytes() == want.tobytes(), (n, seed)
+            assert stacked.bit_generator.state == single.bit_generator.state
+            assert localsys.random_rotation(stacked, n).tobytes() == \
+                _rotation_one_at_a_time(single, n).tobytes()
+    # an exact zero on R's diagonal has sign 0 in both
+    fixed = _FixedNormal([[1.0, 0.0], [1.0, 0.0]])
+    got = localsys._random_rotations(fixed, 2, 2)
+    assert got.tobytes() == np.array([_rotation_one_at_a_time(fixed, 2)] * 2).tobytes()
+
+
+def test_compiling_images_checks_the_stored_loop_steps():
+    rng = np.random.default_rng(13)
+    k, _, loops = surface.genus_k(1, 1, 1)
+    images = localsys.random_images(loops, 3, rng)
+    localsys.from_representation(k, loops, images)
+    # the same loops with every step read the wrong way round
+    wrong = dataclasses.replace(loops, steps=[
+        {"edges": s["edges"], "forward": [not fw for fw in s["forward"]]} for s in loops.steps])
+    with pytest.raises(RelationViolated, match="holonomy of loop"):
+        localsys.from_representation(k, wrong, images)

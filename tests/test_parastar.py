@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -468,16 +469,35 @@ def test_assembly_reads_edge_ids_from_the_triangle_edge_table(monkeypatch):
     # the counter sees a lookup where there is one
     f.path_transport(k, loops.path("a1"))
     assert len(lookups) == 1
-    # compiling images makes one search for all of its generator loops; the
-    # boundary walk and the monodromies read the stored cycles
-    kb, _, lb = surface.genus_k(0, 4, 1)
+    # on a warm mesh, compiling images reads the generator loops' steps and
+    # the star and the monodromies read the boundary cycles, all stored
+    # with the mesh: no search
+    kb, hb, lb = surface.genus_k(0, 4, 1)
     images = localsys.random_images(lb, 3, rng)
     lookups.clear()
     fb = localsys.from_representation(kb, lb, images)
-    assert len(lookups) == 1 and len(lookups[0][0]) == sum(len(p) - 1 for _, p in lb.loops)
-    twisted.restriction_and_parabolic(kb, fb)
+    parastar.parabolic_star(kb, hb, fb)
     localsys.boundary_monodromies(kb, fb)
-    assert len(lookups) == 1
+    assert not lookups
+
+
+def test_a_mesh_hashes_its_triangle_list_once(monkeypatch):
+    k, h, loops = surface.genus_k(0, 4, 1)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(66))
+    mesh = repr((k.vertex_count, tuple(map(tuple, k.tri_vertices.tolist())))).encode()
+    mesh_id = hashlib.sha256(mesh).hexdigest()[:16]
+    assert parastar.parabolic_star(k, h, f).inputs["mesh_id"] == mesh_id
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def recording(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", recording)
+    # a second report on the same mesh hashes its metric and its system only
+    assert parastar.parabolic_star(k, h, f).inputs["mesh_id"] == mesh_id
+    assert len(hashed) == 2 and mesh not in hashed
 
 
 def test_star_command_imports_no_scipy():

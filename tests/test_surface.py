@@ -163,6 +163,12 @@ def test_builtin_generators_keep_their_tables(name, args, digest):
     assert hashlib.sha256(data.encode() + h.lengths.tobytes()).hexdigest() == digest
 
 
+def test_a_generator_loop_off_the_edges_raises_as_the_mesh_is_made():
+    k, _, _ = surface.torus(4)
+    with pytest.raises(InvalidParameter, match="path steps off the edges"):
+        surface._generator_loops(k, 0, [("a1", [0, 1, 10, 0])], (), {})
+
+
 def test_genus_k_unsupported():
     with pytest.raises(InvalidParameter):
         surface.genus_k(2, 0, 1)
@@ -178,7 +184,7 @@ def test_metric_validation():
         surface.metric_from_lengths(k, [1.0, -1.0, 1.0])
     h = surface.metric_from_lengths(k, [1.0, 1.0, 1.0])
     # the area as `hodge.metric_complex` takes it
-    area = surface._heron(*h.lengths[surface.opposite_edges(k)[0]])
+    area = surface._heron(*h.lengths[k.side_edge[0, [1, 2, 0]]])
     assert area == pytest.approx(np.sqrt(3) / 4)
 
 
@@ -282,7 +288,7 @@ def test_mesh_from_json_roundtrip():
     }
     k2, h2 = surface.mesh_from_json(data2)
     # the area as `hodge.metric_complex` takes it
-    area = surface._heron(*h2.lengths[surface.opposite_edges(k2)[0]])
+    area = surface._heron(*h2.lengths[k2.side_edge[0, [1, 2, 0]]])
     assert area == pytest.approx(np.sqrt(3) / 4)
     with pytest.raises(InvalidParameter):
         surface.mesh_from_json({"vertices": 3, "triangles": [[0, 1, 2]]})

@@ -1,6 +1,6 @@
 """The level-batched forest, the live-set cotree elimination, the
 edge-slot gathers, the boundary walk on stored step directions, the masks
-read off `edge_slots` and the one-search path transports against their
+read off `edge_slots` and the generator loops' stored steps against their
 queue, `np.add.at`, step-by-step and per-path oracles (`walk_oracle`):
 equal bit for bit, down to the report bytes.  A mesh keeps its walks, so
 every oracle pass runs on fresh meshes."""
@@ -36,8 +36,7 @@ def _use_oracles(monkeypatch):
         monkeypatch.setattr(twisted, name, counted(name, oracle) if name in _WALKS else oracle)
     for name in ("_triangle_apply", "_edge_sums"):
         monkeypatch.setattr(hodge, name, getattr(walk_oracle, name))
-    for name in ("_path_transports", "boundary_monodromies"):
-        monkeypatch.setattr(localsys, name, getattr(walk_oracle, name))
+    monkeypatch.setattr(localsys, "boundary_monodromies", walk_oracle.boundary_monodromies)
     return called
 
 
@@ -120,7 +119,7 @@ def _same_bits(got, want):
         a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def test_boundary_walk_and_holonomies_match_their_oracles_bit_for_bit(monkeypatch):
+def test_boundary_walk_and_holonomies_match_their_oracles_bit_for_bit():
     tol, rng = numlin.DEFAULT_TOL, np.random.default_rng(84)
     for label, k, loops, f in _boundary_cases(rng):
         n = f.fiber_dim
@@ -134,21 +133,23 @@ def test_boundary_walk_and_holonomies_match_their_oracles_bit_for_bit(monkeypatc
                               walk_oracle._boundary_walk(k, f, u, tol)), label
         assert _same_bits(localsys.boundary_monodromies(k, f),
                           walk_oracle.boundary_monodromies(k, f)), label
-        # the holonomies that compiling the images checks, with its own
-        # transports and generator loops
-        calls = []
-        transports = localsys._path_transports
 
-        def record(*args):
-            calls.append((args, transports(*args)))
-            return calls[-1][1]
 
-        with monkeypatch.context() as mp:
-            mp.setattr(localsys, "_path_transports", record)
-            localsys.from_representation(k, loops, localsys.random_images(loops, n, rng))
-        (args, got), = calls
-        assert len(args[2]) == len(loops.loops) > 0, label
-        assert _same_bits(got, walk_oracle._path_transports(*args)), label
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+def test_generator_loop_steps_fold_as_the_per_path_oracle(name):
+    """The holonomy that compiling images checks for each generator loop,
+    the fold of the steps stored with the mesh, is the transport along
+    the loop's vertex path with a search of its own, bit for bit; the
+    transports are not flat, so a wrong edge or direction shows."""
+    rng = np.random.default_rng(85)
+    for m in (3, 6, 12):
+        k, _, loops = cli._EXAMPLES[name](m)
+        transports = rng.standard_normal((k.n_edges, 3, 3))
+        assert len(loops.steps) == len(loops.loops)
+        for (label, path), steps in zip(loops.loops, loops.steps):
+            got = localsys._fold(transports.take(steps["edges"], axis=0), steps["forward"])
+            want = walk_oracle.path_transport(k, transports, path)
+            assert _same_bits([got], [want]), (name, m, label)
 
 
 def _live_cases():

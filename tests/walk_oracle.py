@@ -7,9 +7,10 @@ boundary walk steps one edge at a time and reads each step's direction
 off `ends`; the interior masks clear lists of the boundary edges and
 vertices; and each path's transport makes its own edge search and reads
 its steps' directions off the path: the oracles of `twisted._boundary_walk`,
-`twisted.interior_edge_mask` / `interior_vertex_mask` and
-`localsys._path_transports` / `boundary_monodromies`, which read the
-directions that `surface.build` stores with each boundary cycle.
+`twisted.interior_edge_mask` / `interior_vertex_mask`,
+`localsys.boundary_monodromies` and the generator loops' holonomies, which
+read the steps that `surface.build` stores with each boundary cycle and
+the builtin generators with each loop.
 
 `twisted` labels the spanning forest, the dual forest and the cotree with
 one breadth-first routine, `_breadth_first`, and keeps what it finds with
@@ -248,7 +249,8 @@ def _boundary_walk(k, f, u, tol):
 
 def path_transport(k, transports, path):
     """The pullback along one vertex path, with an edge search of its own
-    (`localsys._path_transports`)."""
+    (`FlatLocalSystem.path_transport`, and the fold of a generator loop's
+    stored steps)."""
     ids = surface.edge_ids(k, path[:-1], path[1:])
     if (ids < 0).any():
         raise InvalidParameter("path steps off the edges of the complex")
@@ -256,10 +258,6 @@ def path_transport(k, transports, path):
     for p, u, v in zip(transports[ids], path, path[1:]):
         out = out @ (p if u < v else p.T)
     return out
-
-
-def _path_transports(k, transports, paths):
-    return [path_transport(k, transports, path) for path in paths]
 
 
 def boundary_monodromies(k, system):
