@@ -71,6 +71,25 @@ def _check_orthogonal(p, n, tol, what):
     return p
 
 
+def _check_gauges(gauges, n, tol):
+    """`_check_orthogonal` of every vertex gauge at once: one shape check
+    and one stacked P^T P test, the message naming the first vertex that
+    fails.  Gauges that do not stack into (count, n, n) go one at a time,
+    which raises at the first vertex of the wrong shape or before it."""
+    try:
+        gs = np.asarray(gauges, dtype=float)
+    except ValueError:  # gauges of unequal shapes
+        gs = None
+    if gs is None or gs.shape[1:] != (n, n):
+        for v, g in enumerate(gauges):
+            _check_orthogonal(g, n, tol, f"gauge at vertex {v}")
+    bad = np.abs(gs.transpose(0, 2, 1) @ gs - np.eye(n)).max(axis=(1, 2)) > tol.residual_tol
+    if bad.any():
+        raise NotOrthogonal(f"gauge at vertex {np.argmax(bad)} is not orthogonal "
+                            "within residual_tol")
+    return gs
+
+
 def _flat_residual(k, system):
     """Largest entry of hol - I over the triangles, hol the transport
     around each stored triangle (a, b, c), P_ab P_bc P_ca, all at once;
@@ -197,10 +216,7 @@ def gauge_transform(k, system, gauges, tol=DEFAULT_TOL):
     """Conjugate the system by per-vertex orthogonal matrices
     (P_e -> g_tail P_e g_head^T); yields an isomorphic flat system."""
     n = system.fiber_dim
-    gs = np.array([
-        _check_orthogonal(g, n, tol, f"gauge at vertex {v}")
-        for v, g in enumerate(gauges)
-    ])
+    gs = _check_gauges(gauges, n, tol)
     tail, head = k.ends.T
     arr = gs.take(tail, axis=0) @ system.transports @ gs.take(head, axis=0).transpose(0, 2, 1)
     out = FlatLocalSystem(fiber_dim=n, transports=arr)

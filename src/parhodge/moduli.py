@@ -367,7 +367,8 @@ def tangent_space(point, tol=DEFAULT_TOL):
     k, h, loops, f = build_system(point, tol)
     rp = twisted.restriction_and_parabolic(k, f, tol)
     reps = rp["parabolic_basis"].reps
-    omega = twisted.parabolic_pairing(k, f, reps, tol) if reps.size else np.zeros((0, 0))
+    omega = (twisted.parabolic_pairing(k, f, reps, tol, rp["boundary"]) if reps.size
+             else np.zeros((0, 0)))
     return _tangent(point, rp["h1"].dim, omega, rp["h1"].h0.dim > 0,
                     rp["exactness_check"], tol)
 

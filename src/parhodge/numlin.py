@@ -140,15 +140,28 @@ def svd_rank(a, tol, floor):
     return u, s, vt, _count_above(s, tol, floor)
 
 
+def svd_ranks(stack, tol, floor):
+    """`svd_rank` of each matrix of a stack, from one `_svd` call: the
+    stacked U, s and V^T, and the rank of each matrix, decided on its own."""
+    u, s, vt = _svd(stack)
+    return u, s, vt, [_count_above(values, tol, floor) for values in s]
+
+
 def _svd(a, compute_uv=True):
     """Full SVD by LAPACK's divide-and-conquer driver (gesdd).  When that
     does not converge, it is tried once more on the square triangular
     factor of a QR decomposition (`_svd_of_r`); raises NoConvergence, which
-    the CLI reports as a validation error (exit 2), when that fails too."""
+    the CLI reports as a validation error (exit 2), when that fails too.
+    A stack of matrices is factored in one call, which gives each matrix
+    the bits of its own call; when that does not converge, each matrix is
+    factored on its own, with its own retry."""
     try:
         return np.linalg.svd(a, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         pass
+    if a.ndim > 2:
+        parts = [_svd(m, compute_uv) for m in a]
+        return tuple(map(np.array, zip(*parts))) if compute_uv else np.array(parts)
     try:
         return _svd_of_r(a, compute_uv)
     except np.linalg.LinAlgError as exc:

@@ -136,9 +136,10 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, bases=None):
     u_basis = hodge.harmonic_representative(mc, class_reps, rp["h1"].h0)
     m_u = u_basis.T @ hodge.m1_apply(mc, u_basis)
     m_u = 0.5 * (m_u + m_u.T)
-    # class-level pairing: metric-free, identical for any representatives
-    omega_u = twisted.parabolic_pairing(k, f, class_reps, tol)
-    omega_check = twisted.parabolic_pairing(k, f, u_basis, tol)
+    # class-level pairing: metric-free, identical for any representatives;
+    # both sets go round the boundary in one walk
+    omega_u, omega_check = twisted.parabolic_pairing(
+        k, f, (class_reps, u_basis), tol, rp["boundary"])
     residuals["omega_rep_independence"] = float(np.abs(omega_u - omega_check).max())
 
     res = compat.compatible_complex_structure(m_u, omega_u, tol)

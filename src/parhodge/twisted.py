@@ -536,8 +536,43 @@ def _class_coordinates(k, f, h1, h1_rel, u):
     return np.linalg.solve(_cup_raw(k, f, h1.reps, r).T, _cup_raw(k, f, u, r).T)
 
 
-def _boundary_walk(k, f, u, tol):
-    """Integrate closed columns `u` around each stored boundary cycle.
+# One boundary cycle of one system (`boundary_record`): what integrating
+# columns round it reads, none of which depends on the columns
+_Cycle = collections.namedtuple("_Cycle", [
+    "vertices", "edges", "forward",  # the steps that `surface.build` stores
+    "p",  # the gathered transports
+    "steps",  # per step T_i: P^T as a transposed view low -> high, P back
+    "left", "sigma", "right", "rank",  # the SVD of 1 - rho and its rank
+])
+
+
+def boundary_record(k, f, tol=DEFAULT_TOL):
+    """Per stored boundary cycle, a `_Cycle`: its gathered transports and
+    oriented steps, and the SVD of 1 - rho with rho the holonomy, folded
+    step by step.  The SVDs of all cycles are one `numlin.svd_ranks` call.
+    Nothing here depends on the columns that `_boundary_walk` integrates,
+    so a system's record serves each of its walks; it is a plain value,
+    kept by no one between calls."""
+    n, cycles, rhos = f.fiber_dim, [], []
+    for cycle in k.boundary_components:
+        forward = np.array(cycle["forward"])
+        p = f.transports.take(cycle["edges"], axis=0)
+        # P^T as a transposed view: the layout whose products keep their bits
+        steps = [q.T if fw else q for q, fw in zip(p, forward)]
+        rho = np.eye(n)
+        for t in steps:
+            rho = t @ rho
+        cycles.append((cycle["vertices"], cycle["edges"], forward, p, steps))
+        rhos.append(np.eye(n) - rho)
+    if not cycles:
+        return ()
+    svd = numlin.svd_ranks(np.array(rhos), tol, 1.0)
+    return tuple(_Cycle(*cycle, *parts) for cycle, *parts in zip(cycles, *svd))
+
+
+def _boundary_walk(k, boundary, u, lift):
+    """Integrate closed columns `u` around each stored boundary cycle, with
+    the system's `boundary_record`.
 
     Along a cycle v_0 -> v_1 -> ... -> v_m = v_0 a primitive a of u obeys
     a(v_i+1) = T_i a(v_i) + s_i: as (d0 a)(lo -> hi) = P a(hi) - a(lo),
@@ -546,29 +581,29 @@ def _boundary_walk(k, f, u, tol):
     with rho the holonomy.  So u is
     exact on the cycle iff z lies in im(1 - rho), and N^T z, for N a basis
     of coker(1 - rho), are its coordinates in the cycle's H^1.  Returns
-    those coordinates stacked over the cycles, and the primitive from the
-    least-norm a(v_0) as a 0-cochain that vanishes off the boundary.
+    those coordinates stacked over the cycles and, when `lift`, the
+    primitive from the least-norm a(v_0) as a 0-cochain that vanishes off
+    the boundary (else None).
     """
-    n, cols = f.fiber_dim, u.shape[1]
+    cols = u.shape[1]
+    n = u.shape[0] // k.n_edges
     w = u.reshape(k.n_edges, n, cols)
     coords = [np.zeros((0, cols))]
-    prim = np.zeros((k.vertex_count, n, cols))
-    for cycle in k.boundary_components:
-        forward = np.array(cycle["forward"])
-        p, x = f.transports.take(cycle["edges"], axis=0), w.take(cycle["edges"], axis=0)
-        # P^T as a transposed view: the layout whose products keep their bits
-        steps = list(zip([q.T if fw else q for q, fw in zip(p, forward)],
-                         np.where(forward[:, None, None], p.transpose(0, 2, 1) @ x, -x)))
-        rho, z = np.eye(n), np.zeros((n, cols))
-        for t, s in steps:
-            rho, z = t @ rho, t @ z + s
-        left, sigma, right, r = numlin.svd_rank(np.eye(n) - rho, tol, 1.0)
-        coords.append(left[:, r:].T @ z)
-        a = right[:r].T @ ((left[:, :r].T @ z) / sigma[:r, None])
-        for v, (t, s) in zip(cycle["vertices"], steps):
-            prim[v] = a
-            a = t @ a + s
-    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
+    prim = np.zeros((k.vertex_count, n, cols)) if lift else None
+    for c in boundary:
+        x = w.take(c.edges, axis=0)
+        terms = np.where(c.forward[:, None, None], c.p.transpose(0, 2, 1) @ x, -x)
+        z = np.zeros((n, cols))
+        for t, s in zip(c.steps, terms):
+            z = t @ z + s
+        r = c.rank
+        coords.append(c.left[:, r:].T @ z)
+        if lift:
+            a = c.right[:r].T @ ((c.left[:, :r].T @ z) / c.sigma[:r, None])
+            for v, t, s in zip(c.vertices, c.steps, terms):
+                prim[v] = a
+                a = t @ a + s
+    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols) if lift else None
 
 
 def h1_flavors(k, f, tol=DEFAULT_TOL):
@@ -594,14 +629,17 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
 
     Parabolic cohomology in degree one is the kernel of the restriction to
     the boundary, whose values in each cycle's H^1 = coker(1 - rho_j) come
-    from one walk around it (`_boundary_walk`).  `exactness_check` confirms
+    from one walk around it (`_boundary_walk`), which needs no primitive
+    here.  `exactness_check` confirms
     that the kernel is the image of the relative cohomology by comparing
     class coordinates (`_class_coordinates`, from the cup pairing with
     H^1_rel), so any closed bases serve.  `bases` is the pair from
-    `h1_flavors`, cut here when not given.
+    `h1_flavors`, cut here when not given.  The system's `boundary_record`
+    comes back as "boundary", for `parabolic_pairing`.
     """
     h1, h1_rel = bases or h1_flavors(k, f, tol)
-    r_star = _boundary_walk(k, f, h1.reps, tol)[0]
+    boundary = boundary_record(k, f, tol)
+    r_star = _boundary_walk(k, boundary, h1.reps, False)[0]
     par_coeffs = numlin.nullspace_basis(r_star, tol, scale=1.0)
     par_reps = h1.reps @ par_coeffs
 
@@ -617,6 +655,7 @@ def restriction_and_parabolic(k, f, tol=DEFAULT_TOL, bases=None):
             flavor="parabolic", reps=par_reps, dim=par_reps.shape[1]),
         "boundary_h1_dim": r_star.shape[0],
         "exactness_check": bool(same),
+        "boundary": boundary,
     }
 
 
@@ -664,7 +703,7 @@ def _cup_raw(k, f, u_basis, v_basis):
     return u.reshape(n * nt, r).T @ pv.reshape(n * nt, s)
 
 
-def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
+def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL, boundary=None):
     """Cup pairing with the left argument lifted to a relative cocycle.
 
     Each column's restriction to every boundary cycle is exact there (that
@@ -672,15 +711,31 @@ def parabolic_pairing(k, f, u_basis, tol=DEFAULT_TOL):
     from `_boundary_walk`, zero off the boundary, kills it, which makes the
     pairing independent of the chosen representatives within their
     classes, hence metric-free.
+
+    `u_basis` is one array of columns, or a sequence of such blocks, which
+    go round the boundary in one walk over their stacked columns and come
+    back as one pairing per block; each block is checked closed and
+    parabolic against its own scale.  `boundary` is the system's
+    `boundary_record`, built here when not given.
     """
-    _check_closed(k, f, u_basis, tol)
-    coords, primitive = _boundary_walk(k, f, u_basis, tol)
-    if np.abs(coords).max(initial=0.0) > \
-            tol.residual_tol * max(1.0, np.abs(u_basis).max(initial=0.0)):
-        raise NotClosed("columns are not parabolic: boundary restriction "
-                        "is not exact on the boundary")
-    raw = _cup_raw(k, f, u_basis - _d0_apply(k, f, primitive), u_basis)
-    return 0.5 * (raw - raw.T)
+    one = isinstance(u_basis, np.ndarray)
+    blocks = [u_basis] if one else list(u_basis)
+    for u in blocks:
+        _check_closed(k, f, u, tol)
+    if boundary is None:
+        boundary = boundary_record(k, f, tol)
+    coords, primitive = _boundary_walk(k, boundary, np.hstack(blocks), True)
+    out, lo = [], 0
+    for u in blocks:
+        cols = slice(lo, lo + u.shape[1])
+        lo = cols.stop
+        if np.abs(coords[:, cols]).max(initial=0.0) > \
+                tol.residual_tol * max(1.0, np.abs(u).max(initial=0.0)):
+            raise NotClosed("columns are not parabolic: boundary restriction "
+                            "is not exact on the boundary")
+        raw = _cup_raw(k, f, u - _d0_apply(k, f, primitive[:, cols]), u)
+        out.append(0.5 * (raw - raw.T))
+    return out[0] if one else out
 
 
 def euler_characteristic_dims(k, f, tol=DEFAULT_TOL, h1=None):

@@ -1,5 +1,9 @@
 import argparse
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,8 +363,9 @@ def test_main_builds_the_parser_once_and_runs_the_bound_command(monkeypatch, req
 
 
 def test_degenerate_pairing_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(twisted, "parabolic_pairing",
-                        lambda k, f, u, tol: np.zeros((u.shape[1], u.shape[1])))
+    # the star pairs both of its column blocks in one call
+    monkeypatch.setattr(twisted, "parabolic_pairing", lambda k, f, blocks, tol, boundary: [
+        np.zeros((u.shape[1], u.shape[1])) for u in blocks])
     code = run(["star", "--example", "torus", "--m", "4"])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith("error: ConditionFailed"), err
@@ -487,3 +492,16 @@ def test_non_positive_fiber_dimension_exits_2_with_its_reason(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: InvalidParameter: fiber dimension must be a positive integer\n", err
+
+
+def test_report_digests_prints_one_line_per_input():
+    # the byte-identity harness: each input's label and the sha256 of its
+    # stdout, stderr and exit code, cold and then warm
+    labels = ["star-genus11-m6-so3-s0", "moduli-0-4-s0"]
+    harness = Path(__file__).with_name("report_digests.py")
+    out = subprocess.run([sys.executable, str(harness), *labels], capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[0] for line in lines] == labels
+    for label, cold, warm in lines:
+        assert re.fullmatch("[0-9a-f]{64}", cold) and warm == cold, label

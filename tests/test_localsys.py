@@ -167,6 +167,35 @@ def test_gauge_transform_matches_the_edge_loop_bit_for_bit():
         localsys.gauge_transform(k, f, gauges)
 
 
+def test_gauge_checks_name_the_first_vertex_that_fails():
+    rng = np.random.default_rng(16)
+    k, _, loops = surface.genus_k(1, 1, 2)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    stacked = localsys._random_rotations(rng, k.vertex_count, 3)
+    stacked[7] = 2.0 * stacked[7]
+    stacked[9] = 0.5 * stacked[9]
+    as_list = list(stacked)
+    for gauges in (stacked, as_list):
+        with pytest.raises(NotOrthogonal) as err:
+            localsys.gauge_transform(k, f, gauges)
+        assert str(err.value) == "gauge at vertex 7 is not orthogonal within residual_tol"
+    # a gauge of the wrong shape, after the good ones and before a bad one
+    as_list[7] = np.eye(3)
+    as_list[5] = np.eye(2)
+    with pytest.raises(NotOrthogonal) as err:
+        localsys.gauge_transform(k, f, as_list)
+    assert str(err.value) == "gauge at vertex 5 has shape (2, 2), expected (3, 3)"
+    # a bad gauge ahead of the one of the wrong shape is named first
+    as_list[4] = 2.0 * as_list[4]
+    with pytest.raises(NotOrthogonal) as err:
+        localsys.gauge_transform(k, f, as_list)
+    assert str(err.value) == "gauge at vertex 4 is not orthogonal within residual_tol"
+    # every gauge of the wrong shape, as one array
+    with pytest.raises(NotOrthogonal) as err:
+        localsys.gauge_transform(k, f, np.tile(np.eye(2), (k.vertex_count, 1, 1)))
+    assert str(err.value) == "gauge at vertex 0 has shape (2, 2), expected (3, 3)"
+
+
 def test_from_representation_deterministic():
     k, _, loops = surface.torus(4)
     a, b = rotation2(0.4), rotation2(0.9)

@@ -346,6 +346,36 @@ def test_an_svd_that_does_not_converge_twice_raises_no_convergence(monkeypatch, 
     assert len(failures) == 2
 
 
+def test_a_stack_of_svds_is_each_matrix_on_its_own_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(86)
+    for count in range(1, 6):
+        for n in (1, 3):
+            stack = rng.standard_normal((count, n, n))
+            got = numlin.svd_ranks(stack, TOL, 1.0)
+            for i, want in enumerate(numlin.svd_rank(a, TOL, 1.0) for a in stack):
+                assert [x[i].tobytes() for x in got[:3]] == [x.tobytes() for x in want[:3]]
+                assert got[3][i] == want[3]
+    # each rank against its own largest value: 1 of 1e12 is noise, 1e-3
+    # in a matrix of its own is not
+    stack = np.array([np.diag([1e12, 1.0, 1.0]), np.diag([1e-3, 1e-3, 0.0])])
+    assert numlin.svd_ranks(stack, TOL, 1.0)[3] == [1, 2]
+    # a stack that does not converge: each matrix on its own, the first
+    # through its own retry on the QR factor
+    stack = rng.standard_normal((3, 3, 3))
+    want = [numlin.svd_rank(a, TOL, 1.0) for a in stack]
+    failures = _failing_svd(monkeypatch, 2)
+    u, s, vt, ranks = numlin.svd_ranks(stack, TOL, 1.0)
+    assert failures == [(3, 3, 3), (3, 3)]
+    assert ranks == [3, 3, 3]
+    for i in (1, 2):
+        assert [x[i].tobytes() for x in (u, s, vt)] == [x.tobytes() for x in want[i][:3]]
+    assert np.abs(u[0] @ np.diag(s[0]) @ vt[0] - stack[0]).max() <= 1e-14
+    failures.clear()
+    _failing_svd(monkeypatch, 3)
+    with pytest.raises(NoConvergence, match="SVD of a 3x3 matrix"):
+        numlin.svd_ranks(stack, TOL, 1.0)
+
+
 def test_the_cutoff_rule_counts_strictly_above_rank_tol_times_the_reference():
     # rank_tol and every value a power of two, so each cutoff is exact
     tol = Tolerance(rank_tol=0.25)
@@ -372,13 +402,14 @@ def test_the_cutoff_rule_counts_strictly_above_rank_tol_times_the_reference():
 
 
 def _svd_failing_off_the_triangle(monkeypatch):
-    """Patch np.linalg.svd to raise LinAlgError on every matrix that is not
-    upper triangular, as a LAPACK whose divide and conquer fails on A but
+    """Patch np.linalg.svd to raise LinAlgError on every matrix, or stack of
+    matrices, that is not upper triangular, as a LAPACK whose divide and conquer fails on A but
     not on the R of its QR factorization would; returns the failed shapes."""
     svd, failures = np.linalg.svd, []
 
     def failing(a, *args, **kwargs):
-        if np.ndim(a) == 2 and np.tril(a, -1).any():
+        # a stack fails when one of its matrices would
+        if np.ndim(a) >= 2 and np.tril(a, -1).any():
             failures.append(np.shape(a))
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)

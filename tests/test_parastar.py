@@ -15,6 +15,7 @@ from parhodge.errors import ConditionFailed
 
 from conftest import mass_matrix, torus_grid_cochain, union_with_metric_and_system
 from naturality import determinism_check, disconnected_split
+from test_twisted import _pants_about_one_axis
 
 
 def test_closed_torus_matches_analytic_star():
@@ -572,6 +573,44 @@ def _svd_based_calls(tree):
         if node.func.attr in _SVD_BASED or (node.func.attr == "norm" and order
                                             and _svd_order(order[0])):
             yield node.func.attr
+
+
+def _boundary_counts(monkeypatch):
+    """Count the boundary records built and the boundary walks taken."""
+    counts = dict.fromkeys(("boundary_record", "_boundary_walk"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(twisted, name, counting(name, getattr(twisted, name)))
+    return counts
+
+
+@pytest.mark.parametrize("case", ["pants-axis", "pants", "genus11", "moduli-0-4"])
+def test_a_system_builds_one_boundary_record_and_walks_at_most_twice(monkeypatch, case):
+    # the restriction walks once, and the star's pairing of its class and
+    # harmonic representatives once more, both with the one record; a
+    # generic pants system has no parabolic classes, hence no pairing
+    counts = _boundary_counts(monkeypatch)
+    if case == "moduli-0-4":
+        point = moduli.sample_point(0, 4, [2.0, 2.5, 3.0, 3.5], seed=2)
+        assert moduli.moduli_acs(point)["dim_H1_par"] == 2
+        assert counts == {"boundary_record": 1, "_boundary_walk": 2}
+        assert moduli.tangent_space(point)["omega_rank"] == 2
+        assert counts == {"boundary_record": 2, "_boundary_walk": 4}
+        return
+    if case == "pants-axis":
+        k, h, f = _pants_about_one_axis()
+    else:
+        k, h, loops = cli._EXAMPLES[case](6)
+        f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(89))
+    dim = parastar.parabolic_star(k, h, f).dim_h1_par
+    assert dim == (0 if case == "pants" else 2)
+    assert counts == {"boundary_record": 1, "_boundary_walk": 2 if dim else 1}
 
 
 def test_no_module_but_numlin_takes_an_svd():

@@ -239,6 +239,62 @@ def test_parabolic_pairing_agrees_with_right_lift():
     assert np.abs(twisted.parabolic_pairing(k, f, shifted) - left).max() < 1e-9
 
 
+def _pants_about_one_axis():
+    """Pants with SO(3) images about one axis: a reducible system whose
+    parabolic classes are 2-dimensional, where a generic one has none."""
+    k, h, loops = surface.genus_k(0, 3, 2)
+    rng = np.random.default_rng(87)
+    axis = localsys.random_rotation(rng, 3)
+    images = {}
+    for name, angle in (("c1", 0.7), ("c2", 1.9)):
+        c, s = np.cos(angle), np.sin(angle)
+        images[name] = axis @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ axis.T
+    images["c3"] = (images["c1"] @ images["c2"]).T
+    return k, h, localsys.from_representation(k, loops, images)
+
+
+def _pairing_cases():
+    rng = np.random.default_rng(88)
+    for name in ("genus11", "torus"):
+        k, h, loops = cli._EXAMPLES[name](6)
+        yield name, k, h, localsys.random_flat_system(k, loops, 3, rng)
+    yield "pants-axis", *_pants_about_one_axis()
+    k, h, _, f = moduli.build_system(moduli.sample_point(0, 4, [2.0, 2.5, 3.0, 3.5], seed=1))
+    yield "moduli-0-4", k, h, f
+
+
+def test_two_block_pairing_is_two_one_block_calls_bit_for_bit():
+    tol = numlin.DEFAULT_TOL
+    for label, k, h, f in _pairing_cases():
+        rp = twisted.restriction_and_parabolic(k, f)
+        reps = rp["parabolic_basis"].reps
+        assert reps.shape[1], label
+        harm = hodge.harmonic_representative(hodge.metric_complex(k, h, f), reps, rp["h1"].h0)
+        for blocks in ((reps, harm), (harm, reps[:, :1], reps), (reps,)):
+            got = twisted.parabolic_pairing(k, f, blocks, tol, rp["boundary"])
+            want = [twisted.parabolic_pairing(k, f, u, tol) for u in blocks]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], label
+        # one array keeps the one-array answer, with or without the record
+        assert twisted.parabolic_pairing(k, f, reps, tol, rp["boundary"]).tobytes() == \
+            twisted.parabolic_pairing(k, f, reps).tobytes(), label
+
+
+def test_each_block_is_checked_parabolic_against_its_own_scale():
+    # a column 1e-7 off parabolic passes beside a block a million times
+    # larger only when the scales are shared
+    k, _, loops = surface.genus_k(1, 1, 1)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(61))
+    rp = twisted.restriction_and_parabolic(k, f)
+    reps, h1 = rp["parabolic_basis"].reps, rp["h1"].reps
+    off = reps + 1e-7 * h1[:, :1] / np.abs(h1[:, :1]).max()
+    with pytest.raises(NotClosed, match="not parabolic"):
+        twisted.parabolic_pairing(k, f, off)
+    with pytest.raises(NotClosed, match="not parabolic"):
+        twisted.parabolic_pairing(k, f, (1e6 * reps, off), boundary=rp["boundary"])
+    with pytest.raises(NotClosed, match="not closed"):
+        twisted.parabolic_pairing(k, f, (reps, reps + 1e-3 * np.ones_like(reps)))
+
+
 def _dense_cohomology(k, f, degree, flavor="absolute", tol=numlin.DEFAULT_TOL):
     """Dense SVD oracle: ker d_degree intersected with ker d_{degree-1}^T,
     and in degree 2 ker d1^T."""

@@ -30,8 +30,11 @@ def _use_oracles(monkeypatch):
             return oracle(*args)
         return wrapped
 
+    # the oracle record is the system itself, so the oracle walk recomputes
+    # every holonomy and SVD on each call
     for name in ("_flat_forest", "_cotree", "_cocycles_off_tree", "_d0_adjoint",
-                 "_boundary_walk", "interior_edge_mask", "interior_vertex_mask"):
+                 "boundary_record", "_boundary_walk", "interior_edge_mask",
+                 "interior_vertex_mask"):
         oracle = getattr(walk_oracle, name)
         monkeypatch.setattr(twisted, name, counted(name, oracle) if name in _WALKS else oracle)
     for name in ("_triangle_apply", "_edge_sums"):
@@ -128,9 +131,13 @@ def test_boundary_walk_and_holonomies_match_their_oracles_bit_for_bit():
         assert twisted.interior_vertex_mask(k).tobytes() == \
             walk_oracle.interior_vertex_mask(k).tobytes(), label
         x = rng.standard_normal((n * k.n_edges, 5))
+        # one record serves every walk; the oracle recomputes it per walk
+        record = twisted.boundary_record(k, f, tol)
         for u in (twisted.cohomology(k, f, 1).reps, x, x[:, :1], x[:, :0]):
-            assert _same_bits(twisted._boundary_walk(k, f, u, tol),
-                              walk_oracle._boundary_walk(k, f, u, tol)), label
+            want = walk_oracle._boundary_walk(k, walk_oracle.boundary_record(k, f, tol), u, True)
+            assert _same_bits(twisted._boundary_walk(k, record, u, True), want), label
+            coords, primitive = twisted._boundary_walk(k, record, u, False)
+            assert primitive is None and _same_bits([coords], want[:1]), label
         assert _same_bits(localsys.boundary_monodromies(k, f),
                           walk_oracle.boundary_monodromies(k, f)), label
 

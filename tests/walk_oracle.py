@@ -4,7 +4,8 @@ and one index at a time: the oracles that `twisted._flat_forest`,
 `twisted._cotree`, `twisted._cocycles_off_tree`, `twisted._d0_adjoint` and
 `hodge._triangle_apply` / `hodge._edge_sums` must match bit for bit.  The
 boundary walk steps one edge at a time and reads each step's direction
-off `ends`; the interior masks clear lists of the boundary edges and
+off `ends`, recomputing every cycle's holonomy and SVD on each call; the
+interior masks clear lists of the boundary edges and
 vertices; and each path's transport makes its own edge search and reads
 its steps' directions off the path: the oracles of `twisted._boundary_walk`,
 `twisted.interior_edge_mask` / `interior_vertex_mask`,
@@ -225,9 +226,18 @@ def _step(k, f, w, tail, ei):
     return (p.T, p.T @ w[ei]) if tail == k.ends[ei, 0] else (p, -w[ei])
 
 
-def _boundary_walk(k, f, u, tol):
-    """The boundary coordinates and primitive of closed columns `u`, one
-    `_step` at a time (`twisted._boundary_walk`)."""
+def boundary_record(k, f, tol):
+    """The system and the tolerance alone, so that `_boundary_walk`
+    recomputes every cycle's steps, holonomy and SVD on each call
+    (`twisted.boundary_record`)."""
+    return f, tol
+
+
+def _boundary_walk(k, record, u, lift):
+    """The boundary coordinates of closed columns `u` and, when `lift`,
+    their primitive (else None), one `_step` at a time
+    (`twisted._boundary_walk`)."""
+    f, tol = record
     n, cols = f.fiber_dim, u.shape[1]
     w = u.reshape(k.n_edges, n, cols)
     coords = [np.zeros((0, cols))]
@@ -244,7 +254,7 @@ def _boundary_walk(k, f, u, tol):
         for v, (t, s) in zip(cycle["vertices"], steps):
             prim[v] = a
             a = t @ a + s
-    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols)
+    return np.vstack(coords), prim.reshape(n * k.vertex_count, cols) if lift else None
 
 
 def path_transport(k, transports, path):
