@@ -125,7 +125,7 @@ def cmd_moduli(args):
         g, kk = args.sample
         angles = [float(a) for a in args.angles.split(",")] if args.angles else []
         if args.trivial:
-            names = moduli._generator_names(g, kk)
+            names, _ = surface.presentation(g, kk)
             images = {n: np.array([1.0, 0, 0, 0]) for n in names}
             point = moduli.ModuliPoint(g=g, k=kk, boundary_classes=[],
                                        phi_images=images, seed=args.seed, tol=tol)

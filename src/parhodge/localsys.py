@@ -214,7 +214,11 @@ def boundary_monodromies(k, system):
 
 def gauge_transform(k, system, gauges, tol=DEFAULT_TOL):
     """Conjugate the system by per-vertex orthogonal matrices
-    (P_e -> g_tail P_e g_head^T); yields an isomorphic flat system."""
+    (P_e -> g_tail P_e g_head^T), one gauge per vertex; yields an
+    isomorphic flat system."""
+    if len(gauges) != k.vertex_count:
+        raise InvalidParameter(
+            f"{len(gauges)} gauges given for {k.vertex_count} vertices")
     n = system.fiber_dim
     gs = _check_gauges(gauges, n, tol)
     tail, head = k.ends.T

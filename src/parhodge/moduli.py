@@ -53,7 +53,7 @@ class ModuliPoint:
     tol: InitVar[Tolerance] = DEFAULT_TOL
 
     def __post_init__(self, tol):
-        names = _generator_names(self.g, self.k)
+        names, relation = surface.presentation(self.g, self.k)
         missing = [n for n in names if n not in self.phi_images]
         if missing:
             raise InvalidParameter(f"missing images {missing}")
@@ -70,8 +70,7 @@ class ModuliPoint:
             if not abs(np.linalg.norm(q) - 1.0) <= tol.residual_tol:
                 raise InvalidParameter(
                     f"image {name} has norm {np.linalg.norm(q):.6f}, not 1")
-        rel = _relation_word(self.g, self.k)
-        q = _quat_word(self.phi_images, rel)
+        q = _quat_word(self.phi_images, relation)
         if np.abs(q - np.array([1.0, 0, 0, 0])).max() > tol.residual_tol:
             raise InvalidParameter("images do not satisfy the surface-group relation")
         for j, theta in enumerate(self.boundary_classes):
@@ -81,23 +80,6 @@ class ModuliPoint:
                     f"boundary generator c{j + 1} has class angle {got:.6f}, "
                     f"expected {theta:.6f}"
                 )
-
-
-def _generator_names(g, k):
-    out = []
-    for i in range(g):
-        out += [f"a{i + 1}", f"b{i + 1}"]
-    out += [f"c{j + 1}" for j in range(k)]
-    return out
-
-
-def _relation_word(g, k):
-    word = []
-    for i in range(g):
-        word += [(f"a{i + 1}", 1), (f"b{i + 1}", 1),
-                 (f"a{i + 1}", -1), (f"b{i + 1}", -1)]
-    word += [(f"c{j + 1}", 1) for j in range(k)]
-    return tuple(word)
 
 
 def _quat_word(images, word):
@@ -242,7 +224,7 @@ class _ForcedImage:
     """
 
     def __init__(self, g, k, images):
-        word = _relation_word(g, k)[:-1]  # all but the forced last letter
+        word = surface.presentation(g, k)[1][:-1]  # all but the forced last letter
         b_name = f"b{g}"
         first = word.index((b_name, 1))
         self.prefix = tuple(float(x) for x in _quat_word(images, word[:first]))

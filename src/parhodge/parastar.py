@@ -161,10 +161,10 @@ def parabolic_star(k, h, f, tol=DEFAULT_TOL, bases=None):
 
 def _component(k, component):
     """One component as its own complex, and the id in `k` of each of its
-    edges; the vertex map is monotone, so canonical directions agree."""
-    sub, vmap = surface.subcomplex(k, component)
-    old = np.array(sorted(vmap))
-    return sub, surface.edge_ids(k, old[sub.ends[:, 0]], old[sub.ends[:, 1]])
+    edges; the vertex map is monotone, so the component's edges keep their
+    directions and their lexicographic order."""
+    sub, _ = surface.subcomplex(k, component)
+    return sub, np.flatnonzero(k.component_of[k.ends[:, 0]] == component)
 
 
 def _component_split(k, h, f, tol):

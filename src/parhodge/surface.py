@@ -15,12 +15,15 @@ direction, connected components, and the parity `sorted_sign` relating
 each stored triangle orientation to its sorted vertex order (the
 fundamental 2-cycle is the sum of all triangles with sign +1 in stored
 order).  `build` derives them with array operations over all triangles,
-walking only the boundary edges, and is the one place that decides which
-edge a triangle side or a boundary step takes; `edge_ids` looks edges up
-by their ends, in either order.  Triangle sides are gathered through
-`side_edge`; the Whitney matrices are assembled from `tri_edges` in
-`hodge`, which sums per-triangle results back onto the edges through
-`edge_slots`, as do the dual-graph walks in `twisted`.
+walking only the boundary edges and, to label the components, the graph
+of the edges, and is the one place that decides which edge a triangle
+side or a boundary step takes; `edge_ids` looks edges up by their ends,
+in either order.  Triangle sides are gathered through `side_edge`; the
+Whitney matrices are assembled from `tri_edges` in `hodge`, which sums
+per-triangle results back onto the edges through `edge_slots`, as do the
+dual-graph walks in `twisted`.  One breadth-first labeller,
+`_breadth_first`, labels the components here and every forest that the
+walks in `twisted` take.
 
 A complex also keeps, by key, what the walks in `twisted`, the level
 solve in `hodge` and the report's `mesh_id` derive from it alone
@@ -32,8 +35,9 @@ argument tuple and shared read-only among the most recent (`_shared`),
 together with
   * a `PLMetric` from the generating embedding, and
   * `GeneratorLoops`: based edge loops for the surface-group generators
-    with their steps' edges and directions, the group relation they
-    satisfy, and a per-edge word table that compiles a representation of
+    with their steps' edges and directions, named, in order, after the
+    generators of `presentation`, whose relation they satisfy, and a
+    per-edge word table that compiles a representation of
     the surface group into exact edge transports
     (`localsys.from_representation`).  The grid surfaces (torus, one-holed
     torus, annulus, punctured sphere) come from one array of vertex ids
@@ -46,7 +50,6 @@ together with
 from __future__ import annotations
 
 import functools
-import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -117,9 +120,9 @@ class PLMetric:
 class GeneratorLoops:
     """Based loops generating the surface group of a builtin surface.
 
-    `loops` is an ordered list of (name, vertex path); names follow the
-    pattern a1, b1, ..., ag, bg, c1, ..., ck and the concatenation given by
-    `relation` (a word in those names) is nullhomotopic.  `edge_words` maps
+    `loops` is an ordered list of (name, vertex path), named in the order
+    of `presentation(g, k)`, and the concatenation given by its `relation`
+    (a word in those names) is nullhomotopic.  `edge_words` maps
     a canonical edge index to the group word picked up when traversing the
     edge from its low vertex to its high vertex; absent indices carry the
     empty word.  `steps` holds each loop's steps as `build` stores a
@@ -151,8 +154,10 @@ def build(vertex_count, triangles):
     `argsort` of it the `edge_slots`, and `bincount` the incidences, so an
     edge in three triangles, or in two that traverse it the same way, is
     caught at the lowest such edge.  Only
-    the boundary edges are walked, into cycles.  Invalid input raises on
-    the first offending triangle, vertex or edge.
+    the boundary edges are walked, into cycles, and the graph of the edges,
+    into components (`_breadth_first`, each walk from the lowest vertex it
+    has not reached, so a component is numbered by its lowest vertex).
+    Invalid input raises on the first offending triangle, vertex or edge.
     """
     nv = int(vertex_count)
     tri = _triangle_table(nv, triangles)
@@ -203,7 +208,8 @@ def build(vertex_count, triangles):
     k.boundary_components = _boundary_cycles(
         tail.ravel()[on_rim].tolist(), head.ravel()[on_rim].tolist(), rim.tolist())
 
-    k.component_of, k.n_components = _components(nv, k.ends)
+    k.component_of = _breadth_first(nv, k.ends, [])[4]
+    k.n_components = int(k.component_of.max(initial=-1)) + 1
     if k.n_components > 1:
         warnings.warn(
             f"complex has {k.n_components} components", NotConnectedWarning,
@@ -297,24 +303,49 @@ def _boundary_cycles(tails, heads, edges):
     return cycles
 
 
-def _components(nv, ends):
-    """Component id of each vertex, numbered by lowest vertex, and their
-    count: every edge lowers both ends' labels to the smaller, then each
-    label jumps to its label's label, until nothing moves."""
-    label = np.arange(nv)
-    a, b = ends.T
-    while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # each component's label is its lowest vertex, its root
-    roots = label == np.arange(nv)
-    return np.cumsum(roots)[label] - 1, int(roots.sum())
+def _breadth_first(nodes, ends, seeds):
+    """Breadth-first labelling of the graph on `nodes` nodes whose arc i
+    joins ends[i].  Walks start from each group of `seeds` in turn, with the
+    group's unreached nodes at depth 0, then from each node still unreached,
+    in id order; a node takes its arcs in arc order.  Returns the visiting
+    order and, per node, the arc and the node that reached it (-1 where a
+    walk starts), its depth and its walk, numbered in the order the walks
+    start (a seed group already reached keeps its number, with no nodes).
+    The one queue walk: `build` labels the components with it, and the
+    walks in `twisted` their forests.
+    """
+    # per node, its arcs in arc order: arc i sits at 2 i and 2 i + 1
+    at = ends.ravel()
+    by_node = np.argsort(at, kind="stable")
+    start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
+    far = ends[:, ::-1].ravel()[by_node].tolist()
+    arc_at = (by_node // 2).tolist()
+    arc, up, depth, walk = [-1] * nodes, [-1] * nodes, [0] * nodes, [-1] * nodes
+    order = []
+
+    def grow(queue, w):
+        for v in queue:
+            walk[v] = w
+        for a in queue:
+            d = depth[a] + 1
+            for i in range(start[a], start[a + 1]):
+                b = far[i]
+                if walk[b] < 0:
+                    walk[b] = w
+                    arc[b] = arc_at[i]
+                    up[b] = a
+                    depth[b] = d
+                    queue.append(b)
+        order.extend(queue)
+
+    for w, group in enumerate(seeds):
+        grow([v for v in group if walk[v] < 0], w)
+    w = len(seeds)
+    for v in range(nodes):
+        if walk[v] < 0:
+            grow([v], w)
+            w += 1
+    return (order, *(np.array(labels, dtype=int) for labels in (arc, up, depth, walk)))
 
 
 def metric_from_lengths(k, lengths, tol=DEFAULT_TOL):
@@ -362,20 +393,33 @@ def _heron(a, b, c):
 # Builtin generators
 # ---------------------------------------------------------------------------
 
-def _word(*letters):
-    """Normalize a word given as (name, exponent) pairs, dropping zeros."""
-    return tuple((n, e) for n, e in letters if e != 0)
+def presentation(g, k):
+    """The surface group of the genus-g surface with k boundary circles:
+    the generator names a1, b1, ..., ag, bg, c1, ..., ck, and the relation
+    [a1, b1] ... [ag, bg] c1 ... ck = 1 as (name, exponent) pairs.  The one
+    place that spells it: every builtin mesh names its loops by it, and a
+    moduli point is checked against it, with no mesh."""
+    names, relation = [], []
+    for i in range(1, g + 1):
+        a, b = f"a{i}", f"b{i}"
+        names += [a, b]
+        relation += [(a, 1), (b, 1), (a, -1), (b, -1)]
+    circles = [f"c{j}" for j in range(1, k + 1)]
+    return names + circles, tuple(relation + [(c, 1) for c in circles])
 
 
-def _generator_loops(k, base_vertex, loops, relation, edge_words):
-    """The `GeneratorLoops` of a builtin mesh `k`, with the steps of each
-    loop (`_path_steps`); a loop that steps off the edges raises here,
-    when the mesh is made."""
+def _generator_loops(k, base_vertex, topology, paths, edge_words):
+    """The `GeneratorLoops` of a builtin mesh `k` of `topology` (g, number
+    of boundary circles), its loop `paths` in the order of `presentation`,
+    with the steps of each loop (`_path_steps`); a loop that steps off the
+    edges raises here, when the mesh is made."""
+    names, relation = presentation(*topology)
     steps = []
-    for _, path in loops:
+    for path in paths:
         edges, forward = _path_steps(k, path)
         steps.append({"edges": edges.tolist(), "forward": forward.tolist()})
-    return GeneratorLoops(base_vertex, loops, relation, edge_words, steps)
+    return GeneratorLoops(base_vertex, list(zip(names, paths, strict=True)), relation,
+                          edge_words, steps)
 
 
 # how many builtin meshes `_shared` keeps, the most recently used
@@ -383,14 +427,14 @@ _SHARED_MESHES = 8
 
 
 @functools.lru_cache(maxsize=_SHARED_MESHES)
-def _shared(make, *args):
-    """`make(*args)`, the (complex, metric, loops) of a builtin mesh, built
-    once per argument tuple and handed to every caller: a sweep asks for
-    the same few surfaces again and again, and a shared complex keeps its
-    plans (`SurfaceComplex.plan`).  Every array of the complex and of the
-    metric is made read-only; the boundary cycles and the loops are shared
-    as well, and no caller changes them."""
-    k, h, loops = make(*args)
+def _shared(make, *args, **kwargs):
+    """`make(*args, **kwargs)`, the (complex, metric, loops) of a builtin
+    mesh, built once per argument list and handed to every caller: a sweep
+    asks for the same few surfaces again and again, and a shared complex
+    keeps its plans (`SurfaceComplex.plan`).  Every array of the complex
+    and of the metric is made read-only; the boundary cycles and the loops
+    are shared as well, and no caller changes them."""
+    k, h, loops = make(*args, **kwargs)
     for a in (*vars(k).values(), *vars(h).values()):
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -399,16 +443,11 @@ def _shared(make, *args):
 
 def _builtin(make):
     """The generator `make`, shared (`_shared`) under itself and its
-    arguments, defaults filled in; a plain function, as perfbench traces."""
-    signature = inspect.signature(make)
+    arguments as given; a plain function, as perfbench traces."""
 
     @functools.wraps(make)
     def shared(*args, **kwargs):
-        if kwargs or len(args) < len(signature.parameters):  # binding takes 7 us
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        return _shared(make, *args)
+        return _shared(make, *args, **kwargs)
 
     return shared
 
@@ -422,10 +461,7 @@ def torus(m):
     vid = lambda i, j: (i % m) * m + (j % m)
     a_path = [vid(i, 0) for i in range(m)] + [vid(0, 0)]
     b_path = [vid(0, j) for j in range(m)] + [vid(0, 0)]
-    loops = _generator_loops(
-        complex_, 0, [("a1", a_path), ("b1", b_path)],
-        _word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1)), words)
-    return complex_, metric, loops
+    return complex_, metric, _generator_loops(complex_, 0, (1, 0), [a_path, b_path], words)
 
 
 def _square_torus(m, removed=()):
@@ -433,8 +469,8 @@ def _square_torus(m, removed=()):
     less the triangles in `removed`; the seams carry a1 and b1."""
     ids = (np.arange(m + 1) % m)[:, None] * m + np.arange(m + 1) % m
     seam = range(m + 1)
-    tris, arcs = _grid(ids, {(m - 1, j): _word(("a1", 1)) for j in seam},
-                       {(i, m - 1): _word(("b1", 1)) for i in seam}, removed)
+    tris, arcs = _grid(ids, {(m - 1, j): (("a1", 1),) for j in seam},
+                       {(i, m - 1): (("b1", 1),) for i in seam}, removed)
     complex_ = build(m * m, tris)
     # grid edges join vertices that share a row or a column, diagonals none
     i, j = np.divmod(complex_.ends, m)
@@ -504,7 +540,7 @@ def annulus(m, n):
 
     # the seam between angular columns m - 1 and 0 carries c1
     ids = np.arange(n + 1) * m + (np.arange(m + 1) % m)[:, None]
-    tris, arcs = _grid(ids, {(m - 1, j): _word(("c1", 1)) for j in range(n + 1)}, {})
+    tris, arcs = _grid(ids, {(m - 1, j): (("c1", 1),) for j in range(n + 1)}, {})
     complex_ = build(m * (n + 1), tris)
     positions = np.array([pos(v % m, v // m) for v in range(m * (n + 1))])
     metric = metric_from_positions(complex_, positions)
@@ -514,8 +550,7 @@ def annulus(m, n):
         + [vid(m - 1 - i, n) for i in range(m)]
         + [vid(0, n - j) for j in range(1, n + 1)]
     )
-    loops = _generator_loops(complex_, 0, [("c1", c1), ("c2", c2)],
-                             _word(("c1", 1), ("c2", 1)), _index_words(complex_, arcs))
+    loops = _generator_loops(complex_, 0, (0, 2), [c1, c2], _index_words(complex_, arcs))
     return complex_, metric, loops
 
 
@@ -533,7 +568,7 @@ def disk(m):
         [[0.0, 0.0]],
     ])
     metric = metric_from_positions(complex_, positions)
-    loops = _generator_loops(complex_, 0, [("c1", list(range(m)) + [0])], _word(("c1", 1)), {})
+    loops = _generator_loops(complex_, 0, (0, 1), [list(range(m)) + [0]], {})
     return complex_, metric, loops
 
 
@@ -567,7 +602,7 @@ def sphere(subdiv=1):
         tris = new_tris
     complex_ = build(len(positions), tris)
     metric = metric_from_positions(complex_, np.array(positions))
-    loops = _generator_loops(complex_, 0, [], (), {})
+    loops = _generator_loops(complex_, 0, (0, 0), [], {})
     return complex_, metric, loops
 
 
@@ -606,10 +641,8 @@ def _one_holed_torus(m):
     # relation [a1, b1] c1 = 1 holds on the nose
     hole = [vid(0, 0), vid(m - 1, m - 1), vid(m - 1, 0), vid(0, 0)]
     c_path = _concat(a_path, b_path, hole, _reverse(b_path), _reverse(a_path))
-    loops = _generator_loops(
-        complex_, 0, [("a1", a_path), ("b1", b_path), ("c1", c_path)],
-        _word(("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1), ("c1", 1)), words)
-    return complex_, metric, loops
+    return complex_, metric, _generator_loops(complex_, 0, (1, 1), [a_path, b_path, c_path],
+                                              words)
 
 
 def _concat(*paths):
@@ -638,7 +671,7 @@ def _punctured_rectangle(k, subdiv):
     # steps from column x to x + 1 in the rows up to the hole's
     ids = np.arange((width + 1) * (height + 1)).reshape(width + 1, height + 1)
     tris, arcs = _grid(
-        ids, {(x, j): _word((hole_letter[x], 1)) for x, y in holes for j in range(y + 1)}, {},
+        ids, {(x, j): ((hole_letter[x], 1),) for x, y in holes for j in range(y + 1)}, {},
         [(vid(x, y), vid(x + 1, y), vid(x + 1, y + 1)) for x, y in holes])
     complex_ = build((width + 1) * (height + 1), tris)
     spacing = 1.0 / height
@@ -648,21 +681,19 @@ def _punctured_rectangle(k, subdiv):
     )
     metric = metric_from_positions(complex_, positions)
 
-    base = vid(0, height)
-    loop_list = []
+    paths = []
     for x, y in holes:
         tail = [vid(i, height) for i in range(x + 1)] + [vid(x, height - 1), vid(x, y)]
         cycle = [vid(x, y), vid(x + 1, y), vid(x + 1, y + 1), vid(x, y)]
-        loop_list.append((hole_letter[x], _concat(tail, cycle, _reverse(tail))))
-    outer = (
+        paths.append(_concat(tail, cycle, _reverse(tail)))
+    # the outer boundary, c_k
+    paths.append(
         [vid(i, height) for i in range(width + 1)]
         + [vid(width, height - 1 - j) for j in range(height)]
         + [vid(width - 1 - i, 0) for i in range(width)]
         + [vid(0, j) for j in range(1, height + 1)]
     )
-    loop_list.append(("c%d" % k, outer))
-    loops = _generator_loops(complex_, base, loop_list,
-                             _word(*[("c%d" % (j + 1), 1) for j in range(k)]),
+    loops = _generator_loops(complex_, vid(0, height), (0, k), paths,
                              _index_words(complex_, arcs))
     return complex_, metric, loops
 

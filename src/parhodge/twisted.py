@@ -18,10 +18,11 @@ the coboundaries:
     (all edges; in the relative flavor the interior ones, with every
     boundary vertex pinned to one merged root).  Components without a
     pinned vertex get a free root, and the tree transport G_v carries the
-    root fiber to each vertex.  One queue walk, `_breadth_first`, labels
-    the nodes of this forest, of the dual forest below and of the cotree
-    with the arc and node that reached them, their depth and their walk,
-    as integer bookkeeping on Python lists.  That bookkeeping depends on
+    root fiber to each vertex.  One queue walk, `surface._breadth_first`
+    (which also labels the mesh's components), labels the nodes of this
+    forest, of the dual forest below and of the cotree with the arc and
+    node that reached them, their depth and their walk, as integer
+    bookkeeping on Python lists.  That bookkeeping depends on
     the mesh and the flavor alone, so it is planned once per mesh
     (`_plan_walk`, `_plan_dual`) and kept with it
     (`surface.SurfaceComplex.plan`); per system the transports go down the
@@ -94,6 +95,7 @@ import numpy as np
 from . import numlin
 from .errors import NoConvergence, NotClosed
 from .numlin import DEFAULT_TOL
+from .surface import _breadth_first
 
 
 def cochain_space(k, f, degree, flavor="absolute"):
@@ -268,49 +270,6 @@ def _tree_and_flat_sections(k, f, walk, tol):
     exact = np.zeros((k.n_edges, n, defects.shape[2]))
     exact[walk.act] = defects
     return flat, exact.reshape(n * k.n_edges, -1)
-
-
-def _breadth_first(nodes, ends, seeds):
-    """Breadth-first labelling of the graph on `nodes` nodes whose arc i
-    joins ends[i].  Walks start from each group of `seeds` in turn, with the
-    group's unreached nodes at depth 0, then from each node still unreached,
-    in id order; a node takes its arcs in arc order.  Returns the visiting
-    order and, per node, the arc and the node that reached it (-1 where a
-    walk starts), its depth and its walk, numbered in the order the walks
-    start (a seed group already reached keeps its number, with no nodes).
-    """
-    # per node, its arcs in arc order: arc i sits at 2 i and 2 i + 1
-    at = ends.ravel()
-    by_node = np.argsort(at, kind="stable")
-    start = np.searchsorted(at[by_node], np.arange(nodes + 1)).tolist()
-    far = ends[:, ::-1].ravel()[by_node].tolist()
-    arc_at = (by_node // 2).tolist()
-    arc, up, depth, walk = [-1] * nodes, [-1] * nodes, [0] * nodes, [-1] * nodes
-    order = []
-
-    def grow(queue, w):
-        for v in queue:
-            walk[v] = w
-        for a in queue:
-            d = depth[a] + 1
-            for i in range(start[a], start[a + 1]):
-                b = far[i]
-                if walk[b] < 0:
-                    walk[b] = w
-                    arc[b] = arc_at[i]
-                    up[b] = a
-                    depth[b] = d
-                    queue.append(b)
-        order.extend(queue)
-
-    for w, group in enumerate(seeds):
-        grow([v for v in group if walk[v] < 0], w)
-    w = len(seeds)
-    for v in range(nodes):
-        if walk[v] < 0:
-            grow([v], w)
-            w += 1
-    return (order, *(np.array(labels, dtype=int) for labels in (arc, up, depth, walk)))
 
 
 def _forest(nodes, ends, pinned):

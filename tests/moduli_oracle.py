@@ -5,7 +5,8 @@ screened scan and the early-stopping bisection must match bit for bit."""
 import numpy as np
 
 from parhodge.localsys import quat_angle, quat_conj, quat_from_axis_angle
-from parhodge.moduli import _quat_word, _relation_word
+from parhodge.moduli import _quat_word
+from parhodge.surface import presentation
 
 
 def _scaled(q, t):
@@ -19,7 +20,7 @@ def _scaled(q, t):
 
 def _solve_last_bisect(g, k, images, target):
     """Bisection on the rotation-angle scaling of the last handle image."""
-    rel_free = _relation_word(g, k)[:-1]  # all but the forced last letter
+    rel_free = presentation(g, k)[1][:-1]  # all but the forced last letter
     b_name = f"b{g}"
     b_full = images[b_name]
 

@@ -274,6 +274,21 @@ def test_malformed_point_file_exits_2_with_its_reason(tmp_path, capsys, point, m
     assert code == 2 and err.startswith("error: InvalidParameter:") and message in err, err
 
 
+def test_a_genus_two_point_is_checked_without_a_mesh(tmp_path, capsys):
+    # the images are checked against the relation before any mesh is asked
+    # for, and only a point that satisfies it reaches genus_k, which has no
+    # genus-two mesh
+    point = _point_json(2, 1, [2.5], 3)
+    broken = _edited(point, a2=localsys.quat_from_axis_angle([1.0, 0, 0], 0.3).tolist())
+    for p, message in ((broken, "images do not satisfy the surface-group relation"),
+                       (point, "genus_k(2,1) mesh not implemented")):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(p))
+        code = run(["moduli", "--point", str(pfile)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: InvalidParameter:") and message in err, err
+
+
 def test_point_file_lists_all_classes_or_none(tmp_path):
     for point in (_PANTS, _edited(_PANTS, boundary_classes=[])):
         pfile = tmp_path / "p.json"

@@ -196,6 +196,17 @@ def test_gauge_checks_name_the_first_vertex_that_fails():
     assert str(err.value) == "gauge at vertex 0 has shape (2, 2), expected (3, 3)"
 
 
+@pytest.mark.parametrize("count", [21, 3], ids=["too-many", "too-few"])
+def test_gauge_transform_takes_one_gauge_per_vertex(count):
+    rng = np.random.default_rng(17)
+    k, _, loops = surface.torus(4)
+    f = localsys.random_flat_system(k, loops, 3, rng)
+    gauges = localsys._random_rotations(rng, count, 3)
+    with pytest.raises(InvalidParameter) as err:
+        localsys.gauge_transform(k, f, gauges)
+    assert str(err.value) == f"{count} gauges given for 16 vertices"
+
+
 def test_from_representation_deterministic():
     k, _, loops = surface.torus(4)
     a, b = rotation2(0.4), rotation2(0.9)

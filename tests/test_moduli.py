@@ -9,7 +9,7 @@ from parhodge.localsys import quat_angle, quat_from_axis_angle, quat_mul, quat_c
 
 def test_sample_trivial_torus_point():
     p = moduli.sample_point(1, 0, [], seed=0)
-    rel = moduli._quat_word(p.phi_images, moduli._relation_word(1, 0))
+    rel = moduli._quat_word(p.phi_images, surface.presentation(1, 0)[1])
     assert np.abs(rel - np.array([1.0, 0, 0, 0])).max() < 1e-12
 
 
@@ -195,7 +195,7 @@ def _target_at(g, k, images, t):
     so that f(t) = 0 exactly."""
     b_name = f"b{g}"
     scaled = dict(images, **{b_name: moduli_oracle._scaled(images[b_name], t)})
-    word = moduli._relation_word(g, k)[:-1]
+    word = surface.presentation(g, k)[1][:-1]
     return quat_angle(quat_conj(moduli._quat_word(scaled, word)))
 
 

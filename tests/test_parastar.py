@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from parhodge import cli, compat, hodge, localsys, moduli, numlin, parastar, surface, twisted
-from parhodge.errors import ConditionFailed
+from parhodge.errors import ConditionFailed, NotConnectedWarning
 
 from conftest import mass_matrix, torus_grid_cochain, union_with_metric_and_system
 from naturality import determinism_check, disconnected_split
@@ -128,6 +128,25 @@ def test_disconnected_split_torus_with_annulus():
     # the union report carries the per-component split
     rep = parastar.parabolic_star(ku, hu, fu)
     assert rep.component_split is not None and len(rep.component_split) == 2
+
+
+def test_a_components_edges_are_those_of_its_vertices():
+    # three components, one with boundary, their vertex ids interleaved
+    ku, _ = surface.disjoint_union(surface.disjoint_union(
+        surface.torus(3)[0], surface.annulus(4, 1)[0])[0], surface.disk(5)[0])
+    perm = np.random.default_rng(73).permutation(ku.vertex_count)
+    with pytest.warns(NotConnectedWarning):
+        k = surface.build(ku.vertex_count, perm[ku.tri_vertices])
+    seen = []
+    for c in range(k.n_components):
+        sub, edges = parastar._component(k, c)
+        # the edge search the component's edges were once found by
+        _, vmap = surface.subcomplex(k, c)
+        old = np.array(sorted(vmap))
+        want = surface.edge_ids(k, old[sub.ends[:, 0]], old[sub.ends[:, 1]])
+        assert np.array_equal(edges, want), c
+        seen.extend(edges.tolist())
+    assert sorted(seen) == list(range(k.n_edges))
 
 
 def test_disconnected_split_two_metrics():

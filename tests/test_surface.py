@@ -166,7 +166,49 @@ def test_builtin_generators_keep_their_tables(name, args, digest):
 def test_a_generator_loop_off_the_edges_raises_as_the_mesh_is_made():
     k, _, _ = surface.torus(4)
     with pytest.raises(InvalidParameter, match="path steps off the edges"):
-        surface._generator_loops(k, 0, [("a1", [0, 1, 10, 0])], (), {})
+        surface._generator_loops(k, 0, (0, 1), [[0, 1, 10, 0]], {})
+
+
+def test_presentation_spells_the_standard_relation():
+    assert surface.presentation(2, 1) == (
+        ["a1", "b1", "a2", "b2", "c1"],
+        (("a1", 1), ("b1", 1), ("a1", -1), ("b1", -1),
+         ("a2", 1), ("b2", 1), ("a2", -1), ("b2", -1), ("c1", 1)))
+    assert surface.presentation(0, 3) == (["c1", "c2", "c3"], (("c1", 1), ("c2", 1), ("c3", 1)))
+    assert surface.presentation(0, 0) == ([], ())
+
+
+@pytest.mark.parametrize("name,args,topology", [
+    ("torus", (4,), (1, 0)),
+    ("annulus", (4, 1), (0, 2)),
+    ("disk", (5,), (0, 1)),
+    ("sphere", (1,), (0, 0)),
+    ("genus_k", (0, 0, 1), (0, 0)),
+    ("genus_k", (0, 1, 1), (0, 1)),
+    ("genus_k", (0, 2, 1), (0, 2)),
+    ("genus_k", (0, 4, 2), (0, 4)),
+    ("genus_k", (1, 0, 1), (1, 0)),
+    ("genus_k", (1, 1, 1), (1, 1)),
+])
+def test_every_builtin_names_its_loops_by_the_presentation(name, args, topology):
+    _, _, loops = getattr(surface, name)(*args)
+    names, relation = surface.presentation(*topology)
+    assert loops.names() == names
+    assert loops.relation == relation
+    assert len(loops.steps) == len(names)
+
+
+def test_keyword_and_default_calls_share_read_only_meshes():
+    for call, positional in ((lambda: surface.genus_k(0, 3), lambda: surface.genus_k(0, 3, 1)),
+                             (lambda: surface.torus(m=5), lambda: surface.torus(5))):
+        got, want = call(), positional()
+        assert call() is got
+        k, h, loops = got
+        _assert_same_complex(k, want[0])
+        assert np.array_equal(h.lengths, want[1].lengths)
+        assert dataclasses.astuple(loops) == dataclasses.astuple(want[2])
+        arrays = [a for a in (*vars(k).values(), *vars(h).values()) if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_genus_k_unsupported():
@@ -338,6 +380,22 @@ def test_build_matches_the_loop_oracle(name, m):
     pos = np.random.default_rng(m + 1).standard_normal((k.vertex_count, 3))
     assert np.array_equal(surface.metric_from_positions(k, pos).lengths,
                           surface_oracle.metric_from_positions(k, pos).lengths)
+
+
+def test_components_are_numbered_by_their_lowest_vertex_as_the_loop_oracle():
+    # three components, one with boundary, their vertex ids interleaved
+    ku, _ = surface.disjoint_union(surface.disjoint_union(
+        surface.torus(3)[0], surface.annulus(4, 1)[0])[0], surface.disk(5)[0])
+    perm = np.random.default_rng(72).permutation(ku.vertex_count)
+    tris = list(map(tuple, perm[ku.tri_vertices].tolist()))
+    with pytest.warns(NotConnectedWarning, match="3 components"):
+        k = surface.build(ku.vertex_count, tris)
+    with pytest.warns(NotConnectedWarning):
+        want = surface_oracle.build(ku.vertex_count, tris)
+    _assert_same_complex(k, want)
+    # component c + 1 starts above component c's lowest vertex
+    assert k.n_components == 3
+    assert (np.diff(np.unique(k.component_of, return_index=True)[1]) > 0).all()
 
 
 def test_union_and_component_match_the_loop_oracle(monkeypatch):

@@ -14,8 +14,9 @@ read the steps that `surface.build` stores with each boundary cycle and
 the builtin generators with each loop.
 
 `twisted` labels the spanning forest, the dual forest and the cotree with
-one breadth-first routine, `_breadth_first`, and keeps what it finds with
-the mesh; here each keeps a queue walk of its own, on every call.
+one breadth-first routine, `surface._breadth_first` (which also labels the
+mesh's components), and keeps what it finds with the mesh; here each
+keeps a queue walk of its own, on every call.
 `_flat_forest` (for the vertex and the dual graph) walks the graph of the
 forest it is handed, reading none of its labels, and transports each node
 as its queue reaches it; `_cotree` finds each edge's triangles from
