@@ -38,20 +38,29 @@ def _fmt(x):
 
 def _float_rows(rows, lead):
     """`lead[x, y, ...]` for each row, joined by ",\n", when `rows` is a
-    list of equal-length lists of finite floats, else None: one % over a
-    %.17g template, then, if some entry is integral, one regex pass that
-    gives those entries their ".0", so every entry reads as `_fmt` writes
-    it."""
-    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]:
-        return None
-    flat = [x for row in rows for x in row]
-    if set(map(type, flat)) != {float}:
-        return None
-    template = lead + "[" + ", ".join(["%.17g"] * len(rows[0])) + "]"
+    list of equal-length lists of finite floats or a 2-d float array with
+    finite entries, else None: one % over a %.17g template, then, if some
+    entry is integral, one regex pass that gives those entries their
+    ".0", so every entry reads as `_fmt` writes it.  An array's entries
+    are checked all at once, with no per-entry type scan."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.dtype != float or not rows.size \
+                or not np.isfinite(rows).all():
+            return None
+        width, flat = rows.shape[1], rows.ravel().tolist()
+        integral = bool((np.trunc(rows) == rows).any())
+    else:
+        if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]:
+            return None
+        flat = [x for row in rows for x in row]
+        if set(map(type, flat)) != {float}:
+            return None
+        width, integral = len(rows[0]), any(map(float.is_integer, flat))
+    template = lead + "[" + ", ".join(["%.17g"] * width) + "]"
     text = ",\n".join([template] * len(rows)) % tuple(flat)
     if "n" in text:  # nan or inf, which `_fmt` writes as null
         return None
-    return _INTEGRAL.sub(r"\1.0", text) if any(map(float.is_integer, flat)) else text
+    return _INTEGRAL.sub(r"\1.0", text) if integral else text
 
 
 def _scalars(values):
@@ -60,7 +69,15 @@ def _scalars(values):
 
 
 def dumps(obj, indent=0):
+    """`obj` as JSON in the report layout; an array is written as the list
+    `obj.tolist()` is, a 2-d float array with finite entries straight
+    from the array (`_float_rows`)."""
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        matrix = _float_rows(obj, pad + "  ")
+        if matrix is None:
+            return dumps(obj.tolist(), indent)
+        return "[\n" + matrix + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -86,7 +103,12 @@ def dumps(obj, indent=0):
 def to_text(obj, prefix=""):
     """Flatten to `path: value` lines mirroring the JSON field order."""
     lines = []
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        matrix = _float_rows(obj, "")
+        if matrix is None:
+            return to_text(obj.tolist(), prefix)
+        lines.extend(f"{prefix}{i}: {row}" for i, row in enumerate(matrix.split(",\n")))
+    elif isinstance(obj, dict):
         for key, val in obj.items():
             lines.extend(to_text(val, f"{prefix}{key}."))
     elif isinstance(obj, (list, tuple)) and any(

@@ -143,7 +143,7 @@ def cmd_moduli(args):
         "tangent": acs["tangent"],
     }
     for key in ("goldman_omega", "acs"):
-        payload[key] = parastar._matrix_list(acs[key])
+        payload[key] = parastar._report_matrix(acs[key])
     payload["compatibility_residuals"] = {
         key: float(v) for key, v in acs["compatibility_residuals"].items()
     }

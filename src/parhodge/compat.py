@@ -194,22 +194,6 @@ def _skew_polar(s, tol, max_iter=100):
     return 0.5 * (w - w.T)
 
 
-def ambient_g(space, sub, tol=DEFAULT_TOL):
-    """Matrix of the compression p_U J restricted to U, in the basis of U.
-
-    Computed through the Q-orthogonal projection onto U; equal to
-    -M^{-1} Omega from `gram_and_omega` (the two routes are the same
-    operator, which the tests check numerically).
-    """
-    diag = check_condition(space, sub, tol)
-    if not diag["condition_2_1"]:
-        raise ConditionFailed("J(U) meets the orthogonal complement of U")
-    b = sub.basis
-    m = b.T @ space.q @ b
-    _, _, m_inv = numlin.spd_functions(m, tol)
-    return m_inv @ (b.T @ space.q @ (space.j @ b))
-
-
 def subspace_transfer(q, n_basis, d_basis, tol=DEFAULT_TOL):
     """Mutual orthogonal projections between two subspaces and their kernels.
 

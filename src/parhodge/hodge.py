@@ -10,15 +10,21 @@ integrals pair the Whitney forms (M1, W1) and the hat-function gradients
 `SurfaceComplex.tri_edges`, the edge lengths and the transports.
 Orthogonal transports preserve the fiber inner product, so for a trivial
 system the matrices reduce to the scalar ones tensored with the fiber
-identity.
+identity.  What depends on the lengths and the mesh alone, the triangle
+geometry (Heron areas, gradient pairings g, the L0 factors area g and
+the Whitney pair integrals of M1), is made once per mesh and metric
+(`_metric_geometry`) and kept, read-only, with the metric
+(`surface.PLMetric.plan`), so every system on them reuses it; a call
+gathers its system's transports into the pairs rho_a^T rho_b and
+multiplies.
 
-`MetricComplex` is a plain record of the local blocks and keeps nothing
-between calls; no matrix is assembled from them.  `m1_apply` applies M1
-per triangle (gather the three edge values by `tri_edges`, multiply by the
-local 3n x 3n block, which `metric_complex` stores in that layout, and sum
-the results back onto each edge by two gathers through
-`SurfaceComplex.edge_slots`, its first triangle then its second, onto
-zeros: np.add.at's summation bit for bit, in about half the time),
+`MetricComplex` is a plain record of one system's local blocks and keeps
+nothing between calls; no matrix is assembled from them.  `m1_apply`
+applies M1 per triangle (gather the three edge values by `tri_edges`,
+multiply by the local 3n x 3n block, which `metric_complex` stores in
+that layout, and sum the results back onto each edge by two gathers
+through `SurfaceComplex.edge_slots`, its first triangle then its second,
+onto zeros: np.add.at's summation bit for bit, in about half the time),
 `galerkin_operator` applies W1^T the same way from the metric-free wedge
 blocks, and `twisted._d0_apply` / `twisted._d0_adjoint` apply d0 and
 d0^T edgewise.  `harmonic_representative` solves with L0 by block
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +82,18 @@ from .numlin import DEFAULT_TOL
 class MetricComplex:
     k: object
     f: object
+    # per system, each the metric's kept geometry times the pairs:
     # (n_T, 3, 3, n, n) over the sorted vertices w0 < w1 < w2 of each
     # triangle: the local blocks (area g)_ij rho_i^T rho_j of the twisted
     # cotan Laplacian, which no src path assembles
     l0: np.ndarray
     # (n_T, 3n, 3n) over the (table edge, fiber) values of each triangle:
-    # the local M1 block, in the layout `_triangle_apply` multiplies with
+    # the local M1 block, the Whitney pair integrals times the pairs, in
+    # the layout `_triangle_apply` multiplies with
     m1: np.ndarray
     # (n_T, 3, 3, n, n) over the table edges of each triangle: the products
     # rho_a^T rho_b of the transports that carry the edge values into the
-    # fiber at w0
+    # fiber at w0; metric-free, and W1^T's blocks are read off them
     pairs: np.ndarray
     tol: object = DEFAULT_TOL
 
@@ -121,10 +130,11 @@ def _whitney_pairs(ll, y):
 _WEDGE = _whitney_pairs(_lambda_products(0.5), _WEDGE_E)
 
 
-def metric_complex(k, h, f, tol=DEFAULT_TOL):
-    """The local M1 and L0 blocks for (complex, metric, system), all
-    triangles at once."""
-    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
+def _metric_geometry(k, h):
+    """The per-triangle geometry of the metric `h` on `k`, read-only: the
+    L0 factors area g_ij and the Whitney pair integrals of M1, each
+    (n_T, 3, 3), from the gradient pairings g_ij = <dl_i, dl_j>."""
+    te = k.tri_edges
     # side[:, i] is opposite w_i; Heron takes the sides opposite t0, t1
     # and t2 of the stored triangle, which fixes the rounding of the area
     side = h.lengths[te[:, ::-1]]
@@ -138,6 +148,18 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     a2 = (area * area)[:, None, None]
     g = np.where(np.eye(3, dtype=bool), sq[:, :, None] / (4.0 * a2),
                  -(sq[:, :, None] + sq[:, None, :] - third) / (8.0 * a2))
+    geometry = area[:, None, None] * g, _whitney_pairs(_lambda_products(area), g)
+    for a in geometry:
+        a.setflags(write=False)
+    return geometry
+
+
+def metric_complex(k, h, f, tol=DEFAULT_TOL):
+    """The local M1 and L0 blocks for (complex, metric, system), all
+    triangles at once: the metric's geometry on `k`, made once and kept
+    with the metric (`_metric_geometry`), times the transports' pairs."""
+    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
+    area_g, whitney = h.plan(k, "geometry", lambda: _metric_geometry(k, h))
     # pullbacks rho_i of the vertex fibers into the fiber at w0, and the
     # products rho_i^T rho_j; an edge cochain's value lives at its low vertex.
     # rho_0 = I, so only the pairs of rho_1 = P_w0w1 and rho_2 = P_w0w2 are
@@ -153,11 +175,11 @@ def metric_complex(k, h, f, tol=DEFAULT_TOL):
     pair[:, 1:, 1:] = rho_t[:, :, None] @ rho[:, None]
     pair_e = pair[:, _EDGE_LO[:, None], _EDGE_LO]
 
-    l0 = (area[:, None, None] * g)[..., None, None] * pair
+    l0 = area_g[..., None, None] * pair
     # M1's local blocks (a, b, i, j) go to row a n + i, column b n + j
     m1 = np.empty((nt, 3 * n, 3 * n))
-    np.multiply(_whitney_pairs(_lambda_products(area), g)[:, :, None, :, None],
-                pair_e.transpose(0, 1, 3, 2, 4), out=m1.reshape(nt, 3, n, 3, n))
+    np.multiply(whitney[:, :, None, :, None], pair_e.transpose(0, 1, 3, 2, 4),
+                out=m1.reshape(nt, 3, n, 3, n))
     return MetricComplex(k=k, f=f, l0=l0, m1=m1, pairs=pair_e, tol=tol)
 
 
@@ -166,14 +188,14 @@ def _triangle_apply(mc, local, u):
     (table edge, fiber) values applied to u, a one-cochain or columns of
     them: gather the values on each triangle's table edges, apply its
     block, and sum the results back per edge (`_edge_sums`)."""
-    n, te = mc.f.fiber_dim, mc.k.tri_edges
-    nt, cols = len(te), int(np.prod(np.shape(u)[1:]))
-    x = np.reshape(u, (mc.k.n_edges, n, cols))
+    n, te, shape = mc.f.fiber_dim, mc.k.tri_edges, u.shape
+    nt, cols = len(te), math.prod(shape[1:])
+    x = u.reshape(mc.k.n_edges, n, cols)
     y = np.empty((3 * nt + 1, n, cols))
     y[-1] = 0.0
     np.matmul(local, x.take(te, axis=0).reshape(nt, 3 * n, cols),
               out=y[:-1].reshape(nt, 3 * n, cols))
-    return _edge_sums(mc.k, y).reshape(np.shape(u))
+    return _edge_sums(mc.k, y).reshape(shape)
 
 
 def _edge_sums(k, y):
@@ -222,9 +244,8 @@ def galerkin_operator(mc):
         return (diag_inv @ r.reshape(ne, n, -1)).reshape(r.shape)
 
     def apply(x):
-        cols = int(np.prod(np.shape(x)[1:]))
-        rhs = np.reshape(_triangle_apply(mc, w1_t, x), (n * ne, cols))
-        return numlin.pcg(m1, rhs, precond).reshape(np.shape(x))
+        rhs = _triangle_apply(mc, w1_t, x).reshape(n * ne, math.prod(x.shape[1:]))
+        return numlin.pcg(m1, rhs, precond).reshape(x.shape)
 
     return apply
 

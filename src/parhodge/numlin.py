@@ -57,17 +57,20 @@ def as_matrix(a, name="matrix"):
 
 
 def _fix_column_signs(v):
-    """Make the first component of largest magnitude in each column positive.
+    """Make the first entry of each column above 1e-14 max(1, max |col|)
+    positive, all columns at once.
 
     Removes the sign ambiguity of eigen/singular vectors so identical inputs
     give identical outputs across runs.
     """
     v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-14 * max(1.0, np.abs(col).max(initial=0.0)))
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
+    if not v.size:
+        return v
+    # fmax takes 1 over a NaN maximum, as Python's max(1.0, nan) does
+    mag = np.abs(v)
+    big = mag > 1e-14 * np.fmax(1.0, mag.max(axis=0))
+    first = v[big.argmax(axis=0), np.arange(v.shape[1])]
+    np.negative(v, out=v, where=big.any(axis=0) & (first < 0))
     return v
 
 
@@ -263,7 +266,8 @@ def pcg(apply, b, precond):
         alpha = rz / np.einsum("ij,ij->j", p, q)
         x_live += alpha * p
         r = r - alpha * q
-        keep = ~(np.linalg.norm(r, axis=0) <= target[live])
+        # np.linalg.norm(r, axis=0), bit for bit, without its dispatch
+        keep = ~(np.sqrt(np.add.reduce(r * r, axis=0)) <= target[live])
         if not keep.all():
             x[:, live[~keep]] = x_live[:, ~keep]
             live, x_live, r, p, rz = (live[keep], x_live[:, keep], r[:, keep],

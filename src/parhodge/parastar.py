@@ -44,7 +44,8 @@ class ParabolicStarReport:
     component_split: list | None = None  # per-component reports
 
     def to_dict(self):
-        """JSON-ready dictionary with a stable field order."""
+        """The report as a dictionary with a stable field order, its
+        matrices as arrays, for `_serialize` to write."""
         res = {}
         for key in ("jpar_sq", "omega_invariance", "taming_min_eigenvalue",
                     "condition_sigma_min"):
@@ -59,12 +60,12 @@ class ParabolicStarReport:
             "dim_H1": self.dim_h1,
             "dim_H1_rel": self.dim_h1_rel,
             "dim_H1_par": self.dim_h1_par,
-            "U_basis": _matrix_list(self.u_basis),
-            "M_U": _matrix_list(self.m_u),
-            "Omega_U": _matrix_list(self.omega_u),
-            "G": _matrix_list(self.g),
-            "R": _matrix_list(self.r),
-            "J_par": _matrix_list(self.j_par),
+            "U_basis": _report_matrix(self.u_basis),
+            "M_U": _report_matrix(self.m_u),
+            "Omega_U": _report_matrix(self.omega_u),
+            "G": _report_matrix(self.g),
+            "R": _report_matrix(self.r),
+            "J_par": _report_matrix(self.j_par),
             "residuals": res,
             "component_split": None if self.component_split is None
             else [c.to_dict() for c in self.component_split],
@@ -82,9 +83,10 @@ class ParabolicStarReport:
         )
 
 
-def _matrix_list(a):
-    """A report matrix as a list of float rows, [] when it is empty."""
-    return np.atleast_2d(a).astype(float).tolist() if a.size else []
+def _report_matrix(a):
+    """A report matrix as a 2-d float array, which `_serialize` writes as
+    its list of rows, or [] when it is empty."""
+    return np.atleast_2d(a).astype(float) if a.size else []
 
 
 def _hash_array(a):
@@ -163,8 +165,8 @@ def _component(k, component):
     """One component as its own complex, and the id in `k` of each of its
     edges; the vertex map is monotone, so the component's edges keep their
     directions and their lexicographic order."""
-    sub, _ = surface.subcomplex(k, component)
-    return sub, np.flatnonzero(k.component_of[k.ends[:, 0]] == component)
+    edges = np.flatnonzero(k.component_of[k.ends[:, 0]] == component)
+    return surface.subcomplex(k, component), edges
 
 
 def _component_split(k, h, f, tol):

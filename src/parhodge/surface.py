@@ -27,7 +27,9 @@ walks in `twisted` take.
 
 A complex also keeps, by key, what the walks in `twisted`, the level
 solve in `hodge` and the report's `mesh_id` derive from it alone
-(`SurfaceComplex.plan`); every system on one mesh reuses them.
+(`SurfaceComplex.plan`); every system on one mesh reuses them.  A metric
+keeps what `hodge` derives from its lengths on one mesh, the triangle
+geometry (`PLMetric.plan`), with the mesh it was derived on.
 
 Builtin generators emit flat-metric grids (torus, annulus, disk, punctured
 sphere, one-holed torus and the round sphere), each built once per
@@ -111,9 +113,27 @@ class SurfaceComplex:
 @dataclass
 class PLMetric:
     """Edge lengths (aligned with `SurfaceComplex.ends`) of a piecewise
-    flat metric; validated against strict triangle inequalities."""
+    flat metric; validated against strict triangle inequalities.
+
+    A metric also keeps, by key, what is derived from its lengths on one
+    mesh (`plan`): the per-triangle geometry of `hodge.metric_complex`,
+    which every system on that mesh and metric reuses.  The lengths are
+    never changed once a plan is made."""
 
     lengths: np.ndarray
+    # per key, the mesh a plan was made on and the plan (`plan`); freed
+    # with the metric
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def plan(self, k, key, make):
+        """The plan `key` of these lengths on the mesh `k`, from `make()`
+        the first time it is asked for on `k` and kept with the metric.
+        The entry holds its mesh and is read only when that mesh is `k`;
+        on another mesh the plan is made again and replaces it."""
+        entry = self._plans.get(key)
+        if entry is None or entry[0] is not k:
+            entry = self._plans[key] = (k, make())
+        return entry[1]
 
 
 @dataclass
@@ -157,10 +177,13 @@ def build(vertex_count, triangles):
     the boundary edges are walked, into cycles, and the graph of the edges,
     into components (`_breadth_first`, each walk from the lowest vertex it
     has not reached, so a component is numbered by its lowest vertex).
-    Invalid input raises on the first offending triangle, vertex or edge.
+    Invalid input raises on the first offending triangle, vertex or edge,
+    and a complex with no triangle raises.
     """
     nv = int(vertex_count)
     tri = _triangle_table(nv, triangles)
+    if not len(tri):
+        raise InvalidParameter("a complex needs at least one triangle")
     bare = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)
     if bare.size:
         raise InvalidParameter(f"vertex {bare[0]} lies in no triangle")
@@ -171,7 +194,7 @@ def build(vertex_count, triangles):
     keys = np.minimum(tail, head) * nv + np.maximum(tail, head)
     edge_keys, side_edge = np.unique(keys, return_inverse=True)
     k.side_edge = side_edge.reshape(-1, 3)
-    k.ends = np.stack(np.divmod(edge_keys, max(nv, 1)), axis=1).reshape(-1, 2)
+    k.ends = np.stack(np.divmod(edge_keys, nv), axis=1)
     ne = len(k.ends)
 
     # per edge: the triangles on it, and how many run it low -> high,
@@ -780,12 +803,11 @@ def disjoint_union(k1, k2):
 
 
 def subcomplex(k, component):
-    """Extract one connected component; returns (complex, vertex map old->new)."""
+    """One connected component as its own complex; its vertices are those
+    of `k.component_of == component`, renumbered in their order."""
     inside = k.component_of == component
-    verts = np.flatnonzero(inside).tolist()
     new_id = np.cumsum(inside) - 1
     tris = new_id[k.tri_vertices[inside[k.tri_vertices[:, 0]]]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConnectedWarning)
-        sub = build(len(verts), tris)
-    return sub, dict(zip(verts, range(len(verts))))
+        return build(np.count_nonzero(inside), tris)

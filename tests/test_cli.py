@@ -96,6 +96,24 @@ def test_float_rows_write_what_fmt_writes_entry_by_entry():
     assert _serialize.write_report(report, "text") == "\n".join(_text_per_entry(report)) + "\n"
     for key, value in report.items():
         assert _serialize.dumps(value, 2) == _dumps_per_entry(value, 2), key
+    # arrays, as the reports hand their matrices over, write what their
+    # lists write entry by entry, the non-finite ones included
+    arrays = {key: np.array(report[key]) for key in (
+        "matrix", "column", "square", "nan_row", "inf_row", "random", "integral")}
+    arrays.update({
+        "neg_inf_rows": np.array([[-np.inf, 0.0], [np.nan, -0.0]]),
+        "signed_zeros": np.array([[-0.0, 0.0], [-0.0, -0.0]]),
+        "large": np.array([[1e16, -1e16, 1e17], [1e17 + 16.0, 9007199254740993.0, 0.5]]),
+        "transposed": np.array(report["random"]).T,
+        "row": np.array(values),
+        "ints": np.array(report["ints"]),
+        "one_empty_row": np.zeros((1, 0)),
+    })
+    listed = {key: a.tolist() for key, a in arrays.items()}
+    assert _serialize.write_report(arrays) == _dumps_per_entry(listed) + "\n"
+    assert _serialize.write_report(arrays, "text") == "\n".join(_text_per_entry(listed)) + "\n"
+    for key, a in arrays.items():
+        assert _serialize.dumps(a, 2) == _dumps_per_entry(listed[key], 2), key
 
 
 def test_star_torus_example(tmp_path, capsys):
@@ -422,6 +440,9 @@ def _triangle(edge_lengths):
 
 
 _BARE_VERTEX = {"vertices": [[0, 0], [1, 0], [0, 1], [5, 5]], "triangles": [[0, 1, 2]]}
+# no triangle: once an IndexError (exit 5) past an empty complex whose edge
+# search matched key 0
+_EMPTY_MESH = {"vertices": 0, "triangles": [], "edge_lengths": [[1, 6, 0.5]]}
 # the reason an error line names, where a case pins one
 _MALFORMED_REASONS = {
     "star-vertex-in-no-triangle": "error: InvalidParameter: vertex 3 lies in no triangle\n",
@@ -437,6 +458,8 @@ _MALFORMED_REASONS = {
     "transport-equal-ends": "error: InvalidParameter: (4, 4) is not an edge of the complex\n",
     # refused before the sampler draws anything
     "sample-negative-genus": "error: InvalidParameter: need g >= 0 and k >= 0\n",
+    "star-empty-mesh": "error: InvalidParameter: a complex needs at least one triangle\n",
+    "verify-empty-mesh": "error: InvalidParameter: a complex needs at least one triangle\n",
 }
 
 
@@ -474,13 +497,16 @@ _MALFORMED_REASONS = {
     (["star", "--example", "torus", "--m", "4", "--system", "{system}"],
      {"system": {"fiber_dim": 1, "transports": [{"tail": 4, "head": 4, "matrix": [[1.0]]}]}}),
     (["moduli", "--sample", "-1", "5", "--angles", "1,1,1,1,1"], {}),
+    (["star", "--mesh", "{mesh}"], {"mesh": _EMPTY_MESH}),
+    (["verify", "--mesh", "{mesh}"], {"mesh": _EMPTY_MESH}),
 ], ids=["unknown-refine-example", "refine-with-mesh", "refine-with-system",
         "point-without-g", "point-array", "transport-without-head", "sample-without-boundary", "point-images-array",
         "mesh-number", "mesh-triangle-number", "representation-images-array",
         "transports-number", "edge-length-fractional-id", "edge-length-twice",
         "edge-length-short-row", "star-vertex-in-no-triangle", "verify-vertex-in-no-triangle",
         "refine-empty", "edge-length-id-beyond-int64", "edge-length-negative-id",
-        "transport-id-beyond-int64", "transport-equal-ends", "sample-negative-genus"])
+        "transport-id-beyond-int64", "transport-equal-ends", "sample-negative-genus",
+        "star-empty-mesh", "verify-empty-mesh"])
 def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, request, argv, files):
     paths = {}
     for name, content in files.items():

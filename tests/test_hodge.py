@@ -9,6 +9,7 @@ from parhodge import cli, compat, hodge, localsys, numlin, surface, twisted
 from parhodge.errors import NoConvergence, NotPositiveDefinite
 
 import decomposition_oracle
+import naturality
 from conftest import (doughnut_metric, edge_index, galerkin_star, laplacian_matrix,
                       mass_matrix, torus_grid_cochain, union_with_metric_and_system,
                       wedge_matrix)
@@ -99,6 +100,125 @@ def test_metric_complex_matches_triangle_loop_bitwise(gen, args, n, trivial):
     # the scatter alone is bitwise symmetric, so the reference's 0.5 (L0 + L0^T)
     # leaves it unchanged
     assert np.array_equal(got[2], got[2].T)
+
+
+def _per_call_metric_complex(k, h, f):
+    """`metric_complex` as it was when every call computed the metric's
+    triangle geometry afresh: (l0, m1, pairs)."""
+    n, nt, te = f.fiber_dim, k.n_triangles, k.tri_edges
+    side = h.lengths[te[:, ::-1]]
+    stored = h.lengths[k.side_edge]
+    area = surface._heron(stored[:, 1], stored[:, 2], stored[:, 0])
+    sq = np.float_power(side, 2)
+    third = sq[:, (3 - np.add.outer(np.arange(3), np.arange(3))) % 3]
+    a2 = (area * area)[:, None, None]
+    g = np.where(np.eye(3, dtype=bool), sq[:, :, None] / (4.0 * a2),
+                 -(sq[:, :, None] + sq[:, None, :] - third) / (8.0 * a2))
+    rho = f.transports.take(te[:, :2], axis=0)
+    rho_t = f.transports.transpose(0, 2, 1).take(te[:, :2], axis=0)
+    pair = np.empty((nt, 3, 3, n, n))
+    pair[:, 0, 0] = np.eye(n)
+    pair[:, 0, 1:] = rho
+    pair[:, 1:, 0] = rho_t
+    pair[:, 1:, 1:] = rho_t[:, :, None] @ rho[:, None]
+    pair_e = pair[:, hodge._EDGE_LO[:, None], hodge._EDGE_LO]
+    l0 = (area[:, None, None] * g)[..., None, None] * pair
+    m1 = np.empty((nt, 3 * n, 3 * n))
+    np.multiply(hodge._whitney_pairs(hodge._lambda_products(area), g)[:, :, None, :, None],
+                pair_e.transpose(0, 1, 3, 2, 4), out=m1.reshape(nt, 3, n, 3, n))
+    return l0, m1, pair_e
+
+
+def _assert_per_call_bits(k, h, f, label=""):
+    mc = hodge.metric_complex(k, h, f)
+    for name, got, want in zip(("l0", "m1", "pairs"), (mc.l0, mc.m1, mc.pairs),
+                               _per_call_metric_complex(k, h, f)):
+        assert np.array_equal(got, want), (label, name)
+
+
+_EVERY_BUILTIN = [("torus", (5,)), ("annulus", (5, 2)), ("disk", (6,)), ("sphere", (2,)),
+                  ("genus_k", (0, 3, 1)), ("genus_k", (0, 4, 1)), ("genus_k", (1, 0, 1)),
+                  ("genus_k", (1, 1, 2))]
+
+
+@pytest.mark.parametrize("name,args", _EVERY_BUILTIN,
+                         ids=[f"{name}{args}" for name, args in _EVERY_BUILTIN])
+def test_kept_geometry_gives_the_per_call_blocks_bit_for_bit(name, args):
+    # cold and then warm, at fiber 1 and 3, on the shared metric and on a
+    # perturbed one
+    surface._shared.cache_clear()
+    k, h, loops = getattr(surface, name)(*args)
+    rng = np.random.default_rng(47)
+    perturbed = surface.perturbed_metric(k, h, rng, amplitude=0.2)
+    for metric in (h, perturbed):
+        for f in (localsys.trivial_system(k, 1), localsys.random_flat_system(k, loops, 3, rng),
+                  localsys.trivial_system(k, 1)):
+            _assert_per_call_bits(k, metric, f, (name, args, f.fiber_dim))
+
+
+def _counting_geometry(monkeypatch):
+    """Swap in a `_metric_geometry` that records the (mesh, metric) of
+    each build; returns the record."""
+    builds, make = [], hodge._metric_geometry
+
+    def counted(k, h):
+        builds.append((k, h))
+        return make(k, h)
+
+    monkeypatch.setattr(hodge, "_metric_geometry", counted)
+    return builds
+
+
+def _same(builds, pairs):
+    return len(builds) == len(pairs) and all(
+        got_k is k and got_h is h for (got_k, got_h), (k, h) in zip(builds, pairs))
+
+
+def test_a_shared_mesh_and_metric_build_their_geometry_once(monkeypatch, capsys):
+    surface._shared.cache_clear()
+    builds = _counting_geometry(monkeypatch)
+    k, h, loops = surface.genus_k(1, 1, 2)
+    rng = np.random.default_rng(48)
+    for f in (localsys.trivial_system(k, 1), localsys.random_flat_system(k, loops, 3, rng)):
+        hodge.metric_complex(k, h, f)
+    assert _same(builds, [(k, h)])
+    # two refinement tables over the same shared meshes, at two fibers
+    for _ in range(2):
+        for fiber in ("1", "3"):
+            assert cli.main(["verify", "--example", "torus", "--refine", "4,5",
+                             "--fiber", fiber]) == 0
+    capsys.readouterr()
+    assert _same(builds, [(k, h)] + [surface.torus(m)[:2] for m in (4, 5)])
+
+
+def test_one_metric_on_two_meshes_takes_each_meshs_geometry(monkeypatch):
+    # the same lengths on a mesh and on its orientation flip, as the
+    # naturality check uses them: the flip's Heron sums its sides in
+    # another order, so the two geometries differ in their last bits
+    k, h0, loops = surface.genus_k(1, 1, 2)
+    h = surface.perturbed_metric(k, h0, np.random.default_rng(41), amplitude=0.2)
+    flipped = naturality.orientation_flip(k)
+    f = localsys.random_flat_system(k, loops, 3, np.random.default_rng(49))
+    builds = _counting_geometry(monkeypatch)
+    kept = []
+    for mesh in (k, flipped, flipped, k):
+        _assert_per_call_bits(mesh, h, f)
+        kept.append(h._plans["geometry"][1])
+    assert _same(builds, [(k, h), (flipped, h), (k, h)])
+    assert kept[1] is kept[2] and not np.array_equal(kept[0][0], kept[1][0])
+
+
+def test_the_kept_geometry_is_read_only():
+    k, h, _ = surface.torus(5)
+    mc = hodge.metric_complex(k, h, localsys.trivial_system(k, 1))
+    geometry = h._plans["geometry"][1]
+    assert h._plans["geometry"][0] is k and len(geometry) == 2
+    for a in geometry:
+        assert a.shape == (k.n_triangles, 3, 3)
+        with pytest.raises(ValueError):
+            a[...] = 0
+    # the blocks of a system are its own to change
+    assert mc.l0.flags.writeable and mc.m1.flags.writeable
 
 
 def test_mass_matrices_spd_and_wedge_skew_twisted():

@@ -207,6 +207,30 @@ def test_pcg_matches_the_scatter_loop_bit_for_bit(monkeypatch):
     assert str(got_error.value) == str(want_error.value)
 
 
+def _column_signs_per_column(v):
+    """`numlin._fix_column_signs` one column at a time."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-14 * max(1.0, np.abs(col).max(initial=0.0)))
+        if nz.size and col[nz[0]] < 0:
+            v[:, j] = -col
+    return v
+
+
+def test_column_signs_flip_as_the_per_column_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    tiny = np.array([[-1e-15, 1e-15, -3e-14, 0.0, np.nan, -0.0],
+                     [-2.0, -1e-16, 5e-15, -0.0, -1.0, 0.0],
+                     [3.0, 0.0, -1e-13, 0.0, 2.0, -0.0]])
+    cases = [tiny, tiny * 1e3, np.zeros((3, 0)), np.zeros((0, 4)), np.array([[-0.5]]),
+             rng.standard_normal((7, 5)), rng.standard_normal((4, 9)) * 1e-16,
+             rng.standard_normal((6, 6)).T]
+    for v in cases:
+        got, want = numlin._fix_column_signs(v), _column_signs_per_column(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
+
+
 def test_empty_shapes_flow_through():
     w, v = numlin.sym_eig(np.zeros((0, 0)))
     assert w.shape == (0,) and v.shape == (0, 0)

@@ -141,8 +141,7 @@ def test_a_components_edges_are_those_of_its_vertices():
     for c in range(k.n_components):
         sub, edges = parastar._component(k, c)
         # the edge search the component's edges were once found by
-        _, vmap = surface.subcomplex(k, c)
-        old = np.array(sorted(vmap))
+        old = np.flatnonzero(k.component_of == c)
         want = surface.edge_ids(k, old[sub.ends[:, 0]], old[sub.ends[:, 1]])
         assert np.array_equal(edges, want), c
         seen.extend(edges.tolist())

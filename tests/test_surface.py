@@ -341,9 +341,11 @@ def test_subcomplex_and_union():
     k2, _, _ = surface.disk(4)
     ku, offset = surface.disjoint_union(k1, k2)
     assert ku.n_components == 2
-    sub0, vmap0 = surface.subcomplex(ku, 0)
-    sub1, vmap1 = surface.subcomplex(ku, 1)
+    sub0 = surface.subcomplex(ku, 0)
+    sub1 = surface.subcomplex(ku, 1)
     assert {sub0.n_triangles, sub1.n_triangles} == {k1.n_triangles, k2.n_triangles}
+    # a component's vertices are those that `component_of` labels with it
+    assert [sub0.vertex_count, sub1.vertex_count] == np.bincount(ku.component_of).tolist()
 
 
 def _assert_same_complex(got, want):
@@ -402,10 +404,10 @@ def test_union_and_component_match_the_loop_oracle(monkeypatch):
     k1, _, _ = surface.torus(3)
     k2, _, _ = surface.genus_k(0, 3, 1)
     ku, _ = surface.disjoint_union(k1, k2)
-    sub, _ = surface.subcomplex(ku, 1)
+    sub = surface.subcomplex(ku, 1)
     monkeypatch.setattr(surface, "build", surface_oracle.build)
     ku_loop, _ = surface.disjoint_union(k1, k2)
-    sub_loop, _ = surface.subcomplex(ku_loop, 1)
+    sub_loop = surface.subcomplex(ku_loop, 1)
     _assert_same_complex(ku, ku_loop)
     _assert_same_complex(sub, sub_loop)
     assert ku.n_components == 2
